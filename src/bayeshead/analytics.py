@@ -1,14 +1,14 @@
 """Dataset-level evaluation and uncertainty analytics.
 
-Produces accuracy/confusion reports with per-sample prediction records,
-Gaussian-kernel KDE curves of uncertainty values, entropy-bin histograms
-split by correctness, and the bayesian-vs-baseline comparison table.
+``predict_records`` is the one per-row prediction loop; on top of it sit
+accuracy/confusion reports, Gaussian-kernel KDE curves of uncertainty
+values, entropy-bin histograms split by correctness, and the
+bayesian-vs-baseline comparison table.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -16,14 +16,18 @@ from .data import FeatureDataset
 from .inference import (
     PredictiveResult,
     ReferralThresholds,
-    predict_deterministic,
-    predict_mc,
+    point_weights,
+    posterior_draws,
+    predictive_from_samples,
     referral_decision,
+    stacked_probs,
 )
 from .network import HeadModel
 from .rng import RngStream
 
 REPORT_SCHEMA_VERSION = 1
+
+_BLOCK_ROWS = 64  # rows per kernel call; bounds memory and leaves every bit as it is
 
 _SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 
@@ -60,19 +64,7 @@ class PredictionRecord:
     action: str
 
     def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "label": self.label,
-            "predicted_class": self.predicted_class,
-            "correct": self.correct,
-            "mean_probs": self.mean_probs,
-            "var_probs": self.var_probs,
-            "entropy_bits": self.entropy_bits,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "uncertainty": self.uncertainty,
-            "action": self.action,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "PredictionRecord":
@@ -146,6 +138,26 @@ def _record_for(dataset, j, result: PredictiveResult, thresholds) -> PredictionR
     )
 
 
+def predict_records(
+    model: HeadModel,
+    dataset: FeatureDataset,
+    n: int,
+    thresholds: ReferralThresholds,
+    stream: RngStream,
+    ci_level: float = 0.95,
+) -> list[PredictionRecord]:
+    """One record per row, in dataset order, through the batched kernel in
+    fixed blocks; each equals the record of ``predict_mc`` (n draws shared
+    by every row) or ``predict_deterministic`` on its row alone."""
+    w, b = posterior_draws(model, n, stream) if model.is_bayesian else point_weights(model)
+    records = []
+    for start in range(0, len(dataset), _BLOCK_ROWS):
+        block = stacked_probs(model, dataset.features[start : start + _BLOCK_ROWS], w, b)
+        for j, probs in enumerate(block, start):
+            records.append(_record_for(dataset, j, predictive_from_samples(probs, ci_level), thresholds))
+    return records
+
+
 def evaluate(
     model: HeadModel,
     dataset: FeatureDataset,
@@ -155,35 +167,13 @@ def evaluate(
     workers: int = 1,
     ci_level: float = 0.95,
 ) -> EvalReport:
-    """Per-sample MC prediction plus dataset aggregation.
-
-    The same stream is handed to every sample, so the n posterior draws
-    are shared across the dataset (one weight sample set per draw index);
-    the baseline variant takes a single deterministic pass per sample.
-    Aggregation runs in dataset order regardless of ``workers``.
-    """
+    """``predict_records`` plus dataset aggregation; ``workers`` is
+    accepted for compatibility and has no effect."""
     if len(dataset) == 0:
         raise ValueError("cannot evaluate an empty dataset")
-    if dataset.feature_dim != model.feature_dim:
-        raise ValueError(
-            f"dataset feature dim {dataset.feature_dim} != model feature dim {model.feature_dim}"
-        )
     if dataset.n_classes > model.n_classes:
         raise ValueError("dataset contains labels outside the model's classes")
-
-    def one(j: int) -> PredictionRecord:
-        x = dataset.features[j]
-        if model.is_bayesian:
-            result = predict_mc(model, x, n, stream, level=ci_level)
-        else:
-            result = predict_deterministic(model, x, level=ci_level)
-        return _record_for(dataset, j, result, thresholds)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(one, range(len(dataset))))
-    else:
-        records = [one(j) for j in range(len(dataset))]
+    records = predict_records(model, dataset, n, thresholds, stream, ci_level)
 
     c = model.n_classes
     confusion = np.zeros((c, c), dtype=np.int64)
@@ -304,24 +294,10 @@ def comparison_csv(rows: list[ComparisonRow], config: dict | None = None) -> str
     lines = []
     if config:
         lines.extend(f"# {k} = {v}" for k, v in config.items())
-    lines.append(
-        "dataset,bayes_accuracy,baseline_accuracy,accuracy_delta,"
-        "bayes_referral_rate,bayes_mean_entropy_correct,bayes_mean_entropy_incorrect"
-    )
+    lines.append(",".join(f.name for f in fields(ComparisonRow)))
     for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    r.dataset,
-                    repr(r.bayes_accuracy),
-                    repr(r.baseline_accuracy),
-                    repr(r.accuracy_delta),
-                    repr(r.bayes_referral_rate),
-                    "" if r.bayes_mean_entropy_correct is None else repr(r.bayes_mean_entropy_correct),
-                    "" if r.bayes_mean_entropy_incorrect is None else repr(r.bayes_mean_entropy_incorrect),
-                ]
-            )
-        )
+        cells = ("" if v is None else v if isinstance(v, str) else repr(v) for v in asdict(r).values())
+        lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
 

@@ -1,8 +1,8 @@
 """Command-line pipeline: synth -> train -> predict/eval -> analyze -> compare.
 
 Every command is deterministic given (--seed, config, inputs): reruns
-produce byte-identical artifacts, independent of worker count.  Exit
-codes: 0 success, 1 numeric/training failure, 2 usage or input error.
+produce byte-identical artifacts.  Exit codes: 0 success, 1 numeric or
+training failure, 2 usage or input error.
 Config precedence is flag > config file > built-in default, and the
 effective configuration is echoed into every artifact.
 """
@@ -12,11 +12,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import analytics, data, model_io, training
 from .errors import NumericError
-from .inference import ReferralThresholds, predict_deterministic, predict_mc
+from .inference import ReferralThresholds
 from .rng import RngStream
 from .training import TrainConfig
 
@@ -26,6 +27,7 @@ _DEFAULT_N = 50
 _DEFAULT_UNCERTAINTY = 0.01
 _DEFAULT_CONFIDENCE = 0.99
 _DEFAULT_CI_LEVEL = 0.95
+_WORKERS_HELP = "accepted for compatibility; has no effect, results are deterministic by construction"
 
 
 def parse_config_file(path) -> dict:
@@ -129,23 +131,13 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _prediction_stream(seed: int) -> RngStream:
-    return RngStream(seed).derive(_PREDICT_STREAM_KEY)
-
-
-def cmd_predict(args) -> int:
-    file_config = _load_file_config(args)
-    archive = model_io.load_model(args.model)
-    dataset = data.load_csv(args.data)
+def _prediction_settings(args, file_config: dict):
+    """Draw count, thresholds, CI level and stream shared by predict and eval,
+    plus the echo of the settings that fix their output."""
     n = _resolve(args.n, file_config, "mc_samples_predict", _DEFAULT_N, int)
     seed = _resolve(args.seed, file_config, "seed", 0, int)
     thresholds = _thresholds(args, file_config)
     ci_level = _resolve(args.ci_level, file_config, "ci_level", _DEFAULT_CI_LEVEL, float)
-    stream = _prediction_stream(seed)
-    model = archive.model
-
-    out = _out_dir(args)
-    path = out / "predictions.jsonl"
     echo = {
         "seed": seed,
         "mc_samples": n,
@@ -153,15 +145,19 @@ def cmd_predict(args) -> int:
         "confidence_threshold": thresholds.confidence,
         "ci_level": ci_level,
     }
+    return n, thresholds, ci_level, RngStream(seed).derive(_PREDICT_STREAM_KEY), echo
+
+
+def cmd_predict(args) -> int:
+    file_config = _load_file_config(args)
+    archive = model_io.load_model(args.model)
+    dataset = data.load_csv(args.data)
+    n, thresholds, ci_level, stream, echo = _prediction_settings(args, file_config)
+    records = analytics.predict_records(archive.model, dataset, n, thresholds, stream, ci_level)
+
+    path = _out_dir(args) / "predictions.jsonl"
     lines = [json.dumps({"record_type": "header", "schema_version": 1, **echo})]
-    for j in range(len(dataset)):
-        if model.is_bayesian:
-            result = predict_mc(model, dataset.features[j], n, stream,
-                                workers=args.workers, level=ci_level)
-        else:
-            result = predict_deterministic(model, dataset.features[j], level=ci_level)
-        record = analytics._record_for(dataset, j, result, thresholds)
-        lines.append(json.dumps(record.to_dict()))
+    lines.extend(json.dumps(r.to_dict()) for r in records)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"predict: n={n} rows={len(dataset)} out={path}")
     return 0
@@ -172,25 +168,10 @@ def cmd_eval(args) -> int:
     archive = model_io.load_model(args.model)
     dataset = data.load_csv(args.data, name=args.dataset_name) if args.dataset_name \
         else data.load_csv(args.data)
-    n = _resolve(args.n, file_config, "mc_samples_predict", _DEFAULT_N, int)
-    seed = _resolve(args.seed, file_config, "seed", 0, int)
-    thresholds = _thresholds(args, file_config)
-    ci_level = _resolve(args.ci_level, file_config, "ci_level", _DEFAULT_CI_LEVEL, float)
-
-    report = analytics.evaluate(
-        archive.model, dataset, n, thresholds, _prediction_stream(seed),
-        workers=args.workers, ci_level=ci_level,
-    )
-    echo = {
-        "seed": seed,
-        "mc_samples": n,
-        "uncertainty_threshold": thresholds.uncertainty,
-        "confidence_threshold": thresholds.confidence,
-        "ci_level": ci_level,
-        "variant": archive.model.variant,
-    }
-    out = _out_dir(args)
-    path = out / "report.json"
+    n, thresholds, ci_level, stream, echo = _prediction_settings(args, file_config)
+    report = analytics.evaluate(archive.model, dataset, n, thresholds, stream, ci_level=ci_level)
+    echo["variant"] = archive.model.variant
+    path = _out_dir(args) / "report.json"
     _write_json(path, report.to_dict(config=echo))
     print(
         f"eval: dataset={report.dataset_name} accuracy={report.accuracy:.4f} "
@@ -244,18 +225,7 @@ def cmd_compare(args) -> int:
         {
             "schema_version": 1,
             "config": echo,
-            "rows": [
-                {
-                    "dataset": r.dataset,
-                    "bayes_accuracy": r.bayes_accuracy,
-                    "baseline_accuracy": r.baseline_accuracy,
-                    "accuracy_delta": r.accuracy_delta,
-                    "bayes_referral_rate": r.bayes_referral_rate,
-                    "bayes_mean_entropy_correct": r.bayes_mean_entropy_correct,
-                    "bayes_mean_entropy_incorrect": r.bayes_mean_entropy_incorrect,
-                }
-                for r in rows
-            ],
+            "rows": [asdict(r) for r in rows],
         },
     )
     print(f"compare: {len(rows)} datasets -> {out / 'comparison.csv'}")
@@ -337,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--n", type=int, default=None, help="MC draws (default 50)")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p.add_argument("--uncertainty-threshold", type=float, default=None)
     p.add_argument("--confidence-threshold", type=float, default=None)
     p.add_argument("--ci-level", type=float, default=None)
@@ -348,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--dataset-name", default=None)
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p.add_argument("--uncertainty-threshold", type=float, default=None)
     p.add_argument("--confidence-threshold", type=float, default=None)
     p.add_argument("--ci-level", type=float, default=None)

@@ -2,21 +2,21 @@
 
 A prediction is the mean of per-draw softmax outputs over n posterior
 weight draws; its per-class spread (population variance, 1/n) is the
-uncertainty signal.  Draw i always uses the child stream keyed by i, so
-results are bit-identical no matter how many workers run the draws.
+uncertainty signal.  Draw i uses the weights of the child stream keyed by
+i, so all rows share one stack of n weight sets, and ``stacked_probs``
+forms each row's products on their own: a row gets the same bits alone
+or in a block of any size.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import softmax
-from .distributions import sample_weights
-from .errors import VariantError
-from .network import HeadModel, dense_forward, mean_forward
+from .errors import NumericError, VariantError
+from .network import HeadModel
 from .rng import RngStream
 
 
@@ -92,6 +92,44 @@ def predictive_from_samples(sample_probs, level: float = 0.95) -> PredictiveResu
     )
 
 
+def posterior_draws(model: HeadModel, n: int, stream: RngStream) -> tuple[np.ndarray, np.ndarray]:
+    """Output weights (n, H, C) and biases (n, C); draw i is the sample of
+    ``stream.derive(i)`` and ``stream`` is not advanced."""
+    if not model.is_bayesian:
+        raise VariantError("posterior draws require the bayesian variant")
+    if n < 1:
+        raise ValueError("draw count must be >= 1")
+    params = model.output.params
+    return model.output.unflatten(params.mu + params.sigma * stream.child_normals(n, len(params)))
+
+
+def point_weights(model: HeadModel) -> tuple[np.ndarray, np.ndarray]:
+    """The posterior mean or point weights as a one-set stack (1, H, C), (1, C)."""
+    if model.is_bayesian:
+        return model.output.unflatten(model.output.params.mu[None])
+    return model.output.weights[None], model.output.bias[None]
+
+
+def _rowwise(x: np.ndarray, w: np.ndarray, b: np.ndarray, activation: str) -> np.ndarray:
+    # One vector-matrix product per row: a product over the whole block
+    # (x @ w, einsum) can give a row other bits depending on the block size.
+    z = (x[..., None, :] @ w)[..., 0, :] + b
+    return np.maximum(z, 0.0) if activation == "relu" else z
+
+
+def stacked_probs(model: HeadModel, x, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Softmax outputs (N, n, C) of rows x (N, D) under the weight stack w, b."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != model.feature_dim:
+        raise ValueError(f"rows must have shape (N, {model.feature_dim}), got {x.shape}")
+    h = _rowwise(x, model.hidden.weights, model.hidden.bias, model.hidden.activation)
+    activation = "identity" if model.is_bayesian else model.output.activation
+    logits = _rowwise(h[:, None, :], w, b, activation)
+    if not np.all(np.isfinite(logits)):
+        raise NumericError("prediction logits are not finite: the model weights overflow on these rows")
+    return softmax(logits)
+
+
 def predict_mc(
     model: HeadModel,
     x,
@@ -103,31 +141,16 @@ def predict_mc(
     """n-draw Monte Carlo prediction for one input.
 
     Does not advance ``stream``: draw i derives the child stream keyed by
-    i, which makes parallel execution bit-reproducible.
+    i.  ``workers`` is accepted for compatibility and has no effect.
     """
-    if not model.is_bayesian:
-        raise VariantError("predict_mc requires the bayesian variant")
-    if n < 1:
-        raise ValueError("draw count must be >= 1")
-    h = dense_forward(model.hidden, np.asarray(x, dtype=np.float64))
-
-    def draw(i: int) -> np.ndarray:
-        s = sample_weights(model.output.params, stream.derive(i))
-        w, b = model.output.unflatten(s.theta)
-        return softmax(h @ w + b)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(draw, range(n)))
-    else:
-        rows = [draw(i) for i in range(n)]
-    return predictive_from_samples(np.array(rows), level)
+    probs = stacked_probs(model, [x], *posterior_draws(model, n, stream))
+    return predictive_from_samples(probs[0], level)
 
 
 def predict_deterministic(model: HeadModel, x, level: float = 0.95) -> PredictiveResult:
     """Single-pass prediction (posterior mean / point weights); zero variance."""
-    probs = softmax(mean_forward(model, np.asarray(x, dtype=np.float64)))
-    return predictive_from_samples(probs[None, :], level)
+    probs = stacked_probs(model, [x], *point_weights(model))
+    return predictive_from_samples(probs[0], level)
 
 
 def referral_decision(

@@ -69,8 +69,10 @@ class VariationalDenseLayer:
             )
 
     def unflatten(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(W, b) from theta (..., K); leading axes index stacked draws."""
         split = self.in_dim * self.out_dim
-        return theta[:split].reshape(self.in_dim, self.out_dim), theta[split:]
+        w = theta[..., :split].reshape(*theta.shape[:-1], self.in_dim, self.out_dim)
+        return w, theta[..., split:]
 
 
 @dataclass

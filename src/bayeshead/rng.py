@@ -30,13 +30,29 @@ def _mix(words: np.ndarray) -> np.ndarray:
     return words ^ (words >> np.uint64(31))
 
 
-def _words(seed: int, stream_id: int, start: int, count: int) -> np.ndarray:
-    """Raw 64-bit words start .. start+count-1 of stream (seed, stream_id)."""
+def _u64(value: int) -> np.ndarray:
+    return np.array([value & _MASK], dtype=np.uint64)
+
+
+def _words(seed: int, stream_ids: np.ndarray, start: int, count: int) -> np.ndarray:
+    """Words start .. start+count-1 of streams (seed, stream_ids[j]), one row per id."""
     idx = np.arange(start, start + count, dtype=np.uint64)
-    k1 = _mix(np.array([seed & _MASK], dtype=np.uint64))
-    k2 = _mix(np.array([(stream_id & _MASK) ^ _GOLDEN], dtype=np.uint64))
-    h = _mix(idx * np.uint64(_GOLDEN) + k1)
-    return _mix(h ^ k2)
+    keys = _mix(np.concatenate([_u64(seed), stream_ids ^ np.uint64(_GOLDEN)]))  # seed key, then stream keys
+    h = _mix(idx * np.uint64(_GOLDEN) + keys[:1])
+    return _mix(h ^ keys[1:, None])
+
+
+def _child_ids(stream_ids: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Ids of the child streams keyed by ``keys``; uint64 arrays, broadcast."""
+    return _mix((stream_ids ^ np.uint64(_GOLDEN)) + _mix(keys * np.uint64(_STREAM_SALT)))
+
+
+def _box_muller(words: np.ndarray) -> np.ndarray:
+    """Standard normals from word pairs along the last axis."""
+    # u1 in (0, 1] so log never sees zero; u2 in [0, 1).
+    u1 = ((words[..., 0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
+    u2 = (words[..., 1::2] >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
 
 
 @dataclass
@@ -55,12 +71,16 @@ class RngStream:
         """Draw n standard normals, consuming 2n words."""
         if n < 1:
             raise ValueError("normal draw count must be >= 1")
-        w = _words(self.seed, self.stream_id, self.counter, 2 * n)
-        # u1 in (0, 1] so log never sees zero; u2 in [0, 1).
-        u1 = ((w[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
-        u2 = (w[1::2] >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        w = _words(self.seed, _u64(self.stream_id), self.counter, 2 * n)[0]
         self.counter += 2 * n
-        return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+        return _box_muller(w)
+
+    def child_normals(self, n: int, k: int) -> np.ndarray:
+        """(n, k) normals whose row i is ``self.derive(i).normal(k)``; does not advance self."""
+        if n < 1 or k < 1:
+            raise ValueError("child normal counts must be >= 1")
+        ids = _child_ids(_u64(self.stream_id), np.arange(n, dtype=np.uint64))
+        return _box_muller(_words(self.seed, ids, 0, 2 * k))
 
     def permutation(self, n: int) -> np.ndarray:
         """Deterministic Fisher-Yates shuffle of range(n)."""
@@ -68,7 +88,7 @@ class RngStream:
             raise ValueError("permutation length must be >= 0")
         perm = np.arange(n)
         if n > 1:
-            w = _words(self.seed, self.stream_id, self.counter, n - 1)
+            w = _words(self.seed, _u64(self.stream_id), self.counter, n - 1)[0]
             self.counter += n - 1
             for k, i in enumerate(range(n - 1, 0, -1)):
                 j = int(w[k] % np.uint64(i + 1))
@@ -77,10 +97,9 @@ class RngStream:
 
     def derive(self, *keys: int) -> "RngStream":
         """Independent child stream keyed by ``keys``; does not advance self."""
-        sid = np.array([self.stream_id & _MASK], dtype=np.uint64)
+        sid = _u64(self.stream_id)
         for key in keys:
-            salted = np.array([((key & _MASK) * _STREAM_SALT) & _MASK], dtype=np.uint64)
-            sid = _mix((sid ^ np.uint64(_GOLDEN)) + _mix(salted))
+            sid = _child_ids(sid, _u64(key))
         return RngStream(self.seed, int(sid[0]), 0)
 
     def state(self) -> dict:

@@ -16,9 +16,12 @@ from bayeshead import (
     entropy_histogram,
     evaluate,
     kde,
+    predict_deterministic,
+    predict_mc,
+    referral_decision,
     silverman_bandwidth,
 )
-from bayeshead.analytics import comparison_csv, entropy_histogram_csv, kde_csv
+from bayeshead.analytics import _BLOCK_ROWS, comparison_csv, entropy_histogram_csv, kde_csv
 
 
 def _passthrough_model() -> HeadModel:
@@ -83,6 +86,31 @@ class TestEvaluate:
         assert doc["schema_version"] == 1
         back = EvalReport.from_dict(doc)
         assert back.to_dict() == report.to_dict()
+
+    @pytest.mark.parametrize("size", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("variant", ["bayesian", "baseline"])
+    def test_records_equal_per_row_prediction(self, size, variant, tiny_bayes, tiny_baseline):
+        model = tiny_bayes if variant == "bayesian" else tiny_baseline
+        rows = RngStream(31).normal(2 * size).reshape(size, 2) * 2.0
+        dataset = _dataset(rows, [j % 2 for j in range(size)])
+        thresholds = ReferralThresholds(uncertainty=0.005, confidence=0.95)
+        stream = RngStream(6).derive(4)
+        report = evaluate(model, dataset, 16, thresholds, stream, ci_level=0.9)
+        assert len(report.records) == size
+        for j, record in enumerate(report.records):
+            if model.is_bayesian:
+                result = predict_mc(model, rows[j], 16, stream, level=0.9)
+            else:
+                result = predict_deterministic(model, rows[j], level=0.9)
+            assert np.array(record.mean_probs).tobytes() == result.mean_probs.tobytes()
+            assert np.array(record.var_probs).tobytes() == result.var_probs.tobytes()
+            assert np.array(record.ci_low).tobytes() == result.ci_low.tobytes()
+            assert np.array(record.ci_high).tobytes() == result.ci_high.tobytes()
+            assert record.entropy_bits == result.entropy_bits
+            assert record.uncertainty == result.uncertainty_scalar
+            assert record.predicted_class == result.predicted_class
+            decision = referral_decision(result, thresholds.uncertainty, thresholds.confidence)
+            assert record.action == decision.action
 
 
 class TestSilvermanBandwidth:

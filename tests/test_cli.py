@@ -231,6 +231,28 @@ class TestEvalAnalyzeCompare:
         assert "mismatched" in capsys.readouterr().err
 
 
+class TestNumericFailure:
+    @pytest.fixture
+    def overflowing_model(self, trained, tmp_path):
+        # finite on disk, so it loads; softplus(1e308) scales the draws past float range
+        doc = json.loads((trained / "bayes" / "model.json").read_text())
+        doc["output"]["rho"] = [1e308] * len(doc["output"]["rho"])
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc))
+        assert load_model(path).model.is_bayesian
+        return path
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_overflowed_logits_exit_1(self, command, overflowing_model, cli_data, tmp_path, capsys):
+        rc = run([
+            command, "--model", str(overflowing_model), "--data", str(cli_data / "test.csv"),
+            "--n", "4", "--out", str(tmp_path / "out"),
+        ])
+        assert rc == 1
+        assert "not finite" in capsys.readouterr().err
+
+
 class TestSynthCommand:
     def test_writes_loadable_csv_and_meta(self, tmp_path):
         rc = run([

@@ -79,3 +79,28 @@ def test_nested_derive_deterministic():
     # multi-key derive folds keys in order, equivalent to chaining
     assert a.stream_id == b.stream_id
     assert RngStream(1).derive(9, 3).stream_id != a.stream_id
+
+
+def test_derive_with_wide_ids_and_keys_is_pinned():
+    # stream ids and keys are taken mod 2^64; values pinned from the scalar derive
+    child = RngStream(3, 2**64 - 3).derive(2**63 + 7)
+    assert child.stream_id == 18290359170402927711
+    assert child.normal(2).tolist() == [0.43817438074415166, -0.390751436577593]
+
+
+@pytest.mark.parametrize("stream_id, keys", [(0, ()), (2**64 - 1, ()), (5, (2**63 + 1,))])
+def test_child_normals_rows_equal_derived_streams(stream_id, keys):
+    parent = RngStream(17, stream_id).derive(*keys)
+    parent.normal(3)
+    block = parent.child_normals(12, 7)
+    assert parent.counter == 6  # not advanced
+    assert block.shape == (12, 7)
+    for i in range(12):
+        assert block[i].tobytes() == parent.derive(i).normal(7).tobytes()
+
+
+def test_child_normals_rejects_empty_shapes():
+    with pytest.raises(ValueError):
+        RngStream(1).child_normals(0, 3)
+    with pytest.raises(ValueError):
+        RngStream(1).child_normals(3, 0)
