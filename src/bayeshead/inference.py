@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import softmax
 from .errors import NumericError, VariantError
-from .network import HeadModel
+from .network import HeadModel, dense_forward
 from .rng import RngStream
 
 
@@ -97,8 +97,6 @@ def posterior_draws(model: HeadModel, n: int, stream: RngStream) -> tuple[np.nda
     ``stream.derive(i)`` and ``stream`` is not advanced."""
     if not model.is_bayesian:
         raise VariantError("posterior draws require the bayesian variant")
-    if n < 1:
-        raise ValueError("draw count must be >= 1")
     params = model.output.params
     return model.output.unflatten(params.mu + params.sigma * stream.child_normals(n, len(params)))
 
@@ -110,21 +108,18 @@ def point_weights(model: HeadModel) -> tuple[np.ndarray, np.ndarray]:
     return model.output.weights[None], model.output.bias[None]
 
 
-def _rowwise(x: np.ndarray, w: np.ndarray, b: np.ndarray, activation: str) -> np.ndarray:
-    # One vector-matrix product per row: a product over the whole block
-    # (x @ w, einsum) can give a row other bits depending on the block size.
-    z = (x[..., None, :] @ w)[..., 0, :] + b
-    return np.maximum(z, 0.0) if activation == "relu" else z
-
-
 def stacked_probs(model: HeadModel, x, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Softmax outputs (N, n, C) of rows x (N, D) under the weight stack w, b."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != model.feature_dim:
+    if x.ndim != 2:
         raise ValueError(f"rows must have shape (N, {model.feature_dim}), got {x.shape}")
-    h = _rowwise(x, model.hidden.weights, model.hidden.bias, model.hidden.activation)
-    activation = "identity" if model.is_bayesian else model.output.activation
-    logits = _rowwise(h[:, None, :], w, b, activation)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("input rows must be finite")
+    # Row-stacked products: x @ w or einsum could give a row other bits in other block sizes.
+    h = dense_forward(model.hidden, x[:, None, :])[:, 0]
+    logits = (h[:, None, None, :] @ w)[:, :, 0] + b
+    if not model.is_bayesian and model.output.activation == "relu":
+        logits = np.maximum(logits, 0.0)
     if not np.all(np.isfinite(logits)):
         raise NumericError("prediction logits are not finite: the model weights overflow on these rows")
     return softmax(logits)

@@ -71,16 +71,13 @@ class RngStream:
         """Draw n standard normals, consuming 2n words."""
         if n < 1:
             raise ValueError("normal draw count must be >= 1")
-        w = _words(self.seed, _u64(self.stream_id), self.counter, 2 * n)[0]
-        self.counter += 2 * n
-        return _box_muller(w)
+        return _box_muller(self._take(2 * n))
 
     def child_normals(self, n: int, k: int) -> np.ndarray:
         """(n, k) normals whose row i is ``self.derive(i).normal(k)``; does not advance self."""
         if n < 1 or k < 1:
             raise ValueError("child normal counts must be >= 1")
-        ids = _child_ids(_u64(self.stream_id), np.arange(n, dtype=np.uint64))
-        return _box_muller(_words(self.seed, ids, 0, 2 * k))
+        return _Children(self.seed, self.stream_id, rows=n).normal(n * k)
 
     def permutation(self, n: int) -> np.ndarray:
         """Deterministic Fisher-Yates shuffle of range(n)."""
@@ -88,8 +85,7 @@ class RngStream:
             raise ValueError("permutation length must be >= 0")
         perm = np.arange(n)
         if n > 1:
-            w = _words(self.seed, _u64(self.stream_id), self.counter, n - 1)[0]
-            self.counter += n - 1
+            w = self._take(n - 1)
             for k, i in enumerate(range(n - 1, 0, -1)):
                 j = int(w[k] % np.uint64(i + 1))
                 perm[i], perm[j] = perm[j], perm[i]
@@ -105,3 +101,22 @@ class RngStream:
     def state(self) -> dict:
         """Serializable snapshot; feed back as RngStream(**state) to resume."""
         return {"seed": self.seed, "stream_id": self.stream_id, "counter": self.counter}
+
+    def _take(self, count: int) -> np.ndarray:
+        """The next ``count`` words of this stream."""
+        w = _words(self.seed, _u64(self.stream_id), self.counter, count)[0]
+        self.counter += count
+        return w
+
+
+@dataclass
+class _Children(RngStream):
+    """Child streams 0 .. rows-1 read as one stream, one row of words each, so ``normal`` can draw them."""
+
+    rows: int = 1
+
+    def _take(self, count: int) -> np.ndarray:
+        ids = _child_ids(_u64(self.stream_id), np.arange(self.rows, dtype=np.uint64))
+        w = _words(self.seed, ids, self.counter, count // self.rows)
+        self.counter += count // self.rows
+        return w

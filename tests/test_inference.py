@@ -6,13 +6,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bayeshead import (
+    NumericError,
     PredictiveResult,
     RngStream,
     TrainConfig,
     VariantError,
+    bayes_forward,
     credible_interval,
     entropy_bits,
+    init_baseline_model,
     init_bayes_model,
+    mean_forward,
     predict_deterministic,
     predict_mc,
     predictive_from_samples,
@@ -218,3 +222,46 @@ class TestPredictMc:
         assert result.sample_probs.shape == (1, 2)
         assert np.array_equal(result.var_probs, [0.0, 0.0])
         assert result.uncertainty_scalar == 0.0
+
+
+class TestPerDrawReference:
+    """The batched kernel against the one-draw forward passes, bit for bit."""
+
+    @pytest.fixture(params=["tiny", "wide"])
+    def models(self, request, tiny_bayes, tiny_baseline):
+        if request.param == "tiny":
+            return tiny_bayes, tiny_baseline, np.array([0.7, -1.2])
+        cfg = TrainConfig(hidden_dim=24, seed=8)
+        x = RngStream(2).normal(32) * 3.0
+        return init_bayes_model(32, 4, cfg), init_baseline_model(32, 4, cfg), x
+
+    def test_mc_rows_equal_per_draw_forward(self, models):
+        bayes, _, x = models
+        stream = RngStream(5).derive(4)
+        result = predict_mc(bayes, x, 12, stream)
+        for i in range(12):
+            logits, _ = bayes_forward(bayes, x, stream.derive(i))
+            assert result.sample_probs[i].tobytes() == softmax(logits).tobytes()
+
+    def test_deterministic_equals_mean_forward(self, models):
+        bayes, baseline, x = models
+        for model in (bayes, baseline):
+            result = predict_deterministic(model, x)
+            assert result.sample_probs[0].tobytes() == softmax(mean_forward(model, x)).tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_rows_are_input_errors(tiny_bayes, bad):
+    x = np.array([0.5, bad])
+    with pytest.raises(ValueError):
+        predict_mc(tiny_bayes, x, 4, RngStream(1))
+    with pytest.raises(ValueError):
+        predict_deterministic(tiny_bayes, x)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_weights_are_numeric_errors():
+    model = init_bayes_model(2, 2, TrainConfig(hidden_dim=8, seed=3))
+    model.output.params.rho = np.full(len(model.output.params), 1e308)
+    with pytest.raises(NumericError):
+        predict_mc(model, np.array([0.5, -0.5]), 4, RngStream(1))
