@@ -70,10 +70,17 @@ class VariationalParams:
 
 @dataclass
 class WeightSample:
-    """One posterior draw together with the noise that produced it."""
+    """A posterior draw (K,), or a stack of draws (B, K), with the noise that produced it."""
 
     theta: np.ndarray
     epsilon: np.ndarray
+
+
+def stack_samples(samples) -> WeightSample | None:
+    """A WeightSample (or None) as is; a sequence of draws stacked row by row to (B, K)."""
+    if samples is None or isinstance(samples, WeightSample):
+        return samples
+    return WeightSample(np.stack([s.theta for s in samples]), np.stack([s.epsilon for s in samples]))
 
 
 def gaussian_log_pdf(x, mean: float, sigma: float):
@@ -103,9 +110,9 @@ def spike_slab_score(x, prior: SpikeSlabPrior):
 
 
 def sample_from_epsilon(params: VariationalParams, epsilon) -> WeightSample:
-    """Reparameterized draw theta = mu + softplus(rho) * epsilon."""
+    """Reparameterized draw theta = mu + softplus(rho) * epsilon; epsilon (K,) or a stack (..., K)."""
     eps = np.asarray(epsilon, dtype=np.float64)
-    if eps.shape != params.mu.shape:
+    if eps.shape[-1:] != params.mu.shape:
         raise ValueError("epsilon must match the parameter vector length")
     return WeightSample(theta=params.mu + params.sigma * eps, epsilon=eps)
 
@@ -120,19 +127,21 @@ def mean_sample(params: VariationalParams) -> WeightSample:
     return sample_from_epsilon(params, np.zeros(len(params)))
 
 
-def posterior_log_pdf(params: VariationalParams, theta) -> float:
+def posterior_log_pdf(params: VariationalParams, theta):
+    """log q(theta), one value per draw of theta (..., K)."""
     sigma = params.sigma
     z = (np.asarray(theta, dtype=np.float64) - params.mu) / sigma
-    return float(np.sum(-np.log(sigma) - 0.5 * _LOG_2PI - 0.5 * z * z))
+    return np.sum(-np.log(sigma) - 0.5 * _LOG_2PI - 0.5 * z * z, axis=-1)
 
 
-def prior_log_pdf(theta, prior: SpikeSlabPrior) -> float:
-    return float(np.sum(spike_slab_log_pdf(theta, prior)))
+def prior_log_pdf(theta, prior: SpikeSlabPrior):
+    """log p(theta), one value per draw of theta (..., K)."""
+    return np.sum(spike_slab_log_pdf(theta, prior), axis=-1)
 
 
 def kl_sample_estimate(params: VariationalParams, prior: SpikeSlabPrior, sample: WeightSample) -> float:
-    """Single-draw unbiased estimate of KL(q || p); may be negative."""
-    return posterior_log_pdf(params, sample.theta) - prior_log_pdf(sample.theta, prior)
+    """Unbiased estimate of KL(q || p) from one draw, or the mean over a stack of draws; may be negative."""
+    return float(np.mean(posterior_log_pdf(params, sample.theta) - prior_log_pdf(sample.theta, prior)))
 
 
 def mc_kl(params: VariationalParams, prior: SpikeSlabPrior, n_samples: int, stream: RngStream) -> float:

@@ -98,7 +98,9 @@ def posterior_draws(model: HeadModel, n: int, stream: RngStream) -> tuple[np.nda
     if not model.is_bayesian:
         raise VariantError("posterior draws require the bayesian variant")
     params = model.output.params
-    return model.output.unflatten(params.mu + params.sigma * stream.child_normals(n, len(params)))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflowed weights raise at stacked_probs
+        theta = params.mu + params.sigma * stream.child_normals(n, len(params))
+    return model.output.unflatten(theta)
 
 
 def point_weights(model: HeadModel) -> tuple[np.ndarray, np.ndarray]:
@@ -117,7 +119,8 @@ def stacked_probs(model: HeadModel, x, w: np.ndarray, b: np.ndarray) -> np.ndarr
         raise ValueError("input rows must be finite")
     # Row-stacked products: x @ w or einsum could give a row other bits in other block sizes.
     h = dense_forward(model.hidden, x[:, None, :])[:, 0]
-    logits = (h[:, None, None, :] @ w)[:, :, 0] + b
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below, raised as NumericError
+        logits = (h[:, None, None, :] @ w)[:, :, 0] + b
     if not model.is_bayesian and model.output.activation == "relu":
         logits = np.maximum(logits, 0.0)
     if not np.all(np.isfinite(logits)):

@@ -18,6 +18,7 @@ from .distributions import (
     WeightSample,
     sample_weights,
     spike_slab_score,
+    stack_samples,
 )
 from .errors import NumericError, VariantError
 from .rng import RngStream
@@ -137,24 +138,25 @@ def mean_forward(model: HeadModel, x) -> np.ndarray:
 def batch_forward(model: HeadModel, features: np.ndarray, sample=None) -> np.ndarray:
     """Batch logits under a given weight sample (or point weights).
 
-    ``sample`` is a shared WeightSample, a per-example sequence of them,
-    or None for the baseline variant.
+    ``sample`` is a shared WeightSample, a per-example stack (B, K) or
+    sequence of them, or None for the baseline variant.
     """
     h = dense_forward(model.hidden, features)
     if not model.is_bayesian:
         return dense_forward(model.output, h)
     if sample is None:
         raise VariantError("bayesian variant needs a weight sample")
-    if isinstance(sample, WeightSample):
-        w, b = model.output.unflatten(sample.theta)
+    w, b = model.output.unflatten(stack_samples(sample).theta)
+    return _output_logits(h, w, b)
+
+
+def _output_logits(h, w, b):
+    """h @ w + b for shared weights (H, C); row i against its own w[i], b[i] for a stack (B, H, C)."""
+    if w.ndim == 2:
         return h @ w + b
-    logits = np.empty((h.shape[0], model.n_classes))
-    if len(sample) != h.shape[0]:
+    if w.shape[0] != h.shape[0]:
         raise ValueError("per-example samples must match the batch size")
-    for i, s in enumerate(sample):
-        w, b = model.output.unflatten(s.theta)
-        logits[i] = h[i] @ w + b
-    return logits
+    return np.einsum("bh,bhc->bc", h, w) + b
 
 
 def batch_nll(logits: np.ndarray, labels: np.ndarray) -> float:
@@ -176,16 +178,25 @@ def batch_nll(logits: np.ndarray, labels: np.ndarray) -> float:
 
 
 def _nll_param_grads(model, features, labels, w, b):
-    """Gradients of the summed NLL w.r.t. hidden params and output (W, b)."""
+    """Gradients of the summed NLL w.r.t. hidden params and output (W, b).
+
+    For per-example weights w (B, H, C), b (B, C) the output gradients
+    stay per row, (B, H, C) and (B, C); the hidden ones are summed.
+    """
     z1 = features @ model.hidden.weights + model.hidden.bias
     h = np.maximum(z1, 0.0) if model.hidden.activation == "relu" else z1
-    logits = h @ w + b
+    logits = _output_logits(h, w, b)
     probs = np.exp(log_softmax(logits))
     g = probs.copy()
     g[np.arange(labels.shape[0]), labels] -= 1.0
-    g_w = h.T @ g
-    g_b = g.sum(axis=0)
-    dh = g @ w.T
+    if w.ndim == 2:
+        g_w = h.T @ g
+        g_b = g.sum(axis=0)
+        dh = g @ w.T
+    else:
+        g_w = h[:, :, None] * g[:, None, :]
+        g_b = g
+        dh = np.einsum("bhc,bc->bh", w, g)
     if model.hidden.activation == "relu":
         dh = dh * (z1 > 0.0)
     g_w1 = features.T @ dh
@@ -197,7 +208,8 @@ def _kl_param_grads(params: VariationalParams, prior: SpikeSlabPrior, sample: We
     """Pathwise gradients of log q(theta) - log p(theta) w.r.t. (mu, rho).
 
     With theta = mu + sigma*eps, log q reduces to -sum(log sigma) + const,
-    so only the prior's score flows through mu.
+    so only the prior's score flows through mu.  A stack of draws (B, K)
+    gives one row of gradients per draw.
     """
     sigma = params.sigma
     sig_prime = sigmoid(params.rho)
@@ -215,7 +227,8 @@ def backward(model: HeadModel, features, labels, samples: Samples, kl_weight: fl
 
     Returns a dict keyed by parameter group: hidden_w / hidden_b plus
     mu / rho (bayesian) or out_w / out_b (baseline).  ``samples`` is one
-    shared draw per batch or a per-example sequence.
+    shared draw per batch, or one draw per row: a (B, K) stack or a
+    sequence of draws.  Per-example rows' gradients are summed over the batch.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
@@ -229,45 +242,26 @@ def backward(model: HeadModel, features, labels, samples: Samples, kl_weight: fl
         grads = {"hidden_w": g_w1, "hidden_b": g_b1, "out_w": g_w, "out_b": g_b}
         return _checked(grads, features, labels, model, None)
 
-    params = model.output.params
-    if isinstance(samples, WeightSample):
-        w, b = model.output.unflatten(samples.theta)
-        g_w1, g_b1, g_w, g_b = _nll_param_grads(model, features, labels, w, b)
-        g_theta = np.concatenate([g_w.ravel(), g_b])
-        g_mu = g_theta.copy()
-        g_rho = g_theta * samples.epsilon * sigmoid(params.rho)
-        if kl_weight != 0.0:
-            kmu, krho = _kl_param_grads(params, model.output.prior, samples)
-            g_mu += kl_weight * kmu
-            g_rho += kl_weight * krho
-        grads = {"hidden_w": g_w1, "hidden_b": g_b1, "mu": g_mu, "rho": g_rho}
-        return _checked(grads, features, labels, model, samples)
-
-    if samples is None or len(samples) != features.shape[0]:
+    samples = stack_samples(samples)
+    if samples is None:
         raise ValueError("need one shared sample or one sample per batch row")
-    sig_prime = sigmoid(params.rho)
-    acc = {
-        "hidden_w": np.zeros_like(model.hidden.weights),
-        "hidden_b": np.zeros_like(model.hidden.bias),
-        "mu": np.zeros(len(params)),
-        "rho": np.zeros(len(params)),
-    }
-    scale = 1.0 / features.shape[0]  # KL estimate averages over the batch draws
-    for i, s in enumerate(samples):
-        w, b = model.output.unflatten(s.theta)
-        g_w1, g_b1, g_w, g_b = _nll_param_grads(
-            model, features[i : i + 1], labels[i : i + 1], w, b
-        )
-        g_theta = np.concatenate([g_w.ravel(), g_b])
-        acc["hidden_w"] += g_w1
-        acc["hidden_b"] += g_b1
-        acc["mu"] += g_theta
-        acc["rho"] += g_theta * s.epsilon * sig_prime
-        if kl_weight != 0.0:
-            kmu, krho = _kl_param_grads(params, model.output.prior, s)
-            acc["mu"] += kl_weight * scale * kmu
-            acc["rho"] += kl_weight * scale * krho
-    return _checked(acc, features, labels, model, samples)
+    per_example = samples.theta.ndim == 2
+    params = model.output.params
+    w, b = model.output.unflatten(samples.theta)
+    g_w1, g_b1, g_w, g_b = _nll_param_grads(model, features, labels, w, b)
+    g_theta = np.concatenate([g_w.reshape(g_b.shape[:-1] + (-1,)), g_b], axis=-1)
+    g_mu = g_theta.copy()
+    g_rho = g_theta * samples.epsilon * sigmoid(params.rho)
+    if kl_weight != 0.0:
+        # per example, the KL estimate averages over the batch's draws
+        kl_scale = kl_weight / features.shape[0] if per_example else kl_weight
+        kmu, krho = _kl_param_grads(params, model.output.prior, samples)
+        g_mu += kl_scale * kmu
+        g_rho += kl_scale * krho
+    if per_example:
+        g_mu, g_rho = g_mu.sum(axis=0), g_rho.sum(axis=0)
+    grads = {"hidden_w": g_w1, "hidden_b": g_b1, "mu": g_mu, "rho": g_rho}
+    return _checked(grads, features, labels, model, samples)
 
 
 def _checked(grads: dict, features, labels, model, samples) -> dict:

@@ -12,7 +12,7 @@ bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,9 @@ from .distributions import (
     VariationalParams,
     kl_sample_estimate,
     mean_sample,
+    sample_from_epsilon,
     sample_weights,
+    stack_samples,
 )
 from .errors import NumericError
 from .network import (
@@ -75,23 +77,9 @@ class TrainConfig:
             raise ValueError("invalid architecture/initialization settings")
 
     def to_flat_dict(self) -> dict:
-        d = {
-            "learning_rate": self.learning_rate,
-            "batch_size": self.batch_size,
-            "epochs": self.epochs,
-            "mc_samples_predict": self.mc_samples_predict,
-            "kl_weight_mode": self.kl_weight_mode,
-            "seed": self.seed,
-            "early_best_metric": self.early_best_metric,
-            "hidden_dim": self.hidden_dim,
-            "init_mu_sigma": self.init_mu_sigma,
-            "init_sigma": self.init_sigma,
-            "per_example_sample": self.per_example_sample,
-            "force_sigma_zero": self.force_sigma_zero,
-            "prior_mix_weight": self.prior.mix_weight,
-            "prior_slab_sigma": self.prior.slab_sigma,
-            "prior_spike_sigma": self.prior.spike_sigma,
-        }
+        """Config fields in declaration order, the prior's last as ``prior_<field>``."""
+        d = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "prior"}
+        d.update({f"prior_{f.name}": getattr(self.prior, f.name) for f in fields(self.prior)})
         return d
 
     @classmethod
@@ -101,25 +89,18 @@ class TrainConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         merged = {**base, **mapping}
-        prior = SpikeSlabPrior(
-            mix_weight=float(merged.pop("prior_mix_weight")),
-            slab_sigma=float(merged.pop("prior_slab_sigma")),
-            spike_sigma=float(merged.pop("prior_spike_sigma")),
-        )
-        kwargs = {}
-        for name, default in cls().__dict__.items():
-            if name == "prior":
-                continue
-            raw = merged[name]
-            if isinstance(default, bool):
-                kwargs[name] = _parse_bool(raw)
-            elif isinstance(default, int):
-                kwargs[name] = int(raw)
-            elif isinstance(default, float):
-                kwargs[name] = float(raw)
-            else:
-                kwargs[name] = str(raw)
-        return cls(prior=prior, **kwargs)
+        values = {name: _parse_like(default, merged[name]) for name, default in base.items()}
+        prior = SpikeSlabPrior(**{f.name: values.pop(f"prior_{f.name}") for f in fields(SpikeSlabPrior)})
+        return cls(prior=prior, **values)
+
+
+def _parse_like(default, raw):
+    """``raw`` (a value or its text) parsed to the type of ``default``."""
+    if isinstance(default, bool):
+        return _parse_bool(raw)
+    if isinstance(default, (int, float)):
+        return type(default)(raw)
+    return str(raw)
 
 
 def _parse_bool(raw) -> bool:
@@ -231,20 +212,17 @@ def _draw_samples(model, stream, batch_size, per_example, force_zero):
     if force_zero:
         return mean_sample(params)
     if per_example:
-        return [sample_weights(params, stream) for _ in range(batch_size)]
+        # one call draws the same bits as batch_size sample_weights calls: each row takes 2K words
+        eps = stream.normal(batch_size * len(params)).reshape(batch_size, len(params))
+        return sample_from_epsilon(params, eps)
     return sample_weights(params, stream)
 
 
 def _elbo_parts(model, features, labels, samples, kl_weight):
+    samples = stack_samples(samples)
     nll = batch_nll(batch_forward(model, features, samples), labels)
     if model.is_bayesian and samples is not None and kl_weight != 0.0:
-        if isinstance(samples, list):
-            kl = float(
-                np.mean([kl_sample_estimate(model.output.params, model.output.prior, s)
-                         for s in samples])
-            )
-        else:
-            kl = kl_sample_estimate(model.output.params, model.output.prior, samples)
+        kl = kl_sample_estimate(model.output.params, model.output.prior, samples)
     else:
         kl = 0.0
     return nll + kl_weight * kl, nll, kl, samples
@@ -337,6 +315,9 @@ def _train(dataset, val, config, bayesian):
             epoch_nll += nll
             epoch_kl += kl_w * kl
         val_acc, val_nll = validate_metrics(model, val)
+        if not (math.isfinite(val_acc) and math.isfinite(val_nll)):
+            # a NaN would never win the checkpoint comparison and freeze the best epoch silently
+            raise NumericError(f"non-finite validation metric at epoch {epoch}: nll {val_nll}, accuracy {val_acc}")
         records.append(EpochRecord(epoch_nll + epoch_kl, epoch_nll, epoch_kl, val_acc, val_nll))
         value = val_nll if config.early_best_metric == "val_nll" else val_acc
         improved = (

@@ -5,6 +5,7 @@ import pytest
 
 from bayeshead import (
     ArchiveError,
+    FeatureDataset,
     ModelArchive,
     TrainConfig,
     init_bayes_model,
@@ -251,6 +252,17 @@ class TestNumericFailure:
         ])
         assert rc == 1
         assert "not finite" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_validation_metric_exits_1(self, cli_data, tmp_path, capsys):
+        val = FeatureDataset(np.array([[1.7e308, 1.7e308], [-1.7e308, -1.7e308]]), np.array([0, 1]), ["a", "b"])
+        save_csv(val, tmp_path / "val.csv")
+        rc = run([
+            "train", "--data", str(cli_data / "train.csv"), "--val", str(tmp_path / "val.csv"),
+            "--epochs", "2", "--hidden-dim", "8", "--seed", "1", "--out", str(tmp_path / "out"),
+        ])
+        assert rc == 1
+        assert "validation metric" in capsys.readouterr().err
 
 
 class TestSynthCommand:

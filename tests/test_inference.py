@@ -265,3 +265,11 @@ def test_overflowing_weights_are_numeric_errors():
     model.output.params.rho = np.full(len(model.output.params), 1e308)
     with pytest.raises(NumericError):
         predict_mc(model, np.array([0.5, -0.5]), 4, RngStream(1))
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_weights_raise_without_runtime_warnings():
+    model = init_bayes_model(2, 2, TrainConfig(hidden_dim=8, seed=3))
+    model.output.params.rho = np.full(len(model.output.params), 1e308)
+    with pytest.raises(NumericError):
+        predict_mc(model, np.array([0.5, -0.5]), 4, RngStream(1))

@@ -186,6 +186,36 @@ class TestBackward:
         assert np.array_equal(gb["hidden_w"], gc["hidden_w"])
         assert np.array_equal(gb["rho"], np.zeros_like(gb["rho"]))
 
+    def test_per_example_matches_sum_of_single_row_backward(self):
+        # reference loop: each row is a one-row shared-sample batch; the KL weight is split over the rows
+        model = _toy_bayes(seed=17, hidden=5, features=4, classes=3)
+        stream = RngStream(23)
+        features = stream.normal(32).reshape(8, 4)
+        labels = np.arange(8) % 3
+        k = len(model.output.params)
+        samples = [sample_from_epsilon(model.output.params, stream.normal(k)) for _ in range(8)]
+        got = backward(model, features, labels, samples, kl_weight=0.3)
+        want = {name: np.zeros_like(g) for name, g in got.items()}
+        for i, s in enumerate(samples):
+            row = backward(model, features[i : i + 1], labels[i : i + 1], s, kl_weight=0.3 / 8)
+            for name in want:
+                want[name] += row[name]
+        for name, g in got.items():
+            assert np.max(np.abs(g - want[name])) <= 1e-12 * np.max(np.abs(want[name])), name
+
+    @pytest.mark.parametrize("activation", ["relu", "identity"])
+    def test_per_example_gradients_match_finite_differences_wide(self, activation):
+        model = _toy_bayes(seed=29, hidden=5, features=4, classes=3)
+        model.hidden.activation = activation
+        stream = RngStream(31)
+        features = stream.normal(32).reshape(8, 4)
+        labels = np.arange(8) % 3
+        z1 = features @ model.hidden.weights + model.hidden.bias
+        assert np.any(z1 > 0.0) and np.any(z1 < 0.0)  # the relu mask has units both on and off
+        k = len(model.output.params)
+        samples = [sample_from_epsilon(model.output.params, stream.normal(k)) for _ in range(8)]
+        assert _fd_gradcheck(model, features, labels, samples, kl_weight=0.4) < 1e-4
+
 
 class TestBatchNll:
     def test_clamps_degenerate_probability_with_warning(self):

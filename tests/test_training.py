@@ -1,9 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from bayeshead import (
+    FeatureDataset,
     NumericError,
     RmspropState,
     RngStream,
@@ -15,6 +17,7 @@ from bayeshead import (
     inv_softplus,
     kl_weight_for,
     rmsprop_step,
+    sample_weights,
     synth_blobs,
     train_baseline,
     train_bayes,
@@ -22,6 +25,7 @@ from bayeshead import (
     write_history_csv,
 )
 
+from bayeshead.training import _draw_samples, _param_dict
 from conftest import BLOB_MEANS
 
 
@@ -240,3 +244,54 @@ def test_train_config_validation():
     assert TrainConfig.from_flat_dict(flat) == TrainConfig()
     with pytest.raises(ValueError):
         TrainConfig.from_flat_dict({"not_a_key": 1})
+
+
+def test_flat_dict_key_order_is_pinned():
+    # the echo headers of history.csv and model.json list the keys in this order
+    assert list(TrainConfig().to_flat_dict()) == [
+        "learning_rate", "batch_size", "epochs", "mc_samples_predict", "kl_weight_mode", "seed",
+        "early_best_metric", "hidden_dim", "init_mu_sigma", "init_sigma", "per_example_sample",
+        "force_sigma_zero", "prior_mix_weight", "prior_slab_sigma", "prior_spike_sigma",
+    ]
+    config = TrainConfig(batch_size=7, kl_weight_mode="per_dataset", per_example_sample=True,
+                         prior=SpikeSlabPrior(0.25, 2.0, 0.5))
+    text = {k: str(v) for k, v in config.to_flat_dict().items()}  # as read from a config file
+    assert TrainConfig.from_flat_dict(text) == config
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("train", [train_bayes, train_baseline])
+def test_non_finite_validation_metric_raises(train):
+    train_set, _ = _task(3)
+    # finite rows whose hidden-layer products overflow, so the validation NLL is NaN from epoch 0
+    val = FeatureDataset(np.array([[1.7e308, 1.7e308], [-1.7e308, -1.7e308]]), np.array([0, 1]), ["a", "b"])
+    with pytest.raises(NumericError, match="validation metric at epoch 0"):
+        train(train_set, val, TrainConfig(epochs=3, hidden_dim=4, seed=1))
+
+
+def test_per_example_draw_matches_sequential_sample_weights():
+    model = init_bayes_model(3, 3, TrainConfig(hidden_dim=5, seed=2))
+    batched, sequential = RngStream(8, 4, counter=5), RngStream(8, 4, counter=5)
+    stacked = _draw_samples(model, batched, 7, per_example=True, force_zero=False)
+    rows = [sample_weights(model.output.params, sequential) for _ in range(7)]
+    assert stacked.epsilon.tobytes() == np.stack([r.epsilon for r in rows]).tobytes()
+    assert stacked.theta.tobytes() == np.stack([r.theta for r in rows]).tobytes()
+    assert batched.counter == sequential.counter
+
+
+def _param_digest(model) -> str:
+    digest = hashlib.sha256()
+    for name, value in sorted(_param_dict(model).items()):
+        digest.update(name.encode() + np.ascontiguousarray(value).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("train, expected", [
+    (train_bayes, "171999702407697a9008193bb5a5f1e8efc5dc6b6bdcd54966ebd2cf61f99809"),
+    (train_baseline, "75344c0978cff657ef98d915de70aa91af4bd684ed67e5ddf63405ba21744149"),
+])
+def test_shared_sample_and_baseline_parameters_are_pinned(tiny_task, train, expected):
+    # the shared-sample and baseline updates must not move by a bit when the per-example path changes;
+    # digests taken with numpy 2.4.6 and OpenBLAS on x86-64
+    model, _ = train(*tiny_task, TrainConfig(epochs=5, hidden_dim=4, batch_size=16, seed=3))
+    assert _param_digest(model) == expected
