@@ -1,8 +1,9 @@
 """Dataset-level evaluation and uncertainty analytics.
 
-``predict_records`` is the one per-row prediction loop; on top of it sit
-accuracy/confusion reports, Gaussian-kernel KDE curves of uncertainty
-values, entropy-bin histograms split by correctness, and the
+``predict_records`` is the one prediction loop: per fixed block of rows,
+one kernel call and one block summary, then one record per row.  On top
+of it sit accuracy/confusion reports, Gaussian-kernel KDE curves of
+uncertainty values, entropy-bin histograms split by correctness, and the
 bayesian-vs-baseline comparison table.
 """
 
@@ -12,15 +13,15 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .data import FeatureDataset
+from .data import FeatureDataset, echo_header
 from .inference import (
     PredictiveResult,
     ReferralThresholds,
     point_weights,
     posterior_draws,
-    predictive_from_samples,
     referral_decision,
     stacked_probs,
+    summarize_block,
 )
 from .network import HeadModel
 from .rng import RngStream
@@ -128,11 +129,11 @@ def _record_for(dataset, j, result: PredictiveResult, thresholds) -> PredictionR
         label=label,
         predicted_class=result.predicted_class,
         correct=result.predicted_class == label,
-        mean_probs=[float(v) for v in result.mean_probs],
-        var_probs=[float(v) for v in result.var_probs],
+        mean_probs=result.mean_probs.tolist(),
+        var_probs=result.var_probs.tolist(),
         entropy_bits=result.entropy_bits,
-        ci_low=[float(v) for v in result.ci_low],
-        ci_high=[float(v) for v in result.ci_high],
+        ci_low=result.ci_low.tolist(),
+        ci_high=result.ci_high.tolist(),
         uncertainty=result.uncertainty_scalar,
         action=decision.action,
     )
@@ -146,15 +147,15 @@ def predict_records(
     stream: RngStream,
     ci_level: float = 0.95,
 ) -> list[PredictionRecord]:
-    """One record per row, in dataset order, through the batched kernel in
-    fixed blocks; each equals the record of ``predict_mc`` (n draws shared
+    """One record per row, in dataset order, through the batched kernel and
+    the block summary in fixed blocks; each equals the record of ``predict_mc`` (n draws shared
     by every row) or ``predict_deterministic`` on its row alone."""
     w, b = posterior_draws(model, n, stream) if model.is_bayesian else point_weights(model)
     records = []
     for start in range(0, len(dataset), _BLOCK_ROWS):
         block = stacked_probs(model, dataset.features[start : start + _BLOCK_ROWS], w, b)
-        for j, probs in enumerate(block, start):
-            records.append(_record_for(dataset, j, predictive_from_samples(probs, ci_level), thresholds))
+        for j, result in enumerate(summarize_block(block, ci_level), start):
+            records.append(_record_for(dataset, j, result, thresholds))
     return records
 
 
@@ -291,9 +292,7 @@ def compare_report(
 
 
 def comparison_csv(rows: list[ComparisonRow], config: dict | None = None) -> str:
-    lines = []
-    if config:
-        lines.extend(f"# {k} = {v}" for k, v in config.items())
+    lines = echo_header(config)
     lines.append(",".join(f.name for f in fields(ComparisonRow)))
     for r in rows:
         cells = ("" if v is None else v if isinstance(v, str) else repr(v) for v in asdict(r).values())
@@ -302,10 +301,7 @@ def comparison_csv(rows: list[ComparisonRow], config: dict | None = None) -> str
 
 
 def kde_csv(curve: KdeCurve, config: dict | None = None) -> str:
-    lines = []
-    if config:
-        lines.extend(f"# {k} = {v}" for k, v in config.items())
-    lines.append(f"# bandwidth = {curve.bandwidth!r}")
+    lines = echo_header(config, bandwidth=repr(curve.bandwidth))
     lines.append("grid,density")
     for g, d in zip(curve.grid, curve.density):
         lines.append(f"{g!r},{d!r}")
@@ -313,13 +309,8 @@ def kde_csv(curve: KdeCurve, config: dict | None = None) -> str:
 
 
 def entropy_histogram_csv(hist: EntropyHistogram, config: dict | None = None) -> str:
-    lines = []
-    if config:
-        lines.extend(f"# {k} = {v}" for k, v in config.items())
-    if hist.correct_fraction is None:
-        lines.append("# correct_group = absent")
-    if hist.incorrect_fraction is None:
-        lines.append("# incorrect_group = absent")
+    groups = {"correct": hist.correct_fraction, "incorrect": hist.incorrect_fraction}
+    lines = echo_header(config, **{f"{g}_group": "absent" for g, f in groups.items() if f is None})
     lines.append("bin_low,bin_high,correct_fraction,incorrect_fraction")
     for i in range(hist.bin_edges.shape[0] - 1):
         correct = "" if hist.correct_fraction is None else repr(float(hist.correct_fraction[i]))

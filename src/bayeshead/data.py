@@ -166,6 +166,11 @@ def _is_float(s: str) -> bool:
         return False
 
 
+def echo_header(config: dict | None, **extra) -> list[str]:
+    """'# key = value' comment lines echoing ``config`` and then ``extra``, in order."""
+    return [f"# {k} = {v}" for k, v in [*(config or {}).items(), *extra.items()]]
+
+
 def save_csv(dataset: FeatureDataset, path) -> None:
     """Write the interchange CSV; float repr guarantees load/save roundtrips."""
     path = Path(path)

@@ -5,7 +5,10 @@ weight draws; its per-class spread (population variance, 1/n) is the
 uncertainty signal.  Draw i uses the weights of the child stream keyed by
 i, so all rows share one stack of n weight sets, and ``stacked_probs``
 forms each row's products on their own: a row gets the same bits alone
-or in a block of any size.
+or in a block of any size.  ``summarize_block`` turns a block's draws into
+per-row summaries with one reduction per statistic and one percentile call
+for both interval bounds; a single row is its one-row case, so a summary
+also has the same bits alone or in a block.
 """
 
 from __future__ import annotations
@@ -45,13 +48,25 @@ class ReferralThresholds:
     confidence: float = 0.99
 
 
+def _require_simplex(p: np.ndarray, message: str) -> None:
+    """Every vector along the last axis is a probability vector, to tolerance."""
+    if np.any(p < -1e-12) or np.any(np.abs(p.sum(axis=-1) - 1.0) > 1e-6):
+        raise ValueError(message)
+
+
+def _tail(level: float) -> float:
+    """Percent of the draws left out on each side of a ``level`` interval."""
+    if not 0.0 < level <= 1.0:
+        raise ValueError(f"level must lie in (0, 1], got {level}")
+    return 100.0 * (1.0 - level) / 2.0
+
+
 def entropy_bits(probs) -> float:
     """Shannon entropy in bits with 0*log0 = 0."""
     p = np.asarray(probs, dtype=np.float64)
     if p.ndim != 1 or p.size == 0:
         raise ValueError("entropy needs a nonempty probability vector")
-    if np.any(p < -1e-12) or abs(float(p.sum()) - 1.0) > 1e-6:
-        raise ValueError("input is not a probability vector")
+    _require_simplex(p, "input is not a probability vector")
     p = np.clip(p, 0.0, 1.0)
     nz = p > 0.0
     return float(-np.sum(p[nz] * np.log2(p[nz])))
@@ -62,34 +77,50 @@ def credible_interval(samples, level: float) -> tuple[float, float]:
     s = np.asarray(samples, dtype=np.float64)
     if s.size == 0:
         raise ValueError("credible interval of empty samples")
-    if not 0.0 < level <= 1.0:
-        raise ValueError(f"level must lie in (0, 1], got {level}")
-    tail = 100.0 * (1.0 - level) / 2.0
+    tail = _tail(level)
     low, high = np.percentile(s, [tail, 100.0 - tail])
     return float(low), float(high)
 
 
+def summarize_block(sample_probs, level: float = 0.95) -> list[PredictiveResult]:
+    """The predictive summary of each row of an (N, n_draws, n_classes) block.
+
+    Each statistic is one reduction over the draw axis of the whole block,
+    and both interval bounds come from one percentile call; row i gets the
+    same bits as the summary of ``sample_probs[i]`` alone.
+    """
+    probs = np.asarray(sample_probs, dtype=np.float64)
+    if probs.ndim != 3 or probs.shape[1] < 1 or probs.shape[2] < 2:
+        raise ValueError("sample_probs must be (n_rows, n_draws, n_classes >= 2)")
+    _require_simplex(probs, "each draw must be a probability vector")
+    tail = _tail(level)
+    n = probs.shape[1]
+    mean = probs.sum(axis=1) / n  # fixed-order reduction
+    var = ((probs - mean[:, None]) ** 2).sum(axis=1) / n  # population variance, 1/n
+    lows, highs = np.percentile(probs, [tail, 100.0 - tail], axis=1)
+    _require_simplex(mean, "input is not a probability vector")
+    p = np.clip(mean, 0.0, 1.0)
+    positive = p > 0.0
+    entropy = (-(p * np.log2(np.where(positive, p, 1.0))).sum(axis=1)).tolist()
+    # entropy_bits sums only the nonzero terms; a zero term would change numpy's
+    # pairwise summation order once there are 8 or more, so those rows go through it
+    for i in np.flatnonzero(~positive.all(axis=1)):
+        entropy[i] = entropy_bits(mean[i])
+    classes = np.argmax(mean, axis=1).tolist()
+    uncertainty = var.max(axis=1).tolist()
+    return [
+        PredictiveResult(probs[i], mean[i], var[i], entropy[i], lows[i], highs[i], classes[i], uncertainty[i])
+        for i in range(probs.shape[0])
+    ]
+
+
 def predictive_from_samples(sample_probs, level: float = 0.95) -> PredictiveResult:
-    """Assemble the predictive summary from an (n, n_classes) draw matrix."""
+    """Assemble the predictive summary from an (n, n_classes) draw matrix:
+    the one-row case of ``summarize_block``."""
     probs = np.asarray(sample_probs, dtype=np.float64)
     if probs.ndim != 2 or probs.shape[0] < 1 or probs.shape[1] < 2:
         raise ValueError("sample_probs must be (n_draws, n_classes >= 2)")
-    if np.any(probs < -1e-12) or np.any(np.abs(probs.sum(axis=1) - 1.0) > 1e-6):
-        raise ValueError("each draw must be a probability vector")
-    n = probs.shape[0]
-    mean = probs.sum(axis=0) / n  # fixed-order reduction
-    var = ((probs - mean) ** 2).sum(axis=0) / n  # population variance, 1/n
-    lows, highs = zip(*(credible_interval(probs[:, c], level) for c in range(probs.shape[1])))
-    return PredictiveResult(
-        sample_probs=probs,
-        mean_probs=mean,
-        var_probs=var,
-        entropy_bits=entropy_bits(mean),
-        ci_low=np.array(lows),
-        ci_high=np.array(highs),
-        predicted_class=int(np.argmax(mean)),
-        uncertainty_scalar=float(var.max()),
-    )
+    return summarize_block(probs[None], level)[0]
 
 
 def posterior_draws(model: HeadModel, n: int, stream: RngStream) -> tuple[np.ndarray, np.ndarray]:

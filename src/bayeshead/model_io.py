@@ -108,6 +108,12 @@ def load_model(path) -> ModelArchive:
         else:
             raise ArchiveError(f"model archive {path} has unknown variant {doc['variant']!r}")
         model = HeadModel(hidden, output, n_classes)
+        declared = (int(doc["feature_dim"]), int(doc["hidden_dim"]))
+        if declared != (model.feature_dim, model.hidden_dim):
+            raise ArchiveError(
+                f"model archive {path} declares feature_dim {declared[0]} and hidden_dim {declared[1]}, "
+                f"but its hidden weights are {model.feature_dim} x {model.hidden_dim}"
+            )
     except ArchiveError:
         raise
     except (KeyError, TypeError, ValueError) as e:

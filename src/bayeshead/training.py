@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import inv_softplus, log_softmax
-from .data import FeatureDataset
+from .data import FeatureDataset, echo_header
 from .distributions import (
     SpikeSlabPrior,
     VariationalParams,
@@ -258,8 +258,9 @@ def _assign_params(model: HeadModel, params: dict) -> None:
 def validate_metrics(model: HeadModel, dataset: FeatureDataset) -> tuple[float, float]:
     """(accuracy, mean NLL) from a deterministic pass at the mean weights."""
     sample = mean_sample(model.output.params) if model.is_bayesian else None
-    logits = batch_forward(model, dataset.features, sample)
-    logp = log_softmax(logits)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite metric raises NumericError in _train
+        logits = batch_forward(model, dataset.features, sample)
+        logp = log_softmax(logits)
     preds = np.argmax(logits, axis=1)
     acc = float(np.mean(preds == dataset.labels))
     nll = float(-np.mean(logp[np.arange(len(dataset)), dataset.labels]))
@@ -337,11 +338,8 @@ def _train(dataset, val, config, bayesian):
 
 def write_history_csv(history: TrainHistory, path, config: TrainConfig | None = None) -> None:
     """Emit the per-epoch metrics as CSV, config echoed in '#' comment lines."""
-    lines = []
-    if config is not None:
-        lines.extend(f"# {k} = {v}" for k, v in config.to_flat_dict().items())
-    if history.best_epoch is not None:
-        lines.append(f"# best_epoch = {history.best_epoch}")
+    best = {} if history.best_epoch is None else {"best_epoch": history.best_epoch}
+    lines = echo_header(None if config is None else config.to_flat_dict(), **best)
     lines.append("epoch,train_loss,train_nll,train_kl,val_accuracy,val_nll")
     for i, r in enumerate(history.epochs):
         lines.append(

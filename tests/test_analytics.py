@@ -271,6 +271,23 @@ class TestCsvEmitters:
         data = [l for l in lines if not l.startswith("#") and l != "grid,density"]
         assert len(data) == 11
 
+    def test_echo_headers_pinned(self):
+        echo = {"report": "r.json", "bins": 5}
+        kde_text = kde_csv(kde([0.0, 1.0], bandwidth=0.5, grid_points=2), config=echo)
+        assert kde_text.startswith("# report = r.json\n# bins = 5\n# bandwidth = 0.5\ngrid,density\n")
+        hist = entropy_histogram([], n_bins=2)
+        assert entropy_histogram_csv(hist, echo).startswith(
+            "# report = r.json\n# bins = 5\n# correct_group = absent\n# incorrect_group = absent\nbin_low,"
+        )
+        assert entropy_histogram_csv(entropy_histogram([(0.1, True)], n_bins=2), {}).startswith(
+            "# incorrect_group = absent\nbin_low,"
+        )
+        assert comparison_csv([], {"datasets": "a;b"}) == (
+            "# datasets = a;b\ndataset,bayes_accuracy,baseline_accuracy,accuracy_delta,bayes_referral_rate,"
+            "bayes_mean_entropy_correct,bayes_mean_entropy_incorrect\n"
+        )
+        assert comparison_csv([]).startswith("dataset,")
+
     def test_histogram_csv_marks_absent_group(self):
         hist = entropy_histogram([(0.2, True)], n_bins=3)
         text = entropy_histogram_csv(hist)

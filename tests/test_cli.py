@@ -52,6 +52,23 @@ class TestModelArchive:
         with pytest.raises(ArchiveError, match=r"format_version 2.*reads 1"):
             load_model(path)
 
+    @pytest.mark.parametrize("key", ["feature_dim", "hidden_dim"])
+    @pytest.mark.parametrize("variant", ["bayes", "base"])
+    def test_declared_dims_must_match_arrays(self, key, variant, cli_data, trained, tmp_path, capsys):
+        doc = json.loads((trained / variant / "model.json").read_text())
+        doc[key] = 99
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ArchiveError):
+            load_model(path)
+        rc = run([
+            "eval", "--model", str(path), "--data", str(cli_data / "test.csv"),
+            "--n", "4", "--out", str(tmp_path / "out"),
+        ])
+        assert rc == 2
+        assert "edited.json" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_model(tmp_path / "absent.json")

@@ -11,9 +11,12 @@ from bayeshead import (
     RngStream,
     TrainConfig,
     VariantError,
+    FeatureDataset,
+    ReferralThresholds,
     bayes_forward,
     credible_interval,
     entropy_bits,
+    evaluate,
     init_baseline_model,
     init_bayes_model,
     mean_forward,
@@ -23,6 +26,7 @@ from bayeshead import (
     referral_decision,
     softmax,
 )
+from bayeshead.inference import point_weights, posterior_draws, stacked_probs, summarize_block
 
 prob_rows = st.lists(
     st.floats(min_value=-5.0, max_value=5.0, allow_nan=False).map(lambda x: [x, -x]),
@@ -273,3 +277,106 @@ def test_overflowing_weights_raise_without_runtime_warnings():
     model.output.params.rho = np.full(len(model.output.params), 1e308)
     with pytest.raises(NumericError):
         predict_mc(model, np.array([0.5, -0.5]), 4, RngStream(1))
+
+
+def _reference_summary(probs: np.ndarray, level: float) -> dict:
+    """One row's summary as computed before the block summary: reductions over
+    an (n, C) draw matrix, one percentile call per class, entropy over the
+    nonzero entries of the mean."""
+    n = probs.shape[0]
+    mean = probs.sum(axis=0) / n
+    var = ((probs - mean) ** 2).sum(axis=0) / n
+    tail = 100.0 * (1.0 - level) / 2.0
+    bounds = [np.percentile(probs[:, c], [tail, 100.0 - tail]) for c in range(probs.shape[1])]
+    p = np.clip(mean, 0.0, 1.0)
+    nz = p > 0.0
+    return {
+        "mean_probs": mean,
+        "var_probs": var,
+        "ci_low": np.array([float(lo) for lo, _ in bounds]),
+        "ci_high": np.array([float(hi) for _, hi in bounds]),
+        "entropy_bits": np.float64(-np.sum(p[nz] * np.log2(p[nz]))),
+        "predicted_class": int(np.argmax(mean)),
+        "uncertainty_scalar": np.float64(var.max()),
+    }
+
+
+def _assert_same_bits(result, ref: dict) -> None:
+    for key in ("mean_probs", "var_probs", "ci_low", "ci_high"):
+        assert np.asarray(getattr(result, key)).tobytes() == ref[key].tobytes(), key
+    assert np.float64(result.entropy_bits).tobytes() == ref["entropy_bits"].tobytes()
+    assert np.float64(result.uncertainty_scalar).tobytes() == ref["uncertainty_scalar"].tobytes()
+    assert result.predicted_class == ref["predicted_class"]
+
+
+def _draw_block(rows: int, n: int, c: int, seed: int) -> np.ndarray:
+    """Softmax draws (rows, n, c); every third row has a class that is exactly 0 in every draw."""
+    logits = RngStream(seed).normal(rows * n * c).reshape(rows, n, c) * 3.0
+    logits[::3, :, 1] = -1000.0  # exp underflows to 0.0, so the row's mean holds an exact 0.0
+    return softmax(logits)
+
+
+class TestSummarizeBlock:
+    """The block summary against the per-row reference, bit for bit."""
+
+    @pytest.mark.parametrize("rows", [1, 63, 64, 65])
+    @pytest.mark.parametrize("c", [2, 4, 9])
+    @pytest.mark.parametrize("n", [1, 50])
+    def test_rows_equal_per_row_reference(self, rows, c, n):
+        probs = _draw_block(rows, n, c, seed=100 * c + n)
+        assert np.any(probs.sum(axis=1) == 0.0)  # the zero-mean rows are there
+        results = summarize_block(probs, 0.9)
+        assert len(results) == rows
+        for i, result in enumerate(results):
+            assert result.sample_probs.tobytes() == probs[i].tobytes()
+            _assert_same_bits(result, _reference_summary(probs[i], 0.9))
+
+    def test_single_row_call_is_the_block_case(self):
+        probs = _draw_block(4, 50, 9, seed=3)
+        for i, result in enumerate(summarize_block(probs)):
+            single = predictive_from_samples(probs[i])
+            _assert_same_bits(single, _reference_summary(probs[i], 0.95))
+            _assert_same_bits(result, _reference_summary(probs[i], 0.95))
+
+    @pytest.mark.parametrize("row", [0, 31, 64])
+    def test_bad_draw_anywhere_raises_as_per_row(self, row):
+        probs = _draw_block(65, 8, 4, seed=5)
+        bad = probs.copy()
+        bad[row, 3] = [0.7, 0.7, 0.0, 0.0]
+        with pytest.raises(ValueError, match="^each draw must be a probability vector$"):
+            summarize_block(bad)
+        with pytest.raises(ValueError, match="^each draw must be a probability vector$"):
+            predictive_from_samples(bad[row])
+        negative = probs.copy()
+        negative[row, 5] = [1.1, -0.1, 0.0, 0.0]
+        with pytest.raises(ValueError, match="^each draw must be a probability vector$"):
+            summarize_block(negative)
+
+    def test_bad_shape_and_level(self):
+        with pytest.raises(ValueError, match="n_rows, n_draws"):
+            summarize_block(np.full((2, 3), 0.5))
+        with pytest.raises(ValueError, match="n_rows, n_draws"):
+            summarize_block(np.ones((2, 3, 1)))
+        for level in (0.0, 1.5):
+            with pytest.raises(ValueError, match=r"level must lie in \(0, 1\]"):
+                summarize_block(_draw_block(3, 4, 2, seed=1), level)
+
+    @pytest.mark.parametrize("variant", ["bayesian", "baseline"])
+    def test_evaluate_records_equal_per_row_reference(self, variant):
+        cfg = TrainConfig(hidden_dim=8, seed=4)
+        init = init_bayes_model if variant == "bayesian" else init_baseline_model
+        model = init(5, 9, cfg)
+        rows = RngStream(21).normal(65 * 5).reshape(65, 5) * 2.0
+        dataset = FeatureDataset(rows, np.arange(65) % 9, [f"r{j}" for j in range(65)], "block")
+        stream = RngStream(6).derive(2)
+        report = evaluate(model, dataset, 20, ReferralThresholds(), stream, ci_level=0.8)
+        w, b = posterior_draws(model, 20, stream) if model.is_bayesian else point_weights(model)
+        for j, record in enumerate(report.records):
+            ref = _reference_summary(stacked_probs(model, rows[j : j + 1], w, b)[0], 0.8)
+            assert np.array(record.mean_probs).tobytes() == ref["mean_probs"].tobytes()
+            assert np.array(record.var_probs).tobytes() == ref["var_probs"].tobytes()
+            assert np.array(record.ci_low).tobytes() == ref["ci_low"].tobytes()
+            assert np.array(record.ci_high).tobytes() == ref["ci_high"].tobytes()
+            assert np.float64(record.entropy_bits).tobytes() == ref["entropy_bits"].tobytes()
+            assert np.float64(record.uncertainty).tobytes() == ref["uncertainty_scalar"].tobytes()
+            assert record.predicted_class == ref["predicted_class"]

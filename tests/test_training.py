@@ -269,6 +269,15 @@ def test_non_finite_validation_metric_raises(train):
         train(train_set, val, TrainConfig(epochs=3, hidden_dim=4, seed=1))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("train", [train_bayes, train_baseline])
+def test_non_finite_validation_metric_raises_without_runtime_warnings(train):
+    train_set, _ = _task(3)
+    val = FeatureDataset(np.array([[1.7e308, 1.7e308], [-1.7e308, -1.7e308]]), np.array([0, 1]), ["a", "b"])
+    with pytest.raises(NumericError, match="validation metric at epoch 0"):
+        train(train_set, val, TrainConfig(epochs=3, hidden_dim=4, seed=1))
+
+
 def test_per_example_draw_matches_sequential_sample_weights():
     model = init_bayes_model(3, 3, TrainConfig(hidden_dim=5, seed=2))
     batched, sequential = RngStream(8, 4, counter=5), RngStream(8, 4, counter=5)
