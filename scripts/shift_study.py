@@ -33,6 +33,7 @@ from bayeshead import (  # noqa: E402
     train_bayes,
 )
 from bayeshead.analytics import comparison_csv, entropy_histogram_csv, kde_csv  # noqa: E402
+from bayeshead.data import atomic_write  # noqa: E402
 
 MEANS = [(-2.0, 0.0), (2.0, 0.0)]
 
@@ -90,16 +91,17 @@ def main() -> int:
                 uncertainties = [r.uncertainty for r in report.records]
                 if float(np.std(uncertainties, ddof=1)) > 0:
                     curve = kde(uncertainties)
-                    path = out / f"{regime}_uncertainty_kde.csv"
-                    path.write_text(kde_csv(curve, echo), encoding="utf-8")
+                    with atomic_write(out / f"{regime}_uncertainty_kde.csv") as fh:
+                        fh.write(kde_csv(curve, echo))
                 hist = entropy_histogram(
                     [(r.entropy_bits, r.correct) for r in report.records], n_bins=20
                 )
-                path = out / f"{regime}_entropy_hist.csv"
-                path.write_text(entropy_histogram_csv(hist, echo), encoding="utf-8")
+                with atomic_write(out / f"{regime}_entropy_hist.csv") as fh:
+                    fh.write(entropy_histogram_csv(hist, echo))
 
     rows = compare_report(bayes_all, base_all, names)
-    (out / "comparison.csv").write_text(comparison_csv(rows, echo), encoding="utf-8")
+    with atomic_write(out / "comparison.csv") as fh:
+        fh.write(comparison_csv(rows, echo))
     print(f"bayesian matched or beat baseline on the shifted set in {shift_wins}/{args.seeds} seeds")
     print(f"wrote {out / 'comparison.csv'}")
     return 0

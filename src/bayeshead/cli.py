@@ -94,8 +94,13 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _write_text(path: Path, text: str) -> None:
+    with data.atomic_write(path) as fh:
+        fh.write(text)
+
+
 def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    _write_text(path, json.dumps(doc, indent=2) + "\n")
 
 
 def cmd_train(args) -> int:
@@ -158,7 +163,7 @@ def cmd_predict(args) -> int:
     path = _out_dir(args) / "predictions.jsonl"
     lines = [json.dumps({"record_type": "header", "schema_version": 1, **echo})]
     lines.extend(json.dumps(r.to_dict()) for r in records)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(path, "\n".join(lines) + "\n")
     print(f"predict: n={n} rows={len(dataset)} out={path}")
     return 0
 
@@ -195,7 +200,7 @@ def cmd_analyze(args) -> int:
     except ValueError as e:
         print(f"analyze: skipping KDE ({e})", file=sys.stderr)
     else:
-        kde_path.write_text(analytics.kde_csv(curve, echo), encoding="utf-8")
+        _write_text(kde_path, analytics.kde_csv(curve, echo))
         print(f"analyze: wrote {kde_path}")
 
     hist = analytics.entropy_histogram(
@@ -204,7 +209,7 @@ def cmd_analyze(args) -> int:
         n_classes=report.n_classes,
     )
     hist_path = out / f"{stem}_entropy_hist.csv"
-    hist_path.write_text(analytics.entropy_histogram_csv(hist, echo), encoding="utf-8")
+    _write_text(hist_path, analytics.entropy_histogram_csv(hist, echo))
     print(f"analyze: wrote {hist_path}")
     return 0
 
@@ -219,7 +224,7 @@ def cmd_compare(args) -> int:
 
     out = _out_dir(args)
     echo = {"datasets": ";".join(names)}
-    (out / "comparison.csv").write_text(analytics.comparison_csv(rows, echo), encoding="utf-8")
+    _write_text(out / "comparison.csv", analytics.comparison_csv(rows, echo))
     _write_json(
         out / "comparison.json",
         {

@@ -9,7 +9,9 @@ in-distribution / shifted / out-of-distribution evaluation regimes.
 from __future__ import annotations
 
 import csv
+import os
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -171,10 +173,24 @@ def echo_header(config: dict | None, **extra) -> list[str]:
     return [f"# {k} = {v}" for k, v in [*(config or {}).items(), *extra.items()]]
 
 
+@contextmanager
+def atomic_write(path):
+    """A text handle on a temp file beside ``path`` that replaces ``path`` once the block completes;
+    if the block raises, the temp file is removed and an earlier ``path`` stays as it was."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with open(tmp, "x", newline="", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_csv(dataset: FeatureDataset, path) -> None:
     """Write the interchange CSV; float repr guarantees load/save roundtrips."""
-    path = Path(path)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["id", "label"] + [f"f{i}" for i in range(dataset.feature_dim)])
         for i in range(len(dataset)):

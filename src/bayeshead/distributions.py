@@ -70,17 +70,21 @@ class VariationalParams:
 
 @dataclass
 class WeightSample:
-    """A posterior draw (K,), or a stack of draws (B, K), with the noise that produced it."""
+    """A posterior draw (K,), or a stack of draws (B, K), with the noise that produced it
+    and the posterior scale softplus(rho) (K,) it was drawn at."""
 
     theta: np.ndarray
     epsilon: np.ndarray
+    sigma: np.ndarray
 
 
 def stack_samples(samples) -> WeightSample | None:
-    """A WeightSample (or None) as is; a sequence of draws stacked row by row to (B, K)."""
+    """A WeightSample (or None) as is; a sequence of draws of one posterior stacked row by row to (B, K)."""
     if samples is None or isinstance(samples, WeightSample):
         return samples
-    return WeightSample(np.stack([s.theta for s in samples]), np.stack([s.epsilon for s in samples]))
+    return WeightSample(
+        np.stack([s.theta for s in samples]), np.stack([s.epsilon for s in samples]), samples[0].sigma
+    )
 
 
 def gaussian_log_pdf(x, mean: float, sigma: float):
@@ -114,7 +118,8 @@ def sample_from_epsilon(params: VariationalParams, epsilon) -> WeightSample:
     eps = np.asarray(epsilon, dtype=np.float64)
     if eps.shape[-1:] != params.mu.shape:
         raise ValueError("epsilon must match the parameter vector length")
-    return WeightSample(theta=params.mu + params.sigma * eps, epsilon=eps)
+    sigma = params.sigma
+    return WeightSample(theta=params.mu + sigma * eps, epsilon=eps, sigma=sigma)
 
 
 def sample_weights(params: VariationalParams, stream: RngStream) -> WeightSample:
@@ -127,31 +132,18 @@ def mean_sample(params: VariationalParams) -> WeightSample:
     return sample_from_epsilon(params, np.zeros(len(params)))
 
 
-def posterior_log_pdf(params: VariationalParams, theta):
-    """log q(theta), one value per draw of theta (..., K)."""
-    sigma = params.sigma
-    z = (np.asarray(theta, dtype=np.float64) - params.mu) / sigma
-    return np.sum(-np.log(sigma) - 0.5 * _LOG_2PI - 0.5 * z * z, axis=-1)
-
-
-def prior_log_pdf(theta, prior: SpikeSlabPrior):
-    """log p(theta), one value per draw of theta (..., K)."""
-    return np.sum(spike_slab_log_pdf(theta, prior), axis=-1)
-
-
 def kl_sample_estimate(params: VariationalParams, prior: SpikeSlabPrior, sample: WeightSample) -> float:
-    """Unbiased estimate of KL(q || p) from one draw, or the mean over a stack of draws; may be negative."""
-    return float(np.mean(posterior_log_pdf(params, sample.theta) - prior_log_pdf(sample.theta, prior)))
+    """Unbiased KL(q || p) estimate from one draw, or the mean over a stack of draws; may be negative.
+    log q(theta) is taken at the scale the draws were made with, ``sample.sigma``."""
+    z = (sample.theta - params.mu) / sample.sigma
+    log_q = np.sum(-np.log(sample.sigma) - 0.5 * _LOG_2PI - 0.5 * z * z, axis=-1)
+    log_p = np.sum(spike_slab_log_pdf(sample.theta, prior), axis=-1)
+    return float(np.mean(log_q - log_p))
 
 
 def mc_kl(params: VariationalParams, prior: SpikeSlabPrior, n_samples: int, stream: RngStream) -> float:
     """Monte Carlo KL(q || p) averaged over ``n_samples`` posterior draws."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    k = len(params)
-    sigma = params.sigma
-    eps = stream.normal(n_samples * k).reshape(n_samples, k)
-    theta = params.mu + sigma * eps
-    log_q = np.sum(-np.log(sigma) - 0.5 * _LOG_2PI - 0.5 * eps * eps, axis=1)
-    log_p = np.sum(spike_slab_log_pdf(theta, prior), axis=1)
-    return float(np.mean(log_q - log_p))
+    eps = stream.normal(n_samples * len(params)).reshape(n_samples, len(params))
+    return kl_sample_estimate(params, prior, sample_from_epsilon(params, eps))

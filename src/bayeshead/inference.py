@@ -49,8 +49,8 @@ class ReferralThresholds:
 
 
 def _require_simplex(p: np.ndarray, message: str) -> None:
-    """Every vector along the last axis is a probability vector, to tolerance."""
-    if np.any(p < -1e-12) or np.any(np.abs(p.sum(axis=-1) - 1.0) > 1e-6):
+    """Every vector along the last axis is a probability vector, to tolerance; NaN fails the checks."""
+    if not (np.all(p >= -1e-12) and np.all(np.abs(p.sum(axis=-1) - 1.0) <= 1e-6)):
         raise ValueError(message)
 
 

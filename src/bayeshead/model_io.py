@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .data import atomic_write
 from .distributions import SpikeSlabPrior, VariationalParams
 from .errors import ArchiveError
 from .network import DenseLayer, HeadModel, VariationalDenseLayer
@@ -58,7 +59,8 @@ def save_model(archive: ModelArchive, path) -> None:
         }
     doc["train_config"] = archive.train_config
     doc["seed_provenance"] = archive.seed_provenance
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(doc, indent=2) + "\n")
 
 
 def load_model(path) -> ModelArchive:

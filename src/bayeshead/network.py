@@ -1,7 +1,7 @@
 """Classification head: a dense hidden layer feeding either a variational
-output layer (bayesian variant) or a point-weight output layer (baseline),
-with a hand-written reverse-mode backward pass for the summed
-cross-entropy plus weighted KL objective."""
+output layer (bayesian variant) or a point-weight output layer (baseline).
+``backward`` is a training step's one pass: the summed cross-entropy, the KL
+estimate and the hand-derived gradients of their weighted sum, from one forward pass."""
 
 from __future__ import annotations
 
@@ -16,6 +16,7 @@ from .distributions import (
     SpikeSlabPrior,
     VariationalParams,
     WeightSample,
+    kl_sample_estimate,
     sample_weights,
     spike_slab_score,
     stack_samples,
@@ -167,7 +168,11 @@ def batch_nll(logits: np.ndarray, labels: np.ndarray) -> float:
     batch index.
     """
     labels = np.asarray(labels)
-    picked = log_softmax(logits)[np.arange(labels.shape[0]), labels]
+    return _summed_nll(log_softmax(logits)[np.arange(labels.shape[0]), labels])
+
+
+def _summed_nll(picked: np.ndarray) -> float:
+    """-sum of the true classes' log-probabilities, with ``batch_nll``'s checks."""
     finite = np.isfinite(picked)
     if not np.all(finite):
         raise NumericError(f"non-finite log-likelihood at batch index {int(np.argmin(finite))}")
@@ -177,97 +182,76 @@ def batch_nll(logits: np.ndarray, labels: np.ndarray) -> float:
     return float(-np.sum(picked))
 
 
-def _nll_param_grads(model, features, labels, w, b):
-    """Gradients of the summed NLL w.r.t. hidden params and output (W, b).
+class Gradients(dict):
+    """Gradients keyed by parameter group, plus the loss parts of the pass that made them:
+    ``nll``, the batch's summed NLL, and ``kl``, the unweighted KL estimate."""
 
-    For per-example weights w (B, H, C), b (B, C) the output gradients
-    stay per row, (B, H, C) and (B, C); the hidden ones are summed.
-    """
-    z1 = features @ model.hidden.weights + model.hidden.bias
-    h = np.maximum(z1, 0.0) if model.hidden.activation == "relu" else z1
-    logits = _output_logits(h, w, b)
-    probs = np.exp(log_softmax(logits))
-    g = probs.copy()
-    g[np.arange(labels.shape[0]), labels] -= 1.0
-    if w.ndim == 2:
-        g_w = h.T @ g
-        g_b = g.sum(axis=0)
-        dh = g @ w.T
-    else:
-        g_w = h[:, :, None] * g[:, None, :]
-        g_b = g
-        dh = np.einsum("bhc,bc->bh", w, g)
-    if model.hidden.activation == "relu":
-        dh = dh * (z1 > 0.0)
-    g_w1 = features.T @ dh
-    g_b1 = dh.sum(axis=0)
-    return g_w1, g_b1, g_w, g_b
-
-
-def _kl_param_grads(params: VariationalParams, prior: SpikeSlabPrior, sample: WeightSample):
-    """Pathwise gradients of log q(theta) - log p(theta) w.r.t. (mu, rho).
-
-    With theta = mu + sigma*eps, log q reduces to -sum(log sigma) + const,
-    so only the prior's score flows through mu.  A stack of draws (B, K)
-    gives one row of gradients per draw.
-    """
-    sigma = params.sigma
-    sig_prime = sigmoid(params.rho)
-    score = spike_slab_score(sample.theta, prior)
-    g_mu = -score
-    g_rho = -sig_prime / sigma - score * sample.epsilon * sig_prime
-    return g_mu, g_rho
+    def __init__(self, groups: dict, nll: float, kl: float):
+        super().__init__(groups)
+        self.nll = nll
+        self.kl = kl
 
 
 Samples = Union[WeightSample, Sequence[WeightSample], None]
 
 
-def backward(model: HeadModel, features, labels, samples: Samples, kl_weight: float) -> dict:
-    """Gradients of summed NLL + kl_weight * KL_estimate for all trainables.
+def backward(model: HeadModel, features, labels, samples: Samples, kl_weight: float) -> Gradients:
+    """A training step's one pass: gradients of summed NLL + kl_weight * KL_estimate from one forward pass.
 
-    Returns a dict keyed by parameter group: hidden_w / hidden_b plus
-    mu / rho (bayesian) or out_w / out_b (baseline).  ``samples`` is one
-    shared draw per batch, or one draw per row: a (B, K) stack or a
-    sequence of draws.  Per-example rows' gradients are summed over the batch.
+    Keyed by parameter group: hidden_w / hidden_b plus mu / rho (bayesian) or out_w / out_b
+    (baseline); ``.nll`` and ``.kl`` are the loss parts, with the bits of ``training._elbo_parts``.
+    ``samples`` is one shared draw per batch, or one draw per row: a (B, K) stack or a sequence
+    of draws, whose gradients are summed.  A non-finite NLL raises NumericError naming the batch
+    index; the gradients' finiteness is the optimizer step's one check.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
     if features.ndim != 2 or features.shape[0] != labels.shape[0]:
         raise ValueError("features must be (batch, dim) matching labels")
+    if model.is_bayesian:
+        samples = stack_samples(samples)
+        if samples is None:
+            raise ValueError("need one shared sample or one sample per batch row")
+        w, b = model.output.unflatten(samples.theta)
+    else:
+        w, b = model.output.weights, model.output.bias
 
+    h = dense_forward(model.hidden, features)
+    logp = log_softmax(_output_logits(h, w, b))
+    rows = np.arange(labels.shape[0])
+    nll = _summed_nll(logp[rows, labels])
+    g = np.exp(logp)
+    g[rows, labels] -= 1.0
+    if w.ndim == 2:
+        g_w = h.T @ g
+        g_b = g.sum(axis=0)
+        dh = g @ w.T
+    else:  # per-example: the output gradients stay per row, (B, H, C) and (B, C)
+        g_w = h[:, :, None] * g[:, None, :]
+        g_b = g
+        dh = np.einsum("bhc,bc->bh", w, g)
+    if model.hidden.activation == "relu":
+        dh = dh * (h > 0.0)
+    g_w1 = features.T @ dh
+    g_b1 = dh.sum(axis=0)
     if not model.is_bayesian:
-        g_w1, g_b1, g_w, g_b = _nll_param_grads(
-            model, features, labels, model.output.weights, model.output.bias
-        )
-        grads = {"hidden_w": g_w1, "hidden_b": g_b1, "out_w": g_w, "out_b": g_b}
-        return _checked(grads, features, labels, model, None)
+        return Gradients({"hidden_w": g_w1, "hidden_b": g_b1, "out_w": g_w, "out_b": g_b}, nll, 0.0)
 
-    samples = stack_samples(samples)
-    if samples is None:
-        raise ValueError("need one shared sample or one sample per batch row")
-    per_example = samples.theta.ndim == 2
     params = model.output.params
-    w, b = model.output.unflatten(samples.theta)
-    g_w1, g_b1, g_w, g_b = _nll_param_grads(model, features, labels, w, b)
+    per_example = samples.theta.ndim == 2
+    sig_prime = sigmoid(params.rho)
     g_theta = np.concatenate([g_w.reshape(g_b.shape[:-1] + (-1,)), g_b], axis=-1)
     g_mu = g_theta.copy()
-    g_rho = g_theta * samples.epsilon * sigmoid(params.rho)
+    g_rho = g_theta * samples.epsilon * sig_prime
+    kl = 0.0
     if kl_weight != 0.0:
-        # per example, the KL estimate averages over the batch's draws
+        kl = kl_sample_estimate(params, model.output.prior, samples)
+        # pathwise gradients of log q - log p: with theta = mu + sigma*eps, log q is -sum(log sigma)
+        # + const, so only the prior's score flows through mu; per example, the KL averages the draws
         kl_scale = kl_weight / features.shape[0] if per_example else kl_weight
-        kmu, krho = _kl_param_grads(params, model.output.prior, samples)
-        g_mu += kl_scale * kmu
-        g_rho += kl_scale * krho
+        score = spike_slab_score(samples.theta, model.output.prior)
+        g_mu += kl_scale * -score
+        g_rho += kl_scale * (-sig_prime / samples.sigma - score * samples.epsilon * sig_prime)
     if per_example:
         g_mu, g_rho = g_mu.sum(axis=0), g_rho.sum(axis=0)
-    grads = {"hidden_w": g_w1, "hidden_b": g_b1, "mu": g_mu, "rho": g_rho}
-    return _checked(grads, features, labels, model, samples)
-
-
-def _checked(grads: dict, features, labels, model, samples) -> dict:
-    # surfacing the failing example index takes a loss evaluation; cheap here
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            batch_nll(batch_forward(model, features, samples), labels)
-            raise NumericError(f"non-finite gradient in parameter group '{name}'")
-    return grads
+    return Gradients({"hidden_w": g_w1, "hidden_b": g_b1, "mu": g_mu, "rho": g_rho}, nll, kl)

@@ -83,13 +83,13 @@ class RngStream:
         """Deterministic Fisher-Yates shuffle of range(n)."""
         if n < 0:
             raise ValueError("permutation length must be >= 0")
-        perm = np.arange(n)
+        perm = list(range(n))
         if n > 1:
-            w = self._take(n - 1)
-            for k, i in enumerate(range(n - 1, 0, -1)):
-                j = int(w[k] % np.uint64(i + 1))
+            # word k picks the partner of position n-1-k among positions 0 .. n-1-k
+            swaps = (self._take(n - 1) % np.arange(n, 1, -1, dtype=np.uint64)).tolist()
+            for i, j in zip(range(n - 1, 0, -1), swaps):
                 perm[i], perm[j] = perm[j], perm[i]
-        return perm
+        return np.array(perm, dtype=np.int64)
 
     def derive(self, *keys: int) -> "RngStream":
         """Independent child stream keyed by ``keys``; does not advance self."""

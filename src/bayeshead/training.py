@@ -4,21 +4,22 @@ checkpointing on a validation metric.
 
 Objective per step: summed batch NLL + kl_weight * KL_estimate, where
 kl_weight is 1/num_batches ("per_batch", so a full epoch accumulates one
-KL term) or 1/N ("per_dataset").  Both heads use the identical update
-path, so forcing sigma = 0 and dropping the KL reproduces the baseline
-bit for bit.
+KL term) or 1/N ("per_dataset").  A step is one ``network.backward`` call,
+which gives the loss parts and the gradients from one forward pass, and one
+RMSprop update, which checks the gradients are finite.  Both heads use the
+identical update path, so forcing sigma = 0 and dropping the KL reproduces
+the baseline bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from pathlib import Path
 
 import numpy as np
 
 from .core import inv_softplus, log_softmax
-from .data import FeatureDataset, echo_header
+from .data import FeatureDataset, atomic_write, echo_header
 from .distributions import (
     SpikeSlabPrior,
     VariationalParams,
@@ -219,6 +220,7 @@ def _draw_samples(model, stream, batch_size, per_example, force_zero):
 
 
 def _elbo_parts(model, features, labels, samples, kl_weight):
+    """(loss, nll, kl, samples) of one batch; the reference loss that ``backward``'s loss parts equal."""
     samples = stack_samples(samples)
     nll = batch_nll(batch_forward(model, features, samples), labels)
     if model.is_bayesian and samples is not None and kl_weight != 0.0:
@@ -305,16 +307,13 @@ def _train(dataset, val, config, bayesian):
             idx = order[start : start + config.batch_size]
             feats = dataset.features[idx]
             labels = dataset.labels[idx]
-            samples = _draw_samples(
-                model, eps_stream, idx.shape[0], config.per_example_sample,
-                force_zero=config.force_sigma_zero,
-            ) if bayesian else None
-            _, nll, kl, samples = _elbo_parts(model, feats, labels, samples, kl_w)
+            samples = _draw_samples(model, eps_stream, idx.shape[0], config.per_example_sample,
+                                    force_zero=config.force_sigma_zero)
             grads = backward(model, feats, labels, samples, kl_w)
             new_params, state = rmsprop_step(_param_dict(model), grads, state, config.learning_rate)
             _assign_params(model, new_params)
-            epoch_nll += nll
-            epoch_kl += kl_w * kl
+            epoch_nll += grads.nll
+            epoch_kl += kl_w * grads.kl
         val_acc, val_nll = validate_metrics(model, val)
         if not (math.isfinite(val_acc) and math.isfinite(val_nll)):
             # a NaN would never win the checkpoint comparison and freeze the best epoch silently
@@ -345,4 +344,5 @@ def write_history_csv(history: TrainHistory, path, config: TrainConfig | None = 
         lines.append(
             f"{i},{r.train_loss!r},{r.train_nll!r},{r.train_kl!r},{r.val_accuracy!r},{r.val_nll!r}"
         )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_write(path) as fh:
+        fh.write("\n".join(lines) + "\n")

@@ -14,6 +14,7 @@ from bayeshead import (
     synth_blobs,
     synth_shift,
 )
+from bayeshead.data import atomic_write
 
 
 class TestLoadCsv:
@@ -229,3 +230,35 @@ def test_dataset_validation():
         FeatureDataset(np.ones((1, 2)), np.array([-1]), ["a"])
     with pytest.raises(ValueError):
         FeatureDataset(np.array([[np.inf, 0.0]]), np.array([0]), ["a"])
+
+
+class TestAtomicWrite:
+    def test_failed_save_keeps_earlier_file(self, tmp_path):
+        path = tmp_path / "d.csv"
+        save_csv(synth_blobs(5, [(0.0, 0.0), (1.0, 1.0)], 1.0, seed=1), path)
+        before = path.read_bytes()
+        bad = synth_blobs(5, [(0.0, 0.0), (1.0, 1.0)], 1.0, seed=2)
+        bad.ids = bad.ids[:3]  # the writer fails at row 3, after the header and three rows
+        with pytest.raises(IndexError):
+            save_csv(bad, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
+
+    def test_failed_block_removes_temp_file(self, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text("earlier\n", encoding="utf-8")
+        with pytest.raises(UnicodeEncodeError):
+            with atomic_write(path) as fh:
+                fh.write("partial\n" * 100)
+                fh.write("\ud800")  # a lone surrogate cannot be encoded
+                fh.flush()
+        assert path.read_text(encoding="utf-8") == "earlier\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+    def test_new_file_has_plain_write_mode(self, tmp_path):
+        with atomic_write(tmp_path / "a.txt") as fh:
+            fh.write("x\n")
+        (tmp_path / "b.txt").write_text("x\n", encoding="utf-8")
+        assert (tmp_path / "a.txt").read_bytes() == b"x\n"
+        assert (tmp_path / "a.txt").stat().st_mode == (tmp_path / "b.txt").stat().st_mode
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "b.txt"]

@@ -380,3 +380,32 @@ class TestSummarizeBlock:
             assert np.float64(record.entropy_bits).tobytes() == ref["entropy_bits"].tobytes()
             assert np.float64(record.uncertainty).tobytes() == ref["uncertainty_scalar"].tobytes()
             assert record.predicted_class == ref["predicted_class"]
+
+
+class TestNanRejected:
+    def test_small_examples(self):
+        with pytest.raises(ValueError, match="not a probability vector"):
+            entropy_bits([np.nan, 1.0])
+        with pytest.raises(ValueError, match="each draw must be a probability vector"):
+            predictive_from_samples([[np.nan, np.nan]])
+
+    @pytest.mark.parametrize("row", [0, 64])
+    def test_entropy_bits(self, row):
+        p = np.full(65, 1.0 / 65)
+        p[row] = np.nan
+        with pytest.raises(ValueError, match="not a probability vector"):
+            entropy_bits(p)
+
+    @pytest.mark.parametrize("row", [0, 64])
+    def test_predictive_from_samples(self, row):
+        probs = np.full((65, 3), 1.0 / 3)
+        probs[row, 1] = np.nan
+        with pytest.raises(ValueError, match="each draw must be a probability vector"):
+            predictive_from_samples(probs)
+
+    @pytest.mark.parametrize("row", [0, 64])
+    def test_summarize_block(self, row):
+        probs = np.full((65, 4, 3), 1.0 / 3)
+        probs[row, 2, 0] = np.nan
+        with pytest.raises(ValueError, match="each draw must be a probability vector"):
+            summarize_block(probs)

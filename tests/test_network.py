@@ -18,7 +18,9 @@ from bayeshead import (
     sample_from_epsilon,
     softmax,
 )
-from bayeshead.training import _assign_params, _elbo_parts, _param_dict
+from bayeshead.core import log_softmax, sigmoid
+from bayeshead.distributions import sample_weights, spike_slab_score, stack_samples
+from bayeshead.training import _assign_params, _draw_samples, _elbo_parts, _param_dict
 
 
 class TestDenseForward:
@@ -233,3 +235,97 @@ class TestBatchNll:
         model = _toy_bayes()
         with pytest.raises(VariantError):
             batch_forward(model, np.zeros((2, 3)), None)
+
+
+def _two_pass_backward(model, features, labels, samples, kl_weight):
+    """The training step before it was fused: gradients from their own forward pass, with sigma
+    and sigmoid(rho) recomputed from the parameters."""
+    features = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels)
+
+    def nll_grads(w, b):
+        z1 = features @ model.hidden.weights + model.hidden.bias
+        h = np.maximum(z1, 0.0) if model.hidden.activation == "relu" else z1
+        logits = h @ w + b if w.ndim == 2 else np.einsum("bh,bhc->bc", h, w) + b
+        g = np.exp(log_softmax(logits)).copy()
+        g[np.arange(labels.shape[0]), labels] -= 1.0
+        if w.ndim == 2:
+            g_w, g_b, dh = h.T @ g, g.sum(axis=0), g @ w.T
+        else:
+            g_w, g_b, dh = h[:, :, None] * g[:, None, :], g, np.einsum("bhc,bc->bh", w, g)
+        if model.hidden.activation == "relu":
+            dh = dh * (z1 > 0.0)
+        return features.T @ dh, dh.sum(axis=0), g_w, g_b
+
+    if not model.is_bayesian:
+        g_w1, g_b1, g_w, g_b = nll_grads(model.output.weights, model.output.bias)
+        return {"hidden_w": g_w1, "hidden_b": g_b1, "out_w": g_w, "out_b": g_b}
+    samples = stack_samples(samples)
+    per_example = samples.theta.ndim == 2
+    params = model.output.params
+    g_w1, g_b1, g_w, g_b = nll_grads(*model.output.unflatten(samples.theta))
+    g_theta = np.concatenate([g_w.reshape(g_b.shape[:-1] + (-1,)), g_b], axis=-1)
+    g_mu = g_theta.copy()
+    g_rho = g_theta * samples.epsilon * sigmoid(params.rho)
+    if kl_weight != 0.0:
+        kl_scale = kl_weight / features.shape[0] if per_example else kl_weight
+        sigma, sig_prime = params.sigma, sigmoid(params.rho)
+        score = spike_slab_score(samples.theta, model.output.prior)
+        g_mu += kl_scale * -score
+        g_rho += kl_scale * (-sig_prime / sigma - score * samples.epsilon * sig_prime)
+    if per_example:
+        g_mu, g_rho = g_mu.sum(axis=0), g_rho.sum(axis=0)
+    return {"hidden_w": g_w1, "hidden_b": g_b1, "mu": g_mu, "rho": g_rho}
+
+
+def _fused_case(case):
+    """(model, features, labels, samples, kl_weight) for one head and sampling mode."""
+    model = _toy_bayes(seed=37, hidden=5, features=6, classes=3)
+    stream = RngStream(41, counter=3)
+    features = stream.normal(54).reshape(9, 6)
+    labels = np.arange(9) % 3
+    params = model.output.params
+    if case == "baseline":
+        return init_baseline_model(6, 3, TrainConfig(hidden_dim=5, seed=37)), features, labels, None, 0.0
+    if case == "per_example":
+        return model, features, labels, _draw_samples(model, stream, 9, True, False), 0.4
+    if case == "per_example_list":
+        return model, features, labels, [sample_weights(params, stream) for _ in range(9)], 0.4
+    if case == "force_sigma_zero":
+        return model, features, labels, _draw_samples(model, stream, 9, False, True), 0.0
+    kl_weight = 0.0 if case == "kl_weight_zero" else 0.37
+    return model, features, labels, sample_weights(params, stream), kl_weight
+
+
+_FUSED_CASES = ["shared", "per_example", "per_example_list", "baseline", "force_sigma_zero", "kl_weight_zero"]
+
+
+class TestFusedStep:
+    @pytest.mark.parametrize("case", _FUSED_CASES)
+    def test_loss_parts_equal_the_reference_loss(self, case):
+        model, features, labels, samples, kl_weight = _fused_case(case)
+        got = backward(model, features, labels, samples, kl_weight)
+        _, nll, kl, _ = _elbo_parts(model, features, labels, samples, kl_weight)
+        assert (got.nll, got.kl) == (nll, kl)
+        assert np.float64(got.nll).tobytes() == np.float64(nll).tobytes()
+        assert np.float64(got.kl).tobytes() == np.float64(kl).tobytes()
+        if case in ("baseline", "force_sigma_zero", "kl_weight_zero"):
+            assert got.kl == 0.0
+
+    @pytest.mark.parametrize("activation", ["relu", "identity"])
+    @pytest.mark.parametrize("case", _FUSED_CASES)
+    def test_gradients_equal_the_two_pass_step(self, case, activation):
+        model, features, labels, samples, kl_weight = _fused_case(case)
+        model.hidden.activation = activation
+        got = backward(model, features, labels, samples, kl_weight)
+        want = _two_pass_backward(model, features, labels, samples, kl_weight)
+        assert list(got) == list(want)
+        for name, g in want.items():
+            assert got[name].shape == g.shape and got[name].tobytes() == g.tobytes(), name
+
+    def test_non_finite_loss_names_batch_index(self):
+        model, features, labels, samples, _ = _fused_case("shared")
+        features[4] = [1.7e308, -1.7e308, 1.7e308, -1.7e308, 1.7e308, -1.7e308]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match="batch index 4"):
+                backward(model, features, labels, samples, 0.37)

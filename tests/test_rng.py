@@ -104,3 +104,24 @@ def test_child_normals_rejects_empty_shapes():
         RngStream(1).child_normals(0, 3)
     with pytest.raises(ValueError):
         RngStream(1).child_normals(3, 0)
+
+
+def _per_element_fisher_yates(stream, n):
+    """The shuffle before its swap indices were vectorized: one numpy scalar at a time."""
+    perm = np.arange(n)
+    if n > 1:
+        w = stream._take(n - 1)
+        for k, i in enumerate(range(n - 1, 0, -1)):
+            j = int(w[k] % np.uint64(i + 1))
+            perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 1000])
+def test_permutation_matches_per_element_fisher_yates(n):
+    stream, reference = RngStream(13, 6, counter=11), RngStream(13, 6, counter=11)
+    got = stream.permutation(n)
+    want = _per_element_fisher_yates(reference, n)
+    assert got.dtype == want.dtype == np.int64
+    assert got.shape == (n,) and got.tobytes() == want.tobytes()
+    assert stream.counter == reference.counter == 11 + max(n - 1, 0)

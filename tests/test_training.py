@@ -25,7 +25,7 @@ from bayeshead import (
     write_history_csv,
 )
 
-from bayeshead.training import _draw_samples, _param_dict
+from bayeshead.training import _EPS_STREAM, _SHUFFLE_STREAM, _draw_samples, _elbo_parts, _param_dict
 from conftest import BLOB_MEANS
 
 
@@ -304,3 +304,29 @@ def test_shared_sample_and_baseline_parameters_are_pinned(tiny_task, train, expe
     # digests taken with numpy 2.4.6 and OpenBLAS on x86-64
     model, _ = train(*tiny_task, TrainConfig(epochs=5, hidden_dim=4, batch_size=16, seed=3))
     assert _param_digest(model) == expected
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_gradient_in_training_names_its_group():
+    # a spike of 1e-160 squares to a subnormal: the prior's score is 0 * inf = NaN while the loss stays finite
+    train_set, val = _task(3)
+    config = TrainConfig(epochs=1, hidden_dim=4, seed=1, prior=SpikeSlabPrior(0.5, 1.0, 1e-160))
+    with pytest.raises(NumericError, match="non-finite gradient in parameter group 'mu'"):
+        train_bayes(train_set, val, config)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("per_example", [False, True])
+def test_non_finite_loss_in_training_names_its_batch_index(per_example):
+    train_set, val = _task(3)
+    config = TrainConfig(epochs=1, hidden_dim=4, batch_size=16, seed=1, per_example_sample=per_example)
+    first_batch = RngStream(config.seed).derive(_SHUFFLE_STREAM).permutation(len(train_set))[:16]
+    features = train_set.features.copy()
+    features[first_batch[5]] = [1.7e308, -1.7e308]  # row 5 of the first batch overflows its products
+    bad = FeatureDataset(features, train_set.labels, train_set.ids)
+    model = init_bayes_model(2, 2, config)
+    samples = _draw_samples(model, RngStream(config.seed).derive(_EPS_STREAM), 16, per_example, False)
+    with pytest.raises(NumericError, match="batch index 5"):  # the reference loss on the same first step
+        _elbo_parts(model, bad.features[first_batch], bad.labels[first_batch], samples, kl_weight_for(config, len(bad)))
+    with pytest.raises(NumericError, match="non-finite log-likelihood at batch index 5"):
+        train_bayes(bad, val, config)
