@@ -12,6 +12,7 @@ theta = mu + sigma * eps, eps ~ N(0, I).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -95,19 +96,38 @@ def gaussian_log_pdf(x, mean: float, sigma: float):
     return -np.log(sigma) - 0.5 * _LOG_2PI - 0.5 * z * z
 
 
+@lru_cache(maxsize=16)
+def _mixture_log_constants(prior: SpikeSlabPrior) -> tuple:
+    """log(pi), log(1 - pi) and each component's -log(sigma) - log(2 pi) / 2, as ``gaussian_log_pdf`` forms it."""
+    with np.errstate(divide="ignore"):  # log(0) at the pi endpoints is fine
+        log_pi, log_1m_pi = np.log(prior.mix_weight), np.log1p(-prior.mix_weight)
+    return (log_pi, -np.log(prior.slab_sigma) - 0.5 * _LOG_2PI,
+            log_1m_pi, -np.log(prior.spike_sigma) - 0.5 * _LOG_2PI)
+
+
+def _mixture_log_terms(x, prior: SpikeSlabPrior):
+    """(slab, spike): log(pi) + log N(x; 0, slab^2) and log(1 - pi) + log N(x; 0, spike^2).
+
+    Each term keeps ``gaussian_log_pdf``'s operation order, with z = x / sigma; the prior's
+    sigmas were checked positive when it was made.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    log_pi, slab_norm, log_1m_pi, spike_norm = _mixture_log_constants(prior)
+    z = x / prior.slab_sigma
+    slab = log_pi + (slab_norm - 0.5 * z * z)
+    z = x / prior.spike_sigma
+    spike = log_1m_pi + (spike_norm - 0.5 * z * z)
+    return slab, spike
+
+
 def spike_slab_log_pdf(x, prior: SpikeSlabPrior):
     """log p(x) of the mixture prior via log-sum-exp; scalar or array x."""
-    with np.errstate(divide="ignore"):  # log(0) at the pi endpoints is fine
-        slab = np.log(prior.mix_weight) + gaussian_log_pdf(x, 0.0, prior.slab_sigma)
-        spike = np.log1p(-prior.mix_weight) + gaussian_log_pdf(x, 0.0, prior.spike_sigma)
-    return np.logaddexp(slab, spike)
+    return np.logaddexp(*_mixture_log_terms(x, prior))
 
 
 def spike_slab_score(x, prior: SpikeSlabPrior):
     """d/dx log p(x): responsibility-weighted Gaussian scores."""
-    with np.errstate(divide="ignore"):
-        slab = np.log(prior.mix_weight) + gaussian_log_pdf(x, 0.0, prior.slab_sigma)
-        spike = np.log1p(-prior.mix_weight) + gaussian_log_pdf(x, 0.0, prior.spike_sigma)
+    slab, spike = _mixture_log_terms(x, prior)
     r = np.exp(slab - np.logaddexp(slab, spike))
     x = np.asarray(x, dtype=np.float64)
     return r * (-x / prior.slab_sigma**2) + (1.0 - r) * (-x / prior.spike_sigma**2)

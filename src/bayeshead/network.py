@@ -111,9 +111,10 @@ def dense_forward(layer: DenseLayer, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != layer.in_dim:
         raise ValueError(f"input width {x.shape[-1]} != layer in_dim {layer.in_dim}")
-    z = x @ layer.weights + layer.bias
+    z = x @ layer.weights
+    z += layer.bias  # the product is fresh, so the bias and relu go in place
     if layer.activation == "relu":
-        return np.maximum(z, 0.0)
+        np.maximum(z, 0.0, out=z)
     return z
 
 

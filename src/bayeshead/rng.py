@@ -5,7 +5,9 @@ stream can be serialized mid-sequence, restored, and split into
 independent child streams for parallel work without cross-talk.  Two
 rounds of the SplitMix64 finalizer with key material injected between
 rounds give the avalanche quality needed for Monte Carlo use; draws are
-turned into normals by Box-Muller.
+turned into normals by Box-Muller.  A stream's seed and stream keys are
+computed once per (seed, stream_id) and kept in a small cache, so a
+draw of a few hundred words pays for little besides the words.
 
 Conventions: a stream object is either *drawn from* (advancing its
 counter) or *derived from* (pure, counter untouched) -- never both for
@@ -15,44 +17,62 @@ the same purpose.  Parallel tasks must each own a derived child stream.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 _MASK = (1 << 64) - 1
-_GOLDEN = 0x9E3779B97F4A7C15
-_STREAM_SALT = 0xD1342543DE82EF95
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_STREAM_SALT = np.uint64(0xD1342543DE82EF95)
+_MIX_MUL1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX_MUL2 = np.uint64(0x94D049BB133111EB)
+_SHIFT_30, _SHIFT_27, _SHIFT_31, _SHIFT_11 = (np.uint64(s) for s in (30, 27, 31, 11))
+_TO_UNIT = 2.0**-53
+_TWO_PI = 2.0 * np.pi
 
 
 def _mix(words: np.ndarray) -> np.ndarray:
     """SplitMix64 finalizer; bijective avalanche on uint64 words."""
-    words = (words ^ (words >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    words = (words ^ (words >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return words ^ (words >> np.uint64(31))
+    words = (words ^ (words >> _SHIFT_30)) * _MIX_MUL1
+    words = (words ^ (words >> _SHIFT_27)) * _MIX_MUL2
+    return words ^ (words >> _SHIFT_31)
 
 
 def _u64(value: int) -> np.ndarray:
     return np.array([value & _MASK], dtype=np.uint64)
 
 
-def _words(seed: int, stream_ids: np.ndarray, start: int, count: int) -> np.ndarray:
-    """Words start .. start+count-1 of streams (seed, stream_ids[j]), one row per id."""
+def _keys(seed: int, stream_ids: np.ndarray) -> np.ndarray:
+    """The seed key, then one key per stream id."""
+    return _mix(np.concatenate([_u64(seed), stream_ids ^ _GOLDEN]))
+
+
+@lru_cache(maxsize=64)
+def _stream_keys(seed: int, stream_id: int) -> np.ndarray:
+    """``_keys`` of one stream, kept read-only: a training run draws from a few streams many times."""
+    keys = _keys(seed, _u64(stream_id))
+    keys.setflags(write=False)
+    return keys
+
+
+def _words(keys: np.ndarray, start: int, count: int) -> np.ndarray:
+    """Words start .. start+count-1 of the streams keyed by ``keys[1:]`` under seed key ``keys[0]``, one row each."""
     idx = np.arange(start, start + count, dtype=np.uint64)
-    keys = _mix(np.concatenate([_u64(seed), stream_ids ^ np.uint64(_GOLDEN)]))  # seed key, then stream keys
-    h = _mix(idx * np.uint64(_GOLDEN) + keys[:1])
+    h = _mix(idx * _GOLDEN + keys[:1])
     return _mix(h ^ keys[1:, None])
 
 
 def _child_ids(stream_ids: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Ids of the child streams keyed by ``keys``; uint64 arrays, broadcast."""
-    return _mix((stream_ids ^ np.uint64(_GOLDEN)) + _mix(keys * np.uint64(_STREAM_SALT)))
+    return _mix((stream_ids ^ _GOLDEN) + _mix(keys * _STREAM_SALT))
 
 
 def _box_muller(words: np.ndarray) -> np.ndarray:
     """Standard normals from word pairs along the last axis."""
     # u1 in (0, 1] so log never sees zero; u2 in [0, 1).
-    u1 = ((words[..., 0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
-    u2 = (words[..., 1::2] >> np.uint64(11)).astype(np.float64) * 2.0**-53
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+    u1 = ((words[..., 0::2] >> _SHIFT_11).astype(np.float64) + 1.0) * _TO_UNIT
+    u2 = (words[..., 1::2] >> _SHIFT_11).astype(np.float64) * _TO_UNIT
+    return np.sqrt(-2.0 * np.log(u1)) * np.cos(_TWO_PI * u2)
 
 
 @dataclass
@@ -104,7 +124,7 @@ class RngStream:
 
     def _take(self, count: int) -> np.ndarray:
         """The next ``count`` words of this stream."""
-        w = _words(self.seed, _u64(self.stream_id), self.counter, count)[0]
+        w = _words(_stream_keys(self.seed, self.stream_id), self.counter, count)[0]
         self.counter += count
         return w
 
@@ -117,6 +137,6 @@ class _Children(RngStream):
 
     def _take(self, count: int) -> np.ndarray:
         ids = _child_ids(_u64(self.stream_id), np.arange(self.rows, dtype=np.uint64))
-        w = _words(self.seed, ids, self.counter, count // self.rows)
+        w = _words(_keys(self.seed, ids), self.counter, count // self.rows)
         self.counter += count // self.rows
         return w

@@ -9,6 +9,15 @@ which gives the loss parts and the gradients from one forward pass, and one
 RMSprop update, which checks the gradients are finite.  Both heads use the
 identical update path, so forcing sigma = 0 and dropping the KL reproduces
 the baseline bit for bit.
+
+The parameter groups live as views in one contiguous buffer, so the update
+is one optimizer call over the concatenated gradients and the best-epoch
+checkpoint is one copy; elementwise arithmetic gives the same bits as a
+call per group.  The shared-sample head draws an epoch's noise in one
+``normal(steps * K)`` call and reads K normals per step: the stream is
+counter-based, so the bits and the final counter are those of a draw per
+step.  The per-example head draws one (B, K) block per step, since a whole
+epoch of it would be megabytes of transient memory.
 """
 
 from __future__ import annotations
@@ -44,6 +53,8 @@ from .rng import RngStream
 _INIT_STREAM = 0
 _SHUFFLE_STREAM = 1
 _EPS_STREAM = 2
+
+_FLAT = "params"  # the one group of the optimizer step over the flat parameter buffer
 
 _METRICS = ("val_nll", "val_accuracy")
 _KL_MODES = ("per_batch", "per_dataset")
@@ -257,6 +268,36 @@ def _assign_params(model: HeadModel, params: dict) -> None:
         model.output.bias = params["out_b"]
 
 
+def _flatten_params(model: HeadModel):
+    """Move the model's parameter groups into one contiguous float64 buffer, in ``_param_dict`` order.
+
+    The model's arrays become reshaped views of the buffer, so an update written into it in place
+    is the model's update.  Returns the buffer, the group names and each group's end offset.
+    """
+    groups = _param_dict(model)
+    flat = np.concatenate([np.ravel(v) for v in groups.values()])
+    ends = np.cumsum([v.size for v in groups.values()])
+    views = {name: flat[end - v.size : end].reshape(v.shape) for (name, v), end in zip(groups.items(), ends)}
+    _assign_params(model, views)
+    return flat, list(groups), ends
+
+
+class _NoiseBlock:
+    """One epoch's ``normal(steps * K)`` draw, read K normals per step in place of the stream.
+
+    The stream is counter-based, so the reads have the bits of per-step ``normal(K)`` calls and the
+    stream ends at the same counter.
+    """
+
+    def __init__(self, normals: np.ndarray):
+        self._normals = normals
+        self._next = 0
+
+    def normal(self, n: int) -> np.ndarray:
+        start, self._next = self._next, self._next + n
+        return self._normals[start : self._next]
+
+
 def validate_metrics(model: HeadModel, dataset: FeatureDataset) -> tuple[float, float]:
     """(accuracy, mean NLL) from a deterministic pass at the mean weights."""
     sample = mean_sample(model.output.params) if model.is_bayesian else None
@@ -288,30 +329,40 @@ def _train(dataset, val, config, bayesian):
         model = init_bayes_model(dataset.feature_dim, n_classes, config)
     else:
         model = init_baseline_model(dataset.feature_dim, n_classes, config)
-    state = RmspropState.zeros_like(_param_dict(model))
+    flat, names, ends = _flatten_params(model)
+    state = RmspropState({_FLAT: np.zeros_like(flat)})
     shuffle_stream = RngStream(config.seed).derive(_SHUFFLE_STREAM)
     eps_stream = RngStream(config.seed).derive(_EPS_STREAM)
 
     n = len(dataset)
+    steps = math.ceil(n / config.batch_size)
     kl_w = kl_weight_for(config, n) if (bayesian and not config.force_sigma_zero) else 0.0
+    epoch_block = bayesian and not (config.force_sigma_zero or config.per_example_sample)
     records: list[EpochRecord] = []
     best_epoch: int | None = None
     best_value: float | None = None
-    best_params: dict | None = None
+    best_flat: np.ndarray | None = None
 
     for epoch in range(config.epochs):
         order = shuffle_stream.permutation(n)
+        noise = _NoiseBlock(eps_stream.normal(steps * len(model.output.params))) if epoch_block else eps_stream
         epoch_nll = 0.0
         epoch_kl = 0.0
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
             feats = dataset.features[idx]
             labels = dataset.labels[idx]
-            samples = _draw_samples(model, eps_stream, idx.shape[0], config.per_example_sample,
+            samples = _draw_samples(model, noise, idx.shape[0], config.per_example_sample,
                                     force_zero=config.force_sigma_zero)
             grads = backward(model, feats, labels, samples, kl_w)
-            new_params, state = rmsprop_step(_param_dict(model), grads, state, config.learning_rate)
-            _assign_params(model, new_params)
+            grad = np.concatenate([grads[name].ravel() for name in names])
+            try:
+                new_params, state = rmsprop_step({_FLAT: flat}, {_FLAT: grad}, state, config.learning_rate)
+            except NumericError:
+                bad = int(np.argmin(np.isfinite(grad)))
+                group = names[int(np.searchsorted(ends, bad, side="right"))]
+                raise NumericError(f"non-finite gradient in parameter group '{group}'") from None
+            flat[:] = new_params[_FLAT]  # in place, so the model's views see the update
             epoch_nll += grads.nll
             epoch_kl += kl_w * grads.kl
         val_acc, val_nll = validate_metrics(model, val)
@@ -328,10 +379,10 @@ def _train(dataset, val, config, bayesian):
         if improved:
             best_value = value
             best_epoch = epoch
-            best_params = {k: v.copy() for k, v in _param_dict(model).items()}
+            best_flat = flat.copy()
 
-    if best_params is not None:
-        _assign_params(model, best_params)
+    if best_flat is not None:
+        flat[:] = best_flat
     return model, TrainHistory(records, best_epoch)
 
 

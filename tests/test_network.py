@@ -329,3 +329,23 @@ class TestFusedStep:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericError, match="batch index 4"):
                 backward(model, features, labels, samples, 0.37)
+
+
+@pytest.mark.parametrize("activation", ["relu", "identity"])
+@pytest.mark.parametrize("shape", [(5,), (7, 5), (7, 1, 5)])
+def test_dense_forward_matches_the_out_of_place_reference_and_keeps_its_inputs(activation, shape):
+    stream = RngStream(4, 2)
+    weights = stream.normal(15).reshape(5, 3)
+    bias = stream.normal(3)
+    x = stream.normal(int(np.prod(shape))).reshape(shape)
+    layer = DenseLayer(weights, bias, activation)
+    copies = x.copy(), layer.weights.copy(), layer.bias.copy()
+    got = dense_forward(layer, x)
+    want = x @ weights + bias
+    if activation == "relu":
+        want = np.maximum(want, 0)
+        assert np.any(want == 0.0) and np.any(want > 0.0)
+    assert got.shape == want.shape == shape[:-1] + (3,)
+    assert got.tobytes() == want.tobytes()
+    for before, after in zip(copies, (x, layer.weights, layer.bias)):
+        assert before.tobytes() == after.tobytes()

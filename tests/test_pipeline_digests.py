@@ -1,0 +1,89 @@
+"""The README pipeline's artifacts, pinned by sha256.
+
+Byte-identical artifacts across commits are the project's main contract:
+a change that means to keep every bit (a refactor, a speed-up) must leave
+each digest here as it is, and a change that moves bits on purpose updates
+the pins and says why.  Training matmuls go through BLAS, so the pins hold
+for the build they were taken with: numpy 2.4.6 with OpenBLAS 0.3.31
+(scipy-openblas, DYNAMIC_ARCH) on x86-64, Python 3.11.
+"""
+
+import hashlib
+from pathlib import Path
+
+from bayeshead.cli import run
+
+MEANS = "--means=-2,0;2,0"
+
+PIPELINE = [
+    ["synth", "--n-per-class", "60", MEANS, "--sigma", "1.0", "--name", "train", "--seed", "11", "--out", "data"],
+    ["synth", "--n-per-class", "40", MEANS, "--sigma", "1.0", "--name", "test", "--seed", "22", "--out", "data"],
+    ["synth", "--n-per-class", "40", MEANS, "--name", "shifted", "--shift-noise", "1.5", "--seed", "22",
+     "--out", "data"],
+    ["synth", "--n-per-class", "20", MEANS, "--name", "ood", "--shift-offset", "0,6", "--seed", "33",
+     "--out", "data"],
+    ["train", "--data", "data/train.csv", "--val", "data/test.csv", "--seed", "3", "--epochs", "40",
+     "--out", "run_bayes"],
+    ["train", "--data", "data/train.csv", "--val", "data/test.csv", "--seed", "3", "--epochs", "40",
+     "--baseline", "--out", "run_base"],
+    ["train", "--data", "data/train.csv", "--val", "data/test.csv", "--seed", "3", "--epochs", "15",
+     "--config", "per_example.cfg", "--out", "run_pe"],
+    ["predict", "--model", "run_bayes/model.json", "--data", "data/test.csv", "--out", "preds"],
+    ["predict", "--model", "run_pe/model.json", "--data", "data/ood.csv", "--out", "preds_pe"],
+    *(["eval", "--model", f"run_{head}/model.json", "--data", f"data/{name}.csv", "--dataset-name", name,
+       "--seed", "7", "--out", f"eval_{head}_{name}"]
+      for head in ("bayes", "base") for name in ("test", "shifted", "ood")),
+    ["analyze", "--report", "eval_bayes_test/report.json", "--out", "figures"],
+    ["analyze", "--report", "eval_bayes_ood/report.json", "--out", "figures"],
+    ["compare", "--bayes", "eval_bayes_test/report.json", "eval_bayes_shifted/report.json",
+     "eval_bayes_ood/report.json", "--baseline", "eval_base_test/report.json",
+     "eval_base_shifted/report.json", "eval_base_ood/report.json", "--out", "table"],
+]
+
+EXPECTED = {
+    "data/ood.csv": "51eb7ceb4e628d470cc9f80fadb5fdc53df83c7a1aa0f0119c98b694970e93a6",
+    "data/ood.meta.json": "f1cf26bc9af92286d9832ed38aa836ba4669d66f1d24e05314d5b5e5cc8dc33b",
+    "data/shifted.csv": "a7c2a1120c727feb376c3e213dcd46f41b9ef84a9bc97542c590ade353d8c8c2",
+    "data/shifted.meta.json": "6de1e55f4182de989f681b7efcffca945a94cfc1ad86c2a0e24506f6677b8dd1",
+    "data/test.csv": "f74ab4436b691c5ac1c22e7f1fdbb96bb8466733d751f78fab8d0778ced62707",
+    "data/test.meta.json": "50abf100f9b2e74ae91d5372735fdfb33f38379752875349afb8581d82f7c014",
+    "data/train.csv": "6ceaf0ebf1aef1bae0c5f1fdb13e8770a297724af2591100a4abed719b17efe0",
+    "data/train.meta.json": "354bc5ae20c802e82efb8b047fc1caa9652a27d55a92bb92017056d4deed4aee",
+    "eval_base_ood/report.json": "dadb95883b15a32263e32b7bdadf5b085bfd1b1bbc2eb9bcc70992cebbe0a1f7",
+    "eval_base_shifted/report.json": "2a57f4d9e84db559ed22eeb7072408166066175c947712e49f3cc09164e70211",
+    "eval_base_test/report.json": "7137b68eebd0d5b47ee5383a9de2a1e59e0ee243b38d6d2adc42a898bee21aa5",
+    "eval_bayes_ood/report.json": "a1238e58b055ba23f593b9f8945a3bbe1d06e43d0205260c924c6513dc43f3d6",
+    "eval_bayes_shifted/report.json": "3d727bc7aa9e94f66b825e5e9b1cc145f5c31b7cf4e98ba8e14c20ff19ed8f73",
+    "eval_bayes_test/report.json": "1829805b97c3a03fde62fa7df5803f467b517504d28da98b887a5a02486945da",
+    "figures/ood_entropy_hist.csv": "b2fd5af12b1820031bc5f5f9ce4129cbeebba9403de6e13ed46a49749dc32568",
+    "figures/ood_uncertainty_kde.csv": "7076bb0006d7aad91e9a3e3cfaf97a5564e8eb8293cfb2c4f0093565f2fb3199",
+    "figures/test_entropy_hist.csv": "66c334793d7dfbccf51195a557359b02d74e11d74ed78bc7b72b391a56ae85cc",
+    "figures/test_uncertainty_kde.csv": "d849725efbf84b0e3ecc380c959b06916525c33747da76dbab25ddd1735e9559",
+    "per_example.cfg": "4dd118154ab7826a9d8876f19ce76e80d1bcde6201e90023dde7c4f89ad13a81",
+    "preds/predictions.jsonl": "1b8b004ab9348e530925306d4f2ffa0f6a03c0e4801171a5d9cfb5aaade828ea",
+    "preds_pe/predictions.jsonl": "3959310618862d9732456d6b291a8f554f5eed5d0d2ad44b33997b75f07d23a8",
+    "run_base/history.csv": "770520270e9156e2b03d74548954cd75629f3653c63ca7387fe0d89f4134a3d4",
+    "run_base/model.json": "6bfff1f54290ddeae515351c216b704f3963409bf4ee5a859fdcb24f1388bccc",
+    "run_bayes/history.csv": "38d32f5e00b34253d2db098808b70f66799c0edadc83ae49159dbe8a606e4631",
+    "run_bayes/model.json": "64eb31d2c90af4561f6cd26d73f41938f2d673d4ea7764f5685930d7b93a71b1",
+    "run_pe/history.csv": "f10a56b350cbf3fbe7502940692281a4403886482546646287712d7dd86107db",
+    "run_pe/model.json": "c78c5108f63296e9be25a7d40d88a6e355f171ec6b2e756d49aacb7d562d6284",
+    "table/comparison.csv": "b67ccce77b5c080848978ee82a410241b01df680c2471cf3b00c5b76734b973d",
+    "table/comparison.json": "b579165744190001aaf23ec1ebd8f6d605bb354645e637ed647b7909412136ea",
+}
+
+
+def _digests(root: Path) -> dict:
+    return {
+        p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(root.rglob("*")) if p.is_file()
+    }
+
+
+def test_readme_pipeline_artifacts_are_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("per_example.cfg").write_text("per_example_sample = true\n")
+    for argv in PIPELINE:
+        assert run(argv) == 0, argv
+    capsys.readouterr()
+    assert _digests(tmp_path) == EXPECTED

@@ -125,3 +125,57 @@ def test_permutation_matches_per_element_fisher_yates(n):
     assert got.dtype == want.dtype == np.int64
     assert got.shape == (n,) and got.tobytes() == want.tobytes()
     assert stream.counter == reference.counter == 11 + max(n - 1, 0)
+
+
+def _reference_words(seed, stream_id, start, count):
+    """One stream's words as computed before the stream keys were cached: keys rebuilt on every call."""
+
+    def mix(w):
+        w = (w ^ (w >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        w = (w ^ (w >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return w ^ (w >> np.uint64(31))
+
+    mask, golden = (1 << 64) - 1, np.uint64(0x9E3779B97F4A7C15)
+    idx = np.arange(start, start + count, dtype=np.uint64)
+    ids = np.array([stream_id & mask], dtype=np.uint64)
+    keys = mix(np.concatenate([np.array([seed & mask], dtype=np.uint64), ids ^ golden]))
+    h = mix(idx * golden + keys[:1])
+    return mix(h ^ keys[1:, None])[0]
+
+
+def _reference_normal(seed, stream_id, start, n):
+    w = _reference_words(seed, stream_id, start, 2 * n)
+    u1 = ((w[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
+    u2 = (w[1::2] >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+
+
+def _reference_permutation(seed, stream_id, start, n):
+    perm = list(range(n))
+    w = _reference_words(seed, stream_id, start, n - 1)
+    for k, i in enumerate(range(n - 1, 0, -1)):
+        j = int(w[k] % np.uint64(i + 1))
+        perm[i], perm[j] = perm[j], perm[i]
+    return np.array(perm, dtype=np.int64)
+
+
+@pytest.mark.parametrize("seed", [0, 2**63 + 1])
+@pytest.mark.parametrize("stream_id", [0, 2**64 - 1])
+@pytest.mark.parametrize("counter", [0, 11, 2**40])
+def test_cached_stream_keys_give_the_uncached_words(seed, stream_id, counter):
+    stream = RngStream(seed, stream_id, counter)
+    for _ in range(2):  # the second round reads the cached keys
+        start = stream.counter
+        assert stream.normal(9).tobytes() == _reference_normal(seed, stream_id, start, 9).tobytes()
+        start = stream.counter
+        assert stream.permutation(40).tobytes() == _reference_permutation(seed, stream_id, start, 40).tobytes()
+    assert stream.counter == counter + 2 * (18 + 39)
+
+
+def test_stream_key_cache_is_keyed_on_the_seed_too():
+    a, b = RngStream(0, 5), RngStream(1, 5)
+    for _ in range(3):
+        for seed, stream in ((0, a), (1, b)):
+            start = stream.counter
+            assert stream.normal(6).tobytes() == _reference_normal(seed, 5, start, 6).tobytes()
+    assert not np.array_equal(RngStream(0, 5).normal(6), RngStream(1, 5).normal(6))

@@ -24,6 +24,8 @@ from bayeshead import (
     validate_metrics,
     write_history_csv,
 )
+from bayeshead import training
+from bayeshead.network import backward
 
 from bayeshead.training import _EPS_STREAM, _SHUFFLE_STREAM, _draw_samples, _elbo_parts, _param_dict
 from conftest import BLOB_MEANS
@@ -330,3 +332,105 @@ def test_non_finite_loss_in_training_names_its_batch_index(per_example):
         _elbo_parts(model, bad.features[first_batch], bad.labels[first_batch], samples, kl_weight_for(config, len(bad)))
     with pytest.raises(NumericError, match="non-finite log-likelihood at batch index 5"):
         train_bayes(bad, val, config)
+
+
+_BAYES_GROUPS = ("hidden_w", "hidden_b", "mu", "rho")
+_BASELINE_GROUPS = ("hidden_w", "hidden_b", "out_w", "out_b")
+
+
+def _poison_gradients(monkeypatch, at_step, bad: dict):
+    """Make ``backward``'s gradients at call ``at_step`` hold ``bad[group] = (flat index, value)``."""
+    calls = []
+
+    def poisoned(*args, **kwargs):
+        grads = backward(*args, **kwargs)
+        if len(calls) == at_step:
+            for group, (index, value) in bad.items():
+                g = np.array(grads[group], dtype=np.float64)
+                g.reshape(-1)[index] = value
+                grads[group] = g
+        calls.append(None)
+        return grads
+
+    monkeypatch.setattr(training, "backward", poisoned)
+
+
+@pytest.mark.parametrize("train, group", [
+    *((train_bayes, g) for g in _BAYES_GROUPS), *((train_baseline, g) for g in _BASELINE_GROUPS),
+])
+@pytest.mark.parametrize("index", [0, -1])  # each end of the group's span in the flat buffer
+def test_non_finite_gradient_names_its_group_in_the_flat_step(monkeypatch, train, group, index):
+    train_set, val = _task(3)
+    config = TrainConfig(epochs=2, hidden_dim=4, batch_size=8, seed=1)
+    _poison_gradients(monkeypatch, 5, {group: (index, np.nan)})
+    with pytest.raises(NumericError, match=f"non-finite gradient in parameter group '{group}'$"):
+        train(train_set, val, config)
+
+
+@pytest.mark.parametrize("train, groups", [
+    (train_bayes, _BAYES_GROUPS), (train_baseline, _BASELINE_GROUPS),
+])
+def test_non_finite_gradient_names_the_first_bad_group_in_order(monkeypatch, train, groups):
+    train_set, val = _task(3)
+    config = TrainConfig(epochs=1, hidden_dim=4, batch_size=8, seed=1)
+    _poison_gradients(monkeypatch, 0, {groups[3]: (0, np.nan), groups[1]: (-1, np.inf)})
+    with pytest.raises(NumericError, match=f"parameter group '{groups[1]}'$"):
+        train(train_set, val, config)
+
+
+def _record_normal_calls(monkeypatch):
+    """(stream, stream id, n) of every ``RngStream.normal`` call."""
+    calls, normal = [], RngStream.normal
+
+    def recorded(self, n):
+        calls.append((self, self.stream_id, n))
+        return normal(self, n)
+
+    monkeypatch.setattr(RngStream, "normal", recorded)
+    return calls
+
+
+def _eps_calls(calls, seed):
+    eps_id = RngStream(seed).derive(_EPS_STREAM).stream_id
+    return [(stream, n) for stream, sid, n in calls if sid == eps_id]
+
+
+def test_shared_sample_epoch_draws_its_noise_in_one_block(monkeypatch):
+    train_set, val = _task(3, n_train=30)
+    config = TrainConfig(epochs=2, hidden_dim=4, batch_size=8, seed=1)
+    k = (config.hidden_dim + 1) * 2
+    steps = math.ceil(len(train_set) / config.batch_size)
+    assert len(train_set) % config.batch_size != 0
+    drawn = []
+
+    def recorded_sample_weights(params, stream):
+        sample = sample_weights(params, stream)
+        drawn.append(sample.epsilon.copy())
+        return sample
+
+    monkeypatch.setattr(training, "sample_weights", recorded_sample_weights)
+    calls = _record_normal_calls(monkeypatch)
+    train_bayes(train_set, val, config)
+
+    eps = _eps_calls(calls, config.seed)
+    assert [n for _, n in eps] == [steps * k] * config.epochs  # 2 * steps * k words per epoch
+    reference = RngStream(config.seed).derive(_EPS_STREAM)
+    model = init_bayes_model(2, 2, config)
+    expected = [sample_weights(model.output.params, reference).epsilon for _ in range(steps * config.epochs)]
+    assert len(drawn) == len(expected)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(drawn, expected))
+    assert eps[-1][0].counter == reference.counter == 2 * k * steps * config.epochs
+
+
+def test_force_sigma_zero_and_per_example_training_draw_as_before(monkeypatch):
+    train_set, val = _task(3, n_train=30)
+    k = (4 + 1) * 2
+    calls = _record_normal_calls(monkeypatch)
+    train_bayes(train_set, val, TrainConfig(epochs=2, hidden_dim=4, batch_size=8, seed=1, force_sigma_zero=True))
+    assert _eps_calls(calls, 1) == []
+    calls.clear()
+    train_bayes(train_set, val, TrainConfig(epochs=2, hidden_dim=4, batch_size=8, seed=2, per_example_sample=True))
+    eps = _eps_calls(calls, 2)
+    n = len(train_set)
+    assert [n_drawn for _, n_drawn in eps] == [min(8, n - s) * k for s in range(0, n, 8)] * 2  # one (B, K) block per step
+    assert eps[-1][0].counter == 2 * k * n * 2
