@@ -1,10 +1,14 @@
 """Dataset-level evaluation and uncertainty analytics.
 
 ``predict_records`` is the one prediction loop: per fixed block of rows,
-one kernel call and one block summary, then one record per row.  On top
+one kernel call (``inference.stacked_probs``, softmax of the linear output
+layer's logits) and one block summary, then one record per row.  On top
 of it sit accuracy/confusion reports, Gaussian-kernel KDE curves of
 uncertainty values, entropy-bin histograms split by correctness, and the
-bayesian-vs-baseline comparison table.
+bayesian-vs-baseline comparison table.  Reports and records serialize from
+their dataclass fields; reading one back raises ValueError for a document
+that is not an object or lacks a field, so a malformed report is an input
+error.
 """
 
 from __future__ import annotations
@@ -50,6 +54,16 @@ class EntropyHistogram:
     incorrect_fraction: np.ndarray | None
 
 
+def _field_values(cls, d) -> dict:
+    """``d``'s value of each field of ``cls``; ValueError when ``d`` is not an object or lacks one."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{cls.__name__} document is not a JSON object")
+    try:
+        return {name: d[name] for name in cls.__dataclass_fields__}
+    except KeyError as e:
+        raise ValueError(f"{cls.__name__} document lacks field {e.args[0]!r}") from None
+
+
 @dataclass
 class PredictionRecord:
     id: str
@@ -69,31 +83,27 @@ class PredictionRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PredictionRecord":
-        return cls(**{k: d[k] for k in cls.__dataclass_fields__})
+        return cls(**_field_values(cls, d))
 
 
 @dataclass
 class EvalReport:
+    """A dataset's evaluation; the fields are declared in the order ``report.json`` writes them."""
+
     dataset_name: str
+    n_classes: int
+    mc_samples: int
     accuracy: float
-    confusion: np.ndarray  # (C, C) counts, rows = true class
-    records: list[PredictionRecord]
+    referral_rate: float
     mean_entropy_correct: float | None
     mean_entropy_incorrect: float | None
-    referral_rate: float
-    mc_samples: int
-    n_classes: int
+    confusion: np.ndarray  # (C, C) counts, rows = true class
+    records: list[PredictionRecord]
 
     def to_dict(self, config: dict | None = None) -> dict:
         d = {
             "schema_version": REPORT_SCHEMA_VERSION,
-            "dataset_name": self.dataset_name,
-            "n_classes": self.n_classes,
-            "mc_samples": self.mc_samples,
-            "accuracy": self.accuracy,
-            "referral_rate": self.referral_rate,
-            "mean_entropy_correct": self.mean_entropy_correct,
-            "mean_entropy_incorrect": self.mean_entropy_incorrect,
+            **{f.name: getattr(self, f.name) for f in fields(self)},
             "confusion": self.confusion.tolist(),
             "records": [r.to_dict() for r in self.records],
         }
@@ -103,22 +113,12 @@ class EvalReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EvalReport":
-        version = d.get("schema_version")
-        if version != REPORT_SCHEMA_VERSION:
-            raise ValueError(
-                f"unsupported report schema_version {version}; expected {REPORT_SCHEMA_VERSION}"
-            )
-        return cls(
-            dataset_name=d["dataset_name"],
-            accuracy=d["accuracy"],
-            confusion=np.asarray(d["confusion"], dtype=np.int64),
-            records=[PredictionRecord.from_dict(r) for r in d["records"]],
-            mean_entropy_correct=d["mean_entropy_correct"],
-            mean_entropy_incorrect=d["mean_entropy_incorrect"],
-            referral_rate=d["referral_rate"],
-            mc_samples=d["mc_samples"],
-            n_classes=d["n_classes"],
-        )
+        if isinstance(d, dict) and (version := d.get("schema_version")) != REPORT_SCHEMA_VERSION:
+            raise ValueError(f"unsupported report schema_version {version}; expected {REPORT_SCHEMA_VERSION}")
+        values = _field_values(cls, d)
+        values["confusion"] = np.asarray(values["confusion"], dtype=np.int64)
+        values["records"] = [PredictionRecord.from_dict(r) for r in values["records"]]
+        return cls(**values)
 
 
 def _record_for(dataset, j, result: PredictiveResult, thresholds) -> PredictionRecord:

@@ -171,8 +171,7 @@ def cmd_predict(args) -> int:
 def cmd_eval(args) -> int:
     file_config = _load_file_config(args)
     archive = model_io.load_model(args.model)
-    dataset = data.load_csv(args.data, name=args.dataset_name) if args.dataset_name \
-        else data.load_csv(args.data)
+    dataset = data.load_csv(args.data, name=args.dataset_name or None)  # "" names it by the file stem
     n, thresholds, ci_level, stream, echo = _prediction_settings(args, file_config)
     report = analytics.evaluate(archive.model, dataset, n, thresholds, stream, ci_level=ci_level)
     echo["variant"] = archive.model.variant
@@ -185,9 +184,12 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _read_report(path) -> analytics.EvalReport:
+    return analytics.EvalReport.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+
+
 def cmd_analyze(args) -> int:
-    doc = json.loads(Path(args.report).read_text(encoding="utf-8"))
-    report = analytics.EvalReport.from_dict(doc)
+    report = _read_report(args.report)
     out = _out_dir(args)
     echo = {"report": Path(args.report).name, "bins": args.bins}
 
@@ -215,10 +217,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    bayes = [analytics.EvalReport.from_dict(json.loads(Path(p).read_text(encoding="utf-8")))
-             for p in args.bayes]
-    baseline = [analytics.EvalReport.from_dict(json.loads(Path(p).read_text(encoding="utf-8")))
-                for p in args.baseline]
+    bayes = [_read_report(p) for p in args.bayes]
+    baseline = [_read_report(p) for p in args.baseline]
     names = args.names if args.names else [r.dataset_name for r in bayes]
     rows = analytics.compare_report(bayes, baseline, names)
 

@@ -142,7 +142,7 @@ def point_weights(model: HeadModel) -> tuple[np.ndarray, np.ndarray]:
 
 
 def stacked_probs(model: HeadModel, x, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Softmax outputs (N, n, C) of rows x (N, D) under the weight stack w, b."""
+    """Softmax outputs (N, n, C) of rows x (N, D) under the weight stack w, b; the output layer is linear."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"rows must have shape (N, {model.feature_dim}), got {x.shape}")
@@ -152,8 +152,6 @@ def stacked_probs(model: HeadModel, x, w: np.ndarray, b: np.ndarray) -> np.ndarr
     h = dense_forward(model.hidden, x[:, None, :])[:, 0]
     with np.errstate(over="ignore", invalid="ignore"):  # checked below, raised as NumericError
         logits = (h[:, None, None, :] @ w)[:, :, 0] + b
-    if not model.is_bayesian and model.output.activation == "relu":
-        logits = np.maximum(logits, 0.0)
     if not np.all(np.isfinite(logits)):
         raise NumericError("prediction logits are not finite: the model weights overflow on these rows")
     return softmax(logits)

@@ -7,10 +7,8 @@ reproduces every parameter bit for bit.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-
-import numpy as np
 
 from .data import atomic_write
 from .distributions import SpikeSlabPrior, VariationalParams
@@ -46,11 +44,7 @@ def save_model(archive: ModelArchive, path) -> None:
         doc["output"] = {
             "mu": model.output.params.mu.tolist(),
             "rho": model.output.params.rho.tolist(),
-            "prior": {
-                "mix_weight": model.output.prior.mix_weight,
-                "slab_sigma": model.output.prior.slab_sigma,
-                "spike_sigma": model.output.prior.spike_sigma,
-            },
+            "prior": asdict(model.output.prior),
         }
     else:
         doc["output"] = {
@@ -79,34 +73,17 @@ def load_model(path) -> ModelArchive:
             f"model archive {path} has format_version {version}; this build reads {FORMAT_VERSION}"
         )
     try:
-        hidden = DenseLayer(
-            np.array(doc["hidden"]["weights"], dtype=np.float64),
-            np.array(doc["hidden"]["bias"], dtype=np.float64),
-            doc["hidden"]["activation"],
-        )
+        # the layers and VariationalParams convert the JSON lists to float64 arrays themselves
+        hidden = DenseLayer(doc["hidden"]["weights"], doc["hidden"]["bias"], doc["hidden"]["activation"])
         n_classes = int(doc["n_classes"])
         out = doc["output"]
         if doc["variant"] == "bayesian":
-            prior = SpikeSlabPrior(
-                mix_weight=float(out["prior"]["mix_weight"]),
-                slab_sigma=float(out["prior"]["slab_sigma"]),
-                spike_sigma=float(out["prior"]["spike_sigma"]),
-            )
+            prior = SpikeSlabPrior(**{f.name: float(out["prior"][f.name]) for f in fields(SpikeSlabPrior)})
             output = VariationalDenseLayer(
-                VariationalParams(
-                    np.array(out["mu"], dtype=np.float64),
-                    np.array(out["rho"], dtype=np.float64),
-                ),
-                prior,
-                int(doc["hidden_dim"]),
-                n_classes,
+                VariationalParams(out["mu"], out["rho"]), prior, int(doc["hidden_dim"]), n_classes
             )
         elif doc["variant"] == "baseline":
-            output = DenseLayer(
-                np.array(out["weights"], dtype=np.float64),
-                np.array(out["bias"], dtype=np.float64),
-                "identity",
-            )
+            output = DenseLayer(out["weights"], out["bias"], "identity")
         else:
             raise ArchiveError(f"model archive {path} has unknown variant {doc['variant']!r}")
         model = HeadModel(hidden, output, n_classes)

@@ -1,7 +1,10 @@
-"""Classification head: a dense hidden layer feeding either a variational
-output layer (bayesian variant) or a point-weight output layer (baseline).
-``backward`` is a training step's one pass: the summed cross-entropy, the KL
-estimate and the hand-derived gradients of their weighted sum, from one forward pass."""
+"""Classification head: a dense hidden layer feeding a linear output layer,
+variational (bayesian variant) or with point weights (baseline).
+``_output_weights`` is the one rule for the output weights a pass uses and
+``_forward`` the one place that forms logits from them; the ``*_forward``
+entry points and ``backward``, a training step's one pass (the summed
+cross-entropy, the KL estimate and the hand-derived gradients of their
+weighted sum), all go through the pair."""
 
 from __future__ import annotations
 
@@ -17,6 +20,7 @@ from .distributions import (
     VariationalParams,
     WeightSample,
     kl_sample_estimate,
+    mean_sample,
     sample_weights,
     spike_slab_score,
     stack_samples,
@@ -88,6 +92,8 @@ class HeadModel:
         out_out = self.output.out_dim
         if self.hidden.out_dim != out_in or out_out != self.n_classes:
             raise ValueError("layer dimensions do not chain to n_classes")
+        if isinstance(self.output, DenseLayer) and self.output.activation != "identity":
+            raise ValueError(f"the output layer must be linear, got activation {self.output.activation!r}")
 
     @property
     def is_bayesian(self) -> bool:
@@ -122,19 +128,13 @@ def bayes_forward(model: HeadModel, x, stream: RngStream) -> tuple[np.ndarray, W
     """One stochastic forward pass under a fresh posterior draw."""
     if not model.is_bayesian:
         raise VariantError("bayes_forward requires the bayesian variant")
-    h = dense_forward(model.hidden, x)
     sample = sample_weights(model.output.params, stream)
-    w, b = model.output.unflatten(sample.theta)
-    return h @ w + b, sample
+    return batch_forward(model, x, sample), sample
 
 
 def mean_forward(model: HeadModel, x) -> np.ndarray:
     """Deterministic logits: posterior-mean weights for the bayesian variant."""
-    h = dense_forward(model.hidden, x)
-    if model.is_bayesian:
-        w, b = model.output.unflatten(model.output.params.mu)
-        return h @ w + b
-    return dense_forward(model.output, h)
+    return batch_forward(model, x, mean_sample(model.output.params) if model.is_bayesian else None)
 
 
 def batch_forward(model: HeadModel, features: np.ndarray, sample=None) -> np.ndarray:
@@ -143,22 +143,29 @@ def batch_forward(model: HeadModel, features: np.ndarray, sample=None) -> np.nda
     ``sample`` is a shared WeightSample, a per-example stack (B, K) or
     sequence of them, or None for the baseline variant.
     """
-    h = dense_forward(model.hidden, features)
+    return _forward(model, features, *_output_weights(model, sample))[1]
+
+
+def _output_weights(model: HeadModel, sample) -> tuple[np.ndarray, np.ndarray]:
+    """The output layer's (w, b): the baseline's point weights, or the bayesian draw ``sample``
+    unflattened, (H, C) and (C,) for a shared draw or (B, H, C) and (B, C) for a per-row stack."""
     if not model.is_bayesian:
-        return dense_forward(model.output, h)
+        return model.output.weights, model.output.bias
+    sample = stack_samples(sample)
     if sample is None:
-        raise VariantError("bayesian variant needs a weight sample")
-    w, b = model.output.unflatten(stack_samples(sample).theta)
-    return _output_logits(h, w, b)
+        raise VariantError("bayesian variant needs one shared weight sample or one per batch row")
+    return model.output.unflatten(sample.theta)
 
 
-def _output_logits(h, w, b):
-    """h @ w + b for shared weights (H, C); row i against its own w[i], b[i] for a stack (B, H, C)."""
+def _forward(model: HeadModel, x, w, b) -> tuple[np.ndarray, np.ndarray]:
+    """(h, logits): h @ w + b for shared weights (H, C); for a stack (B, H, C),
+    row i against its own w[i], b[i]."""
+    h = dense_forward(model.hidden, x)
     if w.ndim == 2:
-        return h @ w + b
+        return h, h @ w + b
     if w.shape[0] != h.shape[0]:
         raise ValueError("per-example samples must match the batch size")
-    return np.einsum("bh,bhc->bc", h, w) + b
+    return h, np.einsum("bh,bhc->bc", h, w) + b
 
 
 def batch_nll(logits: np.ndarray, labels: np.ndarray) -> float:
@@ -202,23 +209,18 @@ def backward(model: HeadModel, features, labels, samples: Samples, kl_weight: fl
     Keyed by parameter group: hidden_w / hidden_b plus mu / rho (bayesian) or out_w / out_b
     (baseline); ``.nll`` and ``.kl`` are the loss parts, with the bits of ``training._elbo_parts``.
     ``samples`` is one shared draw per batch, or one draw per row: a (B, K) stack or a sequence
-    of draws, whose gradients are summed.  A non-finite NLL raises NumericError naming the batch
-    index; the gradients' finiteness is the optimizer step's one check.
+    of draws, whose gradients are summed; a bayesian head without one raises VariantError.  A
+    non-finite NLL raises NumericError naming the batch index; the gradients' finiteness is the
+    optimizer step's one check.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
     if features.ndim != 2 or features.shape[0] != labels.shape[0]:
         raise ValueError("features must be (batch, dim) matching labels")
-    if model.is_bayesian:
-        samples = stack_samples(samples)
-        if samples is None:
-            raise ValueError("need one shared sample or one sample per batch row")
-        w, b = model.output.unflatten(samples.theta)
-    else:
-        w, b = model.output.weights, model.output.bias
-
-    h = dense_forward(model.hidden, features)
-    logp = log_softmax(_output_logits(h, w, b))
+    samples = stack_samples(samples)
+    w, b = _output_weights(model, samples)
+    h, logits = _forward(model, features, w, b)
+    logp = log_softmax(logits)
     rows = np.arange(labels.shape[0])
     nll = _summed_nll(logp[rows, labels])
     g = np.exp(logp)

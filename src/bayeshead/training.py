@@ -8,7 +8,11 @@ KL term) or 1/N ("per_dataset").  A step is one ``network.backward`` call,
 which gives the loss parts and the gradients from one forward pass, and one
 RMSprop update, which checks the gradients are finite.  Both heads use the
 identical update path, so forcing sigma = 0 and dropping the KL reproduces
-the baseline bit for bit.
+the baseline bit for bit.  Both heads draw their initial weights through one
+``_init_layers``, so the baseline's output weights are the bayesian head's
+initial mu; validation runs ``network.mean_forward``, the logits path that
+training's passes use; and the checkpoint keeps the first epoch with the
+lowest of a lower-is-better value (val_nll, or -val_accuracy).
 
 The parameter groups live as views in one contiguous buffer, so the update
 is one optimizer call over the concatenated gradients and the best-epoch
@@ -46,6 +50,7 @@ from .network import (
     backward,
     batch_forward,
     batch_nll,
+    mean_forward,
 )
 from .rng import RngStream
 
@@ -179,11 +184,8 @@ def kl_weight_for(config: TrainConfig, n_examples: int) -> float:
 
 
 def init_bayes_model(feature_dim: int, n_classes: int, config: TrainConfig) -> HeadModel:
-    root = RngStream(config.seed).derive(_INIT_STREAM)
-    hidden = _init_hidden(feature_dim, config, root.derive(0))
-    k = config.hidden_dim * n_classes + n_classes
-    mu = root.derive(1).normal(k) * config.init_mu_sigma
-    rho = np.full(k, float(inv_softplus(config.init_sigma)))
+    hidden, mu = _init_layers(feature_dim, n_classes, config)
+    rho = np.full(len(mu), float(inv_softplus(config.init_sigma)))
     output = VariationalDenseLayer(
         VariationalParams(mu, rho), config.prior, config.hidden_dim, n_classes
     )
@@ -191,19 +193,21 @@ def init_bayes_model(feature_dim: int, n_classes: int, config: TrainConfig) -> H
 
 
 def init_baseline_model(feature_dim: int, n_classes: int, config: TrainConfig) -> HeadModel:
-    root = RngStream(config.seed).derive(_INIT_STREAM)
-    hidden = _init_hidden(feature_dim, config, root.derive(0))
-    k = config.hidden_dim * n_classes + n_classes
-    vec = root.derive(1).normal(k) * config.init_mu_sigma  # same draws as the bayesian mu
+    hidden, vec = _init_layers(feature_dim, n_classes, config)  # vec: the bayesian head's mu draws
     split = config.hidden_dim * n_classes
     output = DenseLayer(vec[:split].reshape(config.hidden_dim, n_classes), vec[split:], "identity")
     return HeadModel(hidden, output, n_classes)
 
 
-def _init_hidden(feature_dim: int, config: TrainConfig, stream: RngStream) -> DenseLayer:
-    scale = math.sqrt(2.0 / feature_dim)  # He init for the relu layer
-    w = stream.normal(feature_dim * config.hidden_dim).reshape(feature_dim, config.hidden_dim)
-    return DenseLayer(w * scale, np.zeros(config.hidden_dim), "relu")
+def _init_layers(feature_dim: int, n_classes: int, config: TrainConfig) -> tuple[DenseLayer, np.ndarray]:
+    """Both heads' initial draws: the He-initialized relu hidden layer and the flat output vector
+    (H * C weights, then C biases), from substreams 0 and 1 of the run's init stream."""
+    root = RngStream(config.seed).derive(_INIT_STREAM)
+    scale = math.sqrt(2.0 / feature_dim)
+    w = root.derive(0).normal(feature_dim * config.hidden_dim).reshape(feature_dim, config.hidden_dim)
+    hidden = DenseLayer(w * scale, np.zeros(config.hidden_dim), "relu")
+    k = config.hidden_dim * n_classes + n_classes
+    return hidden, root.derive(1).normal(k) * config.init_mu_sigma
 
 
 def elbo_loss(model: HeadModel, features, labels, stream: RngStream, kl_weight: float,
@@ -242,19 +246,12 @@ def _elbo_parts(model, features, labels, samples, kl_weight):
 
 
 def _param_dict(model: HeadModel) -> dict:
+    out = model.output
     if model.is_bayesian:
-        return {
-            "hidden_w": model.hidden.weights,
-            "hidden_b": model.hidden.bias,
-            "mu": model.output.params.mu,
-            "rho": model.output.params.rho,
-        }
-    return {
-        "hidden_w": model.hidden.weights,
-        "hidden_b": model.hidden.bias,
-        "out_w": model.output.weights,
-        "out_b": model.output.bias,
-    }
+        groups = {"mu": out.params.mu, "rho": out.params.rho}
+    else:
+        groups = {"out_w": out.weights, "out_b": out.bias}
+    return {"hidden_w": model.hidden.weights, "hidden_b": model.hidden.bias, **groups}
 
 
 def _assign_params(model: HeadModel, params: dict) -> None:
@@ -300,9 +297,8 @@ class _NoiseBlock:
 
 def validate_metrics(model: HeadModel, dataset: FeatureDataset) -> tuple[float, float]:
     """(accuracy, mean NLL) from a deterministic pass at the mean weights."""
-    sample = mean_sample(model.output.params) if model.is_bayesian else None
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite metric raises NumericError in _train
-        logits = batch_forward(model, dataset.features, sample)
+        logits = mean_forward(model, dataset.features)
         logp = log_softmax(logits)
     preds = np.argmax(logits, axis=1)
     acc = float(np.mean(preds == dataset.labels))
@@ -340,7 +336,7 @@ def _train(dataset, val, config, bayesian):
     epoch_block = bayesian and not (config.force_sigma_zero or config.per_example_sample)
     records: list[EpochRecord] = []
     best_epoch: int | None = None
-    best_value: float | None = None
+    best_value = math.inf  # lower is better: val_nll, or -val_accuracy
     best_flat: np.ndarray | None = None
 
     for epoch in range(config.epochs):
@@ -370,13 +366,8 @@ def _train(dataset, val, config, bayesian):
             # a NaN would never win the checkpoint comparison and freeze the best epoch silently
             raise NumericError(f"non-finite validation metric at epoch {epoch}: nll {val_nll}, accuracy {val_acc}")
         records.append(EpochRecord(epoch_nll + epoch_kl, epoch_nll, epoch_kl, val_acc, val_nll))
-        value = val_nll if config.early_best_metric == "val_nll" else val_acc
-        improved = (
-            best_value is None
-            or (config.early_best_metric == "val_nll" and value < best_value)
-            or (config.early_best_metric == "val_accuracy" and value > best_value)
-        )
-        if improved:
+        value = val_nll if config.early_best_metric == "val_nll" else -val_acc
+        if value < best_value:
             best_value = value
             best_epoch = epoch
             best_flat = flat.copy()

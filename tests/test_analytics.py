@@ -294,3 +294,39 @@ class TestCsvEmitters:
         assert "# incorrect_group = absent" in text
         first_row = text.strip().splitlines()[-3]
         assert first_row.endswith(",")  # incorrect column empty
+
+
+class TestReportFromDict:
+    def _doc(self, tiny_bayes):
+        dataset = _dataset([[1.0, 0.2], [-0.4, 1.0]], [0, 1])
+        return evaluate(tiny_bayes, dataset, 8, ReferralThresholds(), RngStream(2)).to_dict()
+
+    def test_document_keys_follow_the_field_order(self, tiny_bayes):
+        assert list(self._doc(tiny_bayes)) == [
+            "schema_version", "dataset_name", "n_classes", "mc_samples", "accuracy", "referral_rate",
+            "mean_entropy_correct", "mean_entropy_incorrect", "confusion", "records",
+        ]
+
+    @pytest.mark.parametrize("field", ["dataset_name", "accuracy", "confusion", "records"])
+    def test_missing_field_is_named(self, tiny_bayes, field):
+        doc = self._doc(tiny_bayes)
+        del doc[field]
+        with pytest.raises(ValueError, match=f"lacks field '{field}'"):
+            EvalReport.from_dict(doc)
+
+    def test_missing_record_field_is_named(self, tiny_bayes):
+        doc = self._doc(tiny_bayes)
+        del doc["records"][1]["action"]
+        with pytest.raises(ValueError, match="PredictionRecord document lacks field 'action'"):
+            EvalReport.from_dict(doc)
+
+    @pytest.mark.parametrize("doc", [[], "report", 3, None])
+    def test_non_object_is_a_value_error(self, doc):
+        with pytest.raises(ValueError, match="not a JSON object"):
+            EvalReport.from_dict(doc)
+
+    def test_other_schema_version_is_rejected(self, tiny_bayes):
+        doc = self._doc(tiny_bayes)
+        doc["schema_version"] = 2
+        with pytest.raises(ValueError, match="schema_version 2"):
+            EvalReport.from_dict(doc)

@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from bayeshead import (
     ArchiveError,
     FeatureDataset,
     ModelArchive,
+    SpikeSlabPrior,
     TrainConfig,
     init_bayes_model,
     load_model,
@@ -314,3 +316,97 @@ class TestSynthCommand:
         ])
         assert rc == 2
         assert "vector" in capsys.readouterr().err
+
+
+class TestMalformedReport:
+    @pytest.fixture(scope="class")
+    def report_doc(self, cli_data, trained, tmp_path_factory):
+        out = tmp_path_factory.mktemp("good_report")
+        assert run([
+            "eval", "--model", str(trained / "bayes" / "model.json"),
+            "--data", str(cli_data / "test.csv"), "--seed", "7", "--n", "8", "--out", str(out),
+        ]) == 0
+        return json.loads((out / "report.json").read_text())
+
+    @pytest.fixture(params=["lacks_field", "list", "record_lacks_field", "record_list"])
+    def bad_report(self, request, report_doc, tmp_path):
+        doc = json.loads(json.dumps(report_doc))
+        expect = {
+            "lacks_field": "'n_classes'", "list": "not a JSON object",
+            "record_lacks_field": "'uncertainty'", "record_list": "not a JSON object",
+        }[request.param]
+        if request.param == "lacks_field":
+            del doc["n_classes"]
+        elif request.param == "list":
+            doc = [doc]
+        elif request.param == "record_lacks_field":
+            del doc["records"][0]["uncertainty"]
+        else:
+            doc["records"][0] = list(doc["records"][0].values())
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        return path, expect
+
+    def test_analyze_exits_2(self, bad_report, tmp_path, capsys):
+        path, expect = bad_report
+        assert run(["analyze", "--report", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and expect in err
+
+    @pytest.mark.parametrize("side", ["--bayes", "--baseline"])
+    def test_compare_exits_2(self, bad_report, report_doc, side, tmp_path, capsys):
+        path, expect = bad_report
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps(report_doc))
+        files = {"--bayes": good, "--baseline": good, side: path}
+        rc = run(["compare", "--bayes", str(files["--bayes"]), "--baseline", str(files["--baseline"]),
+                  "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and expect in err
+        assert not (tmp_path / "out" / "comparison.csv").exists()
+
+
+class TestArchivePrior:
+    def _edited(self, trained, tmp_path, edit):
+        doc = json.loads((trained / "bayes" / "model.json").read_text())
+        edit(doc["output"]["prior"])
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    @pytest.mark.parametrize("edit", [
+        lambda prior: prior.pop("spike_sigma"),
+        lambda prior: prior.update(mix_weight="abc"),
+    ], ids=["lacks_spike_sigma", "mix_weight_not_a_number"])
+    def test_bad_prior_is_an_archive_error_and_eval_exits_2(self, edit, cli_data, trained, tmp_path, capsys):
+        path = self._edited(trained, tmp_path, edit)
+        with pytest.raises(ArchiveError):
+            load_model(path)
+        rc = run([
+            "eval", "--model", str(path), "--data", str(cli_data / "test.csv"),
+            "--n", "4", "--out", str(tmp_path / "out"),
+        ])
+        assert rc == 2
+        assert "edited.json" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_non_default_prior_roundtrips_bit_for_bit(self, tmp_path):
+        prior = SpikeSlabPrior(mix_weight=0.3, slab_sigma=2.0, spike_sigma=0.05)
+        model = init_bayes_model(2, 3, TrainConfig(hidden_dim=4, seed=8, prior=prior))
+        save_model(ModelArchive(model), tmp_path / "m.json")
+        back = load_model(tmp_path / "m.json").model.output.prior
+        assert back == prior
+        for f in fields(SpikeSlabPrior):
+            assert np.float64(getattr(back, f.name)).tobytes() == np.float64(getattr(prior, f.name)).tobytes()
+        doc = json.loads((tmp_path / "m.json").read_text())
+        assert doc["output"]["prior"] == {"mix_weight": 0.3, "slab_sigma": 2.0, "spike_sigma": 0.05}
+
+
+def test_empty_dataset_name_means_the_file_stem(cli_data, trained, tmp_path):
+    rc = run([
+        "eval", "--model", str(trained / "base" / "model.json"), "--data", str(cli_data / "test.csv"),
+        "--dataset-name", "", "--n", "4", "--out", str(tmp_path),
+    ])
+    assert rc == 0
+    assert json.loads((tmp_path / "report.json").read_text())["dataset_name"] == "test"

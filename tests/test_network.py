@@ -19,7 +19,8 @@ from bayeshead import (
     softmax,
 )
 from bayeshead.core import log_softmax, sigmoid
-from bayeshead.distributions import sample_weights, spike_slab_score, stack_samples
+from bayeshead.distributions import mean_sample, sample_weights, spike_slab_score, stack_samples
+from bayeshead.network import HeadModel
 from bayeshead.training import _assign_params, _draw_samples, _elbo_parts, _param_dict
 
 
@@ -349,3 +350,26 @@ def test_dense_forward_matches_the_out_of_place_reference_and_keeps_its_inputs(a
     assert got.tobytes() == want.tobytes()
     for before, after in zip(copies, (x, layer.weights, layer.bias)):
         assert before.tobytes() == after.tobytes()
+
+
+class TestLinearOutput:
+    def test_relu_output_head_cannot_be_built(self):
+        hidden = DenseLayer(np.eye(2), np.zeros(2), "relu")
+        with pytest.raises(ValueError, match="linear"):
+            HeadModel(hidden, DenseLayer(np.eye(2), np.zeros(2), "relu"), 2)
+
+    def test_backward_without_a_sample_is_a_variant_error(self):
+        model = _toy_bayes()
+        with pytest.raises(VariantError):
+            backward(model, np.zeros((2, 3)), np.array([0, 1]), None, 0.0)
+
+    @pytest.mark.parametrize("variant", ["bayesian", "baseline"])
+    def test_entry_points_share_the_logits_of_backward(self, variant):
+        config = TrainConfig(hidden_dim=4, seed=12)
+        model = (init_bayes_model if variant == "bayesian" else init_baseline_model)(3, 3, config)
+        features = RngStream(13).normal(15).reshape(5, 3)
+        labels = np.arange(5) % 3
+        sample = mean_sample(model.output.params) if model.is_bayesian else None
+        logits = mean_forward(model, features)
+        assert logits.tobytes() == batch_forward(model, features, sample).tobytes()
+        assert backward(model, features, labels, sample, 0.0).nll == batch_nll(logits, labels)
