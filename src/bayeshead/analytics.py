@@ -6,9 +6,9 @@ layer's logits) and one block summary, then one record per row.  On top
 of it sit accuracy/confusion reports, Gaussian-kernel KDE curves of
 uncertainty values, entropy-bin histograms split by correctness, and the
 bayesian-vs-baseline comparison table.  Reports and records serialize from
-their dataclass fields; reading one back raises ValueError for a document
-that is not an object or lacks a field, so a malformed report is an input
-error.
+their dataclass fields; reading one back raises ValueError naming the
+field for a document that is not an object, lacks a field or holds one of
+the wrong type or shape, so a malformed report is an input error.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import numpy as np
 
 from .data import FeatureDataset, echo_header
 from .inference import (
+    CI_LEVEL,
     PredictiveResult,
     ReferralThresholds,
     point_weights,
@@ -54,14 +55,25 @@ class EntropyHistogram:
     incorrect_fraction: np.ndarray | None
 
 
+_JSON_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool, "list": list}
+
+
 def _field_values(cls, d) -> dict:
-    """``d``'s value of each field of ``cls``; ValueError when ``d`` is not an object or lacks one."""
+    """``d``'s value of each field of ``cls``; ValueError when ``d`` is not an object, lacks
+    a field, or holds one of another JSON type than the field's annotation (numbers are not bools)."""
     if not isinstance(d, dict):
         raise ValueError(f"{cls.__name__} document is not a JSON object")
     try:
-        return {name: d[name] for name in cls.__dataclass_fields__}
+        values = {name: d[name] for name in cls.__dataclass_fields__}
     except KeyError as e:
         raise ValueError(f"{cls.__name__} document lacks field {e.args[0]!r}") from None
+    for f in fields(cls):
+        kind, v = _JSON_TYPES.get(f.type.split("[")[0].removesuffix(" | None")), values[f.name]
+        if kind is None or v is None and f.type.endswith("| None"):
+            continue  # the confusion array is checked by EvalReport.from_dict
+        if not isinstance(v, kind) or isinstance(v, bool) and kind is not bool:
+            raise ValueError(f"{cls.__name__} field {f.name!r} must be {f.type}, got {type(v).__name__}")
+    return values
 
 
 @dataclass
@@ -116,7 +128,14 @@ class EvalReport:
         if isinstance(d, dict) and (version := d.get("schema_version")) != REPORT_SCHEMA_VERSION:
             raise ValueError(f"unsupported report schema_version {version}; expected {REPORT_SCHEMA_VERSION}")
         values = _field_values(cls, d)
-        values["confusion"] = np.asarray(values["confusion"], dtype=np.int64)
+        c = values["n_classes"]
+        try:
+            confusion = np.asarray(values["confusion"])
+        except ValueError:  # ragged
+            confusion = None
+        if confusion is None or confusion.shape != (c, c) or confusion.dtype.kind != "i":
+            raise ValueError(f"EvalReport field 'confusion' must be an integer ({c}, {c}) matrix")
+        values["confusion"] = confusion.astype(np.int64)
         values["records"] = [PredictionRecord.from_dict(r) for r in values["records"]]
         return cls(**values)
 
@@ -145,7 +164,7 @@ def predict_records(
     n: int,
     thresholds: ReferralThresholds,
     stream: RngStream,
-    ci_level: float = 0.95,
+    ci_level: float = CI_LEVEL,
 ) -> list[PredictionRecord]:
     """One record per row, in dataset order, through the batched kernel and
     the block summary in fixed blocks; each equals the record of ``predict_mc`` (n draws shared
@@ -166,7 +185,7 @@ def evaluate(
     thresholds: ReferralThresholds,
     stream: RngStream,
     workers: int = 1,
-    ci_level: float = 0.95,
+    ci_level: float = CI_LEVEL,
 ) -> EvalReport:
     """``predict_records`` plus dataset aggregation; ``workers`` is
     accepted for compatibility and has no effect."""

@@ -2,9 +2,12 @@
 
 Every command is deterministic given (--seed, config, inputs): reruns
 produce byte-identical artifacts.  Exit codes: 0 success, 1 numeric or
-training failure, 2 usage or input error.
-Config precedence is flag > config file > built-in default, and the
-effective configuration is echoed into every artifact.
+training failure, 2 usage or input error.  synth, train, predict and eval
+take --seed and --config; ``_settings`` resolves each of their settings as
+flag > config file > the default its owner declares (``TrainConfig``,
+``ReferralThresholds``, ``inference.CI_LEVEL``).  All of them read one flat
+file, so a key that no command reads is an input error.  The effective
+configuration is echoed into every artifact.
 """
 
 from __future__ import annotations
@@ -17,26 +20,27 @@ from pathlib import Path
 
 from . import analytics, data, model_io, training
 from .errors import NumericError
-from .inference import ReferralThresholds
+from .inference import CI_LEVEL, ReferralThresholds
 from .rng import RngStream
 from .training import TrainConfig
 
 _PREDICT_STREAM_KEY = 4
 
-_DEFAULT_N = 50
-_DEFAULT_UNCERTAINTY = 0.01
-_DEFAULT_CONFIDENCE = 0.99
-_DEFAULT_CI_LEVEL = 0.95
-_WORKERS_HELP = "accepted for compatibility; has no effect, results are deterministic by construction"
+# predict/eval settings and their defaults, each read from the module that owns it
+_PREDICTION_DEFAULTS = {
+    "seed": TrainConfig.seed,
+    "mc_samples_predict": TrainConfig.mc_samples_predict,
+    "uncertainty_threshold": ReferralThresholds.uncertainty,
+    "confidence_threshold": ReferralThresholds.confidence,
+    "ci_level": CI_LEVEL,
+}
+_CONFIG_KEYS = {*TrainConfig().to_flat_dict(), *_PREDICTION_DEFAULTS}
 
 
 def parse_config_file(path) -> dict:
     """Flat ``key = value`` file; '#' comments and blank lines ignored."""
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"config file not found: {path}")
     out: dict[str, str] = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -47,45 +51,19 @@ def parse_config_file(path) -> dict:
     return out
 
 
-def _load_file_config(args) -> dict:
-    return parse_config_file(args.config) if getattr(args, "config", None) else {}
-
-
-def _resolve(flag_value, file_config: dict, key: str, default, cast):
-    if flag_value is not None:
-        return flag_value
-    if key in file_config:
-        return cast(file_config[key])
-    return default
-
-
-def _train_config(args, file_config: dict) -> TrainConfig:
-    known = TrainConfig().to_flat_dict()
-    overrides = {k: v for k, v in file_config.items() if k in known}
-    config = TrainConfig.from_flat_dict(overrides)
-    flags = {
-        "seed": args.seed,
-        "epochs": args.epochs,
-        "learning_rate": args.learning_rate,
-        "batch_size": args.batch_size,
-        "hidden_dim": args.hidden_dim,
-    }
-    flat = config.to_flat_dict()
-    flat.update({k: v for k, v in flags.items() if v is not None})
-    return TrainConfig.from_flat_dict(flat)
-
-
-def _thresholds(args, file_config: dict) -> ReferralThresholds:
-    return ReferralThresholds(
-        uncertainty=_resolve(
-            args.uncertainty_threshold, file_config, "uncertainty_threshold",
-            _DEFAULT_UNCERTAINTY, float,
-        ),
-        confidence=_resolve(
-            args.confidence_threshold, file_config, "confidence_threshold",
-            _DEFAULT_CONFIDENCE, float,
-        ),
-    )
+def _settings(args, defaults: dict) -> dict:
+    """Each key of ``defaults``: its flag if set, else the config file's text (or
+    the default) parsed to the default's type.  A file key no command reads is an error."""
+    file_config = parse_config_file(args.config) if args.config else {}
+    unknown = sorted(set(file_config) - _CONFIG_KEYS)
+    if unknown:
+        raise ValueError(f"{args.config}: unknown config keys: {unknown}")
+    settings = {}
+    for key, default in defaults.items():
+        flag = getattr(args, key, None)
+        raw = file_config.get(key, default)
+        settings[key] = flag if flag is not None else training.parse_like(default, raw)
+    return settings
 
 
 def _out_dir(args) -> Path:
@@ -104,8 +82,7 @@ def _write_json(path: Path, doc: dict) -> None:
 
 
 def cmd_train(args) -> int:
-    file_config = _load_file_config(args)
-    config = _train_config(args, file_config)
+    config = TrainConfig.from_flat_dict(_settings(args, TrainConfig().to_flat_dict()))
     train_set = data.load_csv(args.data)
     val_set = data.load_csv(args.val) if args.val else train_set
 
@@ -136,28 +113,20 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _prediction_settings(args, file_config: dict):
+def _prediction_settings(args):
     """Draw count, thresholds, CI level and stream shared by predict and eval,
     plus the echo of the settings that fix their output."""
-    n = _resolve(args.n, file_config, "mc_samples_predict", _DEFAULT_N, int)
-    seed = _resolve(args.seed, file_config, "seed", 0, int)
-    thresholds = _thresholds(args, file_config)
-    ci_level = _resolve(args.ci_level, file_config, "ci_level", _DEFAULT_CI_LEVEL, float)
-    echo = {
-        "seed": seed,
-        "mc_samples": n,
-        "uncertainty_threshold": thresholds.uncertainty,
-        "confidence_threshold": thresholds.confidence,
-        "ci_level": ci_level,
-    }
-    return n, thresholds, ci_level, RngStream(seed).derive(_PREDICT_STREAM_KEY), echo
+    settings = _settings(args, _PREDICTION_DEFAULTS)
+    n, ci_level = settings["mc_samples_predict"], settings["ci_level"]
+    thresholds = ReferralThresholds(settings["uncertainty_threshold"], settings["confidence_threshold"])
+    echo = {"mc_samples" if k == "mc_samples_predict" else k: v for k, v in settings.items()}
+    return n, thresholds, ci_level, RngStream(settings["seed"]).derive(_PREDICT_STREAM_KEY), echo
 
 
 def cmd_predict(args) -> int:
-    file_config = _load_file_config(args)
+    n, thresholds, ci_level, stream, echo = _prediction_settings(args)
     archive = model_io.load_model(args.model)
     dataset = data.load_csv(args.data)
-    n, thresholds, ci_level, stream, echo = _prediction_settings(args, file_config)
     records = analytics.predict_records(archive.model, dataset, n, thresholds, stream, ci_level)
 
     path = _out_dir(args) / "predictions.jsonl"
@@ -169,10 +138,9 @@ def cmd_predict(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    file_config = _load_file_config(args)
+    n, thresholds, ci_level, stream, echo = _prediction_settings(args)
     archive = model_io.load_model(args.model)
     dataset = data.load_csv(args.data, name=args.dataset_name or None)  # "" names it by the file stem
-    n, thresholds, ci_level, stream, echo = _prediction_settings(args, file_config)
     report = analytics.evaluate(archive.model, dataset, n, thresholds, stream, ci_level=ci_level)
     echo["variant"] = archive.model.variant
     path = _out_dir(args) / "report.json"
@@ -249,8 +217,7 @@ def _parse_means(text: str) -> list[tuple[float, ...]]:
 
 
 def cmd_synth(args) -> int:
-    file_config = _load_file_config(args)
-    seed = _resolve(args.seed, file_config, "seed", 0, int)
+    seed = _settings(args, {"seed": TrainConfig.seed})["seed"]
     means = _parse_means(args.means)
     dataset = data.synth_blobs(args.n_per_class, means, args.sigma, seed, name=args.name)
 
@@ -288,9 +255,20 @@ def cmd_synth(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="RNG seed (overrides config file)")
-    common.add_argument("--config", default=None, help="flat key = value config file")
     common.add_argument("--out", default="out", help="output directory (default: out)")
+    configured = argparse.ArgumentParser(add_help=False, parents=[common])
+    configured.add_argument("--seed", type=int, default=None, help="RNG seed (overrides config file)")
+    configured.add_argument("--config", default=None, help="flat key = value config file")
+    predicting = argparse.ArgumentParser(add_help=False, parents=[configured])
+    predicting.add_argument("--model", required=True)
+    predicting.add_argument("--data", required=True)
+    predicting.add_argument("--n", dest="mc_samples_predict", type=int, default=None,
+                            help=f"MC draws (default {TrainConfig.mc_samples_predict})")
+    predicting.add_argument("--workers", type=int, default=1, help="accepted for compatibility; has no "
+                            "effect, results are deterministic by construction")
+    predicting.add_argument("--uncertainty-threshold", type=float, default=None)
+    predicting.add_argument("--confidence-threshold", type=float, default=None)
+    predicting.add_argument("--ci-level", type=float, default=None)
 
     parser = argparse.ArgumentParser(
         prog="bayeshead",
@@ -298,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train", parents=[common], help="train a head and save the best checkpoint")
+    p = sub.add_parser("train", parents=[configured], help="train a head and save the best checkpoint")
     p.add_argument("--data", required=True, help="training dataset CSV")
     p.add_argument("--val", default=None, help="validation CSV (default: the training set)")
     p.add_argument("--baseline", action="store_true", help="train the deterministic head")
@@ -308,25 +286,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hidden-dim", type=int, default=None)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("predict", parents=[common], help="per-row prediction records")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--n", type=int, default=None, help="MC draws (default 50)")
-    p.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
-    p.add_argument("--uncertainty-threshold", type=float, default=None)
-    p.add_argument("--confidence-threshold", type=float, default=None)
-    p.add_argument("--ci-level", type=float, default=None)
+    p = sub.add_parser("predict", parents=[predicting], help="per-row prediction records")
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("eval", parents=[common], help="dataset-level evaluation report")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
+    p = sub.add_parser("eval", parents=[predicting], help="dataset-level evaluation report")
     p.add_argument("--dataset-name", default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
-    p.add_argument("--uncertainty-threshold", type=float, default=None)
-    p.add_argument("--confidence-threshold", type=float, default=None)
-    p.add_argument("--ci-level", type=float, default=None)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("analyze", parents=[common], help="KDE and entropy histograms from a report")
@@ -342,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--names", nargs="+", default=None)
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("synth", parents=[common], help="generate a synthetic dataset CSV")
+    p = sub.add_parser("synth", parents=[configured], help="generate a synthetic dataset CSV")
     p.add_argument("--n-per-class", type=int, required=True)
     p.add_argument("--means", required=True, help='per-class means, e.g. "-2,0;2,0"')
     p.add_argument("--sigma", type=float, default=1.0)

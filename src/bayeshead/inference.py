@@ -22,6 +22,8 @@ from .errors import NumericError, VariantError
 from .network import HeadModel, dense_forward
 from .rng import RngStream
 
+CI_LEVEL = 0.95  # default credible-interval level of every prediction path and the CLI
+
 
 @dataclass
 class PredictiveResult:
@@ -82,7 +84,7 @@ def credible_interval(samples, level: float) -> tuple[float, float]:
     return float(low), float(high)
 
 
-def summarize_block(sample_probs, level: float = 0.95) -> list[PredictiveResult]:
+def summarize_block(sample_probs, level: float = CI_LEVEL) -> list[PredictiveResult]:
     """The predictive summary of each row of an (N, n_draws, n_classes) block.
 
     Each statistic is one reduction over the draw axis of the whole block,
@@ -114,7 +116,7 @@ def summarize_block(sample_probs, level: float = 0.95) -> list[PredictiveResult]
     ]
 
 
-def predictive_from_samples(sample_probs, level: float = 0.95) -> PredictiveResult:
+def predictive_from_samples(sample_probs, level: float = CI_LEVEL) -> PredictiveResult:
     """Assemble the predictive summary from an (n, n_classes) draw matrix:
     the one-row case of ``summarize_block``."""
     probs = np.asarray(sample_probs, dtype=np.float64)
@@ -163,7 +165,7 @@ def predict_mc(
     n: int,
     stream: RngStream,
     workers: int = 1,
-    level: float = 0.95,
+    level: float = CI_LEVEL,
 ) -> PredictiveResult:
     """n-draw Monte Carlo prediction for one input.
 
@@ -174,7 +176,7 @@ def predict_mc(
     return predictive_from_samples(probs[0], level)
 
 
-def predict_deterministic(model: HeadModel, x, level: float = 0.95) -> PredictiveResult:
+def predict_deterministic(model: HeadModel, x, level: float = CI_LEVEL) -> PredictiveResult:
     """Single-pass prediction (posterior mean / point weights); zero variance."""
     probs = stacked_probs(model, [x], *point_weights(model))
     return predictive_from_samples(probs[0], level)

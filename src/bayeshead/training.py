@@ -106,12 +106,12 @@ class TrainConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         merged = {**base, **mapping}
-        values = {name: _parse_like(default, merged[name]) for name, default in base.items()}
+        values = {name: parse_like(default, merged[name]) for name, default in base.items()}
         prior = SpikeSlabPrior(**{f.name: values.pop(f"prior_{f.name}") for f in fields(SpikeSlabPrior)})
         return cls(prior=prior, **values)
 
 
-def _parse_like(default, raw):
+def parse_like(default, raw):
     """``raw`` (a value or its text) parsed to the type of ``default``."""
     if isinstance(default, bool):
         return _parse_bool(raw)

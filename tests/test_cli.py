@@ -8,6 +8,7 @@ from bayeshead import (
     ArchiveError,
     FeatureDataset,
     ModelArchive,
+    ReferralThresholds,
     SpikeSlabPrior,
     TrainConfig,
     init_bayes_model,
@@ -17,6 +18,7 @@ from bayeshead import (
     synth_blobs,
 )
 from bayeshead.cli import parse_config_file, run
+from bayeshead.inference import CI_LEVEL
 
 BLOBS = [(-2.0, 0.0), (2.0, 0.0)]
 
@@ -410,3 +412,128 @@ def test_empty_dataset_name_means_the_file_stem(cli_data, trained, tmp_path):
     ])
     assert rc == 0
     assert json.loads((tmp_path / "report.json").read_text())["dataset_name"] == "test"
+
+
+class TestSettingsResolver:
+    def _predict_and_eval(self, trained, cli_data, out, args):
+        common = ["--model", str(trained / "bayes" / "model.json"), "--data", str(cli_data / "test.csv"), *args]
+        assert run(["predict", *common, "--out", str(out / "p")]) == 0
+        assert run(["eval", *common, "--out", str(out / "e")]) == 0
+        header = json.loads((out / "p" / "predictions.jsonl").read_text().splitlines()[0])
+        config = json.loads((out / "e" / "report.json").read_text())["config"]
+        return header, config
+
+    def test_prediction_file_values_with_a_flag_override(self, cli_data, trained, tmp_path):
+        cfg = tmp_path / "predict.cfg"
+        # epochs is a training key: legal in the file every command reads
+        cfg.write_text("mc_samples_predict = 7\nuncertainty_threshold = 0.2\nconfidence_threshold = 0.6\n"
+                       "ci_level = 0.8\nseed = 5\nepochs = 3\n")
+        args = ["--config", str(cfg), "--n", "9"]
+        header, config = self._predict_and_eval(trained, cli_data, tmp_path / "file", args)
+        expected = {"seed": 5, "mc_samples": 9, "uncertainty_threshold": 0.2,
+                    "confidence_threshold": 0.6, "ci_level": 0.8}
+        assert {k: header[k] for k in expected} == expected
+        assert config == {**expected, "variant": "bayesian"}
+        flags = ["--seed", "5", "--n", "9", "--uncertainty-threshold", "0.2",
+                 "--confidence-threshold", "0.6", "--ci-level", "0.8"]
+        self._predict_and_eval(trained, cli_data, tmp_path / "flags", flags)
+        for artifact in ("p/predictions.jsonl", "e/report.json"):
+            assert (tmp_path / "file" / artifact).read_bytes() == (tmp_path / "flags" / artifact).read_bytes()
+
+    def test_prediction_defaults_come_from_their_owners(self, cli_data, trained, tmp_path):
+        header, config = self._predict_and_eval(trained, cli_data, tmp_path, [])
+        expected = {"seed": TrainConfig().seed, "mc_samples": TrainConfig().mc_samples_predict,
+                    "uncertainty_threshold": ReferralThresholds().uncertainty,
+                    "confidence_threshold": ReferralThresholds().confidence, "ci_level": CI_LEVEL}
+        assert {k: header[k] for k in expected} == expected
+        assert config == {**expected, "variant": "bayesian"}
+
+    def test_flag_beats_an_out_of_range_file_value(self, cli_data, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("epochs = -1\nhidden_dim = 4\n")
+        rc = run(["train", "--data", str(cli_data / "train.csv"), "--config", str(cfg),
+                  "--epochs", "1", "--out", str(tmp_path / "out")])
+        assert rc == 0
+        assert load_model(tmp_path / "out" / "model.json").train_config["epochs"] == 1
+
+    @pytest.mark.parametrize("text, keys", [
+        ("epoch = 1\nhiden_dim = 4\n", ["epoch", "hiden_dim"]),
+        ("uncertainty_treshold = 0.9\n", ["uncertainty_treshold"]),
+    ])
+    @pytest.mark.parametrize("command", ["train", "predict", "eval", "synth"])
+    def test_unknown_key_exits_2_and_writes_nothing(self, command, text, keys, cli_data, trained, tmp_path,
+                                                    capsys):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text(text)
+        args = {
+            "train": ["--data", str(cli_data / "train.csv")],
+            "predict": ["--model", str(trained / "bayes" / "model.json"), "--data", str(cli_data / "test.csv")],
+            "eval": ["--model", str(trained / "bayes" / "model.json"), "--data", str(cli_data / "test.csv")],
+            "synth": ["--n-per-class", "4", "--means=-2,0;2,0"],
+        }[command]
+        rc = run([command, *args, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and all(repr(k) in err for k in keys)
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze", "--report", "report.json"],
+    ["compare", "--bayes", "a.json", "--baseline", "b.json"],
+])
+@pytest.mark.parametrize("flag", [["--seed", "1"], ["--config", "run.cfg"]])
+def test_report_commands_reject_seed_and_config(command, flag, capsys):
+    with pytest.raises(SystemExit) as e:
+        run([*command, *flag])
+    assert e.value.code == 2
+    assert flag[0] in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def good_report_doc(cli_data, trained, tmp_path_factory):
+    out = tmp_path_factory.mktemp("typed_report")
+    assert run([
+        "eval", "--model", str(trained / "bayes" / "model.json"),
+        "--data", str(cli_data / "test.csv"), "--seed", "7", "--n", "8", "--out", str(out),
+    ]) == 0
+    return json.loads((out / "report.json").read_text())
+
+
+class TestMistypedReport:
+    EDITS = {
+        "records_not_a_list": ("records", lambda doc: doc.update(records=5)),
+        "accuracy_text": ("accuracy", lambda doc: doc.update(accuracy="x")),
+        "n_classes_text": ("n_classes", lambda doc: doc.update(n_classes="x")),
+        "mc_samples_bool": ("mc_samples", lambda doc: doc.update(mc_samples=True)),
+        "confusion_wrong_shape": ("confusion", lambda doc: doc.update(confusion=[[1, 2, 3]])),
+        "confusion_ragged": ("confusion", lambda doc: doc.update(confusion=[[1, 2], [3]])),
+        "confusion_floats": ("confusion", lambda doc: doc["confusion"][0].__setitem__(0, 1.5)),
+        "record_label_text": ("label", lambda doc: doc["records"][0].update(label="0")),
+    }
+
+    @pytest.fixture(params=sorted(EDITS))
+    def bad_report(self, request, good_report_doc, tmp_path):
+        field, edit = self.EDITS[request.param]
+        doc = json.loads(json.dumps(good_report_doc))
+        edit(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        return path, field
+
+    def test_analyze_exits_2(self, bad_report, tmp_path, capsys):
+        path, field = bad_report
+        assert run(["analyze", "--report", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"'{field}'" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_compare_exits_2(self, bad_report, good_report_doc, tmp_path, capsys):
+        path, field = bad_report
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps(good_report_doc))
+        rc = run(["compare", "--bayes", str(good), "--baseline", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"'{field}'" in err
+        assert not (tmp_path / "out").exists()
