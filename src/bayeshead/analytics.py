@@ -91,7 +91,8 @@ class PredictionRecord:
     action: str
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields by name; the lists are shared, not copied, as serializing only reads them."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "PredictionRecord":

@@ -118,6 +118,8 @@ def _prediction_settings(args):
     plus the echo of the settings that fix their output."""
     settings = _settings(args, _PREDICTION_DEFAULTS)
     n, ci_level = settings["mc_samples_predict"], settings["ci_level"]
+    if n < 1:  # the baseline never draws, so nothing downstream would catch it
+        raise ValueError(f"--n (mc_samples_predict) must be >= 1, got {n}")
     thresholds = ReferralThresholds(settings["uncertainty_threshold"], settings["confidence_threshold"])
     echo = {"mc_samples" if k == "mc_samples_predict" else k: v for k, v in settings.items()}
     return n, thresholds, ci_level, RngStream(settings["seed"]).derive(_PREDICT_STREAM_KEY), echo

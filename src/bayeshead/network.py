@@ -29,6 +29,7 @@ from .errors import NumericError, VariantError
 from .rng import RngStream
 
 _LOG_CLAMP = float(np.log(1e-300))
+_ROW_BLOCK = 1024  # rows per block of a large mean_forward
 
 _ACTIVATIONS = ("relu", "identity")
 
@@ -133,8 +134,22 @@ def bayes_forward(model: HeadModel, x, stream: RngStream) -> tuple[np.ndarray, W
 
 
 def mean_forward(model: HeadModel, x) -> np.ndarray:
-    """Deterministic logits: posterior-mean weights for the bayesian variant."""
-    return batch_forward(model, x, mean_sample(model.output.params) if model.is_bayesian else None)
+    """Deterministic logits: posterior-mean weights for the bayesian variant.
+
+    A batch of more than ``_ROW_BLOCK`` rows goes through in blocks of that
+    many, so a large set's hidden activations never all live at once.  A
+    one-row tail joins the block before it: numpy multiplies a single row by
+    another BLAS routine (gemv), which can give other bits.
+    """
+    w, b = _output_weights(model, mean_sample(model.output.params) if model.is_bayesian else None)
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or len(x) <= _ROW_BLOCK:
+        return _forward(model, x, w, b)[1]
+    bounds = [*range(0, len(x) - 1, _ROW_BLOCK), len(x)]
+    logits = np.empty((len(x), w.shape[1]))
+    for lo, hi in zip(bounds, bounds[1:]):
+        logits[lo:hi] = _forward(model, x[lo:hi], w, b)[1]
+    return logits
 
 
 def batch_forward(model: HeadModel, features: np.ndarray, sample=None) -> np.ndarray:

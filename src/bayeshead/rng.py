@@ -9,6 +9,14 @@ turned into normals by Box-Muller.  A stream's seed and stream keys are
 computed once per (seed, stream_id) and kept in a small cache, so a
 draw of a few hundred words pays for little besides the words.
 
+``child_normals`` blocks are memoized too: prediction reads the same
+(n, k) block of child-stream normals on every call, since it never
+advances its stream.  The memo sits beneath ``RngStream.normal``, so
+every variate still goes through that one entry point and a hit still
+consumes (advances the counter by) the words it stands for.  It keeps at
+most 8 read-only blocks, 8 * n * k * 8 bytes: about 53 KB a block at
+n=50, k=132.
+
 Conventions: a stream object is either *drawn from* (advancing its
 counter) or *derived from* (pure, counter untouched) -- never both for
 the same purpose.  Parallel tasks must each own a derived child stream.
@@ -91,10 +99,13 @@ class RngStream:
         """Draw n standard normals, consuming 2n words."""
         if n < 1:
             raise ValueError("normal draw count must be >= 1")
-        return _box_muller(self._take(2 * n))
+        return self._normals(n)
 
     def child_normals(self, n: int, k: int) -> np.ndarray:
-        """(n, k) normals whose row i is ``self.derive(i).normal(k)``; does not advance self."""
+        """(n, k) normals whose row i is ``self.derive(i).normal(k)``; does not advance self.
+
+        The block is read-only: repeated calls share one memoized array.
+        """
         if n < 1 or k < 1:
             raise ValueError("child normal counts must be >= 1")
         return _Children(self.seed, self.stream_id, rows=n).normal(n * k)
@@ -122,6 +133,10 @@ class RngStream:
         """Serializable snapshot; feed back as RngStream(**state) to resume."""
         return {"seed": self.seed, "stream_id": self.stream_id, "counter": self.counter}
 
+    def _normals(self, n: int) -> np.ndarray:
+        """The next n normals of this stream."""
+        return _box_muller(self._take(2 * n))
+
     def _take(self, count: int) -> np.ndarray:
         """The next ``count`` words of this stream."""
         w = _words(_stream_keys(self.seed, self.stream_id), self.counter, count)[0]
@@ -129,14 +144,24 @@ class RngStream:
         return w
 
 
+@lru_cache(maxsize=8)
+def _child_block(seed: int, stream_id: int, rows: int, counter: int, k: int) -> np.ndarray:
+    """(rows, k) normals, row i from word ``counter`` of child stream i; read-only, as callers share it."""
+    ids = _child_ids(_u64(stream_id), np.arange(rows, dtype=np.uint64))
+    block = _box_muller(_words(_keys(seed, ids), counter, 2 * k))
+    block.setflags(write=False)
+    return block
+
+
 @dataclass
 class _Children(RngStream):
-    """Child streams 0 .. rows-1 read as one stream, one row of words each, so ``normal`` can draw them."""
+    """Child streams 0 .. rows-1 read as one stream, one row of words each, so ``normal`` can draw them;
+    their normals come from the ``_child_block`` memo."""
 
     rows: int = 1
 
-    def _take(self, count: int) -> np.ndarray:
-        ids = _child_ids(_u64(self.stream_id), np.arange(self.rows, dtype=np.uint64))
-        w = _words(_keys(self.seed, ids), self.counter, count // self.rows)
-        self.counter += count // self.rows
-        return w
+    def _normals(self, n: int) -> np.ndarray:
+        k = n // self.rows
+        block = _child_block(self.seed, self.stream_id, self.rows, self.counter, k)
+        self.counter += 2 * k
+        return block

@@ -11,8 +11,9 @@ identical update path, so forcing sigma = 0 and dropping the KL reproduces
 the baseline bit for bit.  Both heads draw their initial weights through one
 ``_init_layers``, so the baseline's output weights are the bayesian head's
 initial mu; validation runs ``network.mean_forward``, the logits path that
-training's passes use; and the checkpoint keeps the first epoch with the
-lowest of a lower-is-better value (val_nll, or -val_accuracy).
+training's passes use, 1024 rows at a time; and the checkpoint keeps the
+first epoch with the lowest of a lower-is-better value (val_nll, or
+-val_accuracy).
 
 The parameter groups live as views in one contiguous buffer, so the update
 is one optimizer call over the concatenated gradients and the best-epoch

@@ -456,6 +456,26 @@ class TestSettingsResolver:
         assert rc == 0
         assert load_model(tmp_path / "out" / "model.json").train_config["epochs"] == 1
 
+    @pytest.mark.parametrize("head", ["bayes", "base"])
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    @pytest.mark.parametrize("source", [["--n", "-3"], ["--n", "0"], ["--config", "n.cfg"]])
+    def test_draw_count_below_one_exits_2_naming_it(self, source, command, head, cli_data, trained, tmp_path,
+                                                    capsys):
+        (tmp_path / "n.cfg").write_text("mc_samples_predict = 0\n")
+        source = [str(tmp_path / a) if a.endswith(".cfg") else a for a in source]
+        rc = run([command, "--model", str(trained / head / "model.json"), "--data", str(cli_data / "test.csv"),
+                  *source, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--n" in err and "mc_samples_predict" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_draw_count_is_checked_before_the_model_loads(self, cli_data, tmp_path, capsys):
+        rc = run(["eval", "--model", str(tmp_path / "absent.json"), "--data", str(cli_data / "test.csv"),
+                  "--n", "0", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "mc_samples_predict" in capsys.readouterr().err
+
     @pytest.mark.parametrize("text, keys", [
         ("epoch = 1\nhiden_dim = 4\n", ["epoch", "hiden_dim"]),
         ("uncertainty_treshold = 0.9\n", ["uncertainty_treshold"]),

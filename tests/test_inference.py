@@ -24,6 +24,7 @@ from bayeshead import (
     predict_mc,
     predictive_from_samples,
     referral_decision,
+    rng,
     softmax,
 )
 from bayeshead.inference import point_weights, posterior_draws, stacked_probs, summarize_block
@@ -206,6 +207,25 @@ class TestPredictMc:
         assert stream.counter == 0
         b = predict_mc(tiny_bayes, x, 20, stream)
         assert np.array_equal(a.sample_probs, b.sample_probs)
+
+    def test_memoized_noise_gives_the_same_bits_and_follows_the_weights(self, tiny_bayes):
+        x = np.array([-0.5, 0.3])
+        stream = RngStream(9).derive(4)
+        rng._child_block.cache_clear()
+        miss = predict_mc(tiny_bayes, x, 20, stream)
+        hit = predict_mc(tiny_bayes, x, 20, stream)
+        assert rng._child_block.cache_info().hits == 1
+        for field in ("sample_probs", "mean_probs", "var_probs", "ci_low", "ci_high"):
+            assert getattr(miss, field).tobytes() == getattr(hit, field).tobytes()
+        assert (miss.entropy_bits, miss.uncertainty_scalar) == (hit.entropy_bits, hit.uncertainty_scalar)
+        # the memo holds noise only: weights updated in place change the next prediction
+        model = init_bayes_model(2, 2, TrainConfig(hidden_dim=4, seed=1))
+        before = predict_mc(model, x, 20, stream).sample_probs
+        model.output.params.mu += 0.5
+        after = predict_mc(model, x, 20, stream).sample_probs
+        assert not np.array_equal(before, after)
+        w, b = posterior_draws(model, 20, stream)
+        assert after.tobytes() == stacked_probs(model, [x], w, b)[0].tobytes()
 
     def test_workers_do_not_change_bits(self, tiny_bayes):
         x = np.array([0.7, -1.2])

@@ -373,3 +373,20 @@ class TestLinearOutput:
         logits = mean_forward(model, features)
         assert logits.tobytes() == batch_forward(model, features, sample).tobytes()
         assert backward(model, features, labels, sample, 0.0).nll == batch_nll(logits, labels)
+
+
+class TestMeanForwardBlocks:
+    @pytest.mark.parametrize("rows, blocks", [
+        (1024, [1024]), (1025, [1025]), (1026, [1024, 2]), (2049, [1024, 1025]), (3000, [1024, 1024, 952]),
+    ])
+    @pytest.mark.parametrize("variant", ["bayesian", "baseline"])
+    def test_rows_go_in_blocks_with_a_one_row_tail_joined(self, rows, blocks, variant):
+        # a single row would go through gemv, which gives other bits than gemm at these widths
+        config = TrainConfig(hidden_dim=32, seed=4)
+        model = (init_bayes_model if variant == "bayesian" else init_baseline_model)(32, 2, config)
+        features = RngStream(8).normal(rows * 32).reshape(rows, 32)
+        sample = mean_sample(model.output.params) if model.is_bayesian else None
+        bounds = np.cumsum([0, *blocks])
+        expected = np.concatenate([batch_forward(model, features[lo:hi], sample)
+                                   for lo, hi in zip(bounds, bounds[1:])])
+        assert mean_forward(model, features).tobytes() == expected.tobytes()

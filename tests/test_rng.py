@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bayeshead import RngStream
+from bayeshead import RngStream, rng
 
 
 def test_same_seed_and_stream_repeat():
@@ -97,6 +97,52 @@ def test_child_normals_rows_equal_derived_streams(stream_id, keys):
     assert block.shape == (12, 7)
     for i in range(12):
         assert block[i].tobytes() == parent.derive(i).normal(7).tobytes()
+
+
+class TestChildNormalsMemo:
+    def test_hit_and_miss_rows_equal_derived_streams(self):
+        rng._child_block.cache_clear()
+        parent = RngStream(23, 9)
+        miss = parent.child_normals(6, 5)
+        hit = parent.child_normals(6, 5)
+        info = rng._child_block.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert hit is miss
+        for i in range(6):
+            assert hit[i].tobytes() == parent.derive(i).normal(5).tobytes()
+
+    def test_block_is_read_only(self):
+        block = RngStream(23, 9).child_normals(3, 4)
+        assert not block.flags.writeable
+        with pytest.raises(ValueError):
+            block[0, 0] = 0.0
+
+    def test_seed_stream_rows_and_width_each_key_an_entry(self):
+        rng._child_block.cache_clear()
+        blocks = [
+            RngStream(1, 2).child_normals(3, 4),
+            RngStream(5, 2).child_normals(3, 4),
+            RngStream(1, 6).child_normals(3, 4),
+            RngStream(1, 2).child_normals(7, 4),
+            RngStream(1, 2).child_normals(3, 8),
+        ]
+        assert rng._child_block.cache_info().currsize == len(blocks)
+        assert [b.shape for b in blocks] == [(3, 4)] * 3 + [(7, 4), (3, 8)]
+        assert not np.array_equal(blocks[0], blocks[1])
+        assert not np.array_equal(blocks[0], blocks[2])
+        # more rows or a wider block extend the smaller one: row i is still derive(i)
+        assert np.array_equal(blocks[3][:3], blocks[0])
+        assert np.array_equal(blocks[4][:, :4], blocks[0])
+
+    def test_counter_keys_an_entry(self):
+        # drawn twice, the children stream on: the second block is words 2k .. 4k-1 of each child
+        rng._child_block.cache_clear()
+        children = rng._Children(31, 4, rows=3)
+        first, second = children.normal(3 * 5), children.normal(3 * 5)
+        assert children.counter == 20
+        for i in range(3):
+            both = RngStream(31, 4).derive(i).normal(10)
+            assert np.concatenate([first[i], second[i]]).tobytes() == both.tobytes()
 
 
 def test_child_normals_rejects_empty_shapes():

@@ -5,7 +5,9 @@ import math
 import sys
 from pathlib import Path
 
-from bayeshead import TrainConfig, distributions, network, train_bayes, training
+import numpy as np
+
+from bayeshead import RngStream, TrainConfig, distributions, network, predict_mc, rng, train_bayes, training
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -54,3 +56,21 @@ def test_shared_sample_epoch_makes_one_call_of_each_per_step(monkeypatch, tiny_t
     train_bayes(train, val, config)
     steps = math.ceil(len(train) / config.batch_size)
     assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(calls, steps)
+
+
+def test_memoized_prediction_still_draws_through_normal(monkeypatch, tiny_bayes):
+    # the tracer counts words where it wraps RngStream.normal; a memo hit must still pass through it
+    draws = []
+    normal = RngStream.normal
+
+    def counted(self, n):
+        draws.append(n)
+        return normal(self, n)
+
+    monkeypatch.setattr(RngStream, "normal", counted)
+    rng._child_block.cache_clear()
+    n, k = 20, len(tiny_bayes.output.params)
+    for _ in range(3):
+        predict_mc(tiny_bayes, np.array([0.1, -0.4]), n, RngStream(6).derive(4))
+    assert rng._child_block.cache_info().hits == 2
+    assert draws == [n * k] * 3
