@@ -5,8 +5,13 @@ spike-and-slab prior) trained by minimizing summed NLL + KL, evaluated
 with Monte Carlo predictive draws, and wired to entropy / credible
 interval / referral analytics.  A deterministic point-weight head with
 the identical training loop serves as the generalization baseline.
+
+Importing the package fixes glibc's mmap and trim thresholds, so resident
+memory does not depend on where earlier large arrays landed in the heap
+(see ``_alloc``).
 """
 
+from ._alloc import pin_malloc_thresholds
 from .analytics import (
     ComparisonRow,
     EntropyHistogram,
@@ -86,3 +91,5 @@ from .training import (
 )
 
 __version__ = "0.1.0"
+
+pin_malloc_thresholds()
