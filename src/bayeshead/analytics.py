@@ -8,7 +8,7 @@ uncertainty values, entropy-bin histograms split by correctness, and the
 bayesian-vs-baseline comparison table.  Reports and records serialize from
 their dataclass fields; reading one back raises ValueError naming the
 field for a document that is not an object, lacks a field or holds one of
-the wrong type or shape, so a malformed report is an input error.
+the wrong type, shape or range, so a malformed report is an input error.
 """
 
 from __future__ import annotations
@@ -95,8 +95,17 @@ class PredictionRecord:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "PredictionRecord":
-        return cls(**_field_values(cls, d))
+    def from_dict(cls, d: dict, n_classes: int) -> "PredictionRecord":
+        """The record of an ``n_classes``-class report; ValueError naming a class index
+        outside [0, n_classes) or a per-class list of another length."""
+        record = cls(**_field_values(cls, d))
+        for name in ("label", "predicted_class"):
+            if not 0 <= (v := getattr(record, name)) < n_classes:
+                raise ValueError(f"{cls.__name__} field {name!r} must lie in [0, {n_classes}), got {v}")
+        for name in ("mean_probs", "var_probs", "ci_low", "ci_high"):
+            if len(v := getattr(record, name)) != n_classes:
+                raise ValueError(f"{cls.__name__} field {name!r} must hold {n_classes} values, got {len(v)}")
+        return record
 
 
 @dataclass
@@ -129,6 +138,11 @@ class EvalReport:
         if isinstance(d, dict) and (version := d.get("schema_version")) != REPORT_SCHEMA_VERSION:
             raise ValueError(f"unsupported report schema_version {version}; expected {REPORT_SCHEMA_VERSION}")
         values = _field_values(cls, d)
+        for name in ("accuracy", "referral_rate"):
+            if not 0.0 <= values[name] <= 1.0:
+                raise ValueError(f"EvalReport field {name!r} must lie in [0, 1], got {values[name]}")
+        if values["mc_samples"] < 1:
+            raise ValueError(f"EvalReport field 'mc_samples' must be >= 1, got {values['mc_samples']}")
         c = values["n_classes"]
         try:
             confusion = np.asarray(values["confusion"])
@@ -136,8 +150,10 @@ class EvalReport:
             confusion = None
         if confusion is None or confusion.shape != (c, c) or confusion.dtype.kind != "i":
             raise ValueError(f"EvalReport field 'confusion' must be an integer ({c}, {c}) matrix")
+        if (confusion < 0).any():
+            raise ValueError("EvalReport field 'confusion' holds a negative count")
         values["confusion"] = confusion.astype(np.int64)
-        values["records"] = [PredictionRecord.from_dict(r) for r in values["records"]]
+        values["records"] = [PredictionRecord.from_dict(r, c) for r in values["records"]]
         return cls(**values)
 
 

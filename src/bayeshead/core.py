@@ -14,7 +14,7 @@ def softmax(logits, axis: int = -1) -> np.ndarray:
     x = np.asarray(logits, dtype=np.float64)
     if x.size == 0:
         raise ValueError("softmax of empty input")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("softmax input must be finite")
     e = np.exp(x - x.max(axis=axis, keepdims=True))
     return e / e.sum(axis=axis, keepdims=True)

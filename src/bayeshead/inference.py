@@ -6,14 +6,16 @@ uncertainty signal.  Draw i uses the weights of the child stream keyed by
 i, so all rows share one stack of n weight sets, and ``stacked_probs``
 forms each row's products on their own: a row gets the same bits alone
 or in a block of any size.  ``summarize_block`` turns a block's draws into
-per-row summaries with one reduction per statistic and one percentile call
-for both interval bounds; a single row is its one-row case, so a summary
-also has the same bits alone or in a block.
+per-row summaries with one reduction per statistic and one sort for both
+interval bounds, read off with numpy's linear percentile rule; a single row
+is its one-row case, so a summary also has the same bits alone or in a
+block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -52,7 +54,7 @@ class ReferralThresholds:
 
 def _require_simplex(p: np.ndarray, message: str) -> None:
     """Every vector along the last axis is a probability vector, to tolerance; NaN fails the checks."""
-    if not (np.all(p >= -1e-12) and np.all(np.abs(p.sum(axis=-1) - 1.0) <= 1e-6)):
+    if not ((p >= -1e-12).all() and (np.abs(p.sum(axis=-1) - 1.0) <= 1e-6).all()):
         raise ValueError(message)
 
 
@@ -75,7 +77,11 @@ def entropy_bits(probs) -> float:
 
 
 def credible_interval(samples, level: float) -> tuple[float, float]:
-    """Empirical percentile interval with linear interpolation."""
+    """Empirical percentile interval with linear interpolation, through ``np.percentile``.
+
+    The independent reference for the sorted-rank bounds of ``summarize_block``;
+    a NaN sample gives NaN bounds rather than an error.
+    """
     s = np.asarray(samples, dtype=np.float64)
     if s.size == 0:
         raise ValueError("credible interval of empty samples")
@@ -84,12 +90,31 @@ def credible_interval(samples, level: float) -> tuple[float, float]:
     return float(low), float(high)
 
 
+@lru_cache(maxsize=64)
+def _interval_ranks(n: int, tail: float) -> tuple[tuple[int, int, float], ...]:
+    """The two ranks and the weight of the lower and upper bound over n sorted draws,
+    by numpy's linear percentile rule: virtual index (n - 1) * q, ranks its floor and
+    floor + 1, both -1 at or past the last draw, weight the index less the floor."""
+    index = (n - 1) * np.true_divide([tail, 100.0 - tail], 100)
+    lower = np.floor(index)
+    upper = lower + 1
+    past = index >= n - 1
+    lower[past] = upper[past] = -1
+    return tuple(zip(lower.astype(int).tolist(), upper.astype(int).tolist(), (index - lower).tolist()))
+
+
+def _lerp(a: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:
+    """numpy's percentile interpolation with a scalar weight, so a bound has the bits of ``np.percentile``."""
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+
+
 def summarize_block(sample_probs, level: float = CI_LEVEL) -> list[PredictiveResult]:
     """The predictive summary of each row of an (N, n_draws, n_classes) block.
 
     Each statistic is one reduction over the draw axis of the whole block,
-    and both interval bounds come from one percentile call; row i gets the
-    same bits as the summary of ``sample_probs[i]`` alone.
+    and both interval bounds come from one sort of it; row i gets the same
+    bits as the summary of ``sample_probs[i]`` alone, and each bound the bits
+    of ``np.percentile`` over the row's draws.
     """
     probs = np.asarray(sample_probs, dtype=np.float64)
     if probs.ndim != 3 or probs.shape[1] < 1 or probs.shape[2] < 2:
@@ -99,15 +124,17 @@ def summarize_block(sample_probs, level: float = CI_LEVEL) -> list[PredictiveRes
     n = probs.shape[1]
     mean = probs.sum(axis=1) / n  # fixed-order reduction
     var = ((probs - mean[:, None]) ** 2).sum(axis=1) / n  # population variance, 1/n
-    lows, highs = np.percentile(probs, [tail, 100.0 - tail], axis=1)
+    ordered = np.sort(probs, axis=1)
+    lows, highs = (_lerp(ordered[:, lo], ordered[:, hi], t) for lo, hi, t in _interval_ranks(n, tail))
     _require_simplex(mean, "input is not a probability vector")
     p = np.clip(mean, 0.0, 1.0)
     positive = p > 0.0
     entropy = (-(p * np.log2(np.where(positive, p, 1.0))).sum(axis=1)).tolist()
     # entropy_bits sums only the nonzero terms; a zero term would change numpy's
     # pairwise summation order once there are 8 or more, so those rows go through it
-    for i in np.flatnonzero(~positive.all(axis=1)):
-        entropy[i] = entropy_bits(mean[i])
+    if not positive.all():
+        for i in np.flatnonzero(~positive.all(axis=1)):
+            entropy[i] = entropy_bits(mean[i])
     classes = np.argmax(mean, axis=1).tolist()
     uncertainty = var.max(axis=1).tolist()
     return [
@@ -148,13 +175,13 @@ def stacked_probs(model: HeadModel, x, w: np.ndarray, b: np.ndarray) -> np.ndarr
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"rows must have shape (N, {model.feature_dim}), got {x.shape}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("input rows must be finite")
     # Row-stacked products: x @ w or einsum could give a row other bits in other block sizes.
     h = dense_forward(model.hidden, x[:, None, :])[:, 0]
     with np.errstate(over="ignore", invalid="ignore"):  # checked below, raised as NumericError
         logits = (h[:, None, None, :] @ w)[:, :, 0] + b
-    if not np.all(np.isfinite(logits)):
+    if not np.isfinite(logits).all():
         raise NumericError("prediction logits are not finite: the model weights overflow on these rows")
     return softmax(logits)
 

@@ -530,6 +530,17 @@ class TestMistypedReport:
         "confusion_ragged": ("confusion", lambda doc: doc.update(confusion=[[1, 2], [3]])),
         "confusion_floats": ("confusion", lambda doc: doc["confusion"][0].__setitem__(0, 1.5)),
         "record_label_text": ("label", lambda doc: doc["records"][0].update(label="0")),
+        "accuracy_above_one": ("accuracy", lambda doc: doc.update(accuracy=7.0)),
+        "referral_rate_negative": ("referral_rate", lambda doc: doc.update(referral_rate=-1.0)),
+        "mc_samples_negative": ("mc_samples", lambda doc: doc.update(mc_samples=-5)),
+        "confusion_negative": ("confusion", lambda doc: doc["confusion"][0].__setitem__(1, -3)),
+        "record_label_out_of_range": ("label", lambda doc: doc["records"][0].update(label=9)),
+        "record_predicted_class_negative": ("predicted_class",
+                                            lambda doc: doc["records"][0].update(predicted_class=-1)),
+        "record_mean_probs_short": ("mean_probs", lambda doc: doc["records"][0].update(mean_probs=[1.0])),
+        "record_var_probs_long": ("var_probs", lambda doc: doc["records"][0]["var_probs"].append(0.0)),
+        "record_ci_low_short": ("ci_low", lambda doc: doc["records"][0]["ci_low"].pop()),
+        "record_ci_high_empty": ("ci_high", lambda doc: doc["records"][0].update(ci_high=[])),
     }
 
     @pytest.fixture(params=sorted(EDITS))

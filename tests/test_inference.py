@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bayeshead import (
@@ -400,6 +400,48 @@ class TestSummarizeBlock:
             assert np.float64(record.entropy_bits).tobytes() == ref["entropy_bits"].tobytes()
             assert np.float64(record.uncertainty).tobytes() == ref["uncertainty_scalar"].tobytes()
             assert record.predicted_class == ref["predicted_class"]
+
+
+@st.composite
+def draw_blocks(draw):
+    """Softmax draw blocks (rows, n, C): a class may be exactly 0 in every draw of a row,
+    and draws may be tied, by repeating a draw or by coarse logits."""
+    rows, n, c = draw(st.integers(1, 65)), draw(st.integers(1, 200)), draw(st.integers(2, 9))
+    logits = RngStream(draw(st.integers(0, 2**32))).normal(rows * n * c).reshape(rows, n, c) * 3.0
+    if draw(st.booleans()):
+        logits = np.round(logits)
+    if draw(st.booleans()):
+        logits[:, : draw(st.integers(1, n))] = logits[:, :1]
+    zero_rows = draw(st.integers(0, rows))
+    logits[:zero_rows, :, draw(st.integers(0, c - 1))] = -1000.0
+    return softmax(logits)
+
+
+class TestIntervalRule:
+    """The sorted-rank interval bounds against ``np.percentile`` on the installed numpy, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(draw_blocks(), st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)))
+    def test_bounds_equal_percentile(self, probs, level):
+        tail = 100.0 * (1.0 - level) / 2.0
+        low, high = np.percentile(probs, [tail, 100.0 - tail], axis=1)
+        results = summarize_block(probs, level)
+        assert np.array([r.ci_low for r in results]).tobytes() == low.tobytes()
+        assert np.array([r.ci_high for r in results]).tobytes() == high.tobytes()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -0.5, 0.7])
+    def test_bad_draw_raises_before_the_sort(self, monkeypatch, value):
+        probs = _draw_block(3, 20, 4, seed=8)
+        probs[2, 7, 1] = value
+
+        def no_sort(*args, **kwargs):
+            raise AssertionError("sorted draws that are not probability vectors")
+
+        monkeypatch.setattr(np, "sort", no_sort)
+        with pytest.raises(ValueError, match="^each draw must be a probability vector$"):
+            summarize_block(probs)
+        with pytest.raises(ValueError, match="^each draw must be a probability vector$"):
+            predictive_from_samples(probs[2])
 
 
 class TestNanRejected:

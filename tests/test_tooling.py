@@ -7,7 +7,18 @@ from pathlib import Path
 
 import numpy as np
 
-from bayeshead import RngStream, TrainConfig, distributions, network, predict_mc, rng, train_bayes, training
+from bayeshead import (
+    RngStream,
+    TrainConfig,
+    core,
+    distributions,
+    inference,
+    network,
+    predict_mc,
+    rng,
+    train_bayes,
+    training,
+)
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -56,6 +67,13 @@ def test_shared_sample_epoch_makes_one_call_of_each_per_step(monkeypatch, tiny_t
     train_bayes(train, val, config)
     steps = math.ceil(len(train) / config.batch_size)
     assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(calls, steps)
+
+
+def test_single_row_prediction_makes_one_summary_and_one_softmax_call(monkeypatch, tiny_bayes):
+    # the tracer's inference.summary_s and core.softmax_calls wrap these names; a path around them reads 0
+    calls = {fn.__name__: _count_calls(monkeypatch, fn) for fn in (inference.predictive_from_samples, core.softmax)}
+    predict_mc(tiny_bayes, np.array([0.1, -0.4]), 20, RngStream(6).derive(4))
+    assert {name: len(c) for name, c in calls.items()} == {"predictive_from_samples": 1, "softmax": 1}
 
 
 def test_memoized_prediction_still_draws_through_normal(monkeypatch, tiny_bayes):
