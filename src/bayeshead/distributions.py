@@ -40,11 +40,6 @@ class SpikeSlabPrior:
                 f"spike_sigma ({self.spike_sigma}) must not exceed slab_sigma ({self.slab_sigma})"
             )
 
-    @property
-    def is_degenerate(self) -> bool:
-        """True when the mixture collapses to a single Gaussian."""
-        return self.mix_weight in (0.0, 1.0) or self.spike_sigma == self.slab_sigma
-
 
 @dataclass
 class VariationalParams:
@@ -77,15 +72,6 @@ class WeightSample:
     theta: np.ndarray
     epsilon: np.ndarray
     sigma: np.ndarray
-
-
-def stack_samples(samples) -> WeightSample | None:
-    """A WeightSample (or None) as is; a sequence of draws of one posterior stacked row by row to (B, K)."""
-    if samples is None or isinstance(samples, WeightSample):
-        return samples
-    return WeightSample(
-        np.stack([s.theta for s in samples]), np.stack([s.epsilon for s in samples]), samples[0].sigma
-    )
 
 
 def gaussian_log_pdf(x, mean: float, sigma: float):

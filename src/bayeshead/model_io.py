@@ -23,13 +23,12 @@ class ModelArchive:
     model: HeadModel
     train_config: dict | None = None
     seed_provenance: dict | None = None
-    format_version: int = FORMAT_VERSION
 
 
 def save_model(archive: ModelArchive, path) -> None:
     model = archive.model
     doc: dict = {
-        "format_version": archive.format_version,
+        "format_version": FORMAT_VERSION,
         "variant": model.variant,
         "feature_dim": model.feature_dim,
         "hidden_dim": model.hidden_dim,
@@ -97,9 +96,4 @@ def load_model(path) -> ModelArchive:
         raise
     except (KeyError, TypeError, ValueError) as e:
         raise ArchiveError(f"corrupt model archive {path}: {e}") from None
-    return ModelArchive(
-        model=model,
-        train_config=doc.get("train_config"),
-        seed_provenance=doc.get("seed_provenance"),
-        format_version=version,
-    )
+    return ModelArchive(model, doc.get("train_config"), doc.get("seed_provenance"))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .distributions import (
     mean_sample,
     sample_weights,
     spike_slab_score,
-    stack_samples,
 )
 from .errors import NumericError, VariantError
 from .rng import RngStream
@@ -155,8 +154,8 @@ def mean_forward(model: HeadModel, x) -> np.ndarray:
 def batch_forward(model: HeadModel, features: np.ndarray, sample=None) -> np.ndarray:
     """Batch logits under a given weight sample (or point weights).
 
-    ``sample`` is a shared WeightSample, a per-example stack (B, K) or
-    sequence of them, or None for the baseline variant.
+    ``sample`` is a shared WeightSample, a per-example stack (B, K), or
+    None for the baseline variant.
     """
     return _forward(model, features, *_output_weights(model, sample))[1]
 
@@ -166,7 +165,6 @@ def _output_weights(model: HeadModel, sample) -> tuple[np.ndarray, np.ndarray]:
     unflattened, (H, C) and (C,) for a shared draw or (B, H, C) and (B, C) for a per-row stack."""
     if not model.is_bayesian:
         return model.output.weights, model.output.bias
-    sample = stack_samples(sample)
     if sample is None:
         raise VariantError("bayesian variant needs one shared weight sample or one per batch row")
     return model.output.unflatten(sample.theta)
@@ -215,24 +213,20 @@ class Gradients(dict):
         self.kl = kl
 
 
-Samples = Union[WeightSample, Sequence[WeightSample], None]
-
-
-def backward(model: HeadModel, features, labels, samples: Samples, kl_weight: float) -> Gradients:
+def backward(model: HeadModel, features, labels, samples: WeightSample | None, kl_weight: float) -> Gradients:
     """A training step's one pass: gradients of summed NLL + kl_weight * KL_estimate from one forward pass.
 
     Keyed by parameter group: hidden_w / hidden_b plus mu / rho (bayesian) or out_w / out_b
     (baseline); ``.nll`` and ``.kl`` are the loss parts, with the bits of ``training._elbo_parts``.
-    ``samples`` is one shared draw per batch, or one draw per row: a (B, K) stack or a sequence
-    of draws, whose gradients are summed; a bayesian head without one raises VariantError.  A
-    non-finite NLL raises NumericError naming the batch index; the gradients' finiteness is the
-    optimizer step's one check.
+    ``samples`` is one shared draw per batch, or a (B, K) stack of one draw per row, whose
+    gradients are summed; a bayesian head without one raises VariantError.  A non-finite NLL
+    raises NumericError naming the batch index; the gradients' finiteness is the optimizer
+    step's one check.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
     if features.ndim != 2 or features.shape[0] != labels.shape[0]:
         raise ValueError("features must be (batch, dim) matching labels")
-    samples = stack_samples(samples)
     w, b = _output_weights(model, samples)
     h, logits = _forward(model, features, w, b)
     logp = log_softmax(logits)

@@ -41,7 +41,6 @@ from .distributions import (
     mean_sample,
     sample_from_epsilon,
     sample_weights,
-    stack_samples,
 )
 from .errors import NumericError
 from .network import (
@@ -61,6 +60,8 @@ _SHUFFLE_STREAM = 1
 _EPS_STREAM = 2
 
 _FLAT = "params"  # the one group of the optimizer step over the flat parameter buffer
+_RMSPROP_DECAY = 0.9  # the running mean's weight on its previous value
+_RMSPROP_EPSILON = 1e-7  # added to the root mean square before it divides the gradient
 
 _METRICS = ("val_nll", "val_accuracy")
 _KL_MODES = ("per_batch", "per_dataset")
@@ -135,12 +136,10 @@ def _parse_bool(raw) -> bool:
 @dataclass
 class RmspropState:
     accum: dict[str, np.ndarray]
-    decay: float = 0.9
-    epsilon_stab: float = 1e-7
 
     @classmethod
-    def zeros_like(cls, params: dict, decay: float = 0.9, epsilon_stab: float = 1e-7):
-        return cls({k: np.zeros_like(v) for k, v in params.items()}, decay, epsilon_stab)
+    def zeros_like(cls, params: dict):
+        return cls({k: np.zeros_like(v) for k, v in params.items()})
 
 
 def rmsprop_step(params: dict, grads: dict, state: RmspropState, lr: float):
@@ -150,10 +149,10 @@ def rmsprop_step(params: dict, grads: dict, state: RmspropState, lr: float):
         g = np.asarray(grads[name], dtype=np.float64)
         if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient in parameter group '{name}'")
-        a = state.decay * state.accum[name] + (1.0 - state.decay) * g * g
-        new_params[name] = p - lr * g / (np.sqrt(a) + state.epsilon_stab)
+        a = _RMSPROP_DECAY * state.accum[name] + (1.0 - _RMSPROP_DECAY) * g * g
+        new_params[name] = p - lr * g / (np.sqrt(a) + _RMSPROP_EPSILON)
         new_accum[name] = a
-    return new_params, RmspropState(new_accum, state.decay, state.epsilon_stab)
+    return new_params, RmspropState(new_accum)
 
 
 @dataclass(frozen=True)
@@ -172,9 +171,6 @@ class TrainHistory:
 
     epochs: list[EpochRecord]
     best_epoch: int | None
-
-    def __len__(self) -> int:
-        return len(self.epochs)
 
 
 def kl_weight_for(config: TrainConfig, n_examples: int) -> float:
@@ -219,7 +215,7 @@ def elbo_loss(model: HeadModel, features, labels, stream: RngStream, kl_weight: 
     if features.shape[0] == 0:
         raise ValueError("batch must be nonempty")
     samples = _draw_samples(model, stream, features.shape[0], per_example, force_zero=False)
-    return _elbo_parts(model, features, labels, samples, kl_weight)[:3]
+    return _elbo_parts(model, features, labels, samples, kl_weight)
 
 
 def _draw_samples(model, stream, batch_size, per_example, force_zero):
@@ -236,14 +232,13 @@ def _draw_samples(model, stream, batch_size, per_example, force_zero):
 
 
 def _elbo_parts(model, features, labels, samples, kl_weight):
-    """(loss, nll, kl, samples) of one batch; the reference loss that ``backward``'s loss parts equal."""
-    samples = stack_samples(samples)
+    """(loss, nll, kl) of one batch; the reference loss that ``backward``'s loss parts equal."""
     nll = batch_nll(batch_forward(model, features, samples), labels)
     if model.is_bayesian and samples is not None and kl_weight != 0.0:
         kl = kl_sample_estimate(model.output.params, model.output.prior, samples)
     else:
         kl = 0.0
-    return nll + kl_weight * kl, nll, kl, samples
+    return nll + kl_weight * kl, nll, kl
 
 
 def _param_dict(model: HeadModel) -> dict:

@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bayeshead import (
-    DenseLayer,
     EvalReport,
     FeatureDataset,
     HeadModel,
@@ -16,12 +15,18 @@ from bayeshead import (
     entropy_histogram,
     evaluate,
     kde,
-    predict_deterministic,
     predict_mc,
     referral_decision,
+)
+from bayeshead.analytics import (
+    _BLOCK_ROWS,
+    comparison_csv,
+    entropy_histogram_csv,
+    kde_csv,
     silverman_bandwidth,
 )
-from bayeshead.analytics import _BLOCK_ROWS, comparison_csv, entropy_histogram_csv, kde_csv
+from bayeshead.inference import predict_deterministic
+from bayeshead.network import DenseLayer
 
 
 def _passthrough_model() -> HeadModel:

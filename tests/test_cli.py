@@ -13,11 +13,11 @@ from bayeshead import (
     TrainConfig,
     init_bayes_model,
     load_model,
-    save_csv,
     save_model,
     synth_blobs,
 )
 from bayeshead.cli import parse_config_file, run
+from bayeshead.data import save_csv
 from bayeshead.inference import CI_LEVEL
 
 BLOBS = [(-2.0, 0.0), (2.0, 0.0)]

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bayeshead import RngStream, inv_softplus, log_softmax, sigmoid, softmax, softplus
+from bayeshead import RngStream, inv_softplus
+from bayeshead.core import log_softmax, sigmoid, softmax, softplus
 
 finite_floats = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 

@@ -2,19 +2,21 @@ import numpy as np
 import pytest
 
 from bayeshead import (
-    CsvSchema,
     DataFormatError,
     FeatureDataset,
     ShiftConfig,
-    balance_downsample,
     load_csv,
-    save_csv,
-    split,
-    split_counts,
     synth_blobs,
     synth_shift,
 )
-from bayeshead.data import atomic_write
+from bayeshead.data import (
+    CsvSchema,
+    atomic_write,
+    balance_downsample,
+    save_csv,
+    split,
+    split_counts,
+)
 
 
 class TestLoadCsv:

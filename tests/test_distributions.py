@@ -9,13 +9,15 @@ from bayeshead import (
     RngStream,
     SpikeSlabPrior,
     VariationalParams,
-    gaussian_log_pdf,
     inv_softplus,
     mc_kl,
-    mean_sample,
     sample_from_epsilon,
+)
+from bayeshead.core import sigmoid
+from bayeshead.distributions import (
+    gaussian_log_pdf,
+    mean_sample,
     sample_weights,
-    sigmoid,
     spike_slab_log_pdf,
 )
 
@@ -49,11 +51,6 @@ class TestSpikeSlabPrior:
             SpikeSlabPrior(slab_sigma=0.0)
         with pytest.raises(ValueError):
             SpikeSlabPrior(spike_sigma=2.0, slab_sigma=1.0)
-
-    def test_degenerate_flagging(self):
-        assert SpikeSlabPrior(mix_weight=1.0).is_degenerate
-        assert SpikeSlabPrior(slab_sigma=1.0, spike_sigma=1.0).is_degenerate
-        assert not SpikeSlabPrior().is_degenerate
 
     def test_mixture_collapse_limit(self):
         prior = SpikeSlabPrior(mix_weight=1.0 - 1e-15)

@@ -6,28 +6,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bayeshead import (
+    FeatureDataset,
     NumericError,
     PredictiveResult,
+    ReferralThresholds,
     RngStream,
     TrainConfig,
     VariantError,
-    FeatureDataset,
-    ReferralThresholds,
-    bayes_forward,
-    credible_interval,
-    entropy_bits,
     evaluate,
-    init_baseline_model,
     init_bayes_model,
-    mean_forward,
-    predict_deterministic,
     predict_mc,
     predictive_from_samples,
     referral_decision,
     rng,
-    softmax,
 )
-from bayeshead.inference import point_weights, posterior_draws, stacked_probs, summarize_block
+from bayeshead.core import softmax
+from bayeshead.inference import (
+    credible_interval,
+    entropy_bits,
+    point_weights,
+    posterior_draws,
+    predict_deterministic,
+    stacked_probs,
+    summarize_block,
+)
+from bayeshead.network import bayes_forward, mean_forward
+from bayeshead.training import init_baseline_model
 
 prob_rows = st.lists(
     st.floats(min_value=-5.0, max_value=5.0, allow_nan=False).map(lambda x: [x, -x]),

@@ -2,26 +2,32 @@ import numpy as np
 import pytest
 
 from bayeshead import (
-    DenseLayer,
     NumericError,
     RngStream,
     TrainConfig,
     VariantError,
     backward,
+    init_bayes_model,
+    sample_from_epsilon,
+)
+from bayeshead.core import log_softmax, sigmoid, softmax
+from bayeshead.distributions import mean_sample, sample_weights, spike_slab_score
+from bayeshead.network import (
+    DenseLayer,
+    HeadModel,
     batch_forward,
     batch_nll,
     bayes_forward,
     dense_forward,
-    init_baseline_model,
-    init_bayes_model,
     mean_forward,
-    sample_from_epsilon,
-    softmax,
 )
-from bayeshead.core import log_softmax, sigmoid
-from bayeshead.distributions import mean_sample, sample_weights, spike_slab_score, stack_samples
-from bayeshead.network import HeadModel
-from bayeshead.training import _assign_params, _draw_samples, _elbo_parts, _param_dict
+from bayeshead.training import (
+    _assign_params,
+    _draw_samples,
+    _elbo_parts,
+    _param_dict,
+    init_baseline_model,
+)
 
 
 class TestDenseForward:
@@ -99,23 +105,10 @@ def _fd_gradcheck(model, features, labels, samples, kl_weight, h=1e-5):
     """Central finite differences against backward() with common random numbers."""
     grads = backward(model, features, labels, samples, kl_weight)
     base = {k: v.copy() for k, v in _param_dict(model).items()}
-    if samples is None:
-        eps = None
-    elif isinstance(samples, list):
-        eps = [s.epsilon for s in samples]
-    else:
-        eps = samples.epsilon
 
     def loss_at(params):
         _assign_params(model, params)
-        if model.is_bayesian:
-            p = model.output.params
-            if isinstance(eps, list):
-                s = [sample_from_epsilon(p, e) for e in eps]
-            else:
-                s = sample_from_epsilon(p, eps)
-        else:
-            s = None
+        s = sample_from_epsilon(model.output.params, samples.epsilon) if model.is_bayesian else None
         return _elbo_parts(model, features, labels, s, kl_weight)[0]
 
     worst = 0.0
@@ -149,9 +142,7 @@ class TestBackward:
         features = stream.normal(9).reshape(3, 3)
         labels = np.array([1, 0, 1])
         k = len(model.output.params)
-        samples = [
-            sample_from_epsilon(model.output.params, stream.normal(k)) for _ in range(3)
-        ]
+        samples = sample_from_epsilon(model.output.params, stream.normal(3 * k).reshape(3, k))
         assert _fd_gradcheck(model, features, labels, samples, kl_weight=0.5) < 1e-4
 
     def test_baseline_gradients_match_finite_differences(self):
@@ -196,10 +187,11 @@ class TestBackward:
         features = stream.normal(32).reshape(8, 4)
         labels = np.arange(8) % 3
         k = len(model.output.params)
-        samples = [sample_from_epsilon(model.output.params, stream.normal(k)) for _ in range(8)]
+        samples = sample_from_epsilon(model.output.params, stream.normal(8 * k).reshape(8, k))
         got = backward(model, features, labels, samples, kl_weight=0.3)
         want = {name: np.zeros_like(g) for name, g in got.items()}
-        for i, s in enumerate(samples):
+        for i, e in enumerate(samples.epsilon):
+            s = sample_from_epsilon(model.output.params, e)
             row = backward(model, features[i : i + 1], labels[i : i + 1], s, kl_weight=0.3 / 8)
             for name in want:
                 want[name] += row[name]
@@ -216,7 +208,7 @@ class TestBackward:
         z1 = features @ model.hidden.weights + model.hidden.bias
         assert np.any(z1 > 0.0) and np.any(z1 < 0.0)  # the relu mask has units both on and off
         k = len(model.output.params)
-        samples = [sample_from_epsilon(model.output.params, stream.normal(k)) for _ in range(8)]
+        samples = sample_from_epsilon(model.output.params, stream.normal(8 * k).reshape(8, k))
         assert _fd_gradcheck(model, features, labels, samples, kl_weight=0.4) < 1e-4
 
 
@@ -261,7 +253,6 @@ def _two_pass_backward(model, features, labels, samples, kl_weight):
     if not model.is_bayesian:
         g_w1, g_b1, g_w, g_b = nll_grads(model.output.weights, model.output.bias)
         return {"hidden_w": g_w1, "hidden_b": g_b1, "out_w": g_w, "out_b": g_b}
-    samples = stack_samples(samples)
     per_example = samples.theta.ndim == 2
     params = model.output.params
     g_w1, g_b1, g_w, g_b = nll_grads(*model.output.unflatten(samples.theta))
@@ -290,15 +281,13 @@ def _fused_case(case):
         return init_baseline_model(6, 3, TrainConfig(hidden_dim=5, seed=37)), features, labels, None, 0.0
     if case == "per_example":
         return model, features, labels, _draw_samples(model, stream, 9, True, False), 0.4
-    if case == "per_example_list":
-        return model, features, labels, [sample_weights(params, stream) for _ in range(9)], 0.4
     if case == "force_sigma_zero":
         return model, features, labels, _draw_samples(model, stream, 9, False, True), 0.0
     kl_weight = 0.0 if case == "kl_weight_zero" else 0.37
     return model, features, labels, sample_weights(params, stream), kl_weight
 
 
-_FUSED_CASES = ["shared", "per_example", "per_example_list", "baseline", "force_sigma_zero", "kl_weight_zero"]
+_FUSED_CASES = ["shared", "per_example", "baseline", "force_sigma_zero", "kl_weight_zero"]
 
 
 class TestFusedStep:
@@ -306,7 +295,7 @@ class TestFusedStep:
     def test_loss_parts_equal_the_reference_loss(self, case):
         model, features, labels, samples, kl_weight = _fused_case(case)
         got = backward(model, features, labels, samples, kl_weight)
-        _, nll, kl, _ = _elbo_parts(model, features, labels, samples, kl_weight)
+        _, nll, kl = _elbo_parts(model, features, labels, samples, kl_weight)
         assert (got.nll, got.kl) == (nll, kl)
         assert np.float64(got.nll).tobytes() == np.float64(nll).tobytes()
         assert np.float64(got.kl).tobytes() == np.float64(kl).tobytes()

@@ -7,27 +7,32 @@ import pytest
 from bayeshead import (
     FeatureDataset,
     NumericError,
-    RmspropState,
     RngStream,
     SpikeSlabPrior,
     TrainConfig,
-    elbo_loss,
-    init_baseline_model,
     init_bayes_model,
     inv_softplus,
-    kl_weight_for,
-    rmsprop_step,
-    sample_weights,
     synth_blobs,
     train_baseline,
     train_bayes,
+    training,
     validate_metrics,
+)
+from bayeshead.distributions import sample_weights
+from bayeshead.network import backward
+from bayeshead.training import (
+    _EPS_STREAM,
+    _SHUFFLE_STREAM,
+    RmspropState,
+    _draw_samples,
+    _elbo_parts,
+    _param_dict,
+    elbo_loss,
+    init_baseline_model,
+    kl_weight_for,
+    rmsprop_step,
     write_history_csv,
 )
-from bayeshead import training
-from bayeshead.network import backward
-
-from bayeshead.training import _EPS_STREAM, _SHUFFLE_STREAM, _draw_samples, _elbo_parts, _param_dict
 from conftest import BLOB_MEANS
 
 
