@@ -339,7 +339,7 @@ def comparison_csv(rows: list[ComparisonRow], config: dict | None = None) -> str
 def kde_csv(curve: KdeCurve, config: dict | None = None) -> str:
     lines = echo_header(config, bandwidth=repr(curve.bandwidth))
     lines.append("grid,density")
-    for g, d in zip(curve.grid, curve.density):
+    for g, d in zip(curve.grid.tolist(), curve.density.tolist()):  # Python floats: numpy 2 reprs its scalars
         lines.append(f"{g!r},{d!r}")
     return "\n".join(lines) + "\n"
 
@@ -348,8 +348,9 @@ def entropy_histogram_csv(hist: EntropyHistogram, config: dict | None = None) ->
     groups = {"correct": hist.correct_fraction, "incorrect": hist.incorrect_fraction}
     lines = echo_header(config, **{f"{g}_group": "absent" for g, f in groups.items() if f is None})
     lines.append("bin_low,bin_high,correct_fraction,incorrect_fraction")
-    for i in range(hist.bin_edges.shape[0] - 1):
+    edges = hist.bin_edges.tolist()
+    for i in range(len(edges) - 1):
         correct = "" if hist.correct_fraction is None else repr(float(hist.correct_fraction[i]))
         wrong = "" if hist.incorrect_fraction is None else repr(float(hist.incorrect_fraction[i]))
-        lines.append(f"{hist.bin_edges[i]!r},{hist.bin_edges[i + 1]!r},{correct},{wrong}")
+        lines.append(f"{edges[i]!r},{edges[i + 1]!r},{correct},{wrong}")
     return "\n".join(lines) + "\n"

@@ -293,6 +293,16 @@ class TestCsvEmitters:
         )
         assert comparison_csv([]).startswith("dataset,")
 
+    def test_data_cells_are_plain_numbers(self):
+        # numpy 2 reprs a float64 as np.float64(...), which no CSV reader parses
+        hist = entropy_histogram([(0.1, True), (0.7, False), (0.4, True)], n_bins=4)
+        for text in (kde_csv(kde([0.0, 0.3, 1.0], grid_points=9)), entropy_histogram_csv(hist)):
+            header, *data = [line for line in text.splitlines() if not line.startswith("#")]
+            rows = [line.split(",") for line in data]
+            assert rows and all(len(row) == len(header.split(",")) for row in rows)
+            for cell in (cell for row in rows for cell in row):
+                float(cell)
+
     def test_histogram_csv_marks_absent_group(self):
         hist = entropy_histogram([(0.2, True)], n_bins=3)
         text = entropy_histogram_csv(hist)

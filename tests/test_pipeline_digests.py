@@ -55,10 +55,10 @@ EXPECTED = {
     "eval_bayes_ood/report.json": "a1238e58b055ba23f593b9f8945a3bbe1d06e43d0205260c924c6513dc43f3d6",
     "eval_bayes_shifted/report.json": "3d727bc7aa9e94f66b825e5e9b1cc145f5c31b7cf4e98ba8e14c20ff19ed8f73",
     "eval_bayes_test/report.json": "1829805b97c3a03fde62fa7df5803f467b517504d28da98b887a5a02486945da",
-    "figures/ood_entropy_hist.csv": "b2fd5af12b1820031bc5f5f9ce4129cbeebba9403de6e13ed46a49749dc32568",
-    "figures/ood_uncertainty_kde.csv": "7076bb0006d7aad91e9a3e3cfaf97a5564e8eb8293cfb2c4f0093565f2fb3199",
-    "figures/test_entropy_hist.csv": "66c334793d7dfbccf51195a557359b02d74e11d74ed78bc7b72b391a56ae85cc",
-    "figures/test_uncertainty_kde.csv": "d849725efbf84b0e3ecc380c959b06916525c33747da76dbab25ddd1735e9559",
+    "figures/ood_entropy_hist.csv": "8d06dc1878acec341892b5fe330f1652e489b571b957c87cc0d16dc23a2eae00",
+    "figures/ood_uncertainty_kde.csv": "6f325488e6279f9c126674cd498e6b00999cb59483791bf4ca5e3ebef85ccb19",
+    "figures/test_entropy_hist.csv": "3c7aca167fd0f3804fe328ee9d062e616f683176a33578836c597de613917a8a",
+    "figures/test_uncertainty_kde.csv": "c81e67349ea4afd2317516e220a9eff7cfbde20b1f19caa7f707fa3727bf447b",
     "per_example.cfg": "4dd118154ab7826a9d8876f19ce76e80d1bcde6201e90023dde7c4f89ad13a81",
     "preds/predictions.jsonl": "1b8b004ab9348e530925306d4f2ffa0f6a03c0e4801171a5d9cfb5aaade828ea",
     "preds_pe/predictions.jsonl": "3959310618862d9732456d6b291a8f554f5eed5d0d2ad44b33997b75f07d23a8",
