@@ -7,12 +7,14 @@ of it sit accuracy/confusion reports, Gaussian-kernel KDE curves of
 uncertainty values, entropy-bin histograms split by correctness, and the
 bayesian-vs-baseline comparison table.  Reports and records serialize from
 their dataclass fields; reading one back raises ValueError naming the
-field for a document that is not an object, lacks a field or holds one of
-the wrong type, shape or range, so a malformed report is an input error.
+field for a document that is not an object, lacks a field, holds one of
+the wrong type, shape or range, or holds a record that contradicts itself,
+so a malformed report is an input error.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -97,7 +99,9 @@ class PredictionRecord:
     @classmethod
     def from_dict(cls, d: dict, n_classes: int) -> "PredictionRecord":
         """The record of an ``n_classes``-class report; ValueError naming a class index
-        outside [0, n_classes) or a per-class list of another length."""
+        outside [0, n_classes), a per-class list of another length or with an entry that is not a
+        finite number, a negative or non-finite entropy or uncertainty, a ``correct`` that is not
+        ``label == predicted_class``, or an action other than accept or refer."""
         record = cls(**_field_values(cls, d))
         for name in ("label", "predicted_class"):
             if not 0 <= (v := getattr(record, name)) < n_classes:
@@ -105,6 +109,15 @@ class PredictionRecord:
         for name in ("mean_probs", "var_probs", "ci_low", "ci_high"):
             if len(v := getattr(record, name)) != n_classes:
                 raise ValueError(f"{cls.__name__} field {name!r} must hold {n_classes} values, got {len(v)}")
+            if not all(type(x) in (int, float) and math.isfinite(x) for x in v):  # type(): bools are ints
+                raise ValueError(f"{cls.__name__} field {name!r} must hold finite numbers, got {v}")
+        for name in ("entropy_bits", "uncertainty"):
+            if not 0.0 <= (v := getattr(record, name)) < math.inf:  # NaN fails the comparison too
+                raise ValueError(f"{cls.__name__} field {name!r} must be finite and nonnegative, got {v}")
+        if record.correct != (record.label == record.predicted_class):
+            raise ValueError(f"{cls.__name__} field 'correct' must equal label == predicted_class")
+        if record.action not in ("accept", "refer"):
+            raise ValueError(f"{cls.__name__} field 'action' must be accept or refer, got {record.action!r}")
         return record
 
 

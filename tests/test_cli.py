@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -541,6 +542,20 @@ class TestMistypedReport:
         "record_var_probs_long": ("var_probs", lambda doc: doc["records"][0]["var_probs"].append(0.0)),
         "record_ci_low_short": ("ci_low", lambda doc: doc["records"][0]["ci_low"].pop()),
         "record_ci_high_empty": ("ci_high", lambda doc: doc["records"][0].update(ci_high=[])),
+        "record_uncertainty_nan": ("uncertainty", lambda doc: doc["records"][0].update(uncertainty=math.nan)),
+        "record_uncertainty_inf": ("uncertainty", lambda doc: doc["records"][0].update(uncertainty=math.inf)),
+        "record_uncertainty_negative": ("uncertainty", lambda doc: doc["records"][0].update(uncertainty=-0.5)),
+        "record_entropy_nan": ("entropy_bits", lambda doc: doc["records"][0].update(entropy_bits=math.nan)),
+        "record_entropy_inf": ("entropy_bits", lambda doc: doc["records"][0].update(entropy_bits=math.inf)),
+        "record_entropy_negative": ("entropy_bits", lambda doc: doc["records"][0].update(entropy_bits=-4.0)),
+        "record_correct_contradicts": ("correct", lambda doc: doc["records"][0].update(
+            correct=not doc["records"][0]["correct"])),
+        "record_mean_probs_text": ("mean_probs",
+                                   lambda doc: doc["records"][0].update(mean_probs=["0.5", "0.5"])),
+        "record_var_probs_bool": ("var_probs", lambda doc: doc["records"][0]["var_probs"].__setitem__(0, True)),
+        "record_ci_low_nan": ("ci_low", lambda doc: doc["records"][0]["ci_low"].__setitem__(1, math.nan)),
+        "record_ci_high_inf": ("ci_high", lambda doc: doc["records"][0]["ci_high"].__setitem__(0, -math.inf)),
+        "record_action_unknown": ("action", lambda doc: doc["records"][0].update(action="defer")),
     }
 
     @pytest.fixture(params=sorted(EDITS))
