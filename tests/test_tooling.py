@@ -1,5 +1,7 @@
-"""Guards for the benchmark's tracer, which wraps library functions by name."""
+"""Guards for the benchmark's tracer, which wraps library functions by name, and for the
+package names that the benchmark's workloads and the shift study use."""
 
+import ast
 import importlib.util
 import math
 import sys
@@ -20,11 +22,16 @@ from bayeshead import (
     training,
 )
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+import bayeshead
+
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
+SHIFT_STUDY = ROOT / "scripts" / "shift_study.py"
 
 
-def _tracer_module():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -32,7 +39,7 @@ def _tracer_module():
 
 def test_every_tracer_target_resolves():
     # a rename would otherwise surface only when `perfbench/run.py --trace 1` starts
-    targets = _tracer_module().TARGETS
+    targets = _load("perfbench_tracer", TRACER).TARGETS
     assert targets
     for module, qualname, _, _ in targets:
         owner = module
@@ -40,6 +47,28 @@ def test_every_tracer_target_resolves():
             assert hasattr(owner, part), f"{module.__name__}.{qualname} is gone"
             owner = getattr(owner, part)
         assert callable(owner), f"{module.__name__}.{qualname}"
+
+
+def test_the_package_exports_every_name_the_workloads_and_the_study_use():
+    # the package root exports the pipeline API only; a trimmed name would otherwise surface
+    # only when the benchmark or the study runs
+    workloads = ast.parse(WORKLOADS.read_text(encoding="utf-8"))
+    used = {node.attr for node in ast.walk(workloads)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "bh"}
+    study = ast.parse(SHIFT_STUDY.read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(study)
+                if isinstance(node, ast.ImportFrom) and node.module == "bayeshead" for alias in node.names}
+    assert used and imported
+    assert sorted(name for name in used | imported if not hasattr(bayeshead, name)) == []
+
+
+def test_shift_study_runs_one_short_seed(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script puts the source tree on sys.path
+    study = _load("shift_study", SHIFT_STUDY)
+    bayes_reports, base_reports = study.run_seed(0, 1.5, epochs=2, mc_samples=5)
+    assert list(bayes_reports) == list(base_reports) == ["in-dist", "shifted", "ood"]
+    for report in (*bayes_reports.values(), *base_reports.values()):
+        assert len(report.records) == 200 and 0.0 <= report.accuracy <= 1.0  # 100 rows per class
 
 
 def _count_calls(monkeypatch, fn) -> list:
