@@ -96,4 +96,8 @@ def load_model(path) -> ModelArchive:
         raise
     except (KeyError, TypeError, ValueError) as e:
         raise ArchiveError(f"corrupt model archive {path}: {e}") from None
-    return ModelArchive(model, doc.get("train_config"), doc.get("seed_provenance"))
+    return ModelArchive(
+        model=model,
+        train_config=doc.get("train_config"),
+        seed_provenance=doc.get("seed_provenance"),
+    )
