@@ -1,7 +1,9 @@
 """Dataset ingestion, balancing, splitting, and synthetic task generation.
 
-The interchange format is a CSV with header ``id,label,f0,f1,...``;
-features are float64, labels are nonnegative class ids.  Synthetic
+The interchange format is a CSV with header ``id,label,f0,f1,...``:
+a ``label`` column of nonnegative class ids is required, an ``id`` column
+is optional (the row numbers are the ids without one), and every other
+column is a float64 feature.  Synthetic
 Gaussian-blob tasks plus a feature-space shift transform emulate the
 in-distribution / shifted / out-of-distribution evaluation regimes.
 """
@@ -68,15 +70,6 @@ class FeatureDataset:
 
 
 @dataclass(frozen=True)
-class CsvSchema:
-    """Column mapping for dataset files; None feature_columns = everything else."""
-
-    label_column: str = "label"
-    id_column: str | None = "id"
-    feature_columns: tuple[str, ...] | None = None
-
-
-@dataclass(frozen=True)
 class ShiftConfig:
     """Feature-space distribution shift: rotate, then noise, then translate."""
 
@@ -93,8 +86,9 @@ class ShiftConfig:
             raise ValueError("ood_offset must be finite")
 
 
-def load_csv(path, schema: CsvSchema = CsvSchema(), name: str | None = None) -> FeatureDataset:
-    """Read a dataset CSV; '#' comment lines and blank lines are skipped."""
+def load_csv(path, name: str | None = None) -> FeatureDataset:
+    """Read a dataset CSV: a required ``label`` column, an optional ``id`` column (else the row
+    numbers are the ids), every other column a feature; '#' comment lines and blank lines are skipped."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"dataset file not found: {path}")
@@ -111,21 +105,11 @@ def load_csv(path, schema: CsvSchema = CsvSchema(), name: str | None = None) -> 
     if not body:
         raise DataFormatError(f"{path}: no data rows")
 
-    if schema.label_column not in header:
-        raise DataFormatError(f"{path}: missing label column {schema.label_column!r}")
-    label_idx = header.index(schema.label_column)
-    id_idx = None
-    if schema.id_column is not None and schema.id_column in header:
-        id_idx = header.index(schema.id_column)
-    if schema.feature_columns is not None:
-        missing = [c for c in schema.feature_columns if c not in header]
-        if missing:
-            raise DataFormatError(f"{path}: missing feature columns {missing}")
-        feat_idx = [header.index(c) for c in schema.feature_columns]
-    else:
-        feat_idx = [
-            i for i, c in enumerate(header) if i != label_idx and i != id_idx
-        ]
+    if "label" not in header:
+        raise DataFormatError(f"{path}: missing label column 'label'")
+    label_idx = header.index("label")
+    id_idx = header.index("id") if "id" in header else None
+    feat_idx = [i for i in range(len(header)) if i != label_idx and i != id_idx]
     if not feat_idx:
         raise DataFormatError(f"{path}: no feature columns")
 

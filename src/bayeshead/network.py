@@ -220,8 +220,8 @@ def backward(model: HeadModel, features, labels, samples: WeightSample | None, k
     (baseline); ``.nll`` and ``.kl`` are the loss parts, with the bits of ``training._elbo_parts``.
     ``samples`` is one shared draw per batch, or a (B, K) stack of one draw per row, whose
     gradients are summed; a bayesian head without one raises VariantError.  A non-finite NLL
-    raises NumericError naming the batch index; the gradients' finiteness is the optimizer
-    step's one check.
+    raises NumericError naming the batch index; ``training._train`` checks the gradients'
+    finiteness once per step, before the update.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)

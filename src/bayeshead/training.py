@@ -5,8 +5,8 @@ checkpointing on a validation metric.
 Objective per step: summed batch NLL + kl_weight * KL_estimate, where
 kl_weight is 1/num_batches ("per_batch", so a full epoch accumulates one
 KL term) or 1/N ("per_dataset").  A step is one ``network.backward`` call,
-which gives the loss parts and the gradients from one forward pass, and one
-RMSprop update, which checks the gradients are finite.  Both heads use the
+which gives the loss parts and the gradients from one forward pass, one
+finiteness check on the gradients, and one RMSprop update.  Both heads use the
 identical update path, so forcing sigma = 0 and dropping the KL reproduces
 the baseline bit for bit.  Both heads draw their initial weights through one
 ``_init_layers``, so the baseline's output weights are the bayesian head's
@@ -16,9 +16,9 @@ first epoch with the lowest of a lower-is-better value (val_nll, or
 -val_accuracy).
 
 The parameter groups live as views in one contiguous buffer, so the update
-is one optimizer call over the concatenated gradients and the best-epoch
-checkpoint is one copy; elementwise arithmetic gives the same bits as a
-call per group.  The shared-sample head draws an epoch's noise in one
+is one in-place optimizer call over the gradients concatenated into one
+reused buffer, and the best-epoch checkpoint is one copy; elementwise
+arithmetic gives the same bits as a call per group.  The shared-sample head draws an epoch's noise in one
 ``normal(steps * K)`` call and reads K normals per step: the stream is
 counter-based, so the bits and the final counter are those of a draw per
 step.  The per-example head draws one (B, K) block per step, since a whole
@@ -59,7 +59,6 @@ _INIT_STREAM = 0
 _SHUFFLE_STREAM = 1
 _EPS_STREAM = 2
 
-_FLAT = "params"  # the one group of the optimizer step over the flat parameter buffer
 _RMSPROP_DECAY = 0.9  # the running mean's weight on its previous value
 _RMSPROP_EPSILON = 1e-7  # added to the root mean square before it divides the gradient
 
@@ -133,26 +132,15 @@ def _parse_bool(raw) -> bool:
     raise ValueError(f"cannot parse boolean value {raw!r}")
 
 
-@dataclass
-class RmspropState:
-    accum: dict[str, np.ndarray]
+def rmsprop_step(params: np.ndarray, grad: np.ndarray, accum: np.ndarray, lr: float) -> None:
+    """One RMSprop update of ``params`` and its running mean square ``accum``, both in place.
 
-    @classmethod
-    def zeros_like(cls, params: dict):
-        return cls({k: np.zeros_like(v) for k, v in params.items()})
-
-
-def rmsprop_step(params: dict, grads: dict, state: RmspropState, lr: float):
-    """One RMSprop update; returns new (params, state) without mutating inputs."""
-    new_params, new_accum = {}, {}
-    for name, p in params.items():
-        g = np.asarray(grads[name], dtype=np.float64)
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient in parameter group '{name}'")
-        a = _RMSPROP_DECAY * state.accum[name] + (1.0 - _RMSPROP_DECAY) * g * g
-        new_params[name] = p - lr * g / (np.sqrt(a) + _RMSPROP_EPSILON)
-        new_accum[name] = a
-    return new_params, RmspropState(new_accum)
+    The operations run in the order that gives the bits of the out-of-place
+    ``a = DECAY * accum + (1 - DECAY) * grad * grad`` and ``params - lr * grad / (sqrt(a) + EPSILON)``.
+    """
+    accum *= _RMSPROP_DECAY
+    accum += (1.0 - _RMSPROP_DECAY) * grad * grad
+    params -= lr * grad / (np.sqrt(accum) + _RMSPROP_EPSILON)
 
 
 @dataclass(frozen=True)
@@ -322,7 +310,8 @@ def _train(dataset, val, config, bayesian):
     else:
         model = init_baseline_model(dataset.feature_dim, n_classes, config)
     flat, names, ends = _flatten_params(model)
-    state = RmspropState({_FLAT: np.zeros_like(flat)})
+    accum = np.zeros_like(flat)
+    grad = np.empty_like(flat)
     shuffle_stream = RngStream(config.seed).derive(_SHUFFLE_STREAM)
     eps_stream = RngStream(config.seed).derive(_EPS_STREAM)
 
@@ -347,14 +336,12 @@ def _train(dataset, val, config, bayesian):
             samples = _draw_samples(model, noise, idx.shape[0], config.per_example_sample,
                                     force_zero=config.force_sigma_zero)
             grads = backward(model, feats, labels, samples, kl_w)
-            grad = np.concatenate([grads[name].ravel() for name in names])
-            try:
-                new_params, state = rmsprop_step({_FLAT: flat}, {_FLAT: grad}, state, config.learning_rate)
-            except NumericError:
-                bad = int(np.argmin(np.isfinite(grad)))
-                group = names[int(np.searchsorted(ends, bad, side="right"))]
-                raise NumericError(f"non-finite gradient in parameter group '{group}'") from None
-            flat[:] = new_params[_FLAT]  # in place, so the model's views see the update
+            np.concatenate([grads[name].ravel() for name in names], out=grad)
+            finite = np.isfinite(grad)
+            if not finite.all():
+                group = names[int(np.searchsorted(ends, np.argmin(finite), side="right"))]
+                raise NumericError(f"non-finite gradient in parameter group '{group}'")
+            rmsprop_step(flat, grad, accum, config.learning_rate)  # the model's arrays view flat
             epoch_nll += grads.nll
             epoch_kl += kl_w * grads.kl
         val_acc, val_nll = validate_metrics(model, val)
@@ -373,10 +360,10 @@ def _train(dataset, val, config, bayesian):
     return model, TrainHistory(records, best_epoch)
 
 
-def write_history_csv(history: TrainHistory, path, config: TrainConfig | None = None) -> None:
+def write_history_csv(history: TrainHistory, path, config: TrainConfig) -> None:
     """Emit the per-epoch metrics as CSV, config echoed in '#' comment lines."""
     best = {} if history.best_epoch is None else {"best_epoch": history.best_epoch}
-    lines = echo_header(None if config is None else config.to_flat_dict(), **best)
+    lines = echo_header(config.to_flat_dict(), **best)
     lines.append("epoch,train_loss,train_nll,train_kl,val_accuracy,val_nll")
     for i, r in enumerate(history.epochs):
         lines.append(

@@ -10,7 +10,6 @@ from bayeshead import (
     synth_shift,
 )
 from bayeshead.data import (
-    CsvSchema,
     atomic_write,
     balance_downsample,
     save_csv,
@@ -63,16 +62,20 @@ class TestLoadCsv:
     def test_row_index_ids_without_id_column(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("label,f0\n0,1.0\n1,2.0\n")
-        ds = load_csv(path, CsvSchema(id_column=None))
+        ds = load_csv(path)
         assert ds.ids == ["0", "1"]
 
-    def test_explicit_feature_columns(self, tmp_path):
+    def test_column_rule_reads_label_and_id_by_name_and_every_other_column_as_a_feature(self, tmp_path):
         path = tmp_path / "d.csv"
-        path.write_text("id,label,f0,f1,junk\na,0,1.0,2.0,9\n")
-        ds = load_csv(path, CsvSchema(feature_columns=("f0", "f1")))
-        assert ds.feature_dim == 2
-        with pytest.raises(DataFormatError, match="missing feature columns"):
-            load_csv(path, CsvSchema(feature_columns=("fX",)))
+        path.write_text("f0,label,extra,id\n1.5,1,9.0,a\n")
+        ds = load_csv(path)
+        assert ds.ids == ["a"] and ds.labels.tolist() == [1] and ds.features.tolist() == [[1.5, 9.0]]
+        path.write_text("id,f0\na,1.0\n")
+        with pytest.raises(DataFormatError, match="missing label column 'label'"):
+            load_csv(path)
+        path.write_text("id,label\na,0\n")
+        with pytest.raises(DataFormatError, match="no feature columns"):
+            load_csv(path)
 
     def test_comment_lines_skipped(self, tmp_path):
         path = tmp_path / "d.csv"

@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from bayeshead import (
     RngStream,
@@ -18,6 +19,7 @@ from bayeshead import (
     network,
     predict_mc,
     rng,
+    train_baseline,
     train_bayes,
     training,
 )
@@ -87,13 +89,19 @@ def _count_calls(monkeypatch, fn) -> list:
     return calls
 
 
-def test_shared_sample_epoch_makes_one_call_of_each_per_step(monkeypatch, tiny_task):
-    counted = (network.backward, training.rmsprop_step, distributions.sample_weights,
-               distributions.kl_sample_estimate)
-    calls = {fn.__name__: _count_calls(monkeypatch, fn) for fn in counted}
+_PER_STEP = (network.backward, training.rmsprop_step)  # the calls every head makes once per step
+
+
+@pytest.mark.parametrize("head, per_step", [
+    ("shared_sample", (*_PER_STEP, distributions.sample_weights, distributions.kl_sample_estimate)),
+    ("per_example", (*_PER_STEP, distributions.kl_sample_estimate)),
+    ("baseline", _PER_STEP),
+])
+def test_shared_sample_epoch_makes_one_call_of_each_per_step(monkeypatch, tiny_task, head, per_step):
+    calls = {fn.__name__: _count_calls(monkeypatch, fn) for fn in per_step}
     train, val = tiny_task
-    config = TrainConfig(epochs=1, hidden_dim=4, batch_size=16, seed=3)
-    train_bayes(train, val, config)
+    config = TrainConfig(epochs=1, hidden_dim=4, batch_size=16, seed=3, per_example_sample=head == "per_example")
+    (train_baseline if head == "baseline" else train_bayes)(train, val, config)
     steps = math.ceil(len(train) / config.batch_size)
     assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(calls, steps)
 

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bayeshead import (
     FeatureDataset,
@@ -23,7 +25,6 @@ from bayeshead.network import backward
 from bayeshead.training import (
     _EPS_STREAM,
     _SHUFFLE_STREAM,
-    RmspropState,
     _draw_samples,
     _elbo_parts,
     _param_dict,
@@ -35,37 +36,43 @@ from bayeshead.training import (
 )
 from conftest import BLOB_MEANS
 
+_FINITE = st.floats(-1e6, 1e6)
+
 
 class TestRmsprop:
     def test_zero_gradient_leaves_params_and_decays_accum(self):
-        params = {"w": np.array([1.0, -2.0])}
-        state = RmspropState({"w": np.array([0.4, 0.4])})
-        new_params, new_state = rmsprop_step(params, {"w": np.zeros(2)}, state, lr=0.01)
-        assert np.array_equal(new_params["w"], params["w"])
-        assert np.allclose(new_state.accum["w"], 0.36, atol=1e-15)
+        params, accum = np.array([1.0, -2.0]), np.array([0.4, 0.4])
+        rmsprop_step(params, np.zeros(2), accum, lr=0.01)
+        assert np.array_equal(params, [1.0, -2.0])
+        assert np.allclose(accum, 0.36, atol=1e-15)
 
     def test_hand_update(self):
-        params = {"w": np.array([1.0])}
-        state = RmspropState.zeros_like(params)
-        new_params, new_state = rmsprop_step(params, {"w": np.array([1.0])}, state, lr=0.01)
-        assert float(new_state.accum["w"][0]) == pytest.approx(0.1, abs=1e-15)
+        params, accum = np.array([1.0]), np.zeros(1)
+        rmsprop_step(params, np.array([1.0]), accum, lr=0.01)
+        assert float(accum[0]) == pytest.approx(0.1, abs=1e-15)
         expected_step = 0.01 / (math.sqrt(0.1) + 1e-7)
-        assert float(params["w"][0] - new_params["w"][0]) == pytest.approx(expected_step, abs=1e-12)
+        assert float(1.0 - params[0]) == pytest.approx(expected_step, abs=1e-12)
 
     def test_gradient_scale_invariance_from_fresh_state(self):
         # first step magnitude is ~lr/sqrt(1-decay) regardless of |g|
         target = 0.01 / math.sqrt(0.1)
         for c in (0.1, 1.0, 10.0):
-            params = {"w": np.array([0.0])}
-            state = RmspropState.zeros_like(params)
-            new_params, _ = rmsprop_step(params, {"w": np.array([c])}, state, lr=0.01)
-            assert abs(abs(float(new_params["w"][0])) - target) < 1e-6
+            params = np.array([0.0])
+            rmsprop_step(params, np.array([c]), np.zeros(1), lr=0.01)
+            assert abs(abs(float(params[0])) - target) < 1e-6
 
-    def test_nonfinite_gradient_names_group(self):
-        params = {"hidden_w": np.zeros(2)}
-        state = RmspropState.zeros_like(params)
-        with pytest.raises(NumericError, match="hidden_w"):
-            rmsprop_step(params, {"hidden_w": np.array([1.0, np.inf])}, state, lr=0.01)
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(_FINITE, _FINITE, st.floats(0.0, 1e6)), min_size=1, max_size=16),
+        st.floats(1e-6, 1.0),
+    )
+    def test_in_place_step_has_the_bits_of_the_out_of_place_formula(self, rows, lr):
+        params, grad, accum = (np.array(col) for col in zip(*rows))
+        a = 0.9 * accum + (1.0 - 0.9) * grad * grad
+        expected = params - lr * grad / (np.sqrt(a) + 1e-7)
+        rmsprop_step(params, grad, accum, lr)
+        assert params.tobytes() == expected.tobytes()
+        assert accum.tobytes() == a.tobytes()
 
 
 class TestElboLoss:
