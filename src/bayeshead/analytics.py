@@ -8,7 +8,8 @@ uncertainty values, entropy-bin histograms split by correctness, and the
 bayesian-vs-baseline comparison table.  Reports and records serialize from
 their dataclass fields; reading one back raises ValueError naming the
 field for a document that is not an object, lacks a field, holds one of
-the wrong type, shape or range, or holds a record that contradicts itself,
+the wrong type, shape or range, holds a record that contradicts itself or
+no record, or holds totals other than ``evaluate`` makes of its records,
 so a malformed report is an input error.
 """
 
@@ -24,6 +25,7 @@ from .inference import (
     CI_LEVEL,
     PredictiveResult,
     ReferralThresholds,
+    _require_simplex,
     point_weights,
     posterior_draws,
     referral_decision,
@@ -101,7 +103,9 @@ class PredictionRecord:
         """The record of an ``n_classes``-class report; ValueError naming a class index
         outside [0, n_classes), a per-class list of another length or with an entry that is not a
         finite number, a negative or non-finite entropy or uncertainty, a ``correct`` that is not
-        ``label == predicted_class``, or an action other than accept or refer."""
+        ``label == predicted_class``, an action other than accept or refer, a ``mean_probs`` that is
+        not a probability vector or whose first argmax is not ``predicted_class``, a negative
+        variance, or a ``ci_low`` above ``ci_high`` by more than 1e-12."""
         record = cls(**_field_values(cls, d))
         for name in ("label", "predicted_class"):
             if not 0 <= (v := getattr(record, name)) < n_classes:
@@ -118,6 +122,14 @@ class PredictionRecord:
             raise ValueError(f"{cls.__name__} field 'correct' must equal label == predicted_class")
         if record.action not in ("accept", "refer"):
             raise ValueError(f"{cls.__name__} field 'action' must be accept or refer, got {record.action!r}")
+        probs = np.array(record.mean_probs, dtype=np.float64)
+        _require_simplex(probs, f"{cls.__name__} field 'mean_probs' must be a probability vector, got {probs.tolist()}")
+        if record.predicted_class != int(np.argmax(probs)):
+            raise ValueError(f"{cls.__name__} field 'predicted_class' must be the first argmax of mean_probs")
+        if min(record.var_probs) < 0.0:
+            raise ValueError(f"{cls.__name__} field 'var_probs' must be nonnegative, got {record.var_probs}")
+        if any(lo - hi > 1e-12 for lo, hi in zip(record.ci_low, record.ci_high)):
+            raise ValueError(f"{cls.__name__} field 'ci_low' must not exceed 'ci_high', got {record.ci_low}")
         return record
 
 
@@ -167,7 +179,30 @@ class EvalReport:
             raise ValueError("EvalReport field 'confusion' holds a negative count")
         values["confusion"] = confusion.astype(np.int64)
         values["records"] = [PredictionRecord.from_dict(r, c) for r in values["records"]]
+        for name, expected in _totals(values["records"], c).items():
+            if not np.array_equal(values[name], expected):  # None equals only None
+                raise ValueError(f"EvalReport field {name!r} is {np.asarray(values[name]).tolist()}, "
+                                 f"but its records give {np.asarray(expected).tolist()}")
         return cls(**values)
+
+
+def _totals(records: list[PredictionRecord], n_classes: int) -> dict:
+    """The report fields that ``records`` determine: accuracy, referral rate, the mean entropy of
+    the correct and of the incorrect records (None for an empty group), and the confusion counts."""
+    if not records:
+        raise ValueError("EvalReport field 'records' must hold at least one record")
+    confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
+    for r in records:
+        confusion[r.label, r.predicted_class] += 1
+    correct_h = [r.entropy_bits for r in records if r.correct]
+    incorrect_h = [r.entropy_bits for r in records if not r.correct]
+    return {
+        "accuracy": float(np.trace(confusion)) / len(records),
+        "referral_rate": sum(r.action == "refer" for r in records) / len(records),
+        "mean_entropy_correct": float(np.mean(correct_h)) if correct_h else None,
+        "mean_entropy_incorrect": float(np.mean(incorrect_h)) if incorrect_h else None,
+        "confusion": confusion,
+    }
 
 
 def _record_for(dataset, j, result: PredictiveResult, thresholds) -> PredictionRecord:
@@ -224,24 +259,12 @@ def evaluate(
     if dataset.n_classes > model.n_classes:
         raise ValueError("dataset contains labels outside the model's classes")
     records = predict_records(model, dataset, n, thresholds, stream, ci_level)
-
-    c = model.n_classes
-    confusion = np.zeros((c, c), dtype=np.int64)
-    for r in records:
-        confusion[r.label, r.predicted_class] += 1
-    accuracy = float(np.trace(confusion)) / len(records)
-    correct_h = [r.entropy_bits for r in records if r.correct]
-    incorrect_h = [r.entropy_bits for r in records if not r.correct]
     return EvalReport(
         dataset_name=dataset.name,
-        accuracy=accuracy,
-        confusion=confusion,
-        records=records,
-        mean_entropy_correct=float(np.mean(correct_h)) if correct_h else None,
-        mean_entropy_incorrect=float(np.mean(incorrect_h)) if incorrect_h else None,
-        referral_rate=sum(r.action == "refer" for r in records) / len(records),
+        n_classes=model.n_classes,
         mc_samples=n,
-        n_classes=c,
+        records=records,
+        **_totals(records, model.n_classes),
     )
 
 

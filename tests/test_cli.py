@@ -556,6 +556,27 @@ class TestMistypedReport:
         "record_ci_low_nan": ("ci_low", lambda doc: doc["records"][0]["ci_low"].__setitem__(1, math.nan)),
         "record_ci_high_inf": ("ci_high", lambda doc: doc["records"][0]["ci_high"].__setitem__(0, -math.inf)),
         "record_action_unknown": ("action", lambda doc: doc["records"][0].update(action="defer")),
+        "record_mean_probs_not_a_simplex": ("mean_probs",
+                                            lambda doc: doc["records"][0].update(mean_probs=[3.0, -2.0])),
+        "record_mean_probs_sum_above_one": ("mean_probs",
+                                            lambda doc: doc["records"][0].update(mean_probs=[0.5, 0.6])),
+        "record_predicted_class_not_argmax": ("predicted_class",
+                                              lambda doc: doc["records"][0]["mean_probs"].reverse()),
+        "record_var_probs_negative": ("var_probs", lambda doc: doc["records"][0]["var_probs"].__setitem__(1, -1e-3)),
+        "record_ci_low_above_ci_high": ("ci_low", lambda doc: doc["records"][0].update(
+            ci_low=[0.9, 0.9], ci_high=[0.1, 0.1])),
+        "records_empty": ("records", lambda doc: doc.update(records=[])),
+        "accuracy_disagrees": ("accuracy", lambda doc: doc.update(accuracy=0.1)),
+        "totals_all_disagree": ("accuracy", lambda doc: doc.update(
+            accuracy=0.1, referral_rate=0.0, confusion=[[0, 0], [0, 0]])),
+        "referral_rate_disagrees": ("referral_rate", lambda doc: doc.update(referral_rate=0.0)),
+        "record_action_flipped": ("referral_rate", lambda doc: doc["records"][0].update(
+            action="accept" if doc["records"][0]["action"] == "refer" else "refer")),
+        "mean_entropy_correct_disagrees": ("mean_entropy_correct", lambda doc: doc.update(
+            mean_entropy_correct=doc["mean_entropy_correct"] + 0.125)),
+        "mean_entropy_incorrect_absent": ("mean_entropy_incorrect",
+                                          lambda doc: doc.update(mean_entropy_incorrect=None)),
+        "confusion_all_zero": ("confusion", lambda doc: doc.update(confusion=[[0, 0], [0, 0]])),
     }
 
     @pytest.fixture(params=sorted(EDITS))
