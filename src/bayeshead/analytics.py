@@ -123,7 +123,7 @@ class PredictionRecord:
         if record.action not in ("accept", "refer"):
             raise ValueError(f"{cls.__name__} field 'action' must be accept or refer, got {record.action!r}")
         probs = np.array(record.mean_probs, dtype=np.float64)
-        _require_simplex(probs, f"{cls.__name__} field 'mean_probs' must be a probability vector, got {probs.tolist()}")
+        _require_simplex(probs, f"{cls.__name__} field 'mean_probs' must be a probability vector, got {record.mean_probs}")
         if record.predicted_class != int(np.argmax(probs)):
             raise ValueError(f"{cls.__name__} field 'predicted_class' must be the first argmax of mean_probs")
         if min(record.var_probs) < 0.0:

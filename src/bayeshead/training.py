@@ -18,11 +18,11 @@ first epoch with the lowest of a lower-is-better value (val_nll, or
 The parameter groups live as views in one contiguous buffer, so the update
 is one in-place optimizer call over the gradients concatenated into one
 reused buffer, and the best-epoch checkpoint is one copy; elementwise
-arithmetic gives the same bits as a call per group.  The shared-sample head draws an epoch's noise in one
-``normal(steps * K)`` call and reads K normals per step: the stream is
-counter-based, so the bits and the final counter are those of a draw per
-step.  The per-example head draws one (B, K) block per step, since a whole
-epoch of it would be megabytes of transient memory.
+arithmetic gives the same bits as a call per group.  The shared-sample head
+draws an epoch's noise in one ``normal(steps * K)`` call and reads K normals
+per step: the stream is counter-based, so the bits and the final counter are
+those of a draw per step.  The per-example head draws one (B, K) block per
+step, since a whole epoch of it would be megabytes of transient memory.
 """
 
 from __future__ import annotations

@@ -567,8 +567,6 @@ class TestMistypedReport:
             ci_low=[0.9, 0.9], ci_high=[0.1, 0.1])),
         "records_empty": ("records", lambda doc: doc.update(records=[])),
         "accuracy_disagrees": ("accuracy", lambda doc: doc.update(accuracy=0.1)),
-        "totals_all_disagree": ("accuracy", lambda doc: doc.update(
-            accuracy=0.1, referral_rate=0.0, confusion=[[0, 0], [0, 0]])),
         "referral_rate_disagrees": ("referral_rate", lambda doc: doc.update(referral_rate=0.0)),
         "record_action_flipped": ("referral_rate", lambda doc: doc["records"][0].update(
             action="accept" if doc["records"][0]["action"] == "refer" else "refer")),
