@@ -234,6 +234,10 @@ def predict_records(
     """One record per row, in dataset order, through the batched kernel and
     the block summary in fixed blocks; each equals the record of ``predict_mc`` (n draws shared
     by every row) or ``predict_deterministic`` on its row alone."""
+    if len(dataset) == 0:
+        raise ValueError("cannot predict an empty dataset")
+    if dataset.n_classes > model.n_classes:
+        raise ValueError(f"dataset label {dataset.n_classes - 1} is outside the model's {model.n_classes} classes")
     w, b = posterior_draws(model, n, stream) if model.is_bayesian else point_weights(model)
     records = []
     for start in range(0, len(dataset), _BLOCK_ROWS):
@@ -254,10 +258,6 @@ def evaluate(
 ) -> EvalReport:
     """``predict_records`` plus dataset aggregation; ``workers`` is
     accepted for compatibility and has no effect."""
-    if len(dataset) == 0:
-        raise ValueError("cannot evaluate an empty dataset")
-    if dataset.n_classes > model.n_classes:
-        raise ValueError("dataset contains labels outside the model's classes")
     records = predict_records(model, dataset, n, thresholds, stream, ci_level)
     return EvalReport(
         dataset_name=dataset.name,

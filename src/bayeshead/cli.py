@@ -5,8 +5,8 @@ produce byte-identical artifacts.  Exit codes: 0 success, 1 numeric or
 training failure, 2 usage or input error.  synth, train, predict and eval
 take --seed and --config; ``_settings`` resolves each of their settings as
 flag > config file > the default its owner declares (``TrainConfig``,
-``ReferralThresholds``, ``inference.CI_LEVEL``).  All of them read one flat
-file, so a key that no command reads is an input error.  The effective
+``ReferralThresholds``, ``inference.MC_SAMPLES`` and ``CI_LEVEL``).  All of
+them read one flat file, so a key that no command reads is an input error.  The effective
 configuration is echoed into every artifact.
 """
 
@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import analytics, data, model_io, training
 from .errors import NumericError
-from .inference import CI_LEVEL, ReferralThresholds
+from .inference import CI_LEVEL, MC_SAMPLES, ReferralThresholds
 from .rng import RngStream
 from .training import TrainConfig
 
@@ -29,7 +29,7 @@ _PREDICT_STREAM_KEY = 4
 # predict/eval settings and their defaults, each read from the module that owns it
 _PREDICTION_DEFAULTS = {
     "seed": TrainConfig.seed,
-    "mc_samples_predict": TrainConfig.mc_samples_predict,
+    "mc_samples_predict": MC_SAMPLES,
     "uncertainty_threshold": ReferralThresholds.uncertainty,
     "confidence_threshold": ReferralThresholds.confidence,
     "ci_level": CI_LEVEL,
@@ -167,8 +167,7 @@ def cmd_analyze(args) -> int:
     uncertainties = [r.uncertainty for r in report.records]
     kde_path = out / f"{stem}_uncertainty_kde.csv"
     try:
-        curve = analytics.kde(uncertainties, bandwidth=args.kde_bandwidth,
-                              grid_points=args.kde_grid_points)
+        curve = analytics.kde(uncertainties)
     except ValueError as e:
         print(f"analyze: skipping KDE ({e})", file=sys.stderr)
     else:
@@ -265,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     predicting.add_argument("--model", required=True)
     predicting.add_argument("--data", required=True)
     predicting.add_argument("--n", dest="mc_samples_predict", type=int, default=None,
-                            help=f"MC draws (default {TrainConfig.mc_samples_predict})")
+                            help=f"MC draws (default {MC_SAMPLES})")
     predicting.add_argument("--workers", type=int, default=1, help="accepted for compatibility; has no "
                             "effect, results are deterministic by construction")
     predicting.add_argument("--uncertainty-threshold", type=float, default=None)
@@ -298,8 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", parents=[common], help="KDE and entropy histograms from a report")
     p.add_argument("--report", required=True, help="report.json from eval")
     p.add_argument("--bins", type=int, default=20)
-    p.add_argument("--kde-bandwidth", type=float, default=None)
-    p.add_argument("--kde-grid-points", type=int, default=401)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("compare", parents=[common], help="bayesian-vs-baseline comparison table")

@@ -88,7 +88,8 @@ class ShiftConfig:
 
 def load_csv(path, name: str | None = None) -> FeatureDataset:
     """Read a dataset CSV: a required ``label`` column, an optional ``id`` column (else the row
-    numbers are the ids), every other column a feature; '#' comment lines and blank lines are skipped."""
+    numbers are the ids), every other column a feature; no name may repeat in the header.
+    '#' comment lines and blank lines are skipped."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"dataset file not found: {path}")
@@ -101,6 +102,9 @@ def load_csv(path, name: str | None = None) -> FeatureDataset:
     if not rows:
         raise DataFormatError(f"{path}: no header row")
     header = [c.strip() for c in rows[0][1]]
+    if len(set(header)) < len(header):
+        repeated = next(c for i, c in enumerate(header) if c in header[:i])
+        raise DataFormatError(f"{path}: column {repeated!r} appears more than once in the header")
     body = rows[1:]
     if not body:
         raise DataFormatError(f"{path}: no data rows")

@@ -33,8 +33,9 @@ class SpikeSlabPrior:
     def __post_init__(self):
         if not 0.0 <= self.mix_weight <= 1.0:
             raise ValueError(f"mix_weight must lie in [0, 1], got {self.mix_weight}")
-        if self.slab_sigma <= 0.0 or self.spike_sigma <= 0.0:
-            raise ValueError("prior sigmas must be positive")
+        for name in ("slab_sigma", "spike_sigma"):
+            if not 0.0 < getattr(self, name) < np.inf:  # NaN fails it too
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if self.spike_sigma > self.slab_sigma:
             raise ValueError(
                 f"spike_sigma ({self.spike_sigma}) must not exceed slab_sigma ({self.slab_sigma})"

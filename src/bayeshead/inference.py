@@ -25,6 +25,7 @@ from .network import HeadModel, dense_forward
 from .rng import RngStream
 
 CI_LEVEL = 0.95  # default credible-interval level of every prediction path and the CLI
+MC_SAMPLES = 50  # the CLI's default number of posterior draws per prediction
 
 
 @dataclass
@@ -215,8 +216,8 @@ def referral_decision(
     confidence_threshold: float,
 ) -> ReferralDecision:
     """Refer when predictive variance is too high or confidence too low."""
-    if uncertainty_threshold < 0.0:
-        raise ValueError("uncertainty threshold must be >= 0")
+    if not uncertainty_threshold >= 0.0:  # NaN fails it too
+        raise ValueError(f"uncertainty threshold must be >= 0, got {uncertainty_threshold}")
     if not 0.0 < confidence_threshold <= 1.0:
         raise ValueError("confidence threshold must lie in (0, 1]")
     if result.uncertainty_scalar > uncertainty_threshold:

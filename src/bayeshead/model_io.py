@@ -74,23 +74,20 @@ def load_model(path) -> ModelArchive:
     try:
         # the layers and VariationalParams convert the JSON lists to float64 arrays themselves
         hidden = DenseLayer(doc["hidden"]["weights"], doc["hidden"]["bias"], doc["hidden"]["activation"])
-        n_classes = int(doc["n_classes"])
+        declared = (int(doc["feature_dim"]), int(doc["hidden_dim"]), int(doc["n_classes"]))
         out = doc["output"]
         if doc["variant"] == "bayesian":
             prior = SpikeSlabPrior(**{f.name: float(out["prior"][f.name]) for f in fields(SpikeSlabPrior)})
-            output = VariationalDenseLayer(
-                VariationalParams(out["mu"], out["rho"]), prior, int(doc["hidden_dim"]), n_classes
-            )
+            output = VariationalDenseLayer(VariationalParams(out["mu"], out["rho"]), prior, *declared[1:])
         elif doc["variant"] == "baseline":
             output = DenseLayer(out["weights"], out["bias"], "identity")
         else:
             raise ArchiveError(f"model archive {path} has unknown variant {doc['variant']!r}")
-        model = HeadModel(hidden, output, n_classes)
-        declared = (int(doc["feature_dim"]), int(doc["hidden_dim"]))
-        if declared != (model.feature_dim, model.hidden_dim):
+        model = HeadModel(hidden, output)
+        if declared != (model.feature_dim, model.hidden_dim, model.n_classes):
             raise ArchiveError(
-                f"model archive {path} declares feature_dim {declared[0]} and hidden_dim {declared[1]}, "
-                f"but its hidden weights are {model.feature_dim} x {model.hidden_dim}"
+                f"model archive {path} declares feature_dim, hidden_dim and n_classes {declared}, "
+                f"but its arrays give {(model.feature_dim, model.hidden_dim, model.n_classes)}"
             )
     except ArchiveError:
         raise

@@ -85,13 +85,10 @@ class VariationalDenseLayer:
 class HeadModel:
     hidden: DenseLayer
     output: Union[DenseLayer, VariationalDenseLayer]
-    n_classes: int
 
     def __post_init__(self):
-        out_in = self.output.in_dim
-        out_out = self.output.out_dim
-        if self.hidden.out_dim != out_in or out_out != self.n_classes:
-            raise ValueError("layer dimensions do not chain to n_classes")
+        if self.hidden.out_dim != self.output.in_dim:
+            raise ValueError("the hidden layer's width differs from the output layer's input width")
         if isinstance(self.output, DenseLayer) and self.output.activation != "identity":
             raise ValueError(f"the output layer must be linear, got activation {self.output.activation!r}")
 
@@ -110,6 +107,10 @@ class HeadModel:
     @property
     def hidden_dim(self) -> int:
         return self.hidden.out_dim
+
+    @property
+    def n_classes(self) -> int:
+        return self.output.out_dim
 
 
 def dense_forward(layer: DenseLayer, x) -> np.ndarray:

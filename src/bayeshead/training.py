@@ -3,17 +3,16 @@ the deterministic baseline, sharing one RMSprop loop with best-weights
 checkpointing on a validation metric.
 
 Objective per step: summed batch NLL + kl_weight * KL_estimate, where
-kl_weight is 1/num_batches ("per_batch", so a full epoch accumulates one
-KL term) or 1/N ("per_dataset").  A step is one ``network.backward`` call,
-which gives the loss parts and the gradients from one forward pass, one
+kl_weight is 1/num_batches, so a full epoch accumulates one KL term
+(Blundell et al. 2015).  A step is one ``network.backward`` call, which
+gives the loss parts and the gradients from one forward pass, one
 finiteness check on the gradients, and one RMSprop update.  Both heads use the
 identical update path, so forcing sigma = 0 and dropping the KL reproduces
 the baseline bit for bit.  Both heads draw their initial weights through one
 ``_init_layers``, so the baseline's output weights are the bayesian head's
 initial mu; validation runs ``network.mean_forward``, the logits path that
 training's passes use, 1024 rows at a time; and the checkpoint keeps the
-first epoch with the lowest of a lower-is-better value (val_nll, or
--val_accuracy).
+first epoch with the lowest val_nll.
 
 The parameter groups live as views in one contiguous buffer, so the update
 is one in-place optimizer call over the gradients concatenated into one
@@ -62,8 +61,8 @@ _EPS_STREAM = 2
 _RMSPROP_DECAY = 0.9  # the running mean's weight on its previous value
 _RMSPROP_EPSILON = 1e-7  # added to the root mean square before it divides the gradient
 
-_METRICS = ("val_nll", "val_accuracy")
-_KL_MODES = ("per_batch", "per_dataset")
+_INIT_MU_SIGMA = 0.1  # scale of the output layer's initial weights (the bayesian head's mu)
+_INIT_SIGMA = 0.05  # the bayesian head's initial posterior scale
 
 
 @dataclass(frozen=True)
@@ -71,28 +70,17 @@ class TrainConfig:
     learning_rate: float = 0.01
     batch_size: int = 32
     epochs: int = 150
-    mc_samples_predict: int = 50
-    kl_weight_mode: str = "per_batch"
     seed: int = 0
     prior: SpikeSlabPrior = field(default_factory=SpikeSlabPrior)
-    early_best_metric: str = "val_nll"
     hidden_dim: int = 32
-    init_mu_sigma: float = 0.1
-    init_sigma: float = 0.05
     per_example_sample: bool = False
     force_sigma_zero: bool = False  # debugging/equivalence mode: sigma = 0 and no KL
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.batch_size < 1 or self.epochs < 0 or self.mc_samples_predict < 1:
-            raise ValueError("batch_size >= 1, epochs >= 0, mc_samples_predict >= 1 required")
-        if self.kl_weight_mode not in _KL_MODES:
-            raise ValueError(f"kl_weight_mode must be one of {_KL_MODES}")
-        if self.early_best_metric not in _METRICS:
-            raise ValueError(f"early_best_metric must be one of {_METRICS}")
-        if self.hidden_dim < 1 or self.init_mu_sigma < 0 or self.init_sigma <= 0:
-            raise ValueError("invalid architecture/initialization settings")
+        if not (0 < self.learning_rate < math.inf):  # NaN fails it too
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
+        if self.batch_size < 1 or self.epochs < 0 or self.hidden_dim < 1:
+            raise ValueError("batch_size >= 1, epochs >= 0, hidden_dim >= 1 required")
 
     def to_flat_dict(self) -> dict:
         """Config fields in declaration order, the prior's last as ``prior_<field>``."""
@@ -162,26 +150,23 @@ class TrainHistory:
 
 
 def kl_weight_for(config: TrainConfig, n_examples: int) -> float:
-    num_batches = math.ceil(n_examples / config.batch_size)
-    if config.kl_weight_mode == "per_batch":
-        return 1.0 / num_batches
-    return 1.0 / n_examples
+    return 1.0 / math.ceil(n_examples / config.batch_size)
 
 
 def init_bayes_model(feature_dim: int, n_classes: int, config: TrainConfig) -> HeadModel:
     hidden, mu = _init_layers(feature_dim, n_classes, config)
-    rho = np.full(len(mu), float(inv_softplus(config.init_sigma)))
+    rho = np.full(len(mu), float(inv_softplus(_INIT_SIGMA)))
     output = VariationalDenseLayer(
         VariationalParams(mu, rho), config.prior, config.hidden_dim, n_classes
     )
-    return HeadModel(hidden, output, n_classes)
+    return HeadModel(hidden, output)
 
 
 def init_baseline_model(feature_dim: int, n_classes: int, config: TrainConfig) -> HeadModel:
     hidden, vec = _init_layers(feature_dim, n_classes, config)  # vec: the bayesian head's mu draws
     split = config.hidden_dim * n_classes
     output = DenseLayer(vec[:split].reshape(config.hidden_dim, n_classes), vec[split:], "identity")
-    return HeadModel(hidden, output, n_classes)
+    return HeadModel(hidden, output)
 
 
 def _init_layers(feature_dim: int, n_classes: int, config: TrainConfig) -> tuple[DenseLayer, np.ndarray]:
@@ -192,7 +177,7 @@ def _init_layers(feature_dim: int, n_classes: int, config: TrainConfig) -> tuple
     w = root.derive(0).normal(feature_dim * config.hidden_dim).reshape(feature_dim, config.hidden_dim)
     hidden = DenseLayer(w * scale, np.zeros(config.hidden_dim), "relu")
     k = config.hidden_dim * n_classes + n_classes
-    return hidden, root.derive(1).normal(k) * config.init_mu_sigma
+    return hidden, root.derive(1).normal(k) * _INIT_MU_SIGMA
 
 
 def elbo_loss(model: HeadModel, features, labels, stream: RngStream, kl_weight: float,
@@ -321,7 +306,7 @@ def _train(dataset, val, config, bayesian):
     epoch_block = bayesian and not (config.force_sigma_zero or config.per_example_sample)
     records: list[EpochRecord] = []
     best_epoch: int | None = None
-    best_value = math.inf  # lower is better: val_nll, or -val_accuracy
+    best_nll = math.inf
     best_flat: np.ndarray | None = None
 
     for epoch in range(config.epochs):
@@ -349,9 +334,8 @@ def _train(dataset, val, config, bayesian):
             # a NaN would never win the checkpoint comparison and freeze the best epoch silently
             raise NumericError(f"non-finite validation metric at epoch {epoch}: nll {val_nll}, accuracy {val_acc}")
         records.append(EpochRecord(epoch_nll + epoch_kl, epoch_nll, epoch_kl, val_acc, val_nll))
-        value = val_nll if config.early_best_metric == "val_nll" else -val_acc
-        if value < best_value:
-            best_value = value
+        if val_nll < best_nll:
+            best_nll = val_nll
             best_epoch = epoch
             best_flat = flat.copy()
 

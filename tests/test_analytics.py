@@ -23,6 +23,7 @@ from bayeshead.analytics import (
     comparison_csv,
     entropy_histogram_csv,
     kde_csv,
+    predict_records,
     silverman_bandwidth,
 )
 from bayeshead.inference import predict_deterministic
@@ -33,7 +34,7 @@ def _passthrough_model() -> HeadModel:
     """Baseline head whose logits equal the (nonnegative) input features."""
     hidden = DenseLayer(np.eye(2), np.zeros(2), "relu")
     output = DenseLayer(np.eye(2), np.zeros(2), "identity")
-    return HeadModel(hidden, output, 2)
+    return HeadModel(hidden, output)
 
 
 def _dataset(features, labels, name="rig"):
@@ -63,6 +64,16 @@ class TestEvaluate:
         assert all(r.uncertainty == 0.0 for r in report.records)
         confident = [max(r.mean_probs) >= 0.9 for r in report.records]
         assert [r.action == "accept" for r in report.records] == confident
+
+    @pytest.mark.parametrize("rows, labels, match", [
+        (np.empty((0, 2)), [], "empty dataset"),
+        ([[0.0, 1.0], [1.0, 0.0]], [1, 2], "label 2 is outside"),
+    ])
+    def test_predict_records_and_evaluate_share_the_label_rule(self, rows, labels, match):
+        dataset = _dataset(rows, np.array(labels, dtype=int))
+        for fn in (predict_records, evaluate):
+            with pytest.raises(ValueError, match=match):
+                fn(_passthrough_model(), dataset, 1, ReferralThresholds(), RngStream(0))
 
     def test_accuracy_equals_one_minus_offdiagonal(self):
         stream = RngStream(5)

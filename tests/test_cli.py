@@ -19,7 +19,7 @@ from bayeshead import (
 )
 from bayeshead.cli import parse_config_file, run
 from bayeshead.data import save_csv
-from bayeshead.inference import CI_LEVEL
+from bayeshead.inference import CI_LEVEL, MC_SAMPLES
 
 BLOBS = [(-2.0, 0.0), (2.0, 0.0)]
 
@@ -57,7 +57,7 @@ class TestModelArchive:
         with pytest.raises(ArchiveError, match=r"format_version 2.*reads 1"):
             load_model(path)
 
-    @pytest.mark.parametrize("key", ["feature_dim", "hidden_dim"])
+    @pytest.mark.parametrize("key", ["feature_dim", "hidden_dim", "n_classes"])
     @pytest.mark.parametrize("variant", ["bayes", "base"])
     def test_declared_dims_must_match_arrays(self, key, variant, cli_data, trained, tmp_path, capsys):
         doc = json.loads((trained / variant / "model.json").read_text())
@@ -145,6 +145,25 @@ class TestTrainCommand:
         assert len(rows) == 2  # flag beats config file
         assert "# hidden_dim = 4" in history
 
+    @pytest.mark.parametrize("head", [[], ["--baseline"]])
+    @pytest.mark.parametrize("setting, field", [
+        (["--learning-rate", "nan"], "learning_rate"),
+        (["--learning-rate", "inf"], "learning_rate"),
+        ("prior_slab_sigma = nan\n", "slab_sigma"),
+        ("prior_slab_sigma = inf\n", "slab_sigma"),
+        ("prior_spike_sigma = nan\n", "spike_sigma"),
+    ])
+    def test_non_finite_setting_exits_2_naming_it(self, setting, field, head, cli_data, tmp_path, capsys):
+        if isinstance(setting, str):  # a config file line
+            (tmp_path / "run.cfg").write_text(setting)
+            setting = ["--config", str(tmp_path / "run.cfg")]
+        rc = run(["train", "--data", str(cli_data / "train.csv"), "--epochs", "2", "--hidden-dim", "4",
+                  *head, *setting, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+        assert not (tmp_path / "out").exists()
+
     def test_parse_config_rejects_garbage(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("epochs 3\n")
@@ -187,6 +206,26 @@ class TestPredictCommand:
         assert (tmp_path / "a" / "predictions.jsonl").read_bytes() == (
             tmp_path / "b" / "predictions.jsonl"
         ).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["predict", "eval"])
+class TestPredictionInputErrors:
+    @pytest.mark.parametrize("value", ["nan", "-0.1"])
+    def test_bad_uncertainty_threshold_exits_2(self, command, value, cli_data, trained, tmp_path, capsys):
+        rc = run([command, "--model", str(trained / "bayes" / "model.json"), "--data", str(cli_data / "test.csv"),
+                  "--n", "4", "--uncertainty-threshold", value, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "uncertainty threshold" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_label_outside_the_model_exits_2(self, command, trained, tmp_path, capsys):
+        three = synth_blobs(3, [*BLOBS, (0.0, 3.0)], 1.0, seed=53, name="three")
+        save_csv(three, tmp_path / "three.csv")
+        rc = run([command, "--model", str(trained / "bayes" / "model.json"), "--data", str(tmp_path / "three.csv"),
+                  "--n", "4", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "label 2 is outside the model's 2 classes" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestEvalAnalyzeCompare:
@@ -443,7 +482,7 @@ class TestSettingsResolver:
 
     def test_prediction_defaults_come_from_their_owners(self, cli_data, trained, tmp_path):
         header, config = self._predict_and_eval(trained, cli_data, tmp_path, [])
-        expected = {"seed": TrainConfig().seed, "mc_samples": TrainConfig().mc_samples_predict,
+        expected = {"seed": TrainConfig().seed, "mc_samples": MC_SAMPLES,
                     "uncertainty_threshold": ReferralThresholds().uncertainty,
                     "confidence_threshold": ReferralThresholds().confidence, "ci_level": CI_LEVEL}
         assert {k: header[k] for k in expected} == expected
@@ -480,6 +519,7 @@ class TestSettingsResolver:
     @pytest.mark.parametrize("text, keys", [
         ("epoch = 1\nhiden_dim = 4\n", ["epoch", "hiden_dim"]),
         ("uncertainty_treshold = 0.9\n", ["uncertainty_treshold"]),
+        ("kl_weight_mode = per_batch\n", ["kl_weight_mode"]),  # a training key no longer read
     ])
     @pytest.mark.parametrize("command", ["train", "predict", "eval", "synth"])
     def test_unknown_key_exits_2_and_writes_nothing(self, command, text, keys, cli_data, trained, tmp_path,

@@ -77,6 +77,15 @@ class TestLoadCsv:
         with pytest.raises(DataFormatError, match="no feature columns"):
             load_csv(path)
 
+    @pytest.mark.parametrize("header, repeated", [
+        ("id,label,label,f0", "label"), ("id,label,id,f0", "id"), ("id,label,f0,f0", "f0"),
+    ])
+    def test_repeated_header_name_rejected(self, tmp_path, header, repeated):
+        path = tmp_path / "d.csv"
+        path.write_text(f"{header}\na,0,0,1.0\n")
+        with pytest.raises(DataFormatError, match=f"column '{repeated}' appears more than once"):
+            load_csv(path)
+
     def test_comment_lines_skipped(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("# config = echo\nid,label,f0\na,0,1.5\n")

@@ -51,6 +51,9 @@ class TestSpikeSlabPrior:
             SpikeSlabPrior(slab_sigma=0.0)
         with pytest.raises(ValueError):
             SpikeSlabPrior(spike_sigma=2.0, slab_sigma=1.0)
+        for name, value in [("slab_sigma", math.nan), ("slab_sigma", math.inf), ("spike_sigma", math.nan)]:
+            with pytest.raises(ValueError, match=name):
+                SpikeSlabPrior(**{name: value})
 
     def test_mixture_collapse_limit(self):
         prior = SpikeSlabPrior(mix_weight=1.0 - 1e-15)

@@ -185,6 +185,8 @@ class TestReferralDecision:
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
             referral_decision(_result_with(0.0, 1.0), -0.1, 0.99)
+        with pytest.raises(ValueError, match="uncertainty threshold"):
+            referral_decision(_result_with(0.0, 1.0), math.nan, 0.99)  # would refer no row on uncertainty
         with pytest.raises(ValueError):
             referral_decision(_result_with(0.0, 1.0), 0.1, 0.0)
 

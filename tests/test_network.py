@@ -345,7 +345,7 @@ class TestLinearOutput:
     def test_relu_output_head_cannot_be_built(self):
         hidden = DenseLayer(np.eye(2), np.zeros(2), "relu")
         with pytest.raises(ValueError, match="linear"):
-            HeadModel(hidden, DenseLayer(np.eye(2), np.zeros(2), "relu"), 2)
+            HeadModel(hidden, DenseLayer(np.eye(2), np.zeros(2), "relu"))
 
     def test_backward_without_a_sample_is_a_variant_error(self):
         model = _toy_bayes()

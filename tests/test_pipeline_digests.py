@@ -62,12 +62,12 @@ EXPECTED = {
     "per_example.cfg": "4dd118154ab7826a9d8876f19ce76e80d1bcde6201e90023dde7c4f89ad13a81",
     "preds/predictions.jsonl": "1b8b004ab9348e530925306d4f2ffa0f6a03c0e4801171a5d9cfb5aaade828ea",
     "preds_pe/predictions.jsonl": "3959310618862d9732456d6b291a8f554f5eed5d0d2ad44b33997b75f07d23a8",
-    "run_base/history.csv": "770520270e9156e2b03d74548954cd75629f3653c63ca7387fe0d89f4134a3d4",
-    "run_base/model.json": "6bfff1f54290ddeae515351c216b704f3963409bf4ee5a859fdcb24f1388bccc",
-    "run_bayes/history.csv": "38d32f5e00b34253d2db098808b70f66799c0edadc83ae49159dbe8a606e4631",
-    "run_bayes/model.json": "64eb31d2c90af4561f6cd26d73f41938f2d673d4ea7764f5685930d7b93a71b1",
-    "run_pe/history.csv": "f10a56b350cbf3fbe7502940692281a4403886482546646287712d7dd86107db",
-    "run_pe/model.json": "c78c5108f63296e9be25a7d40d88a6e355f171ec6b2e756d49aacb7d562d6284",
+    "run_base/history.csv": "cac7035393e2aa2cd0aa19698a3d5fb431dbca032333b27bcdd4dc44fb1576cc",
+    "run_base/model.json": "d8caf883938c56800f58fba009825d1189c91400ebcc6f05e27fcb61624238b0",
+    "run_bayes/history.csv": "5964de4919554feabd7b67910124917f0fc49a26a424a9ba75084e031a7f4757",
+    "run_bayes/model.json": "2fb54531aaf3a7c268866b82b2879380d43d2b84476f0e9a9f4fdac59f2b8cfa",
+    "run_pe/history.csv": "40570fe1be62fac50f1a109ec1274b3f35ddab823e4bdcd5f047ee7b47037cfa",
+    "run_pe/model.json": "32aca6659890132696053da61b0cd49da8f0d22da314a1c8200bd8f8e224f55f",
     "table/comparison.csv": "b67ccce77b5c080848978ee82a410241b01df680c2471cf3b00c5b76734b973d",
     "table/comparison.json": "b579165744190001aaf23ec1ebd8f6d605bb354645e637ed647b7909412136ea",
 }

@@ -1,5 +1,6 @@
-"""Guards for the benchmark's tracer, which wraps library functions by name, and for the
-package names that the benchmark's workloads and the shift study use."""
+"""Guards for the benchmark's tracer, which wraps library functions by name, for the
+package names that the benchmark's workloads and the shift study use, and against
+training settings that no code reads."""
 
 import ast
 import importlib.util
@@ -62,6 +63,18 @@ def test_the_package_exports_every_name_the_workloads_and_the_study_use():
                 if isinstance(node, ast.ImportFrom) and node.module == "bayeshead" for alias in node.names}
     assert used and imported
     assert sorted(name for name in used | imported if not hasattr(bayeshead, name)) == []
+
+
+def test_every_train_config_field_is_read():
+    # a field that no code reads as config.<field> changes nothing but the echoed config
+    tree = ast.parse((ROOT / "src" / "bayeshead" / "training.py").read_text(encoding="utf-8"))
+    cls = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "TrainConfig")
+    declared = {node.target.id for node in cls.body if isinstance(node, ast.AnnAssign)}
+    inside = {id(node) for node in ast.walk(cls)}
+    read = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and id(node) not in inside
+            and isinstance(node.value, ast.Name) and node.value.id == "config"}
+    assert declared and sorted(declared - read) == []
 
 
 def test_shift_study_runs_one_short_seed(monkeypatch):
