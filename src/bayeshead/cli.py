@@ -1,4 +1,5 @@
-"""Command-line pipeline: synth -> train -> predict/eval -> analyze -> compare.
+"""Command-line pipeline: synth -> train -> predict/eval -> analyze -> compare, and the
+shift study that runs all of it over seeds.
 
 Every command is deterministic given (--seed, config, inputs): reruns
 produce byte-identical artifacts.  Exit codes: 0 success, 1 numeric or
@@ -35,6 +36,7 @@ _PREDICTION_DEFAULTS = {
     "ci_level": CI_LEVEL,
 }
 _CONFIG_KEYS = {*TrainConfig().to_flat_dict(), *_PREDICTION_DEFAULTS}
+_HIST_BINS = 20  # entropy-histogram bins of analyze and study
 
 
 def parse_config_file(path) -> dict:
@@ -66,8 +68,8 @@ def _settings(args, defaults: dict) -> dict:
     return settings
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
+def _out_dir(path) -> Path:
+    out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -91,7 +93,7 @@ def cmd_train(args) -> int:
     else:
         model, history = training.train_bayes(train_set, val_set, config)
 
-    out = _out_dir(args)
+    out = _out_dir(args.out)
     archive = model_io.ModelArchive(
         model=model,
         train_config=config.to_flat_dict(),
@@ -131,7 +133,7 @@ def cmd_predict(args) -> int:
     dataset = data.load_csv(args.data)
     records = analytics.predict_records(archive.model, dataset, n, thresholds, stream, ci_level)
 
-    path = _out_dir(args) / "predictions.jsonl"
+    path = _out_dir(args.out) / "predictions.jsonl"
     lines = [json.dumps({"record_type": "header", "schema_version": 1, **echo})]
     lines.extend(json.dumps(r.to_dict()) for r in records)
     _write_text(path, "\n".join(lines) + "\n")
@@ -145,7 +147,7 @@ def cmd_eval(args) -> int:
     dataset = data.load_csv(args.data, name=args.dataset_name or None)  # "" names it by the file stem
     report = analytics.evaluate(archive.model, dataset, n, thresholds, stream, ci_level=ci_level)
     echo["variant"] = archive.model.variant
-    path = _out_dir(args) / "report.json"
+    path = _out_dir(args.out) / "report.json"
     _write_json(path, report.to_dict(config=echo))
     print(
         f"eval: dataset={report.dataset_name} accuracy={report.accuracy:.4f} "
@@ -158,30 +160,39 @@ def _read_report(path) -> analytics.EvalReport:
     return analytics.EvalReport.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
+def _write_figures(report: analytics.EvalReport, out, echo: dict, bins: int) -> None:
+    """``<dataset_name>_uncertainty_kde.csv`` and ``<dataset_name>_entropy_hist.csv`` in ``out``,
+    both built before either is written; the KDE is skipped, with a note, where it is undefined."""
+    stem = report.dataset_name
+    if stem in ("", ".", "..") or "/" in stem or "\\" in stem:
+        raise ValueError(f"dataset_name {stem!r} is not a plain file name")
+    try:
+        kde_text = analytics.kde_csv(analytics.kde([r.uncertainty for r in report.records]), echo)
+    except ValueError as e:
+        kde_text = None
+        print(f"skipping the KDE of {stem} ({e})", file=sys.stderr)
+    hist = analytics.entropy_histogram(
+        [(r.entropy_bits, r.correct) for r in report.records], n_bins=bins, n_classes=report.n_classes
+    )
+    hist_text = analytics.entropy_histogram_csv(hist, echo)
+    out = _out_dir(out)
+    for kind, text in (("uncertainty_kde", kde_text), ("entropy_hist", hist_text)):
+        if text is not None:
+            path = out / f"{stem}_{kind}.csv"
+            _write_text(path, text)
+            print(f"wrote {path}")
+
+
+def _write_comparison(rows: list[analytics.ComparisonRow], out, echo: dict) -> None:
+    out = _out_dir(out)
+    _write_text(out / "comparison.csv", analytics.comparison_csv(rows, echo))
+    _write_json(out / "comparison.json", {"schema_version": 1, "config": echo, "rows": [asdict(r) for r in rows]})
+    print(f"wrote {len(rows)} datasets to {out / 'comparison.csv'} and comparison.json")
+
+
 def cmd_analyze(args) -> int:
     report = _read_report(args.report)
-    out = _out_dir(args)
-    echo = {"report": Path(args.report).name, "bins": args.bins}
-
-    stem = report.dataset_name
-    uncertainties = [r.uncertainty for r in report.records]
-    kde_path = out / f"{stem}_uncertainty_kde.csv"
-    try:
-        curve = analytics.kde(uncertainties)
-    except ValueError as e:
-        print(f"analyze: skipping KDE ({e})", file=sys.stderr)
-    else:
-        _write_text(kde_path, analytics.kde_csv(curve, echo))
-        print(f"analyze: wrote {kde_path}")
-
-    hist = analytics.entropy_histogram(
-        [(r.entropy_bits, r.correct) for r in report.records],
-        n_bins=args.bins,
-        n_classes=report.n_classes,
-    )
-    hist_path = out / f"{stem}_entropy_hist.csv"
-    _write_text(hist_path, analytics.entropy_histogram_csv(hist, echo))
-    print(f"analyze: wrote {hist_path}")
+    _write_figures(report, args.out, {"report": Path(args.report).name, "bins": args.bins}, args.bins)
     return 0
 
 
@@ -189,20 +200,45 @@ def cmd_compare(args) -> int:
     bayes = [_read_report(p) for p in args.bayes]
     baseline = [_read_report(p) for p in args.baseline]
     names = args.names if args.names else [r.dataset_name for r in bayes]
-    rows = analytics.compare_report(bayes, baseline, names)
+    _write_comparison(analytics.compare_report(bayes, baseline, names), args.out, {"datasets": ";".join(names)})
+    return 0
 
-    out = _out_dir(args)
-    echo = {"datasets": ";".join(names)}
-    _write_text(out / "comparison.csv", analytics.comparison_csv(rows, echo))
-    _write_json(
-        out / "comparison.json",
-        {
-            "schema_version": 1,
-            "config": echo,
-            "rows": [asdict(r) for r in rows],
-        },
-    )
-    print(f"compare: {len(rows)} datasets -> {out / 'comparison.csv'}")
+
+_STUDY_MEANS = [(-2.0, 0.0), (2.0, 0.0)]
+
+
+def _run_seed(seed: int, shift: data.ShiftConfig, epochs: int, n: int) -> list[dict]:
+    """Both heads trained on one seed's two-blob task; for each, in-dist, shifted and ood -> report."""
+    train = data.synth_blobs(200, _STUDY_MEANS, 1.0, seed=1000 + seed, name="train")
+    test = data.synth_blobs(100, _STUDY_MEANS, 1.0, seed=2000 + seed, name="in-dist")
+    shifted = data.synth_shift(test, shift, seed=3000 + seed)
+    shifted.name = "shifted"
+    ood = data.synth_blobs(100, [(0.0, 6.0), (0.0, 6.0)], 1.0, seed=4000 + seed, name="ood")
+    config = TrainConfig(seed=seed, epochs=epochs)
+    heads = [training.train_bayes(train, test, config)[0], training.train_baseline(train, test, config)[0]]
+    stream = RngStream(seed).derive(_PREDICT_STREAM_KEY)
+    return [{d.name: analytics.evaluate(head, d, n, ReferralThresholds(), stream) for d in (test, shifted, ood)}
+            for head in heads]
+
+
+def cmd_study(args) -> int:
+    if args.seeds < 1 or args.n < 1:
+        raise ValueError(f"--seeds and --n must be >= 1, got {args.seeds} and {args.n}")
+    shift = data.ShiftConfig(noise_sigma=args.noise)  # rejects a negative or non-finite --noise
+    runs = [_run_seed(seed, shift, args.epochs, args.n) for seed in range(args.seeds)]
+
+    names, bayes_all, base_all = [], [], []
+    for seed, (bayes, base) in enumerate(runs):
+        names += [f"seed{seed}/{regime}" for regime in bayes]
+        bayes_all += bayes.values()
+        base_all += base.values()
+        print(f"seed {seed}: " + "  ".join(f"{k} {bayes[k].accuracy:.3f}/{base[k].accuracy:.3f}" for k in bayes)
+              + "  (bayes/baseline)")
+    rows = analytics.compare_report(bayes_all, base_all, names)
+    echo = {"seeds": args.seeds, "noise": args.noise, "epochs": args.epochs, "mc_samples": args.n}
+    for report in runs[0][0].values():
+        _write_figures(report, args.out, echo, _HIST_BINS)
+    _write_comparison(rows, args.out, echo)
     return 0
 
 
@@ -232,7 +268,7 @@ def cmd_synth(args) -> int:
         dataset = data.synth_shift(dataset, shift_used, seed)
         dataset.name = args.name  # keep the requested file stem
 
-    out = _out_dir(args)
+    out = _out_dir(args.out)
     csv_path = out / f"{args.name}.csv"
     data.save_csv(dataset, csv_path)
     meta = {
@@ -296,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", parents=[common], help="KDE and entropy histograms from a report")
     p.add_argument("--report", required=True, help="report.json from eval")
-    p.add_argument("--bins", type=int, default=20)
+    p.add_argument("--bins", type=int, default=_HIST_BINS)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("compare", parents=[common], help="bayesian-vs-baseline comparison table")
@@ -314,6 +350,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shift-angle", type=float, default=None)
     p.add_argument("--shift-offset", default=None, help='offset vector, e.g. "0,6"')
     p.set_defaults(func=cmd_synth)
+
+    p = sub.add_parser("study", parents=[common], allow_abbrev=False,  # --seed is not short for --seeds
+                       help="both heads over seeds on in-dist, shifted and ood sets")
+    p.add_argument("--seeds", type=int, default=5)
+    p.add_argument("--noise", type=float, default=1.5, help="noise sigma of the shifted set")
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--n", type=int, default=MC_SAMPLES, help="MC draws per evaluation")
+    p.set_defaults(func=cmd_study)
     return parser
 
 

@@ -274,8 +274,8 @@ def synth_blobs(
         raise ValueError("need at least 2 class means")
     if n_per_class < 1:
         raise ValueError("n_per_class must be >= 1")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not 0 < sigma < np.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     dim = len(means[0])
     if dim < 1 or any(len(m) != dim for m in means):
         raise ValueError("class means must share a common dimension >= 1")

@@ -16,6 +16,7 @@ from bayeshead import (
     load_model,
     save_model,
     synth_blobs,
+    training,
 )
 from bayeshead.cli import parse_config_file, run
 from bayeshead.data import save_csv
@@ -359,6 +360,13 @@ class TestSynthCommand:
         assert rc == 2
         assert "vector" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "0", "-1"])
+    def test_sigma_not_positive_and_finite_exits_2_naming_it(self, sigma, tmp_path, capsys):
+        rc = run(["synth", "--n-per-class", "6", "--means=-2,0;2,0", "--sigma", sigma, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "sigma must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestMalformedReport:
     @pytest.fixture(scope="class")
@@ -542,9 +550,11 @@ class TestSettingsResolver:
 @pytest.mark.parametrize("command", [
     ["analyze", "--report", "report.json"],
     ["compare", "--bayes", "a.json", "--baseline", "b.json"],
+    ["study"],
 ])
 @pytest.mark.parametrize("flag", [["--seed", "1"], ["--config", "run.cfg"]])
-def test_report_commands_reject_seed_and_config(command, flag, capsys):
+def test_report_commands_reject_seed_and_config(command, flag, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # a command that wrongly parses writes into its default --out
     with pytest.raises(SystemExit) as e:
         run([*command, *flag])
     assert e.value.code == 2
@@ -559,6 +569,61 @@ def good_report_doc(cli_data, trained, tmp_path_factory):
         "--data", str(cli_data / "test.csv"), "--seed", "7", "--n", "8", "--out", str(out),
     ]) == 0
     return json.loads((out / "report.json").read_text())
+
+
+class TestFigureFiles:
+    @pytest.fixture
+    def report_path(self, good_report_doc, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(good_report_doc))
+        return path
+
+    @pytest.mark.parametrize("name", ["../../escaped", "..", ".", "", "a/b", "a\\b"])
+    def test_a_dataset_name_that_is_not_a_file_name_exits_2(self, name, report_path, tmp_path, capsys):
+        doc = json.loads(report_path.read_text())
+        doc["dataset_name"] = name
+        report_path.write_text(json.dumps(doc))
+        assert run(["analyze", "--report", str(report_path), "--out", str(tmp_path / "a" / "b")]) == 2
+        assert "not a plain file name" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.rglob("*")] == ["report.json"]
+
+    def test_bins_below_one_exits_2_and_writes_nothing(self, report_path, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run(["analyze", "--report", str(report_path), "--bins", "0", "--out", str(out)]) == 2
+        assert "n_bins must be >= 1" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+
+STUDY = ["study", "--seeds", "2", "--epochs", "3", "--n", "10"]
+
+
+class TestStudyCommand:
+    def test_writes_the_figures_and_table_and_a_rerun_is_byte_identical(self, tmp_path):
+        for out in ("a", "b"):
+            assert run([*STUDY, "--out", str(tmp_path / out)]) == 0
+        files = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert files == sorted(["comparison.csv", "comparison.json", *(
+            f"{regime}_{kind}.csv" for regime in ("in-dist", "shifted", "ood")
+            for kind in ("uncertainty_kde", "entropy_hist"))])
+        assert sorted(p.name for p in (tmp_path / "b").iterdir()) == files
+        assert all((tmp_path / "a" / f).read_bytes() == (tmp_path / "b" / f).read_bytes() for f in files)
+        doc = json.loads((tmp_path / "a" / "comparison.json").read_text())
+        assert doc["config"] == {"seeds": 2, "noise": 1.5, "epochs": 3, "mc_samples": 10}
+        assert [r["dataset"] for r in doc["rows"]] == [
+            f"seed{s}/{regime}" for s in range(2) for regime in ("in-dist", "shifted", "ood")]
+
+    @pytest.mark.parametrize("flag, value, expect", [
+        ("--seeds", "0", "--seeds"), ("--n", "0", "--n"),
+        ("--noise", "-1", "noise_sigma"), ("--noise", "nan", "noise_sigma"),
+    ])
+    def test_bad_setting_exits_2_before_training(self, flag, value, expect, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(training, "train_bayes", None)  # a call would fail with TypeError, not exit 2
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run([*STUDY, flag, value, "--out", str(out)]) == 2
+        assert expect in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
 
 class TestMistypedReport:

@@ -38,6 +38,7 @@ PIPELINE = [
     ["compare", "--bayes", "eval_bayes_test/report.json", "eval_bayes_shifted/report.json",
      "eval_bayes_ood/report.json", "--baseline", "eval_base_test/report.json",
      "eval_base_shifted/report.json", "eval_base_ood/report.json", "--out", "table"],
+    ["study", "--seeds", "2", "--epochs", "3", "--n", "10", "--out", "study"],
 ]
 
 EXPECTED = {
@@ -68,6 +69,14 @@ EXPECTED = {
     "run_bayes/model.json": "2fb54531aaf3a7c268866b82b2879380d43d2b84476f0e9a9f4fdac59f2b8cfa",
     "run_pe/history.csv": "40570fe1be62fac50f1a109ec1274b3f35ddab823e4bdcd5f047ee7b47037cfa",
     "run_pe/model.json": "32aca6659890132696053da61b0cd49da8f0d22da314a1c8200bd8f8e224f55f",
+    "study/comparison.csv": "7675f3271769e94a94f291c675fdbf579a5a339345656e76ebb395c69ac7289a",
+    "study/comparison.json": "71fe48178de08df9d9636f0312d91694bb18f058ec73dd532eb51f11bdebaf1e",
+    "study/in-dist_entropy_hist.csv": "ae9d4d8e74a74aabae70bb836e2559b846e0f0f259139ea16a0101d25df8dbaf",
+    "study/in-dist_uncertainty_kde.csv": "b85d8aceb4f64fd80982efc0ca28ce1f7239852d1222b5b5f19dcb28c3b18d21",
+    "study/ood_entropy_hist.csv": "d79321b9819da3efd232bebdc9ab38536a1ffc87e1bb589c80370db92474674f",
+    "study/ood_uncertainty_kde.csv": "c5576db0be86424fded65f5e1a54564e5648ef5e4a9576f030b78d85a54d5434",
+    "study/shifted_entropy_hist.csv": "91d8863691ad727b3a9e8146f917ed43c5c0662a7e2c71147de3c1d649cc6f71",
+    "study/shifted_uncertainty_kde.csv": "c6cff1e4ebbc2b66fd4a115972156ce7bf2779cba8e01c0bd2bd5cf8a5b3ce5b",
     "table/comparison.csv": "b67ccce77b5c080848978ee82a410241b01df680c2471cf3b00c5b76734b973d",
     "table/comparison.json": "b579165744190001aaf23ec1ebd8f6d605bb354645e637ed647b7909412136ea",
 }

@@ -1,6 +1,6 @@
 """Guards for the benchmark's tracer, which wraps library functions by name, for the
-package names that the benchmark's workloads and the shift study use, and against
-training settings that no code reads."""
+package names that the benchmark's workloads use, and against training settings that
+no code reads."""
 
 import ast
 import importlib.util
@@ -30,7 +30,6 @@ import bayeshead
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
 WORKLOADS = ROOT / "perfbench" / "workloads.py"
-SHIFT_STUDY = ROOT / "scripts" / "shift_study.py"
 
 
 def _load(name, path):
@@ -52,17 +51,14 @@ def test_every_tracer_target_resolves():
         assert callable(owner), f"{module.__name__}.{qualname}"
 
 
-def test_the_package_exports_every_name_the_workloads_and_the_study_use():
+def test_the_package_exports_every_name_the_workloads_use():
     # the package root exports the pipeline API only; a trimmed name would otherwise surface
-    # only when the benchmark or the study runs
+    # only when the benchmark runs
     workloads = ast.parse(WORKLOADS.read_text(encoding="utf-8"))
     used = {node.attr for node in ast.walk(workloads)
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "bh"}
-    study = ast.parse(SHIFT_STUDY.read_text(encoding="utf-8"))
-    imported = {alias.name for node in ast.walk(study)
-                if isinstance(node, ast.ImportFrom) and node.module == "bayeshead" for alias in node.names}
-    assert used and imported
-    assert sorted(name for name in used | imported if not hasattr(bayeshead, name)) == []
+    assert used
+    assert sorted(name for name in used if not hasattr(bayeshead, name)) == []
 
 
 def test_every_train_config_field_is_read():
@@ -75,15 +71,6 @@ def test_every_train_config_field_is_read():
             if isinstance(node, ast.Attribute) and id(node) not in inside
             and isinstance(node.value, ast.Name) and node.value.id == "config"}
     assert declared and sorted(declared - read) == []
-
-
-def test_shift_study_runs_one_short_seed(monkeypatch):
-    monkeypatch.setattr(sys, "path", list(sys.path))  # the script puts the source tree on sys.path
-    study = _load("shift_study", SHIFT_STUDY)
-    bayes_reports, base_reports = study.run_seed(0, 1.5, epochs=2, mc_samples=5)
-    assert list(bayes_reports) == list(base_reports) == ["in-dist", "shifted", "ood"]
-    for report in (*bayes_reports.values(), *base_reports.values()):
-        assert len(report.records) == 200 and 0.0 <= report.accuracy <= 1.0  # 100 rows per class
 
 
 def _count_calls(monkeypatch, fn) -> list:
