@@ -253,11 +253,9 @@ def evaluate(
     n: int,
     thresholds: ReferralThresholds,
     stream: RngStream,
-    workers: int = 1,
     ci_level: float = CI_LEVEL,
 ) -> EvalReport:
-    """``predict_records`` plus dataset aggregation; ``workers`` is
-    accepted for compatibility and has no effect."""
+    """``predict_records`` plus dataset aggregation."""
     records = predict_records(model, dataset, n, thresholds, stream, ci_level)
     return EvalReport(
         dataset_name=dataset.name,

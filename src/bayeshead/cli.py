@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from functools import partial
 from pathlib import Path
 
 from . import analytics, data, model_io, training
@@ -307,13 +308,16 @@ def build_parser() -> argparse.ArgumentParser:
     predicting.add_argument("--confidence-threshold", type=float, default=None)
     predicting.add_argument("--ci-level", type=float, default=None)
 
+    # no prefix matching: a flag is spelt in full, as a config file key must be, and --seed is not --seeds
     parser = argparse.ArgumentParser(
         prog="bayeshead",
         description="Bayesian variational classification head with uncertainty-aware referral",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    add_command = partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("train", parents=[configured], help="train a head and save the best checkpoint")
+    p = add_command("train", parents=[configured], help="train a head and save the best checkpoint")
     p.add_argument("--data", required=True, help="training dataset CSV")
     p.add_argument("--val", default=None, help="validation CSV (default: the training set)")
     p.add_argument("--baseline", action="store_true", help="train the deterministic head")
@@ -323,25 +327,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hidden-dim", type=int, default=None)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("predict", parents=[predicting], help="per-row prediction records")
+    p = add_command("predict", parents=[predicting], help="per-row prediction records")
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("eval", parents=[predicting], help="dataset-level evaluation report")
+    p = add_command("eval", parents=[predicting], help="dataset-level evaluation report")
     p.add_argument("--dataset-name", default=None)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("analyze", parents=[common], help="KDE and entropy histograms from a report")
+    p = add_command("analyze", parents=[common], help="KDE and entropy histograms from a report")
     p.add_argument("--report", required=True, help="report.json from eval")
     p.add_argument("--bins", type=int, default=_HIST_BINS)
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("compare", parents=[common], help="bayesian-vs-baseline comparison table")
+    p = add_command("compare", parents=[common], help="bayesian-vs-baseline comparison table")
     p.add_argument("--bayes", nargs="+", required=True, help="bayesian report.json files")
     p.add_argument("--baseline", nargs="+", required=True, help="baseline report.json files")
     p.add_argument("--names", nargs="+", default=None)
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("synth", parents=[configured], help="generate a synthetic dataset CSV")
+    p = add_command("synth", parents=[configured], help="generate a synthetic dataset CSV")
     p.add_argument("--n-per-class", type=int, required=True)
     p.add_argument("--means", required=True, help='per-class means, e.g. "-2,0;2,0"')
     p.add_argument("--sigma", type=float, default=1.0)
@@ -351,8 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shift-offset", default=None, help='offset vector, e.g. "0,6"')
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("study", parents=[common], allow_abbrev=False,  # --seed is not short for --seeds
-                       help="both heads over seeds on in-dist, shifted and ood sets")
+    p = add_command("study", parents=[common], help="both heads over seeds on in-dist, shifted and ood sets")
     p.add_argument("--seeds", type=int, default=5)
     p.add_argument("--noise", type=float, default=1.5, help="noise sigma of the shifted set")
     p.add_argument("--epochs", type=int, default=TrainConfig.epochs)

@@ -6,7 +6,9 @@ concentrating mass near zero.  The posterior is a fully factorized
 Gaussian with per-weight mean mu and scale sigma = softplus(rho).  The
 KL from posterior to a mixture prior has no closed form, so it is
 estimated by Monte Carlo over reparameterized draws
-theta = mu + sigma * eps, eps ~ N(0, I).
+theta = mu + sigma * eps, eps ~ N(0, I).  ``kl_sample_estimate`` returns
+the estimate with the prior's score at the draws, both from one pass over
+the mixture terms, so a training step evaluates the prior once.
 """
 
 from __future__ import annotations
@@ -114,10 +116,16 @@ def spike_slab_log_pdf(x, prior: SpikeSlabPrior):
 
 def spike_slab_score(x, prior: SpikeSlabPrior):
     """d/dx log p(x): responsibility-weighted Gaussian scores."""
-    slab, spike = _mixture_log_terms(x, prior)
-    r = np.exp(slab - np.logaddexp(slab, spike))
+    return _log_pdf_and_score(x, prior)[1]
+
+
+def _log_pdf_and_score(x, prior: SpikeSlabPrior):
+    """(log p(x), d/dx log p(x)) from one ``_mixture_log_terms`` and one log-sum-exp."""
     x = np.asarray(x, dtype=np.float64)
-    return r * (-x / prior.slab_sigma**2) + (1.0 - r) * (-x / prior.spike_sigma**2)
+    slab, spike = _mixture_log_terms(x, prior)
+    log_p = np.logaddexp(slab, spike)
+    r = np.exp(slab - log_p)
+    return log_p, r * (-x / prior.slab_sigma**2) + (1.0 - r) * (-x / prior.spike_sigma**2)
 
 
 def sample_from_epsilon(params: VariationalParams, epsilon) -> WeightSample:
@@ -139,13 +147,16 @@ def mean_sample(params: VariationalParams) -> WeightSample:
     return sample_from_epsilon(params, np.zeros(len(params)))
 
 
-def kl_sample_estimate(params: VariationalParams, prior: SpikeSlabPrior, sample: WeightSample) -> float:
-    """Unbiased KL(q || p) estimate from one draw, or the mean over a stack of draws; may be negative.
+def kl_sample_estimate(params: VariationalParams, prior: SpikeSlabPrior,
+                       sample: WeightSample) -> tuple[float, np.ndarray]:
+    """(kl, score): the unbiased KL(q || p) estimate from one draw, or the mean over a stack of
+    draws, which may be negative, and ``spike_slab_score(sample.theta, prior)``, the prior's
+    score at the draws, shaped like ``sample.theta``; both from one pass over the mixture terms.
     log q(theta) is taken at the scale the draws were made with, ``sample.sigma``."""
     z = (sample.theta - params.mu) / sample.sigma
     log_q = np.sum(-np.log(sample.sigma) - 0.5 * _LOG_2PI - 0.5 * z * z, axis=-1)
-    log_p = np.sum(spike_slab_log_pdf(sample.theta, prior), axis=-1)
-    return float(np.mean(log_q - log_p))
+    log_p, score = _log_pdf_and_score(sample.theta, prior)
+    return float(np.mean(log_q - np.sum(log_p, axis=-1))), score
 
 
 def mc_kl(params: VariationalParams, prior: SpikeSlabPrior, n_samples: int, stream: RngStream) -> float:
@@ -153,4 +164,4 @@ def mc_kl(params: VariationalParams, prior: SpikeSlabPrior, n_samples: int, stre
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     eps = stream.normal(n_samples * len(params)).reshape(n_samples, len(params))
-    return kl_sample_estimate(params, prior, sample_from_epsilon(params, eps))
+    return kl_sample_estimate(params, prior, sample_from_epsilon(params, eps))[0]

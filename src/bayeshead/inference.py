@@ -78,11 +78,8 @@ def entropy_bits(probs) -> float:
 
 
 def credible_interval(samples, level: float) -> tuple[float, float]:
-    """Empirical percentile interval with linear interpolation, through ``np.percentile``.
-
-    The independent reference for the sorted-rank bounds of ``summarize_block``;
-    a NaN sample gives NaN bounds rather than an error.
-    """
+    """Empirical percentile interval with linear interpolation, through ``np.percentile``;
+    a NaN sample gives NaN bounds rather than an error."""
     s = np.asarray(samples, dtype=np.float64)
     if s.size == 0:
         raise ValueError("credible interval of empty samples")
@@ -192,13 +189,11 @@ def predict_mc(
     x,
     n: int,
     stream: RngStream,
-    workers: int = 1,
     level: float = CI_LEVEL,
 ) -> PredictiveResult:
     """n-draw Monte Carlo prediction for one input.
 
-    Does not advance ``stream``: draw i derives the child stream keyed by
-    i.  ``workers`` is accepted for compatibility and has no effect.
+    Does not advance ``stream``: draw i derives the child stream keyed by i.
     """
     probs = stacked_probs(model, [x], *posterior_draws(model, n, stream))
     return predictive_from_samples(probs[0], level)

@@ -4,7 +4,9 @@ variational (bayesian variant) or with point weights (baseline).
 ``_forward`` the one place that forms logits from them; the ``*_forward``
 entry points and ``backward``, a training step's one pass (the summed
 cross-entropy, the KL estimate and the hand-derived gradients of their
-weighted sum), all go through the pair."""
+weighted sum), all go through the pair.  ``backward`` takes the prior's
+score from the KL estimate's own pass over the mixture prior, so a step
+evaluates the prior once."""
 
 from __future__ import annotations
 
@@ -22,7 +24,6 @@ from .distributions import (
     kl_sample_estimate,
     mean_sample,
     sample_weights,
-    spike_slab_score,
 )
 from .errors import NumericError, VariantError
 from .rng import RngStream
@@ -254,15 +255,14 @@ def backward(model: HeadModel, features, labels, samples: WeightSample | None, k
     per_example = samples.theta.ndim == 2
     sig_prime = sigmoid(params.rho)
     g_theta = np.concatenate([g_w.reshape(g_b.shape[:-1] + (-1,)), g_b], axis=-1)
-    g_mu = g_theta.copy()
     g_rho = g_theta * samples.epsilon * sig_prime
+    g_mu = g_theta  # fresh from the concatenate, so the KL term can go in place once g_rho is formed
     kl = 0.0
     if kl_weight != 0.0:
-        kl = kl_sample_estimate(params, model.output.prior, samples)
+        kl, score = kl_sample_estimate(params, model.output.prior, samples)
         # pathwise gradients of log q - log p: with theta = mu + sigma*eps, log q is -sum(log sigma)
         # + const, so only the prior's score flows through mu; per example, the KL averages the draws
         kl_scale = kl_weight / features.shape[0] if per_example else kl_weight
-        score = spike_slab_score(samples.theta, model.output.prior)
         g_mu += kl_scale * -score
         g_rho += kl_scale * (-sig_prime / samples.sigma - score * samples.epsilon * sig_prime)
     if per_example:

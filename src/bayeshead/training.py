@@ -5,14 +5,16 @@ checkpointing on a validation metric.
 Objective per step: summed batch NLL + kl_weight * KL_estimate, where
 kl_weight is 1/num_batches, so a full epoch accumulates one KL term
 (Blundell et al. 2015).  A step is one ``network.backward`` call, which
-gives the loss parts and the gradients from one forward pass, one
-finiteness check on the gradients, and one RMSprop update.  Both heads use the
-identical update path, so forcing sigma = 0 and dropping the KL reproduces
-the baseline bit for bit.  Both heads draw their initial weights through one
-``_init_layers``, so the baseline's output weights are the bayesian head's
-initial mu; validation runs ``network.mean_forward``, the logits path that
-training's passes use, 1024 rows at a time; and the checkpoint keeps the
-first epoch with the lowest val_nll.
+gives the loss parts and the gradients from one forward pass and one pass
+over the spike-and-slab prior (``kl_sample_estimate`` returns the KL with
+the prior's score), one finiteness check on the gradients, and one RMSprop
+update.  Both heads use the identical update path, so forcing sigma = 0 and
+dropping the KL reproduces the baseline bit for bit.  Both heads draw their
+initial weights through one ``_init_layers``, so the baseline's output
+weights are the bayesian head's initial mu; validation runs
+``network.mean_forward``, the logits path that training's passes use, 1024
+rows at a time; and the checkpoint keeps the first epoch with the lowest
+val_nll.
 
 The parameter groups live as views in one contiguous buffer, so the update
 is one in-place optimizer call over the gradients concatenated into one
@@ -208,7 +210,7 @@ def _elbo_parts(model, features, labels, samples, kl_weight):
     """(loss, nll, kl) of one batch; the reference loss that ``backward``'s loss parts equal."""
     nll = batch_nll(batch_forward(model, features, samples), labels)
     if model.is_bayesian and samples is not None and kl_weight != 0.0:
-        kl = kl_sample_estimate(model.output.params, model.output.prior, samples)
+        kl = kl_sample_estimate(model.output.params, model.output.prior, samples)[0]
     else:
         kl = 0.0
     return nll + kl_weight * kl, nll, kl

@@ -84,12 +84,6 @@ class TestEvaluate:
         off = report.confusion.sum() - np.trace(report.confusion)
         assert report.accuracy == 1.0 - off / len(dataset)
 
-    def test_bayes_eval_workers_identical(self, tiny_bayes):
-        dataset = _dataset([[1.0, 0.2], [-0.4, 1.0], [2.0, -1.0]], [0, 1, 0])
-        a = evaluate(tiny_bayes, dataset, 16, ReferralThresholds(), RngStream(2), workers=1)
-        b = evaluate(tiny_bayes, dataset, 16, ReferralThresholds(), RngStream(2), workers=4)
-        assert a.to_dict() == b.to_dict()
-
     def test_shape_mismatch_rejected(self, tiny_bayes):
         bad = _dataset([[1.0, 2.0, 3.0]], [0])
         with pytest.raises(ValueError):

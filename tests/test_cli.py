@@ -561,6 +561,24 @@ def test_report_commands_reject_seed_and_config(command, flag, tmp_path, monkeyp
     assert flag[0] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["train", "--data", "train.csv", "--epoch", "3"], "--epoch"),
+    (["predict", "--model", "model.json", "--data", "d.csv", "--uncertainty", "0.5"], "--uncertainty"),
+    (["eval", "--model", "model.json", "--data", "d.csv", "--dataset", "foo"], "--dataset"),
+    (["analyze", "--report", "report.json", "--bin", "5"], "--bin"),
+    (["compare", "--bayes", "a.json", "--baseline", "b.json", "--name", "x"], "--name"),
+    (["synth", "--n-per-class", "5", "--means", "0,0", "--shift-n", "1.5"], "--shift-n"),
+    (["study", "--epoch", "1"], "--epoch"),
+])
+def test_an_abbreviated_flag_exits_2(argv, flag, tmp_path, monkeypatch, capsys):
+    # each is an unambiguous prefix of one of the command's flags, which argparse would take by default
+    monkeypatch.chdir(tmp_path)  # a command that wrongly parses writes into its default --out
+    with pytest.raises(SystemExit) as e:
+        run(argv)
+    assert e.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
 @pytest.fixture(scope="module")
 def good_report_doc(cli_data, trained, tmp_path_factory):
     out = tmp_path_factory.mktemp("typed_report")

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bayeshead import (
@@ -16,9 +16,11 @@ from bayeshead import (
 from bayeshead.core import sigmoid
 from bayeshead.distributions import (
     gaussian_log_pdf,
+    kl_sample_estimate,
     mean_sample,
     sample_weights,
     spike_slab_log_pdf,
+    spike_slab_score,
 )
 
 
@@ -183,3 +185,38 @@ class TestMcKl:
     def test_rejects_zero_samples(self):
         with pytest.raises(ValueError):
             mc_kl(_gaussian_params(0, 1), SpikeSlabPrior(), 0, RngStream(0))
+
+
+@st.composite
+def priors(draw):
+    slab = draw(st.floats(1e-2, 10.0))
+    spike = draw(st.floats(1e-3, 1.0).filter(lambda s: s <= slab))
+    return SpikeSlabPrior(draw(st.floats(0.0, 1.0)), slab, spike)
+
+
+@st.composite
+def posterior_draws(draw):
+    """(params, sample): a (K,) draw or a (B, K) stack of draws."""
+    k = draw(st.integers(1, 6))
+    shape = (k,) if draw(st.booleans()) else (draw(st.integers(1, 4)), k)
+
+    def floats(lo, hi, n):
+        return np.array(draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n)))
+
+    params = VariationalParams(floats(-3.0, 3.0, k), floats(-6.0, 2.0, k))
+    return params, sample_from_epsilon(params, floats(-4.0, 4.0, math.prod(shape)).reshape(shape))
+
+
+class TestKlSampleEstimate:
+    @settings(deadline=None)
+    @given(priors(), posterior_draws())
+    def test_one_pass_equals_the_separate_calls(self, prior, case):
+        # the fused pass that training takes against the two calls it replaces, bit for bit
+        params, sample = case
+        kl, score = kl_sample_estimate(params, prior, sample)
+        assert score.shape == sample.theta.shape
+        assert score.tobytes() == spike_slab_score(sample.theta, prior).tobytes()
+        z = (sample.theta - params.mu) / sample.sigma
+        log_q = np.sum(-np.log(sample.sigma) - 0.5 * np.log(2.0 * np.pi) - 0.5 * z * z, axis=-1)
+        expected = float(np.mean(log_q - np.sum(spike_slab_log_pdf(sample.theta, prior), axis=-1)))
+        assert np.float64(kl).tobytes() == np.float64(expected).tobytes()

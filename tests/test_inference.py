@@ -233,14 +233,6 @@ class TestPredictMc:
         w, b = posterior_draws(model, 20, stream)
         assert after.tobytes() == stacked_probs(model, [x], w, b)[0].tobytes()
 
-    def test_workers_do_not_change_bits(self, tiny_bayes):
-        x = np.array([0.7, -1.2])
-        serial = predict_mc(tiny_bayes, x, 24, RngStream(4), workers=1)
-        threaded = predict_mc(tiny_bayes, x, 24, RngStream(4), workers=4)
-        assert np.array_equal(serial.sample_probs, threaded.sample_probs)
-        assert np.array_equal(serial.mean_probs, threaded.mean_probs)
-        assert serial.entropy_bits == threaded.entropy_bits
-
     def test_rejects_baseline_and_zero_draws(self, tiny_bayes, tiny_baseline):
         with pytest.raises(VariantError):
             predict_mc(tiny_baseline, np.zeros(2), 5, RngStream(0))

@@ -92,9 +92,12 @@ def _count_calls(monkeypatch, fn) -> list:
 _PER_STEP = (network.backward, training.rmsprop_step)  # the calls every head makes once per step
 
 
+_KL_STEP = (distributions.kl_sample_estimate, distributions._mixture_log_terms)  # one pass over the prior
+
+
 @pytest.mark.parametrize("head, per_step", [
-    ("shared_sample", (*_PER_STEP, distributions.sample_weights, distributions.kl_sample_estimate)),
-    ("per_example", (*_PER_STEP, distributions.kl_sample_estimate)),
+    ("shared_sample", (*_PER_STEP, *_KL_STEP, distributions.sample_weights)),
+    ("per_example", (*_PER_STEP, *_KL_STEP)),
     ("baseline", _PER_STEP),
 ])
 def test_shared_sample_epoch_makes_one_call_of_each_per_step(monkeypatch, tiny_task, head, per_step):
