@@ -8,7 +8,7 @@ depends on where earlier long-lived arrays landed: the same triage work
 read 54, 57 or 59 MiB of peak RSS depending on where it was checked out.
 Setting the thresholds explicitly turns that adjustment off.
 
-bayeshead's transient arrays (hidden activations of a validation or
+bayeshead's transient arrays (hidden-layer outputs of a validation or
 prediction block, a training epoch's noise words, Monte Carlo draw
 stacks) stay under ``MMAP_THRESHOLD``, so they reuse heap memory without
 new page faults, and the heap keeps up to ``TRIM_THRESHOLD`` of free

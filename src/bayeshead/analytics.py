@@ -15,6 +15,8 @@ so a malformed report is an input error.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import asdict, dataclass, fields
 
@@ -36,6 +38,7 @@ from .network import HeadModel
 from .rng import RngStream
 
 REPORT_SCHEMA_VERSION = 1
+KDE_GRID_POINTS = 401  # points of the uniform grid a density is evaluated on
 
 _BLOCK_ROWS = 64  # rows per kernel call; bounds memory and leaves every bit as it is
 
@@ -281,8 +284,8 @@ def silverman_bandwidth(values) -> float:
     return 0.9 * spread * v.size ** (-0.2)
 
 
-def kde(values, bandwidth: float | None = None, grid_points: int = 401) -> KdeCurve:
-    """Gaussian-kernel density on a uniform grid over [min-4h, max+4h]."""
+def kde(values, bandwidth: float | None = None) -> KdeCurve:
+    """Gaussian-kernel density on a uniform grid of ``KDE_GRID_POINTS`` over [min-4h, max+4h]."""
     v = np.asarray(values, dtype=np.float64)
     if v.size == 0:
         raise ValueError("kde of empty values")
@@ -293,9 +296,7 @@ def kde(values, bandwidth: float | None = None, grid_points: int = 401) -> KdeCu
     h = float(bandwidth)
     if h <= 0.0 or not np.isfinite(h):
         raise ValueError(f"bandwidth must be positive, got {bandwidth}")
-    if grid_points < 2:
-        raise ValueError("grid_points must be >= 2")
-    grid = np.linspace(v.min() - 4.0 * h, v.max() + 4.0 * h, grid_points)
+    grid = np.linspace(v.min() - 4.0 * h, v.max() + 4.0 * h, KDE_GRID_POINTS)
     z = (grid[:, None] - v[None, :]) / h
     density = np.exp(-0.5 * z * z).sum(axis=1) / (v.size * h * _SQRT_2PI)
     return KdeCurve(grid=grid, density=density, bandwidth=h)
@@ -362,12 +363,14 @@ def compare_report(
 
 
 def comparison_csv(rows: list[ComparisonRow], config: dict | None = None) -> str:
-    lines = echo_header(config)
-    lines.append(",".join(f.name for f in fields(ComparisonRow)))
+    """The echo block, then one row per dataset; a cell that holds a comma or a quote is quoted."""
+    text = io.StringIO()
+    text.writelines(line + "\n" for line in echo_header(config))
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(f.name for f in fields(ComparisonRow))
     for r in rows:
-        cells = ("" if v is None else v if isinstance(v, str) else repr(v) for v in asdict(r).values())
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+        writer.writerow("" if v is None else v if isinstance(v, str) else repr(v) for v in asdict(r).values())
+    return text.getvalue()
 
 
 def kde_csv(curve: KdeCurve, config: dict | None = None) -> str:

@@ -41,16 +41,19 @@ _HIST_BINS = 20  # entropy-histogram bins of analyze and study
 
 
 def parse_config_file(path) -> dict:
-    """Flat ``key = value`` file; '#' comments and blank lines ignored."""
+    """Flat ``key = value`` file; '#' comments and blank lines ignored, and no key may repeat."""
     out: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ValueError(f"{path}: line {lineno}: expected 'key = value'")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in first_line:
+            raise ValueError(f"{path}: key {key!r} appears on line {first_line[key]} and again on line {lineno}")
+        out[key], first_line[key] = value, lineno
     return out
 
 
@@ -144,8 +147,9 @@ def cmd_predict(args) -> int:
 
 def cmd_eval(args) -> int:
     n, thresholds, ci_level, stream, echo = _prediction_settings(args)
+    name = _plain_name(args.dataset_name or Path(args.data).stem)  # "" names it by the file stem
     archive = model_io.load_model(args.model)
-    dataset = data.load_csv(args.data, name=args.dataset_name or None)  # "" names it by the file stem
+    dataset = data.load_csv(args.data, name=name)
     report = analytics.evaluate(archive.model, dataset, n, thresholds, stream, ci_level=ci_level)
     echo["variant"] = archive.model.variant
     path = _out_dir(args.out) / "report.json"
@@ -161,12 +165,17 @@ def _read_report(path) -> analytics.EvalReport:
     return analytics.EvalReport.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
+def _plain_name(name: str) -> str:
+    """``name`` if it can stem a file name inside an output directory, else a ValueError."""
+    if name in ("", ".", "..") or "/" in name or "\\" in name:
+        raise ValueError(f"dataset_name {name!r} is not a plain file name")
+    return name
+
+
 def _write_figures(report: analytics.EvalReport, out, echo: dict, bins: int) -> None:
     """``<dataset_name>_uncertainty_kde.csv`` and ``<dataset_name>_entropy_hist.csv`` in ``out``,
     both built before either is written; the KDE is skipped, with a note, where it is undefined."""
-    stem = report.dataset_name
-    if stem in ("", ".", "..") or "/" in stem or "\\" in stem:
-        raise ValueError(f"dataset_name {stem!r} is not a plain file name")
+    stem = _plain_name(report.dataset_name)
     try:
         kde_text = analytics.kde_csv(analytics.kde([r.uncertainty for r in report.records]), echo)
     except ValueError as e:
@@ -185,8 +194,9 @@ def _write_figures(report: analytics.EvalReport, out, echo: dict, bins: int) -> 
 
 
 def _write_comparison(rows: list[analytics.ComparisonRow], out, echo: dict) -> None:
+    text = analytics.comparison_csv(rows, echo)
     out = _out_dir(out)
-    _write_text(out / "comparison.csv", analytics.comparison_csv(rows, echo))
+    _write_text(out / "comparison.csv", text)
     _write_json(out / "comparison.json", {"schema_version": 1, "config": echo, "rows": [asdict(r) for r in rows]})
     print(f"wrote {len(rows)} datasets to {out / 'comparison.csv'} and comparison.json")
 

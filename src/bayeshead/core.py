@@ -9,21 +9,22 @@ from __future__ import annotations
 import numpy as np
 
 
-def softmax(logits, axis: int = -1) -> np.ndarray:
-    """Normalized exponentials along ``axis``, computed with max-subtraction."""
+def softmax(logits) -> np.ndarray:
+    """Normalized exponentials along the last axis, computed with max-subtraction."""
     x = np.asarray(logits, dtype=np.float64)
     if x.size == 0:
         raise ValueError("softmax of empty input")
     if not np.isfinite(x).all():
         raise ValueError("softmax input must be finite")
-    e = np.exp(x - x.max(axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def log_softmax(logits, axis: int = -1) -> np.ndarray:
+def log_softmax(logits) -> np.ndarray:
+    """Log of ``softmax`` along the last axis."""
     x = np.asarray(logits, dtype=np.float64)
-    s = x - x.max(axis=axis, keepdims=True)
-    return s - np.log(np.exp(s).sum(axis=axis, keepdims=True))
+    s = x - x.max(axis=-1, keepdims=True)
+    return s - np.log(np.exp(s).sum(axis=-1, keepdims=True))
 
 
 def softplus(x) -> np.ndarray:

@@ -157,8 +157,13 @@ def _is_float(s: str) -> bool:
 
 
 def echo_header(config: dict | None, **extra) -> list[str]:
-    """'# key = value' comment lines echoing ``config`` and then ``extra``, in order."""
-    return [f"# {k} = {v}" for k, v in [*(config or {}).items(), *extra.items()]]
+    """'# key = value' comment lines echoing ``config`` and then ``extra``, in order; a value with a
+    line break would end its comment line early, so it is a ValueError."""
+    lines = [f"# {k} = {v}" for k, v in [*(config or {}).items(), *extra.items()]]
+    for line in lines:
+        if "\n" in line or "\r" in line:
+            raise ValueError(f"an echoed setting holds a line break: {line!r}")
+    return lines
 
 
 @contextmanager

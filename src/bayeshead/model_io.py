@@ -34,7 +34,7 @@ def save_model(archive: ModelArchive, path) -> None:
         "hidden_dim": model.hidden_dim,
         "n_classes": model.n_classes,
         "hidden": {
-            "activation": model.hidden.activation,
+            "activation": "relu",  # the head's one hidden activation; load_model rejects any other
             "weights": model.hidden.weights.tolist(),
             "bias": model.hidden.bias.tolist(),
         },
@@ -73,14 +73,17 @@ def load_model(path) -> ModelArchive:
         )
     try:
         # the layers and VariationalParams convert the JSON lists to float64 arrays themselves
-        hidden = DenseLayer(doc["hidden"]["weights"], doc["hidden"]["bias"], doc["hidden"]["activation"])
+        layer = doc["hidden"]
+        if layer["activation"] != "relu":
+            raise ArchiveError(f"model archive {path} has hidden activation {layer['activation']!r}, not 'relu'")
+        hidden = DenseLayer(layer["weights"], layer["bias"])
         declared = (int(doc["feature_dim"]), int(doc["hidden_dim"]), int(doc["n_classes"]))
         out = doc["output"]
         if doc["variant"] == "bayesian":
             prior = SpikeSlabPrior(**{f.name: float(out["prior"][f.name]) for f in fields(SpikeSlabPrior)})
             output = VariationalDenseLayer(VariationalParams(out["mu"], out["rho"]), prior, *declared[1:])
         elif doc["variant"] == "baseline":
-            output = DenseLayer(out["weights"], out["bias"], "identity")
+            output = DenseLayer(out["weights"], out["bias"])
         else:
             raise ArchiveError(f"model archive {path} has unknown variant {doc['variant']!r}")
         model = HeadModel(hidden, output)

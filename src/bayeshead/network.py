@@ -1,4 +1,4 @@
-"""Classification head: a dense hidden layer feeding a linear output layer,
+"""Classification head: a relu hidden layer feeding a linear output layer,
 variational (bayesian variant) or with point weights (baseline).
 ``_output_weights`` is the one rule for the output weights a pass uses and
 ``_forward`` the one place that forms logits from them; the ``*_forward``
@@ -31,22 +31,19 @@ from .rng import RngStream
 _LOG_CLAMP = float(np.log(1e-300))
 _ROW_BLOCK = 1024  # rows per block of a large mean_forward
 
-_ACTIVATIONS = ("relu", "identity")
-
 
 @dataclass
 class DenseLayer:
+    """Point weights: the hidden layer, which ``dense_forward`` applies relu to, or the baseline's linear output."""
+
     weights: np.ndarray  # (in_dim, out_dim)
     bias: np.ndarray  # (out_dim,)
-    activation: str = "identity"
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
         self.bias = np.asarray(self.bias, dtype=np.float64)
         if self.weights.ndim != 2 or self.bias.shape != (self.weights.shape[1],):
             raise ValueError("weights must be (in_dim, out_dim) with a matching bias")
-        if self.activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
         if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.bias))):
             raise ValueError("layer parameters must be finite")
 
@@ -90,8 +87,6 @@ class HeadModel:
     def __post_init__(self):
         if self.hidden.out_dim != self.output.in_dim:
             raise ValueError("the hidden layer's width differs from the output layer's input width")
-        if isinstance(self.output, DenseLayer) and self.output.activation != "identity":
-            raise ValueError(f"the output layer must be linear, got activation {self.output.activation!r}")
 
     @property
     def is_bayesian(self) -> bool:
@@ -115,14 +110,13 @@ class HeadModel:
 
 
 def dense_forward(layer: DenseLayer, x) -> np.ndarray:
-    """activation(x @ W + b); accepts a single vector or a batch."""
+    """The hidden layer's relu(x @ W + b); accepts a single vector or a batch."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != layer.in_dim:
         raise ValueError(f"input width {x.shape[-1]} != layer in_dim {layer.in_dim}")
     z = x @ layer.weights
     z += layer.bias  # the product is fresh, so the bias and relu go in place
-    if layer.activation == "relu":
-        np.maximum(z, 0.0, out=z)
+    np.maximum(z, 0.0, out=z)
     return z
 
 
@@ -138,7 +132,7 @@ def mean_forward(model: HeadModel, x) -> np.ndarray:
     """Deterministic logits: posterior-mean weights for the bayesian variant.
 
     A batch of more than ``_ROW_BLOCK`` rows goes through in blocks of that
-    many, so a large set's hidden activations never all live at once.  A
+    many, so a large set's hidden outputs never all live at once.  A
     one-row tail joins the block before it: numpy multiplies a single row by
     another BLAS routine (gemv), which can give other bits.
     """
@@ -244,8 +238,7 @@ def backward(model: HeadModel, features, labels, samples: WeightSample | None, k
         g_w = h[:, :, None] * g[:, None, :]
         g_b = g
         dh = np.einsum("bhc,bc->bh", w, g)
-    if model.hidden.activation == "relu":
-        dh = dh * (h > 0.0)
+    dh = dh * (h > 0.0)
     g_w1 = features.T @ dh
     g_b1 = dh.sum(axis=0)
     if not model.is_bayesian:

@@ -167,7 +167,7 @@ def init_bayes_model(feature_dim: int, n_classes: int, config: TrainConfig) -> H
 def init_baseline_model(feature_dim: int, n_classes: int, config: TrainConfig) -> HeadModel:
     hidden, vec = _init_layers(feature_dim, n_classes, config)  # vec: the bayesian head's mu draws
     split = config.hidden_dim * n_classes
-    output = DenseLayer(vec[:split].reshape(config.hidden_dim, n_classes), vec[split:], "identity")
+    output = DenseLayer(vec[:split].reshape(config.hidden_dim, n_classes), vec[split:])
     return HeadModel(hidden, output)
 
 
@@ -177,7 +177,7 @@ def _init_layers(feature_dim: int, n_classes: int, config: TrainConfig) -> tuple
     root = RngStream(config.seed).derive(_INIT_STREAM)
     scale = math.sqrt(2.0 / feature_dim)
     w = root.derive(0).normal(feature_dim * config.hidden_dim).reshape(feature_dim, config.hidden_dim)
-    hidden = DenseLayer(w * scale, np.zeros(config.hidden_dim), "relu")
+    hidden = DenseLayer(w * scale, np.zeros(config.hidden_dim))
     k = config.hidden_dim * n_classes + n_classes
     return hidden, root.derive(1).normal(k) * _INIT_MU_SIGMA
 

@@ -20,6 +20,7 @@ from bayeshead import (
 )
 from bayeshead.analytics import (
     _BLOCK_ROWS,
+    KDE_GRID_POINTS,
     comparison_csv,
     entropy_histogram_csv,
     kde_csv,
@@ -32,8 +33,8 @@ from bayeshead.network import DenseLayer
 
 def _passthrough_model() -> HeadModel:
     """Baseline head whose logits equal the (nonnegative) input features."""
-    hidden = DenseLayer(np.eye(2), np.zeros(2), "relu")
-    output = DenseLayer(np.eye(2), np.zeros(2), "identity")
+    hidden = DenseLayer(np.eye(2), np.zeros(2))
+    output = DenseLayer(np.eye(2), np.zeros(2))
     return HeadModel(hidden, output)
 
 
@@ -161,7 +162,7 @@ class TestKde:
             )
 
     def test_symmetric_values_give_symmetric_curve(self):
-        curve = kde([-0.8, 0.8], bandwidth=0.3, grid_points=201)
+        curve = kde([-0.8, 0.8], bandwidth=0.3)
         assert np.allclose(curve.density, curve.density[::-1], atol=1e-12)
 
     def test_integral_is_one(self):
@@ -274,16 +275,16 @@ class TestCompareReport:
 
 class TestCsvEmitters:
     def test_kde_csv_shape(self):
-        curve = kde([0.0, 1.0], bandwidth=0.5, grid_points=11)
+        curve = kde([0.0, 1.0], bandwidth=0.5)
         text = kde_csv(curve, config={"seed": 1})
         lines = text.strip().splitlines()
         assert "grid,density" in lines
         data = [l for l in lines if not l.startswith("#") and l != "grid,density"]
-        assert len(data) == 11
+        assert len(data) == KDE_GRID_POINTS
 
     def test_echo_headers_pinned(self):
         echo = {"report": "r.json", "bins": 5}
-        kde_text = kde_csv(kde([0.0, 1.0], bandwidth=0.5, grid_points=2), config=echo)
+        kde_text = kde_csv(kde([0.0, 1.0], bandwidth=0.5), config=echo)
         assert kde_text.startswith("# report = r.json\n# bins = 5\n# bandwidth = 0.5\ngrid,density\n")
         hist = entropy_histogram([], n_bins=2)
         assert entropy_histogram_csv(hist, echo).startswith(
@@ -301,7 +302,7 @@ class TestCsvEmitters:
     def test_data_cells_are_plain_numbers(self):
         # numpy 2 reprs a float64 as np.float64(...), which no CSV reader parses
         hist = entropy_histogram([(0.1, True), (0.7, False), (0.4, True)], n_bins=4)
-        for text in (kde_csv(kde([0.0, 0.3, 1.0], grid_points=9)), entropy_histogram_csv(hist)):
+        for text in (kde_csv(kde([0.0, 0.3, 1.0])), entropy_histogram_csv(hist)):
             header, *data = [line for line in text.splitlines() if not line.startswith("#")]
             rows = [line.split(",") for line in data]
             assert rows and all(len(row) == len(header.split(",")) for row in rows)

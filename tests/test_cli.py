@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 from dataclasses import fields
@@ -78,6 +79,24 @@ class TestModelArchive:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_model(tmp_path / "absent.json")
+
+    @pytest.mark.parametrize("activation", ["identity", "tanh"])
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    @pytest.mark.parametrize("variant", ["bayes", "base"])
+    def test_another_hidden_activation_exits_2_and_writes_nothing(self, variant, command, activation, cli_data,
+                                                                  trained, tmp_path, capsys):
+        doc = json.loads((trained / variant / "model.json").read_text())
+        doc["hidden"]["activation"] = activation
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ArchiveError, match=f"hidden activation '{activation}'"):
+            load_model(path)
+        rc = run([command, "--model", str(path), "--data", str(cli_data / "test.csv"),
+                  "--n", "4", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and repr(activation) in err[0]
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.fixture(scope="module")
@@ -170,6 +189,18 @@ class TestTrainCommand:
         bad.write_text("epochs 3\n")
         with pytest.raises(ValueError, match="line 1"):
             parse_config_file(bad)
+
+    def test_a_repeated_config_key_exits_2_naming_both_lines(self, cli_data, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("epochs = 1\n# a comment\nhidden_dim = 4\nepochs = 2\n")
+        with pytest.raises(ValueError, match="'epochs' appears on line 1 and again on line 4"):
+            parse_config_file(cfg)
+        rc = run(["train", "--data", str(cli_data / "train.csv"), "--config", str(cfg),
+                  "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'epochs'" in err and "line 1" in err and "line 4" in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestPredictCommand:
@@ -282,6 +313,41 @@ class TestEvalAnalyzeCompare:
         lines = (tmp_path / "comparison.csv").read_text().splitlines()
         data_rows = [l for l in lines if not l.startswith("#")][1:]
         assert len(data_rows) == 1 and data_rows[0].startswith("test,")
+
+    def _compare_both_heads(self, name, cli_data, trained, tmp_path):
+        """Eval both heads under dataset name ``name``, then compare them into ``tmp_path / "t"``."""
+        for head, out in (("bayes", "b"), ("base", "c")):
+            assert self._eval(trained / head, cli_data, tmp_path / out, ("--dataset-name", name)) == 0
+        return run([
+            "compare", "--bayes", str(tmp_path / "b" / "report.json"),
+            "--baseline", str(tmp_path / "c" / "report.json"), "--out", str(tmp_path / "t"),
+        ])
+
+    def test_compare_quotes_a_dataset_name_that_holds_a_comma(self, cli_data, trained, tmp_path):
+        assert self._compare_both_heads("x,y", cli_data, trained, tmp_path) == 0
+        text = (tmp_path / "t" / "comparison.csv").read_text()
+        assert text.startswith("# datasets = x,y\ndataset,")
+        header, row = csv.reader(line for line in text.splitlines() if not line.startswith("#"))
+        assert len(header) == len(row) == 7
+        assert row[0] == "x,y" and text.splitlines()[-1].startswith('"x,y",')
+
+    def test_compare_of_a_dataset_name_with_a_line_break_exits_2_and_writes_nothing(self, cli_data, trained,
+                                                                                    tmp_path, capsys):
+        rc = self._compare_both_heads("p\nq", cli_data, trained, tmp_path)
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "line break" in err[0]
+        assert not (tmp_path / "t").exists()
+
+    @pytest.mark.parametrize("name", ["a/b", "..", "a\\b"])
+    def test_eval_of_a_name_that_is_not_a_file_name_exits_2_before_the_model_loads(self, name, cli_data,
+                                                                                   tmp_path, capsys):
+        # the model path does not exist: checked after the name, it would give another error
+        rc = run(["eval", "--model", str(tmp_path / "absent.json"), "--data", str(cli_data / "test.csv"),
+                  "--dataset-name", name, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "not a plain file name" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_compare_mismatch_exits_2(self, cli_data, trained, tmp_path, capsys):
         assert self._eval(trained / "bayes", cli_data, tmp_path / "b") == 0

@@ -14,7 +14,6 @@ from bayeshead.core import log_softmax, sigmoid, softmax
 from bayeshead.distributions import mean_sample, sample_weights, spike_slab_score
 from bayeshead.network import (
     DenseLayer,
-    HeadModel,
     batch_forward,
     batch_nll,
     bayes_forward,
@@ -31,33 +30,30 @@ from bayeshead.training import (
 
 
 class TestDenseForward:
-    def test_identity_map(self):
-        layer = DenseLayer(np.eye(3), np.zeros(3), "identity")
-        x = np.array([0.5, -1.0, 2.0])
-        assert np.array_equal(dense_forward(layer, x), x)
+    def test_identity_weights_give_relu_of_input(self):
+        layer = DenseLayer(np.eye(3), np.zeros(3))
+        assert np.array_equal(dense_forward(layer, [0.5, -1.0, 2.0]), [0.5, 0.0, 2.0])
 
-    def test_zero_weights_yield_bias(self):
-        layer = DenseLayer(np.zeros((3, 2)), np.array([4.0, -1.0]), "identity")
-        assert np.array_equal(dense_forward(layer, np.ones(3)), [4.0, -1.0])
+    def test_zero_weights_yield_relu_of_bias(self):
+        layer = DenseLayer(np.zeros((3, 2)), np.array([4.0, -1.0]))
+        assert np.array_equal(dense_forward(layer, np.ones(3)), [4.0, 0.0])
 
     def test_hand_matrix_multiply(self):
-        layer = DenseLayer(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0.5, -0.5]), "identity")
+        layer = DenseLayer(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0.5, -0.5]))
         assert np.allclose(dense_forward(layer, [1.0, 1.0]), [4.5, 5.5], atol=1e-15)
 
     def test_relu_clips(self):
-        layer = DenseLayer(np.eye(2), np.zeros(2), "relu")
+        layer = DenseLayer(np.eye(2), np.zeros(2))
         assert np.array_equal(dense_forward(layer, [-3.0, 2.0]), [0.0, 2.0])
 
     def test_shape_mismatch(self):
-        layer = DenseLayer(np.eye(3), np.zeros(3), "identity")
+        layer = DenseLayer(np.eye(3), np.zeros(3))
         with pytest.raises(ValueError):
             dense_forward(layer, np.ones(4))
 
     def test_layer_validation(self):
         with pytest.raises(ValueError):
-            DenseLayer(np.eye(2), np.zeros(3), "identity")
-        with pytest.raises(ValueError):
-            DenseLayer(np.eye(2), np.zeros(2), "tanh")
+            DenseLayer(np.eye(2), np.zeros(3))
 
 
 def _toy_bayes(seed=0, hidden=2, features=3, classes=2):
@@ -198,10 +194,8 @@ class TestBackward:
         for name, g in got.items():
             assert np.max(np.abs(g - want[name])) <= 1e-12 * np.max(np.abs(want[name])), name
 
-    @pytest.mark.parametrize("activation", ["relu", "identity"])
-    def test_per_example_gradients_match_finite_differences_wide(self, activation):
+    def test_per_example_gradients_match_finite_differences_wide(self):
         model = _toy_bayes(seed=29, hidden=5, features=4, classes=3)
-        model.hidden.activation = activation
         stream = RngStream(31)
         features = stream.normal(32).reshape(8, 4)
         labels = np.arange(8) % 3
@@ -238,7 +232,7 @@ def _two_pass_backward(model, features, labels, samples, kl_weight):
 
     def nll_grads(w, b):
         z1 = features @ model.hidden.weights + model.hidden.bias
-        h = np.maximum(z1, 0.0) if model.hidden.activation == "relu" else z1
+        h = np.maximum(z1, 0.0)
         logits = h @ w + b if w.ndim == 2 else np.einsum("bh,bhc->bc", h, w) + b
         g = np.exp(log_softmax(logits)).copy()
         g[np.arange(labels.shape[0]), labels] -= 1.0
@@ -246,8 +240,7 @@ def _two_pass_backward(model, features, labels, samples, kl_weight):
             g_w, g_b, dh = h.T @ g, g.sum(axis=0), g @ w.T
         else:
             g_w, g_b, dh = h[:, :, None] * g[:, None, :], g, np.einsum("bhc,bc->bh", w, g)
-        if model.hidden.activation == "relu":
-            dh = dh * (z1 > 0.0)
+        dh = dh * (z1 > 0.0)
         return features.T @ dh, dh.sum(axis=0), g_w, g_b
 
     if not model.is_bayesian:
@@ -302,11 +295,9 @@ class TestFusedStep:
         if case in ("baseline", "force_sigma_zero", "kl_weight_zero"):
             assert got.kl == 0.0
 
-    @pytest.mark.parametrize("activation", ["relu", "identity"])
     @pytest.mark.parametrize("case", _FUSED_CASES)
-    def test_gradients_equal_the_two_pass_step(self, case, activation):
+    def test_gradients_equal_the_two_pass_step(self, case):
         model, features, labels, samples, kl_weight = _fused_case(case)
-        model.hidden.activation = activation
         got = backward(model, features, labels, samples, kl_weight)
         want = _two_pass_backward(model, features, labels, samples, kl_weight)
         assert list(got) == list(want)
@@ -321,20 +312,17 @@ class TestFusedStep:
                 backward(model, features, labels, samples, 0.37)
 
 
-@pytest.mark.parametrize("activation", ["relu", "identity"])
 @pytest.mark.parametrize("shape", [(5,), (7, 5), (7, 1, 5)])
-def test_dense_forward_matches_the_out_of_place_reference_and_keeps_its_inputs(activation, shape):
+def test_dense_forward_matches_the_out_of_place_reference_and_keeps_its_inputs(shape):
     stream = RngStream(4, 2)
     weights = stream.normal(15).reshape(5, 3)
     bias = stream.normal(3)
     x = stream.normal(int(np.prod(shape))).reshape(shape)
-    layer = DenseLayer(weights, bias, activation)
+    layer = DenseLayer(weights, bias)
     copies = x.copy(), layer.weights.copy(), layer.bias.copy()
     got = dense_forward(layer, x)
-    want = x @ weights + bias
-    if activation == "relu":
-        want = np.maximum(want, 0)
-        assert np.any(want == 0.0) and np.any(want > 0.0)
+    want = np.maximum(x @ weights + bias, 0)
+    assert np.any(want == 0.0) and np.any(want > 0.0)
     assert got.shape == want.shape == shape[:-1] + (3,)
     assert got.tobytes() == want.tobytes()
     for before, after in zip(copies, (x, layer.weights, layer.bias)):
@@ -342,11 +330,6 @@ def test_dense_forward_matches_the_out_of_place_reference_and_keeps_its_inputs(a
 
 
 class TestLinearOutput:
-    def test_relu_output_head_cannot_be_built(self):
-        hidden = DenseLayer(np.eye(2), np.zeros(2), "relu")
-        with pytest.raises(ValueError, match="linear"):
-            HeadModel(hidden, DenseLayer(np.eye(2), np.zeros(2), "relu"))
-
     def test_backward_without_a_sample_is_a_variant_error(self):
         model = _toy_bayes()
         with pytest.raises(VariantError):

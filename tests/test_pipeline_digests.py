@@ -12,6 +12,7 @@ import hashlib
 from pathlib import Path
 
 from bayeshead.cli import run
+from conftest import build_note
 
 MEANS = "--means=-2,0;2,0"
 
@@ -95,4 +96,4 @@ def test_readme_pipeline_artifacts_are_pinned(tmp_path, monkeypatch, capsys):
     for argv in PIPELINE:
         assert run(argv) == 0, argv
     capsys.readouterr()
-    assert _digests(tmp_path) == EXPECTED
+    assert _digests(tmp_path) == EXPECTED, build_note()

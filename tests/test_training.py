@@ -34,7 +34,7 @@ from bayeshead.training import (
     rmsprop_step,
     write_history_csv,
 )
-from conftest import BLOB_MEANS
+from conftest import BLOB_MEANS, build_note
 
 _FINITE = st.floats(-1e6, 1e6)
 
@@ -302,7 +302,7 @@ def test_shared_sample_and_baseline_parameters_are_pinned(tiny_task, train, expe
     # the shared-sample and baseline updates must not move by a bit when the per-example path changes;
     # digests taken with numpy 2.4.6 and OpenBLAS on x86-64
     model, _ = train(*tiny_task, TrainConfig(epochs=5, hidden_dim=4, batch_size=16, seed=3))
-    assert _param_digest(model) == expected
+    assert _param_digest(model) == expected, build_note()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
