@@ -2,15 +2,19 @@
 
 ``predict_records`` is the one prediction loop: per fixed block of rows,
 one kernel call (``inference.stacked_probs``, softmax of the linear output
-layer's logits) and one block summary, then one record per row.  On top
-of it sit accuracy/confusion reports, Gaussian-kernel KDE curves of
-uncertainty values, entropy-bin histograms split by correctness, and the
+layer's logits) and one block summary (``inference.block_summary``), from
+whose stacked arrays the block's records are built with one ``tolist`` per
+statistic and the referral rule applied to the whole block.  On top of it
+sit accuracy/confusion reports, Gaussian-kernel KDE curves of uncertainty
+values, entropy-bin histograms split by correctness, and the
 bayesian-vs-baseline comparison table.  Reports and records serialize from
 their dataclass fields; reading one back raises ValueError naming the
 field for a document that is not an object, lacks a field, holds one of
 the wrong type, shape or range, holds a record that contradicts itself or
 no record, or holds totals other than ``evaluate`` makes of its records,
-so a malformed report is an input error.
+so a malformed report is an input error.  The records' values are checked
+over their stacked columns; the first record in document order that fails
+is named with the message its own check gives.
 """
 
 from __future__ import annotations
@@ -19,20 +23,24 @@ import csv
 import io
 import math
 from dataclasses import asdict, dataclass, fields
+from functools import lru_cache
+from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
 from .data import FeatureDataset, echo_header
 from .inference import (
     CI_LEVEL,
-    PredictiveResult,
+    BlockSummary,
     ReferralThresholds,
     _require_simplex,
+    block_summary,
+    check_thresholds,
     point_weights,
     posterior_draws,
-    referral_decision,
+    referral_rule,
     stacked_probs,
-    summarize_block,
 )
 from .network import HeadModel
 from .rng import RngStream
@@ -65,6 +73,15 @@ class EntropyHistogram:
 _JSON_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool, "list": list}
 
 
+@lru_cache(maxsize=None)
+def _field_kinds(cls) -> tuple:
+    """(name, JSON type, whether None passes, annotation) of each field of ``cls`` that
+    ``_field_values`` checks, resolved once per class; the confusion array, of no JSON type
+    here, is checked by EvalReport.from_dict."""
+    kinds = ((f, _JSON_TYPES.get(f.type.split("[")[0].removesuffix(" | None"))) for f in fields(cls))
+    return tuple((f.name, kind, f.type.endswith("| None"), f.type) for f, kind in kinds if kind is not None)
+
+
 def _field_values(cls, d) -> dict:
     """``d``'s value of each field of ``cls``; ValueError when ``d`` is not an object, lacks
     a field, or holds one of another JSON type than the field's annotation (numbers are not bools)."""
@@ -74,12 +91,10 @@ def _field_values(cls, d) -> dict:
         values = {name: d[name] for name in cls.__dataclass_fields__}
     except KeyError as e:
         raise ValueError(f"{cls.__name__} document lacks field {e.args[0]!r}") from None
-    for f in fields(cls):
-        kind, v = _JSON_TYPES.get(f.type.split("[")[0].removesuffix(" | None")), values[f.name]
-        if kind is None or v is None and f.type.endswith("| None"):
-            continue  # the confusion array is checked by EvalReport.from_dict
-        if not isinstance(v, kind) or isinstance(v, bool) and kind is not bool:
-            raise ValueError(f"{cls.__name__} field {f.name!r} must be {f.type}, got {type(v).__name__}")
+    for name, kind, nullable, annotation in _field_kinds(cls):
+        v = values[name]
+        if (not isinstance(v, kind) or isinstance(v, bool) and kind is not bool) and not (v is None and nullable):
+            raise ValueError(f"{cls.__name__} field {name!r} must be {annotation}, got {type(v).__name__}")
     return values
 
 
@@ -99,41 +114,50 @@ class PredictionRecord:
 
     def to_dict(self) -> dict:
         """The fields by name; the lists are shared, not copied, as serializing only reads them."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
     @classmethod
     def from_dict(cls, d: dict, n_classes: int) -> "PredictionRecord":
-        """The record of an ``n_classes``-class report; ValueError naming a class index
-        outside [0, n_classes), a per-class list of another length or with an entry that is not a
-        finite number, a negative or non-finite entropy or uncertainty, a ``correct`` that is not
-        ``label == predicted_class``, an action other than accept or refer, a ``mean_probs`` that is
-        not a probability vector or whose first argmax is not ``predicted_class``, a negative
-        variance, or a ``ci_low`` above ``ci_high`` by more than 1e-12."""
+        """The record of an ``n_classes``-class report; ValueError as ``check`` gives it."""
         record = cls(**_field_values(cls, d))
-        for name in ("label", "predicted_class"):
-            if not 0 <= (v := getattr(record, name)) < n_classes:
-                raise ValueError(f"{cls.__name__} field {name!r} must lie in [0, {n_classes}), got {v}")
-        for name in ("mean_probs", "var_probs", "ci_low", "ci_high"):
-            if len(v := getattr(record, name)) != n_classes:
-                raise ValueError(f"{cls.__name__} field {name!r} must hold {n_classes} values, got {len(v)}")
-            if not all(type(x) in (int, float) and math.isfinite(x) for x in v):  # type(): bools are ints
-                raise ValueError(f"{cls.__name__} field {name!r} must hold finite numbers, got {v}")
-        for name in ("entropy_bits", "uncertainty"):
-            if not 0.0 <= (v := getattr(record, name)) < math.inf:  # NaN fails the comparison too
-                raise ValueError(f"{cls.__name__} field {name!r} must be finite and nonnegative, got {v}")
-        if record.correct != (record.label == record.predicted_class):
-            raise ValueError(f"{cls.__name__} field 'correct' must equal label == predicted_class")
-        if record.action not in ("accept", "refer"):
-            raise ValueError(f"{cls.__name__} field 'action' must be accept or refer, got {record.action!r}")
-        probs = np.array(record.mean_probs, dtype=np.float64)
-        _require_simplex(probs, f"{cls.__name__} field 'mean_probs' must be a probability vector, got {record.mean_probs}")
-        if record.predicted_class != int(np.argmax(probs)):
-            raise ValueError(f"{cls.__name__} field 'predicted_class' must be the first argmax of mean_probs")
-        if min(record.var_probs) < 0.0:
-            raise ValueError(f"{cls.__name__} field 'var_probs' must be nonnegative, got {record.var_probs}")
-        if any(lo - hi > 1e-12 for lo, hi in zip(record.ci_low, record.ci_high)):
-            raise ValueError(f"{cls.__name__} field 'ci_low' must not exceed 'ci_high', got {record.ci_low}")
+        record.check(n_classes)
         return record
+
+    def check(self, n_classes: int) -> None:
+        """ValueError naming a class index outside [0, n_classes), a per-class list of another length
+        or with an entry that is not a finite number, a negative or non-finite entropy or uncertainty,
+        a ``correct`` that is not ``label == predicted_class``, an action other than accept or refer, a
+        ``mean_probs`` that is not a probability vector or whose first argmax is not
+        ``predicted_class``, a negative variance, or a ``ci_low`` above ``ci_high`` by more than 1e-12;
+        each is checked in that order, and ``_screen`` flags every record that fails one."""
+        name = type(self).__name__
+        for field in ("label", "predicted_class"):
+            if not 0 <= (v := getattr(self, field)) < n_classes:
+                raise ValueError(f"{name} field {field!r} must lie in [0, {n_classes}), got {v}")
+        for field in _CLASS_LISTS:
+            if len(v := getattr(self, field)) != n_classes:
+                raise ValueError(f"{name} field {field!r} must hold {n_classes} values, got {len(v)}")
+            if not all(type(x) in (int, float) and math.isfinite(x) for x in v):  # type(): bools are ints
+                raise ValueError(f"{name} field {field!r} must hold finite numbers, got {v}")
+        for field in ("entropy_bits", "uncertainty"):
+            if not 0.0 <= (v := getattr(self, field)) < math.inf:  # NaN fails the comparison too
+                raise ValueError(f"{name} field {field!r} must be finite and nonnegative, got {v}")
+        if self.correct != (self.label == self.predicted_class):
+            raise ValueError(f"{name} field 'correct' must equal label == predicted_class")
+        if self.action not in _ACTIONS:
+            raise ValueError(f"{name} field 'action' must be accept or refer, got {self.action!r}")
+        probs = np.array(self.mean_probs, dtype=np.float64)
+        _require_simplex(probs, f"{name} field 'mean_probs' must be a probability vector, got {self.mean_probs}")
+        if self.predicted_class != int(np.argmax(probs)):
+            raise ValueError(f"{name} field 'predicted_class' must be the first argmax of mean_probs")
+        if min(self.var_probs) < 0.0:
+            raise ValueError(f"{name} field 'var_probs' must be nonnegative, got {self.var_probs}")
+        if any(lo - hi > 1e-12 for lo, hi in zip(self.ci_low, self.ci_high)):
+            raise ValueError(f"{name} field 'ci_low' must not exceed 'ci_high', got {self.ci_low}")
+
+
+_CLASS_LISTS = ("mean_probs", "var_probs", "ci_low", "ci_high")
+_ACTIONS = ("accept", "refer")
 
 
 @dataclass
@@ -181,7 +205,7 @@ class EvalReport:
         if (confusion < 0).any():
             raise ValueError("EvalReport field 'confusion' holds a negative count")
         values["confusion"] = confusion.astype(np.int64)
-        values["records"] = [PredictionRecord.from_dict(r, c) for r in values["records"]]
+        values["records"] = _read_records(values["records"], c)
         for name, expected in _totals(values["records"], c).items():
             if not np.array_equal(values[name], expected):  # None equals only None
                 raise ValueError(f"EvalReport field {name!r} is {np.asarray(values[name]).tolist()}, "
@@ -189,41 +213,88 @@ class EvalReport:
         return cls(**values)
 
 
+def _read_records(docs: list, n_classes: int) -> list[PredictionRecord]:
+    """The records of ``docs``; ValueError with ``PredictionRecord.from_dict``'s message for the
+    first record in document order that it rejects.  Each document is type-checked on its own; the
+    value checks run over the stacked columns of all records, and only a record they flag is
+    checked on its own, for its message."""
+    records, error = [], None
+    for d in docs:
+        try:
+            records.append(PredictionRecord(**_field_values(PredictionRecord, d)))
+        except ValueError as e:
+            error = e  # raised below, unless a value check rejects an earlier record
+            break
+    for j in np.flatnonzero(_screen(records, n_classes)):
+        records[j].check(n_classes)
+    if error is not None:
+        raise error
+    return records
+
+
+_SCREEN_FIELDS = attrgetter("label", "predicted_class", "entropy_bits", "uncertainty", "correct", "action",
+                            *_CLASS_LISTS)
+
+
+def _screen(records: list[PredictionRecord], n_classes: int) -> np.ndarray:
+    """A mask over ``records`` that holds each one ``PredictionRecord.check`` rejects, from one
+    vectorized pass over their stacked fields; where the fields do not stack as finite numbers
+    in ``(N, n_classes)`` arrays, every record is flagged."""
+    if not records:
+        return np.zeros(0, dtype=bool)
+    label, predicted, entropy, uncertainty, correct, action, *lists = zip(*map(_SCREEN_FIELDS, records))
+    if not set(map(type, chain.from_iterable(chain.from_iterable(lists)))) <= {int, float}:
+        return np.ones(len(records), dtype=bool)
+    try:
+        label, predicted = np.array([label, predicted], dtype=np.int64)
+        scalars = np.array([entropy, uncertainty], dtype=np.float64)
+        mean, var, low, high = (np.array(v, dtype=np.float64).reshape(len(records), n_classes) for v in lists)
+    except (ValueError, OverflowError):  # ragged or other-length lists, numbers beyond int64 or float64
+        return np.ones(len(records), dtype=bool)
+    with np.errstate(all="ignore"):
+        bad = (label < 0) | (label >= n_classes) | (predicted < 0) | (predicted >= n_classes)
+        bad |= ~np.isfinite(np.stack([mean, var, low, high], axis=1)).all(axis=(1, 2))
+        bad |= ~((scalars >= 0.0) & (scalars < math.inf)).all(axis=0)
+        bad |= np.array(correct) != (label == predicted)
+        bad |= ~np.isin(np.array(action), _ACTIONS)
+        bad |= ~((mean >= -1e-12).all(axis=1) & (np.abs(mean.sum(axis=1) - 1.0) <= 1e-6))
+        bad |= np.argmax(mean, axis=1) != predicted
+        bad |= (var < 0.0).any(axis=1) | (low - high > 1e-12).any(axis=1)
+    return bad
+
+
+_TOTALS_FIELDS = attrgetter("label", "predicted_class", "entropy_bits", "correct", "action")
+
+
 def _totals(records: list[PredictionRecord], n_classes: int) -> dict:
     """The report fields that ``records`` determine: accuracy, referral rate, the mean entropy of
     the correct and of the incorrect records (None for an empty group), and the confusion counts."""
     if not records:
         raise ValueError("EvalReport field 'records' must hold at least one record")
-    confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
-    for r in records:
-        confusion[r.label, r.predicted_class] += 1
-    correct_h = [r.entropy_bits for r in records if r.correct]
-    incorrect_h = [r.entropy_bits for r in records if not r.correct]
+    label, predicted, entropy, correct, action = zip(*map(_TOTALS_FIELDS, records))
+    cells = np.array(label, dtype=np.int64) * n_classes + np.array(predicted, dtype=np.int64)
+    confusion = np.bincount(cells, minlength=n_classes * n_classes).reshape(n_classes, n_classes)
+    entropy, correct = np.array(entropy, dtype=np.float64), np.array(correct, dtype=bool)
     return {
         "accuracy": float(np.trace(confusion)) / len(records),
-        "referral_rate": sum(r.action == "refer" for r in records) / len(records),
-        "mean_entropy_correct": float(np.mean(correct_h)) if correct_h else None,
-        "mean_entropy_incorrect": float(np.mean(incorrect_h)) if incorrect_h else None,
+        "referral_rate": action.count("refer") / len(records),
+        "mean_entropy_correct": float(np.mean(entropy[correct])) if correct.any() else None,
+        "mean_entropy_incorrect": float(np.mean(entropy[~correct])) if not correct.all() else None,
         "confusion": confusion,
     }
 
 
-def _record_for(dataset, j, result: PredictiveResult, thresholds) -> PredictionRecord:
-    decision = referral_decision(result, thresholds.uncertainty, thresholds.confidence)
-    label = int(dataset.labels[j])
-    return PredictionRecord(
-        id=dataset.ids[j],
-        label=label,
-        predicted_class=result.predicted_class,
-        correct=result.predicted_class == label,
-        mean_probs=result.mean_probs.tolist(),
-        var_probs=result.var_probs.tolist(),
-        entropy_bits=result.entropy_bits,
-        ci_low=result.ci_low.tolist(),
-        ci_high=result.ci_high.tolist(),
-        uncertainty=result.uncertainty_scalar,
-        action=decision.action,
-    )
+def _block_records(ids: list[str], labels: list[int], s: BlockSummary, thresholds) -> list[PredictionRecord]:
+    """The records of one block's rows, from its stacked summary: one ``tolist`` per statistic."""
+    uncertain, unconfident = referral_rule(s.uncertainty, s.mean_probs.max(axis=1),
+                                           thresholds.uncertainty, thresholds.confidence)
+    actions = np.where(uncertain | unconfident, "refer", "accept").tolist()
+    columns = (s.mean_probs.tolist(), s.var_probs.tolist(), s.entropy_bits, s.ci_low.tolist(),
+               s.ci_high.tolist(), s.uncertainty.tolist(), actions)
+    return [
+        PredictionRecord(i, y, k, k == y, *row)
+        for i, y, k, *row in zip(ids, labels, s.predicted_class, *columns)
+    ]
 
 
 def predict_records(
@@ -236,17 +307,19 @@ def predict_records(
 ) -> list[PredictionRecord]:
     """One record per row, in dataset order, through the batched kernel and
     the block summary in fixed blocks; each equals the record of ``predict_mc`` (n draws shared
-    by every row) or ``predict_deterministic`` on its row alone."""
+    by every row) or ``predict_deterministic`` on its row alone, with the action of
+    ``referral_decision``.  The thresholds are checked before any draw."""
     if len(dataset) == 0:
         raise ValueError("cannot predict an empty dataset")
     if dataset.n_classes > model.n_classes:
         raise ValueError(f"dataset label {dataset.n_classes - 1} is outside the model's {model.n_classes} classes")
+    check_thresholds(thresholds.uncertainty, thresholds.confidence)
     w, b = posterior_draws(model, n, stream) if model.is_bayesian else point_weights(model)
     records = []
     for start in range(0, len(dataset), _BLOCK_ROWS):
-        block = stacked_probs(model, dataset.features[start : start + _BLOCK_ROWS], w, b)
-        for j, result in enumerate(summarize_block(block, ci_level), start):
-            records.append(_record_for(dataset, j, result, thresholds))
+        rows = slice(start, start + _BLOCK_ROWS)
+        summary = block_summary(stacked_probs(model, dataset.features[rows], w, b), ci_level)
+        records += _block_records(dataset.ids[rows], dataset.labels[rows].tolist(), summary, thresholds)
     return records
 
 

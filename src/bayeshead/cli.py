@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import asdict
 from functools import partial
@@ -38,6 +39,7 @@ _PREDICTION_DEFAULTS = {
 }
 _CONFIG_KEYS = {*TrainConfig().to_flat_dict(), *_PREDICTION_DEFAULTS}
 _HIST_BINS = 20  # entropy-histogram bins of analyze and study
+_CONTROL = re.compile(r"[\x00-\x1f\x7f-\x9f]")  # the C0 and C1 control characters and DEL
 
 
 def parse_config_file(path) -> dict:
@@ -81,10 +83,6 @@ def _out_dir(path) -> Path:
 def _write_text(path: Path, text: str) -> None:
     with data.atomic_write(path) as fh:
         fh.write(text)
-
-
-def _write_json(path: Path, doc: dict) -> None:
-    _write_text(path, json.dumps(doc, indent=2) + "\n")
 
 
 def cmd_train(args) -> int:
@@ -153,7 +151,7 @@ def cmd_eval(args) -> int:
     report = analytics.evaluate(archive.model, dataset, n, thresholds, stream, ci_level=ci_level)
     echo["variant"] = archive.model.variant
     path = _out_dir(args.out) / "report.json"
-    _write_json(path, report.to_dict(config=echo))
+    data.write_json(path, report.to_dict(config=echo))
     print(
         f"eval: dataset={report.dataset_name} accuracy={report.accuracy:.4f} "
         f"referral_rate={report.referral_rate:.4f} out={path}"
@@ -166,8 +164,9 @@ def _read_report(path) -> analytics.EvalReport:
 
 
 def _plain_name(name: str) -> str:
-    """``name`` if it can stem a file name inside an output directory, else a ValueError."""
-    if name in ("", ".", "..") or "/" in name or "\\" in name:
+    """``name`` if it can stem a file name inside an output directory, else a ValueError:
+    no path separator, no control character (a line break among them) and not '.' or '..'."""
+    if name in ("", ".", "..") or "/" in name or "\\" in name or _CONTROL.search(name):
         raise ValueError(f"dataset_name {name!r} is not a plain file name")
     return name
 
@@ -197,7 +196,7 @@ def _write_comparison(rows: list[analytics.ComparisonRow], out, echo: dict) -> N
     text = analytics.comparison_csv(rows, echo)
     out = _out_dir(out)
     _write_text(out / "comparison.csv", text)
-    _write_json(out / "comparison.json", {"schema_version": 1, "config": echo, "rows": [asdict(r) for r in rows]})
+    data.write_json(out / "comparison.json", {"schema_version": 1, "config": echo, "rows": [asdict(r) for r in rows]})
     print(f"wrote {len(rows)} datasets to {out / 'comparison.csv'} and comparison.json")
 
 
@@ -296,7 +295,7 @@ def cmd_synth(args) -> int:
             "shift_offset": args.shift_offset,
         },
     }
-    _write_json(out / f"{args.name}.meta.json", meta)
+    data.write_json(out / f"{args.name}.meta.json", meta)
     print(f"synth: wrote {len(dataset)} rows to {csv_path}")
     return 0
 

@@ -11,10 +11,13 @@ in-distribution / shifted / out-of-distribution evaluation regimes.
 from __future__ import annotations
 
 import csv
+import math
 import os
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Sequence
 
@@ -118,34 +121,46 @@ def load_csv(path, name: str | None = None) -> FeatureDataset:
         raise DataFormatError(f"{path}: no feature columns")
 
     features, labels, ids = [], [], []
-    for rownum, (lineno, row) in enumerate(body):
-        if len(row) != len(header):
-            raise DataFormatError(
-                f"{path}: row {lineno}: expected {len(header)} fields, got {len(row)}"
-            )
-        try:
-            feats = [float(row[i]) for i in feat_idx]
-        except ValueError:
-            bad = next(i for i in feat_idx if not _is_float(row[i]))
-            raise DataFormatError(
-                f"{path}: row {lineno}: non-numeric feature value {row[bad]!r} in column {header[bad]!r}"
-            ) from None
-        if not all(np.isfinite(feats)):
-            raise DataFormatError(f"{path}: row {lineno}: non-finite feature value")
-        try:
-            label = int(row[label_idx])
-        except ValueError:
-            raise DataFormatError(
-                f"{path}: row {lineno}: unknown label value {row[label_idx]!r}"
-            ) from None
-        if label < 0:
-            raise DataFormatError(f"{path}: row {lineno}: unknown label value {label}")
-        features.append(feats)
-        labels.append(label)
-        ids.append(row[id_idx] if id_idx is not None else str(rownum))
+    try:
+        for rownum, (lineno, row) in enumerate(body):
+            if len(row) != len(header):
+                raise DataFormatError(
+                    f"{path}: row {lineno}: expected {len(header)} fields, got {len(row)}"
+                )
+            try:
+                feats = [float(row[i]) for i in feat_idx]
+            except ValueError:
+                bad = next(i for i in feat_idx if not _is_float(row[i]))
+                raise DataFormatError(
+                    f"{path}: row {lineno}: non-numeric feature value {row[bad]!r} in column {header[bad]!r}"
+                ) from None
+            try:
+                label = int(row[label_idx])
+            except ValueError:
+                raise DataFormatError(
+                    f"{path}: row {lineno}: unknown label value {row[label_idx]!r}"
+                ) from None
+            if label < 0:
+                raise DataFormatError(f"{path}: row {lineno}: unknown label value {label}")
+            features.append(feats)
+            labels.append(label)
+            ids.append(row[id_idx] if id_idx is not None else str(rownum))
+    except DataFormatError:
+        _require_finite(features, body, path)  # a non-finite value on an earlier row is the first defect
+        raise
     return FeatureDataset(
-        np.array(features), np.array(labels), ids, name if name is not None else path.stem
+        _require_finite(features, body, path), np.array(labels), ids, name if name is not None else path.stem
     )
+
+
+def _require_finite(features: list[list[float]], body: list, path: Path) -> np.ndarray:
+    """The parsed feature rows as one array; DataFormatError naming the line of the first row
+    that holds a non-finite value."""
+    array = np.array(features, dtype=np.float64).reshape(len(features), -1 if features else 0)
+    finite = np.isfinite(array).all(axis=1)
+    if not finite.all():
+        raise DataFormatError(f"{path}: row {body[int(np.argmin(finite))][0]}: non-finite feature value")
+    return array
 
 
 def _is_float(s: str) -> bool:
@@ -179,6 +194,100 @@ def atomic_write(path):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+_INFINITY = float("inf")
+
+
+def _float_text(x: float) -> str:
+    """A float as ``json`` writes it: its repr, or NaN, Infinity and -Infinity."""
+    if x != x:
+        return "NaN"
+    if x == _INFINITY:
+        return "Infinity"
+    if x == -_INFINITY:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+_WORDS = {None: "null", True: "true", False: "false"}
+
+
+def _key_text(key) -> str:
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if isinstance(key, float):
+        return encode_basestring_ascii(_float_text(key))
+    if key is None or key is True or key is False:
+        return f'"{_WORDS[key]}"'
+    if isinstance(key, int):
+        return encode_basestring_ascii(int.__repr__(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _value_text(value, newline: str) -> str:
+    """``value`` as ``json.dumps(indent=2)`` writes it where ``newline`` starts its lines."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return _WORDS[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        return "[" + inner + ("," + inner).join(_texts(value, inner)) + newline + "]" if value else "[]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [_key_text(k) + ": " + _value_text(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _texts(values, newline: str) -> list[str]:
+    """``_value_text`` of each of ``values``, a whole column at a time where they share a type:
+    finite floats, strings or ints, nonempty lists of finite floats, or objects with the same
+    string keys, whose values are taken column by column and poured into one template."""
+    types = set(map(type, values))
+    if types == {float} and all(map(math.isfinite, values)):
+        return list(map(float.__repr__, values))
+    if types == {str}:
+        return list(map(encode_basestring_ascii, values))
+    if types == {int}:
+        return list(map(int.__repr__, values))
+    inner = newline + "  "
+    if types == {list} and all(values):
+        entries = list(chain.from_iterable(values))
+        if set(map(type, entries)) == {float} and all(map(math.isfinite, entries)):
+            sep = "," + inner
+            return ["[" + inner + sep.join(map(float.__repr__, v)) + newline + "]" for v in values]
+    if types == {dict} and len(shapes := set(map(tuple, values))) == 1 and (keys := shapes.pop()) \
+            and set(map(type, keys)) == {str}:
+        try:
+            columns = [_texts(column, inner) for column in zip(*map(dict.values, values))]
+        except TypeError:
+            columns = None  # raised again below, at the first bad value in document order
+        if columns is not None:
+            items = (encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys)
+            template = "{" + inner + ("," + inner).join(items) + newline + "}"
+            return [template % row for row in zip(*columns)]  # % not format: a key may hold braces
+    return [_value_text(v, newline) for v in values]
+
+
+def json_text(doc) -> str:
+    """Exactly ``json.dumps(doc, indent=2)``: the same text, and TypeError on the same documents.
+    json's C encoder does not indent, so ``json.dumps`` takes its pure-Python path here; this one
+    renders whole columns of like values at once.  ``doc`` must be a tree: a container that holds
+    itself recurses until RecursionError, where ``json`` raises ValueError."""
+    return _value_text(doc, "\n")
+
+
+def write_json(path, doc) -> None:
+    """``json_text(doc)`` and a newline, through ``atomic_write``."""
+    with atomic_write(path) as fh:
+        fh.write(json_text(doc) + "\n")
 
 
 def save_csv(dataset: FeatureDataset, path) -> None:

@@ -5,11 +5,12 @@ weight draws; its per-class spread (population variance, 1/n) is the
 uncertainty signal.  Draw i uses the weights of the child stream keyed by
 i, so all rows share one stack of n weight sets, and ``stacked_probs``
 forms each row's products on their own: a row gets the same bits alone
-or in a block of any size.  ``summarize_block`` turns a block's draws into
-per-row summaries with one reduction per statistic and one sort for both
-interval bounds, read off with numpy's linear percentile rule; a single row
-is its one-row case, so a summary also has the same bits alone or in a
-block.
+or in a block of any size.  ``block_summary`` turns a block's draws into
+stacked per-row statistics with one reduction per statistic and one sort
+for both interval bounds, read off with numpy's linear percentile rule; a
+single row is its one-row case, so a summary also has the same bits alone
+or in a block.  ``referral_rule`` is the accept/refer rule, on one row's
+values or elementwise on a block's.
 """
 
 from __future__ import annotations
@@ -106,8 +107,22 @@ def _lerp(a: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:
     return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
 
 
-def summarize_block(sample_probs, level: float = CI_LEVEL) -> list[PredictiveResult]:
-    """The predictive summary of each row of an (N, n_draws, n_classes) block.
+@dataclass
+class BlockSummary:
+    """The predictive statistics of each row of an (N, n_draws, n_classes) block, stacked by row."""
+
+    sample_probs: np.ndarray  # (N, n, C) per-draw softmax outputs
+    mean_probs: np.ndarray  # (N, C)
+    var_probs: np.ndarray  # (N, C)
+    ci_low: np.ndarray  # (N, C)
+    ci_high: np.ndarray  # (N, C)
+    entropy_bits: list[float]
+    predicted_class: list[int]
+    uncertainty: np.ndarray  # (N,) each row's largest per-class variance
+
+
+def block_summary(sample_probs, level: float = CI_LEVEL) -> BlockSummary:
+    """The predictive summary of every row of an (N, n_draws, n_classes) block.
 
     Each statistic is one reduction over the draw axis of the whole block,
     and both interval bounds come from one sort of it; row i gets the same
@@ -133,11 +148,17 @@ def summarize_block(sample_probs, level: float = CI_LEVEL) -> list[PredictiveRes
     if not positive.all():
         for i in np.flatnonzero(~positive.all(axis=1)):
             entropy[i] = entropy_bits(mean[i])
-    classes = np.argmax(mean, axis=1).tolist()
-    uncertainty = var.max(axis=1).tolist()
+    return BlockSummary(probs, mean, var, lows, highs, entropy, np.argmax(mean, axis=1).tolist(), var.max(axis=1))
+
+
+def summarize_block(sample_probs, level: float = CI_LEVEL) -> list[PredictiveResult]:
+    """``block_summary`` as one ``PredictiveResult`` per row."""
+    s = block_summary(sample_probs, level)
+    uncertainty = s.uncertainty.tolist()
     return [
-        PredictiveResult(probs[i], mean[i], var[i], entropy[i], lows[i], highs[i], classes[i], uncertainty[i])
-        for i in range(probs.shape[0])
+        PredictiveResult(s.sample_probs[i], s.mean_probs[i], s.var_probs[i], s.entropy_bits[i], s.ci_low[i],
+                         s.ci_high[i], s.predicted_class[i], uncertainty[i])
+        for i in range(len(uncertainty))
     ]
 
 
@@ -205,18 +226,32 @@ def predict_deterministic(model: HeadModel, x, level: float = CI_LEVEL) -> Predi
     return predictive_from_samples(probs[0], level)
 
 
+def check_thresholds(uncertainty_threshold: float, confidence_threshold: float) -> None:
+    """ValueError unless the uncertainty threshold is >= 0 and the confidence threshold lies in (0, 1]."""
+    if not uncertainty_threshold >= 0.0:  # NaN fails it too
+        raise ValueError(f"uncertainty threshold must be >= 0, got {uncertainty_threshold}")
+    if not 0.0 < confidence_threshold <= 1.0:
+        raise ValueError("confidence threshold must lie in (0, 1]")
+
+
+def referral_rule(uncertainty, top_prob, uncertainty_threshold: float, confidence_threshold: float):
+    """The triage rule on a row's uncertainty and top mean probability, or elementwise on arrays of
+    them: (refer for uncertainty, refer for low confidence).  A row is referred if either holds."""
+    return uncertainty > uncertainty_threshold, top_prob < confidence_threshold
+
+
 def referral_decision(
     result: PredictiveResult,
     uncertainty_threshold: float,
     confidence_threshold: float,
 ) -> ReferralDecision:
     """Refer when predictive variance is too high or confidence too low."""
-    if not uncertainty_threshold >= 0.0:  # NaN fails it too
-        raise ValueError(f"uncertainty threshold must be >= 0, got {uncertainty_threshold}")
-    if not 0.0 < confidence_threshold <= 1.0:
-        raise ValueError("confidence threshold must lie in (0, 1]")
-    if result.uncertainty_scalar > uncertainty_threshold:
+    check_thresholds(uncertainty_threshold, confidence_threshold)
+    uncertain, unconfident = referral_rule(
+        result.uncertainty_scalar, float(result.mean_probs.max()), uncertainty_threshold, confidence_threshold
+    )
+    if uncertain:
         return ReferralDecision("refer", uncertainty_threshold, "uncertainty_scalar")
-    if float(result.mean_probs.max()) < confidence_threshold:
+    if unconfident:
         return ReferralDecision("refer", confidence_threshold, "confidence")
     return ReferralDecision("accept", uncertainty_threshold, "uncertainty_scalar")

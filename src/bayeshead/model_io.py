@@ -10,7 +10,7 @@ import json
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-from .data import atomic_write
+from .data import write_json
 from .distributions import SpikeSlabPrior, VariationalParams
 from .errors import ArchiveError
 from .network import DenseLayer, HeadModel, VariationalDenseLayer
@@ -52,8 +52,7 @@ def save_model(archive: ModelArchive, path) -> None:
         }
     doc["train_config"] = archive.train_config
     doc["seed_provenance"] = archive.seed_provenance
-    with atomic_write(path) as fh:
-        fh.write(json.dumps(doc, indent=2) + "\n")
+    write_json(path, doc)
 
 
 def load_model(path) -> ModelArchive:

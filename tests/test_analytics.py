@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,9 +20,11 @@ from bayeshead import (
     predict_mc,
     referral_decision,
 )
+from bayeshead import analytics
 from bayeshead.analytics import (
     _BLOCK_ROWS,
     KDE_GRID_POINTS,
+    PredictionRecord,
     comparison_csv,
     entropy_histogram_csv,
     kde_csv,
@@ -317,6 +321,52 @@ class TestCsvEmitters:
         assert first_row.endswith(",")  # incorrect column empty
 
 
+class TestBlockReferral:
+    """``predict_records`` refers a row exactly when ``referral_decision`` on its own prediction does."""
+
+    def _rows(self, size=_BLOCK_ROWS + 3):
+        return _dataset(RngStream(8).normal(2 * size).reshape(size, 2) * 1.5, [j % 2 for j in range(size)])
+
+    @pytest.mark.parametrize("variant", ["bayesian", "baseline"])
+    def test_actions_equal_the_per_row_rule_at_thresholds_hit_exactly(self, variant, tiny_bayes, tiny_baseline):
+        model = tiny_bayes if variant == "bayesian" else tiny_baseline
+        dataset, stream = self._rows(), RngStream(6).derive(4)
+        first = predict_records(model, dataset, 12, ReferralThresholds(), stream)
+        j = len(first) // 2
+        for thresholds in (
+            ReferralThresholds(uncertainty=first[j].uncertainty, confidence=1.0),  # uncertainty hit exactly
+            ReferralThresholds(uncertainty=1.0, confidence=max(first[j].mean_probs)),  # top probability hit
+            ReferralThresholds(uncertainty=first[j].uncertainty, confidence=max(first[j].mean_probs)),
+            ReferralThresholds(uncertainty=0.0, confidence=1.0),
+        ):
+            records = predict_records(model, dataset, 12, thresholds, stream)
+            for row, record in zip(dataset.features, records):
+                result = predict_mc(model, row, 12, stream) if model.is_bayesian else predict_deterministic(model, row)
+                assert record.action == referral_decision(result, thresholds.uncertainty, thresholds.confidence).action
+        exact = ReferralThresholds(uncertainty=first[j].uncertainty, confidence=max(first[j].mean_probs))
+        assert predict_records(model, dataset, 12, exact, stream)[j].action == "accept"  # neither bound crossed
+
+    @pytest.mark.parametrize("variant", ["bayesian", "baseline"])
+    @pytest.mark.parametrize("uncertainty, confidence", [
+        (math.nan, 0.9), (-0.5, 0.9), (0.01, math.nan), (0.01, 0.0), (0.01, 1.5), (0.01, -0.2),
+    ])
+    def test_bad_thresholds_raise_the_rule_s_error_before_any_draw(self, variant, uncertainty, confidence,
+                                                                   tiny_bayes, tiny_baseline, monkeypatch):
+        model = tiny_bayes if variant == "bayesian" else tiny_baseline
+        result = predict_deterministic(model, [0.5, 0.5])
+        with pytest.raises(ValueError) as expected:
+            referral_decision(result, uncertainty, confidence)
+
+        def no_draws(*args):
+            raise AssertionError("drew weights before checking the thresholds")
+
+        monkeypatch.setattr(analytics, "posterior_draws", no_draws)
+        monkeypatch.setattr(analytics, "point_weights", no_draws)
+        for fn in (predict_records, evaluate):
+            with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+                fn(model, self._rows(), 4, ReferralThresholds(uncertainty, confidence), RngStream(0))
+
+
 class TestReportFromDict:
     def _doc(self, tiny_bayes):
         dataset = _dataset([[1.0, 0.2], [-0.4, 1.0]], [0, 1])
@@ -351,3 +401,60 @@ class TestReportFromDict:
         doc["schema_version"] = 2
         with pytest.raises(ValueError, match="schema_version 2"):
             EvalReport.from_dict(doc)
+
+    def _big_doc(self, tiny_bayes):
+        rows = RngStream(9).normal(2 * (_BLOCK_ROWS + 6)).reshape(-1, 2) * 2.0
+        dataset = _dataset(rows, [j % 2 for j in range(len(rows))])
+        return evaluate(tiny_bayes, dataset, 8, ReferralThresholds(), RngStream(2)).to_dict()
+
+    # one defect of each kind that the record checks name
+    DEFECTS = {
+        "label": lambda r: r.update(label=7),
+        "predicted_class": lambda r: r.update(predicted_class=-1),
+        "mean_probs_length": lambda r: r["mean_probs"].append(0.0),
+        "var_probs_text": lambda r: r["var_probs"].__setitem__(0, "0"),
+        "ci_low_bool": lambda r: r["ci_low"].__setitem__(0, False),
+        "ci_high_nan": lambda r: r["ci_high"].__setitem__(1, math.nan),
+        "entropy_negative": lambda r: r.update(entropy_bits=-1.0),
+        "uncertainty_inf": lambda r: r.update(uncertainty=math.inf),
+        "correct": lambda r: r.update(correct=not r["correct"]),
+        "action": lambda r: r.update(action="defer"),
+        "not_a_simplex": lambda r: r.update(mean_probs=[0.7, 0.7]),
+        "argmax": lambda r: r["mean_probs"].reverse(),
+        "variance": lambda r: r["var_probs"].__setitem__(0, -1e-9),
+        "interval": lambda r: r.update(ci_low=[1.0, 1.0]),
+        "label_type": lambda r: r.update(label=1.0),
+        "missing": lambda r: r.pop("ci_low"),
+        "not_an_object": lambda r: r.clear(),
+    }
+
+    @pytest.mark.parametrize("defect", sorted(DEFECTS))
+    @pytest.mark.parametrize("at", [0, _BLOCK_ROWS + 2])
+    def test_one_defect_gives_the_record_check_s_message(self, defect, at, tiny_bayes):
+        doc = self._big_doc(tiny_bayes)
+        self.DEFECTS[defect](doc["records"][at])
+        if defect == "not_an_object":
+            doc["records"][at] = []
+        with pytest.raises(ValueError) as expected:
+            PredictionRecord.from_dict(doc["records"][at], doc["n_classes"])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+            EvalReport.from_dict(doc)
+
+    @pytest.mark.parametrize("first, later", [
+        ("variance", "label"), ("label", "variance"), ("interval", "label_type"), ("label_type", "interval"),
+        ("missing", "action"), ("ci_high_nan", "not_a_simplex"),
+    ])
+    def test_of_several_bad_records_the_first_in_document_order_is_named(self, first, later, tiny_bayes):
+        doc = self._big_doc(tiny_bayes)
+        self.DEFECTS[first](doc["records"][1])
+        for at in (3, _BLOCK_ROWS + 1):  # two later records
+            self.DEFECTS[later](doc["records"][at])
+        with pytest.raises(ValueError) as expected:
+            PredictionRecord.from_dict(doc["records"][1], doc["n_classes"])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+            EvalReport.from_dict(doc)
+
+    def test_a_well_formed_report_reads_back_to_its_records(self, tiny_bayes):
+        doc = self._big_doc(tiny_bayes)
+        back = EvalReport.from_dict(json.loads(json.dumps(doc)))
+        assert back.to_dict() == doc

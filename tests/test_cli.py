@@ -333,7 +333,14 @@ class TestEvalAnalyzeCompare:
 
     def test_compare_of_a_dataset_name_with_a_line_break_exits_2_and_writes_nothing(self, cli_data, trained,
                                                                                     tmp_path, capsys):
-        rc = self._compare_both_heads("p\nq", cli_data, trained, tmp_path)
+        # eval refuses such a name, so it reaches compare through --names
+        for head, out in (("bayes", "b"), ("base", "c")):
+            assert self._eval(trained / head, cli_data, tmp_path / out) == 0
+        capsys.readouterr()
+        rc = run([
+            "compare", "--bayes", str(tmp_path / "b" / "report.json"),
+            "--baseline", str(tmp_path / "c" / "report.json"), "--names", "p\nq", "--out", str(tmp_path / "t"),
+        ])
         assert rc == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "line break" in err[0]
@@ -669,6 +676,21 @@ class TestFigureFiles:
         report_path.write_text(json.dumps(doc))
         assert run(["analyze", "--report", str(report_path), "--out", str(tmp_path / "a" / "b")]) == 2
         assert "not a plain file name" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.rglob("*")] == ["report.json"]
+
+    @pytest.mark.parametrize("name", ["p\nq", "p\rq", "tab\there", "nul\x00", "del\x7f", "c1\x85"])
+    def test_a_dataset_name_with_a_control_character_exits_2_and_writes_nothing(self, name, report_path,
+                                                                                cli_data, trained, tmp_path,
+                                                                                capsys):
+        out = tmp_path / "out"
+        assert run(["eval", "--model", str(trained / "bayes" / "model.json"), "--data",
+                    str(cli_data / "test.csv"), "--dataset-name", name, "--n", "4", "--out", str(out)]) == 2
+        doc = json.loads(report_path.read_text())
+        doc["dataset_name"] = name
+        report_path.write_text(json.dumps(doc))
+        assert run(["analyze", "--report", str(report_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all(line.startswith("error:") and "not a plain file name" in line for line in err)
         assert [p.name for p in tmp_path.rglob("*")] == ["report.json"]
 
     def test_bins_below_one_exits_2_and_writes_nothing(self, report_path, tmp_path, capsys):
