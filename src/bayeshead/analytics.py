@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import sys
 from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
 from itertools import chain
@@ -137,10 +138,10 @@ class PredictionRecord:
         for field in _CLASS_LISTS:
             if len(v := getattr(self, field)) != n_classes:
                 raise ValueError(f"{name} field {field!r} must hold {n_classes} values, got {len(v)}")
-            if not all(type(x) in (int, float) and math.isfinite(x) for x in v):  # type(): bools are ints
+            if not all(type(x) in (int, float) and abs(x) <= _FLOAT_MAX for x in v):  # type(): bools are ints
                 raise ValueError(f"{name} field {field!r} must hold finite numbers, got {v}")
         for field in ("entropy_bits", "uncertainty"):
-            if not 0.0 <= (v := getattr(self, field)) < math.inf:  # NaN fails the comparison too
+            if not 0.0 <= (v := getattr(self, field)) <= _FLOAT_MAX:  # NaN fails it; an int may exceed float64
                 raise ValueError(f"{name} field {field!r} must be finite and nonnegative, got {v}")
         if self.correct != (self.label == self.predicted_class):
             raise ValueError(f"{name} field 'correct' must equal label == predicted_class")
@@ -157,6 +158,7 @@ class PredictionRecord:
 
 
 _CLASS_LISTS = ("mean_probs", "var_probs", "ci_low", "ci_high")
+_FLOAT_MAX = sys.float_info.max  # a JSON int above it is no finite float64
 _ACTIONS = ("accept", "refer")
 
 

@@ -18,7 +18,7 @@ import json
 import re
 import sys
 from dataclasses import asdict
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 from . import analytics, data, model_io, training
@@ -300,6 +300,7 @@ def cmd_synth(args) -> int:
     return 0
 
 
+@cache  # built once; run dispatches by name, so a patched cmd_* is still reached
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default="out", help="output directory (default: out)")
@@ -334,25 +335,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--learning-rate", type=float, default=None)
     p.add_argument("--batch-size", type=int, default=None)
     p.add_argument("--hidden-dim", type=int, default=None)
-    p.set_defaults(func=cmd_train)
 
-    p = add_command("predict", parents=[predicting], help="per-row prediction records")
-    p.set_defaults(func=cmd_predict)
+    add_command("predict", parents=[predicting], help="per-row prediction records")
 
     p = add_command("eval", parents=[predicting], help="dataset-level evaluation report")
     p.add_argument("--dataset-name", default=None)
-    p.set_defaults(func=cmd_eval)
 
     p = add_command("analyze", parents=[common], help="KDE and entropy histograms from a report")
     p.add_argument("--report", required=True, help="report.json from eval")
     p.add_argument("--bins", type=int, default=_HIST_BINS)
-    p.set_defaults(func=cmd_analyze)
 
     p = add_command("compare", parents=[common], help="bayesian-vs-baseline comparison table")
     p.add_argument("--bayes", nargs="+", required=True, help="bayesian report.json files")
     p.add_argument("--baseline", nargs="+", required=True, help="baseline report.json files")
     p.add_argument("--names", nargs="+", default=None)
-    p.set_defaults(func=cmd_compare)
 
     p = add_command("synth", parents=[configured], help="generate a synthetic dataset CSV")
     p.add_argument("--n-per-class", type=int, required=True)
@@ -362,22 +358,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shift-noise", type=float, default=None)
     p.add_argument("--shift-angle", type=float, default=None)
     p.add_argument("--shift-offset", default=None, help='offset vector, e.g. "0,6"')
-    p.set_defaults(func=cmd_synth)
 
     p = add_command("study", parents=[common], help="both heads over seeds on in-dist, shifted and ood sets")
     p.add_argument("--seeds", type=int, default=5)
     p.add_argument("--noise", type=float, default=1.5, help="noise sigma of the shifted set")
     p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
     p.add_argument("--n", type=int, default=MC_SAMPLES, help="MC draws per evaluation")
-    p.set_defaults(func=cmd_study)
     return parser
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except NumericError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

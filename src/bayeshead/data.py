@@ -11,13 +11,11 @@ in-distribution / shifted / out-of-distribution evaluation regimes.
 from __future__ import annotations
 
 import csv
-import math
+import json
 import os
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Sequence
 
@@ -140,7 +138,7 @@ def load_csv(path, name: str | None = None) -> FeatureDataset:
                 raise DataFormatError(
                     f"{path}: row {lineno}: unknown label value {row[label_idx]!r}"
                 ) from None
-            if label < 0:
+            if not 0 <= label < 2**63:  # a class id FeatureDataset can hold as int64
                 raise DataFormatError(f"{path}: row {lineno}: unknown label value {label}")
             features.append(feats)
             labels.append(label)
@@ -196,98 +194,10 @@ def atomic_write(path):
         raise
 
 
-_INFINITY = float("inf")
-
-
-def _float_text(x: float) -> str:
-    """A float as ``json`` writes it: its repr, or NaN, Infinity and -Infinity."""
-    if x != x:
-        return "NaN"
-    if x == _INFINITY:
-        return "Infinity"
-    if x == -_INFINITY:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-_WORDS = {None: "null", True: "true", False: "false"}
-
-
-def _key_text(key) -> str:
-    if isinstance(key, str):
-        return encode_basestring_ascii(key)
-    if isinstance(key, float):
-        return encode_basestring_ascii(_float_text(key))
-    if key is None or key is True or key is False:
-        return f'"{_WORDS[key]}"'
-    if isinstance(key, int):
-        return encode_basestring_ascii(int.__repr__(key))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-
-
-def _value_text(value, newline: str) -> str:
-    """``value`` as ``json.dumps(indent=2)`` writes it where ``newline`` starts its lines."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None or value is True or value is False:
-        return _WORDS[value]
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _float_text(value)
-    inner = newline + "  "
-    if isinstance(value, (list, tuple)):
-        return "[" + inner + ("," + inner).join(_texts(value, inner)) + newline + "]" if value else "[]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [_key_text(k) + ": " + _value_text(v, inner) for k, v in value.items()]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
-
-
-def _texts(values, newline: str) -> list[str]:
-    """``_value_text`` of each of ``values``, a whole column at a time where they share a type:
-    finite floats, strings or ints, nonempty lists of finite floats, or objects with the same
-    string keys, whose values are taken column by column and poured into one template."""
-    types = set(map(type, values))
-    if types == {float} and all(map(math.isfinite, values)):
-        return list(map(float.__repr__, values))
-    if types == {str}:
-        return list(map(encode_basestring_ascii, values))
-    if types == {int}:
-        return list(map(int.__repr__, values))
-    inner = newline + "  "
-    if types == {list} and all(values):
-        entries = list(chain.from_iterable(values))
-        if set(map(type, entries)) == {float} and all(map(math.isfinite, entries)):
-            sep = "," + inner
-            return ["[" + inner + sep.join(map(float.__repr__, v)) + newline + "]" for v in values]
-    if types == {dict} and len(shapes := set(map(tuple, values))) == 1 and (keys := shapes.pop()) \
-            and set(map(type, keys)) == {str}:
-        try:
-            columns = [_texts(column, inner) for column in zip(*map(dict.values, values))]
-        except TypeError:
-            columns = None  # raised again below, at the first bad value in document order
-        if columns is not None:
-            items = (encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys)
-            template = "{" + inner + ("," + inner).join(items) + newline + "}"
-            return [template % row for row in zip(*columns)]  # % not format: a key may hold braces
-    return [_value_text(v, newline) for v in values]
-
-
-def json_text(doc) -> str:
-    """Exactly ``json.dumps(doc, indent=2)``: the same text, and TypeError on the same documents.
-    json's C encoder does not indent, so ``json.dumps`` takes its pure-Python path here; this one
-    renders whole columns of like values at once.  ``doc`` must be a tree: a container that holds
-    itself recurses until RecursionError, where ``json`` raises ValueError."""
-    return _value_text(doc, "\n")
-
-
 def write_json(path, doc) -> None:
-    """``json_text(doc)`` and a newline, through ``atomic_write``."""
+    """``json.dumps(doc)`` with json's defaults and a newline, through ``atomic_write``."""
     with atomic_write(path) as fh:
-        fh.write(json_text(doc) + "\n")
+        fh.write(json.dumps(doc) + "\n")
 
 
 def save_csv(dataset: FeatureDataset, path) -> None:

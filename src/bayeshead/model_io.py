@@ -93,7 +93,7 @@ def load_model(path) -> ModelArchive:
             )
     except ArchiveError:
         raise
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:  # OverflowError: a number beyond float64
         raise ArchiveError(f"corrupt model archive {path}: {e}") from None
     return ModelArchive(
         model=model,

@@ -13,6 +13,7 @@ from bayeshead import (
     ReferralThresholds,
     SpikeSlabPrior,
     TrainConfig,
+    cli,
     init_bayes_model,
     load_model,
     save_model,
@@ -813,3 +814,53 @@ class TestMistypedReport:
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"'{field}'" in err
         assert not (tmp_path / "out").exists()
+
+
+def test_the_parser_is_built_once_and_a_patched_command_is_reached(tmp_path, monkeypatch):
+    cli.build_parser.cache_clear()
+    argv = ["eval", "--model", str(tmp_path / "none.json"), "--data", "d.csv", "--out", str(tmp_path / "out")]
+    assert run(argv) == 2  # the real cmd_eval: the archive is missing
+    calls = []
+    monkeypatch.setattr(cli, "cmd_eval", lambda args: calls.append(args.command) or 0)
+    assert run(argv) == 0
+    assert calls == ["eval"]
+    assert cli.build_parser.cache_info().misses == 1
+
+
+class TestNumbersBeyondRange:
+    """An integer too large for int64 or float64 in an input file is that file's input error."""
+
+    def _exits_2(self, argv, named, tmp_path, capsys):
+        assert run([*argv, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and named in err
+        assert not (tmp_path / "out").exists()
+
+    def test_a_csv_label(self, trained, tmp_path, capsys):
+        path = tmp_path / "huge.csv"
+        path.write_text("id,label,f0,f1\na,0,1.0,2.0\nb,100000000000000000000000000000,3.5,-1.0\n")
+        argv = ["eval", "--model", str(trained / "bayes" / "model.json"), "--data", str(path)]
+        self._exits_2(argv, "huge.csv: row 3: unknown label value", tmp_path, capsys)
+
+    @pytest.mark.parametrize("field, edit", [
+        ("ci_low", lambda record: record["ci_low"].__setitem__(0, 10**400)),
+        ("entropy_bits", lambda record: record.update(entropy_bits=10**400)),
+    ], ids=["ci_low", "entropy_bits"])
+    def test_a_report_record_field(self, field, edit, good_report_doc, tmp_path, capsys):
+        doc = json.loads(json.dumps(good_report_doc))
+        edit(doc["records"][0])
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        self._exits_2(["analyze", "--report", str(path)], f"PredictionRecord field '{field}'", tmp_path, capsys)
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["hidden"]["weights"][0].__setitem__(0, 10**400),
+        lambda doc: doc["output"]["prior"].update(slab_sigma=10**400),
+    ], ids=["hidden_weight", "slab_sigma"])
+    def test_a_model_archive_number(self, edit, cli_data, trained, tmp_path, capsys):
+        doc = json.loads((trained / "bayes" / "model.json").read_text())
+        edit(doc)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        argv = ["eval", "--model", str(path), "--data", str(cli_data / "test.csv")]
+        self._exits_2(argv, f"corrupt model archive {path}", tmp_path, capsys)

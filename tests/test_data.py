@@ -1,10 +1,5 @@
-import json
-import math
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from bayeshead import (
     DataFormatError,
@@ -17,7 +12,6 @@ from bayeshead import (
 from bayeshead.data import (
     atomic_write,
     balance_downsample,
-    json_text,
     save_csv,
     split,
     split_counts,
@@ -297,72 +291,3 @@ class TestAtomicWrite:
         assert (tmp_path / "a.txt").read_bytes() == b"x\n"
         assert (tmp_path / "a.txt").stat().st_mode == (tmp_path / "b.txt").stat().st_mode
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "b.txt"]
-
-
-class _Real(float):
-    """A float subclass, which json writes as a plain number."""
-
-
-_SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, 1e16, 1e300, -1e300, math.nan, math.inf, -math.inf, 0.1, 1 / 3]
-_FLOATS = st.one_of(
-    st.floats(allow_nan=True, allow_infinity=True), st.sampled_from(_SPECIAL_FLOATS),
-    st.sampled_from(_SPECIAL_FLOATS).map(np.float64), st.sampled_from(_SPECIAL_FLOATS).map(_Real),
-)
-_TEXT = st.text(st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "\u2028", "%", "{", "a", "é", "日",
-                                 "\U0001f600"]))
-_SCALARS = st.one_of(
-    st.none(), st.booleans(), st.integers(), st.integers(min_value=2**64, max_value=2**200), _FLOATS, _TEXT,
-)
-_KEYS = st.one_of(_TEXT, st.integers(), st.booleans(), st.none(), st.floats(allow_nan=False))
-
-
-def _documents(leaves):
-    def branches(children):
-        records = st.lists(_TEXT, max_size=4, unique=True).flatmap(  # objects of one shape, as records are
-            lambda keys: st.lists(st.fixed_dictionaries({k: children for k in keys}), max_size=4))
-        return st.one_of(
-            st.lists(children, max_size=5), st.lists(children, max_size=5).map(tuple),
-            st.dictionaries(_KEYS, children, max_size=5), st.lists(st.lists(_FLOATS, max_size=3), max_size=4),
-            records,
-        )
-    return st.recursive(leaves, branches, max_leaves=40)
-
-
-_BAD = st.sampled_from([np.int64(3), np.array([1.0]), {1, 2}, b"x", 1j, np.bool_(True), np.float32(0.5)])
-
-
-class TestJsonText:
-    @settings(max_examples=200, deadline=None)
-    @given(_documents(_SCALARS))
-    def test_equals_json_dumps_indent_2(self, doc):
-        assert json_text(doc) == json.dumps(doc, indent=2)
-
-    @settings(max_examples=200, deadline=None)
-    @given(_documents(st.one_of(_SCALARS, _BAD)))
-    def test_raises_type_error_where_json_dumps_does(self, doc):
-        try:
-            expected = json.dumps(doc, indent=2)
-        except TypeError as e:
-            with pytest.raises(TypeError) as got:
-                json_text(doc)
-            assert str(got.value) == str(e)
-        else:
-            assert json_text(doc) == expected
-
-    @pytest.mark.parametrize("doc", [
-        {(1, 2): 0}, {"a": [{"k": 1.0}, {"k": np.int64(1)}]},
-        [{"a": 1, "b": {2}}, {"a": np.int64(1), "b": 2}],  # the first bad value in document order is named
-        {"means": ((-2.0, 0.0), (2.0, 0.0)), "n": np.float32(1.0)},
-    ])
-    def test_type_errors_carry_json_dumps_message(self, doc):
-        with pytest.raises(TypeError) as e:
-            json.dumps(doc, indent=2)
-        with pytest.raises(TypeError, match=f"^{e.value}$"):
-            json_text(doc)
-
-    def test_a_report_shaped_document(self):
-        records = [{"id": f"r{i}", "label": i % 2, "correct": i % 3 == 0, "mean_probs": [0.25, 0.75],
-                    "entropy_bits": 0.8112781244591328, "ci_low": [], "note": None if i else "100%"}
-                   for i in range(5)]
-        doc = {"schema_version": 1, "confusion": [[1, 2], [3, 4]], "records": records, "empty": {}}
-        assert json_text(doc) == json.dumps(doc, indent=2)
