@@ -20,17 +20,19 @@ def softmax(logits) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def log_softmax(logits) -> np.ndarray:
-    """Log of ``softmax`` along the last axis."""
+def log_softmax(logits, out=None) -> np.ndarray:
+    """Log of ``softmax`` along the last axis, written to ``out`` if given (numpy's convention)."""
     x = np.asarray(logits, dtype=np.float64)
-    s = x - x.max(axis=-1, keepdims=True)
-    return s - np.log(np.exp(s).sum(axis=-1, keepdims=True))
+    m = np.maximum.reduce(x, axis=-1, keepdims=True)  # x.max's reduction without its wrapper
+    s = np.subtract(x, m, out=out)
+    s -= np.log(np.add.reduce(np.exp(s), axis=-1, keepdims=True, out=m), out=m)
+    return s
 
 
 def softplus(x) -> np.ndarray:
     """log(1 + e^x) without overflow; tends to x for large x, 0+ for large -x."""
     x = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("softplus input must be finite")
     return np.logaddexp(0.0, x)
 
@@ -44,7 +46,8 @@ def inv_softplus(y) -> np.ndarray:
     return np.where(y > 30.0, y, np.log(np.expm1(np.minimum(y, 30.0))))
 
 
-def sigmoid(x) -> np.ndarray:
+def sigmoid(x, out=None) -> np.ndarray:
+    """1 / (1 + z) for x >= 0 and z / (1 + z) below, with z = e^-|x|. ``out`` as in numpy."""
     x = np.asarray(x, dtype=np.float64)
-    z = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+    d = np.exp(np.copysign(x, -1.0)) + 1.0
+    return np.divide(np.exp(np.minimum(x, 0.0)), d, out=out)  # the numerator: 1, or e^x = z

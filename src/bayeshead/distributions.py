@@ -94,18 +94,23 @@ def _mixture_log_constants(prior: SpikeSlabPrior) -> tuple:
             log_1m_pi, -np.log(prior.spike_sigma) - 0.5 * _LOG_2PI)
 
 
-def _mixture_log_terms(x, prior: SpikeSlabPrior):
+def _mixture_log_terms(x, prior: SpikeSlabPrior, out=None):
     """(slab, spike): log(pi) + log N(x; 0, slab^2) and log(1 - pi) + log N(x; 0, spike^2).
 
     Each term keeps ``gaussian_log_pdf``'s operation order, with z = x / sigma; the prior's
-    sigmas were checked positive when it was made.
+    sigmas were checked positive when it was made.  ``out``, three arrays shaped like x,
+    receives the terms in the first two and z in the third.
     """
     x = np.asarray(x, dtype=np.float64)
+    slab, spike, z = [np.empty_like(x) for _ in range(3)] if out is None else out
     log_pi, slab_norm, log_1m_pi, spike_norm = _mixture_log_constants(prior)
-    z = x / prior.slab_sigma
-    slab = log_pi + (slab_norm - 0.5 * z * z)
-    z = x / prior.spike_sigma
-    spike = log_1m_pi + (spike_norm - 0.5 * z * z)
+    for term, sigma, log_w, norm in ((slab, prior.slab_sigma, log_pi, slab_norm),
+                                     (spike, prior.spike_sigma, log_1m_pi, spike_norm)):
+        np.divide(x, sigma, out=z)
+        np.multiply(z, 0.5, out=term)
+        term *= z
+        np.subtract(norm, term, out=term)
+        term += log_w
     return slab, spike
 
 
@@ -119,13 +124,21 @@ def spike_slab_score(x, prior: SpikeSlabPrior):
     return _log_pdf_and_score(x, prior)[1]
 
 
-def _log_pdf_and_score(x, prior: SpikeSlabPrior):
-    """(log p(x), d/dx log p(x)) from one ``_mixture_log_terms`` and one log-sum-exp."""
+def _log_pdf_and_score(x, prior: SpikeSlabPrior, out=None):
+    """(log p(x), d/dx log p(x)) from one ``_mixture_log_terms`` and one log-sum-exp; ``out``,
+    four arrays shaped like x, receives them in the first two and is scratch in the rest."""
     x = np.asarray(x, dtype=np.float64)
-    slab, spike = _mixture_log_terms(x, prior)
-    log_p = np.logaddexp(slab, spike)
-    r = np.exp(slab - log_p)
-    return log_p, r * (-x / prior.slab_sigma**2) + (1.0 - r) * (-x / prior.spike_sigma**2)
+    log_p, score, slab, spike = [np.empty_like(x) for _ in range(4)] if out is None else out
+    _mixture_log_terms(x, prior, (slab, spike, log_p))
+    np.logaddexp(slab, spike, out=log_p)
+    r = np.exp(np.subtract(slab, log_p, out=slab), out=slab)
+    neg_x = np.negative(x, out=spike)
+    np.divide(neg_x, prior.slab_sigma**2, out=score)
+    score *= r  # r * (-x / slab^2) + (1 - r) * (-x / spike^2)
+    neg_x /= prior.spike_sigma**2
+    neg_x *= np.subtract(1.0, r, out=r)
+    score += neg_x
+    return log_p, score
 
 
 def sample_from_epsilon(params: VariationalParams, epsilon) -> WeightSample:
@@ -148,15 +161,24 @@ def mean_sample(params: VariationalParams) -> WeightSample:
 
 
 def kl_sample_estimate(params: VariationalParams, prior: SpikeSlabPrior,
-                       sample: WeightSample) -> tuple[float, np.ndarray]:
+                       sample: WeightSample, out=None) -> tuple[float, np.ndarray]:
     """(kl, score): the unbiased KL(q || p) estimate from one draw, or the mean over a stack of
     draws, which may be negative, and ``spike_slab_score(sample.theta, prior)``, the prior's
     score at the draws, shaped like ``sample.theta``; both from one pass over the mixture terms.
-    log q(theta) is taken at the scale the draws were made with, ``sample.sigma``."""
-    z = (sample.theta - params.mu) / sample.sigma
-    log_q = np.sum(-np.log(sample.sigma) - 0.5 * _LOG_2PI - 0.5 * z * z, axis=-1)
-    log_p, score = _log_pdf_and_score(sample.theta, prior)
-    return float(np.mean(log_q - np.sum(log_p, axis=-1))), score
+    log q(theta) is taken at the scale the draws were made with, ``sample.sigma``.  ``out``, four
+    arrays shaped like ``sample.theta``, holds every intermediate; the score is the fourth."""
+    theta, sigma = sample.theta, sample.sigma
+    z, t, log_p, score = np.empty((4, *theta.shape)) if out is None else out
+    log_w = log_p.reshape(-1, len(params))[0]  # -log(sigma) - log(2 pi) / 2, until log p is formed
+    np.negative(np.log(sigma, out=log_w), out=log_w)
+    log_w -= 0.5 * _LOG_2PI
+    np.divide(np.subtract(theta, params.mu, out=z), sigma, out=z)
+    np.multiply(z, 0.5, out=t)
+    t *= z
+    log_q = np.subtract(log_w, t, out=t).sum(axis=-1)
+    _log_pdf_and_score(theta, prior, (log_p, score, z, t))
+    kl = log_q - log_p.sum(axis=-1)
+    return float(kl.sum() / kl.size), score  # np.mean's sum / count, without its wrapper
 
 
 def mc_kl(params: VariationalParams, prior: SpikeSlabPrior, n_samples: int, stream: RngStream) -> float:

@@ -6,10 +6,15 @@ entry points and ``backward``, a training step's one pass (the summed
 cross-entropy, the KL estimate and the hand-derived gradients of their
 weighted sum), all go through the pair.  ``backward`` takes the prior's
 score from the KL estimate's own pass over the mixture prior, so a step
-evaluates the prior once."""
+evaluates the prior once.  A training run hands ``backward`` one
+``StepBuffers``, sized once, and each step writes its intermediates and
+gradients there with ``out=`` (a tail batch in the leading rows), so the
+gradients of a buffered call are views that the next call overwrites; a
+call without buffers makes its own, and what it returns shares no memory."""
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Union
@@ -109,13 +114,13 @@ class HeadModel:
         return self.output.out_dim
 
 
-def dense_forward(layer: DenseLayer, x) -> np.ndarray:
-    """The hidden layer's relu(x @ W + b); accepts a single vector or a batch."""
+def dense_forward(layer: DenseLayer, x, out=None) -> np.ndarray:
+    """The hidden layer's relu(x @ W + b); accepts a single vector or a batch. ``out`` as in numpy."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != layer.in_dim:
         raise ValueError(f"input width {x.shape[-1]} != layer in_dim {layer.in_dim}")
-    z = x @ layer.weights
-    z += layer.bias  # the product is fresh, so the bias and relu go in place
+    z = np.matmul(x, layer.weights, out=out)
+    z += layer.bias  # the product is fresh or ``out``, so the bias and relu go in place
     np.maximum(z, 0.0, out=z)
     return z
 
@@ -166,15 +171,18 @@ def _output_weights(model: HeadModel, sample) -> tuple[np.ndarray, np.ndarray]:
     return model.output.unflatten(sample.theta)
 
 
-def _forward(model: HeadModel, x, w, b) -> tuple[np.ndarray, np.ndarray]:
-    """(h, logits): h @ w + b for shared weights (H, C); for a stack (B, H, C),
-    row i against its own w[i], b[i]."""
-    h = dense_forward(model.hidden, x)
+def _forward(model: HeadModel, x, w, b, out=(None, None)) -> tuple[np.ndarray, np.ndarray]:
+    """(h, logits), written to ``out`` if given: h @ w + b for shared weights (H, C); for a stack
+    (B, H, C), row i against its own w[i], b[i]."""
+    h = dense_forward(model.hidden, x, out=out[0])
     if w.ndim == 2:
-        return h, h @ w + b
-    if w.shape[0] != h.shape[0]:
+        logits = np.matmul(h, w, out=out[1])
+    elif w.shape[0] != h.shape[0]:
         raise ValueError("per-example samples must match the batch size")
-    return h, np.einsum("bh,bhc->bc", h, w) + b
+    else:
+        logits = np.einsum("bh,bhc->bc", h, w, out=out[1])
+    logits += b
+    return h, logits
 
 
 def batch_nll(logits: np.ndarray, labels: np.ndarray) -> float:
@@ -189,14 +197,15 @@ def batch_nll(logits: np.ndarray, labels: np.ndarray) -> float:
 
 
 def _summed_nll(picked: np.ndarray) -> float:
-    """-sum of the true classes' log-probabilities, with ``batch_nll``'s checks."""
-    finite = np.isfinite(picked)
-    if not np.all(finite):
+    """-sum of the true classes' log-probabilities, with ``batch_nll``'s checks; a finite sum
+    has finite terms, so only a non-finite one looks for the bad row."""
+    total = picked.sum()
+    if not math.isfinite(total) and not (finite := np.isfinite(picked)).all():
         raise NumericError(f"non-finite log-likelihood at batch index {int(np.argmin(finite))}")
-    if np.any(picked < _LOG_CLAMP):
+    if picked.min(initial=0.0) < _LOG_CLAMP:
         warnings.warn("class probability below 1e-300 clamped", RuntimeWarning)
-        picked = np.maximum(picked, _LOG_CLAMP)
-    return float(-np.sum(picked))
+        total = np.maximum(picked, _LOG_CLAMP).sum()
+    return float(-total)
 
 
 class Gradients(dict):
@@ -209,7 +218,29 @@ class Gradients(dict):
         self.kl = kl
 
 
-def backward(model: HeadModel, features, labels, samples: WeightSample | None, kl_weight: float) -> Gradients:
+class StepBuffers:
+    """One training run's step arrays, sized once for batches of up to ``rows`` rows: the gathered
+    batch, every intermediate of ``backward`` and the gradients it returns.  A smaller batch uses
+    the leading rows of each.  ``per_example`` sizes the output layer's terms for one draw per row."""
+
+    def __init__(self, model: HeadModel, rows: int, per_example: bool = False):
+        d, hid, c = model.feature_dim, model.hidden_dim, model.n_classes
+        self.features, self.labels, self.rows = np.empty((rows, d)), np.empty(rows, np.int64), np.arange(rows)
+        self.h, self.dh = np.empty((2, rows, hid))
+        self.active = np.empty((rows, hid), dtype=bool)
+        self.logits, self.logp, self.g = np.empty((3, rows, c))
+        self.hidden_w, self.hidden_b = np.empty((d, hid)), np.empty(hid)
+        if model.is_bayesian:  # g_theta, g_rho and kl_work hold one row per example for the per-example head
+            k = len(model.output.params)
+            self.sig_prime, self.sig_ratio, self.mu, self.rho = np.empty((4, k))
+            self.g_theta, self.g_rho = np.empty((2, rows, k) if per_example else (2, k))
+            self.kl_work = np.empty((4, rows, k) if per_example else (4, k))
+        else:
+            self.out_w, self.out_b = np.empty((hid, c)), np.empty(c)
+
+
+def backward(model: HeadModel, features, labels, samples: WeightSample | None, kl_weight: float,
+             buffers: StepBuffers | None = None) -> Gradients:
     """A training step's one pass: gradients of summed NLL + kl_weight * KL_estimate from one forward pass.
 
     Keyed by parameter group: hidden_w / hidden_b plus mu / rho (bayesian) or out_w / out_b
@@ -217,47 +248,60 @@ def backward(model: HeadModel, features, labels, samples: WeightSample | None, k
     ``samples`` is one shared draw per batch, or a (B, K) stack of one draw per row, whose
     gradients are summed; a bayesian head without one raises VariantError.  A non-finite NLL
     raises NumericError naming the batch index; ``training._train`` checks the gradients'
-    finiteness once per step, before the update.
+    finiteness once per step, before the update.  Every intermediate goes to ``buffers``, sized
+    for at least this batch, so the gradients of a buffered call are views of it, overwritten by
+    the next call; without ``buffers`` the call makes its own, and its gradients share no memory.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
     if features.ndim != 2 or features.shape[0] != labels.shape[0]:
         raise ValueError("features must be (batch, dim) matching labels")
     w, b = _output_weights(model, samples)
-    h, logits = _forward(model, features, w, b)
-    logp = log_softmax(logits)
-    rows = np.arange(labels.shape[0])
+    n, per_example = features.shape[0], w.ndim == 3
+    buf = StepBuffers(model, n, per_example) if buffers is None else buffers
+    rows, per_row = buf.rows[:n], np.s_[:n] if per_example else ...
+    h, logits = _forward(model, features, w, b, (buf.h[:n], buf.logits[:n]))
+    logp = log_softmax(logits, out=buf.logp[:n])
     nll = _summed_nll(logp[rows, labels])
-    g = np.exp(logp)
+    g = np.exp(logp, out=buf.g[:n])
     g[rows, labels] -= 1.0
+    if model.is_bayesian:  # the output gradients go straight into g_theta, flattened as theta is
+        g_theta = buf.g_theta[per_row]
+        g_w, g_b = model.output.unflatten(g_theta)
+    else:
+        g_w, g_b = buf.out_w, buf.out_b
+    dh = buf.dh[:n]
     if w.ndim == 2:
-        g_w = h.T @ g
-        g_b = g.sum(axis=0)
-        dh = g @ w.T
+        np.matmul(h.T, g, out=g_w)
+        g.sum(axis=0, out=g_b)
+        np.matmul(g, w.T, out=dh)
     else:  # per-example: the output gradients stay per row, (B, H, C) and (B, C)
-        g_w = h[:, :, None] * g[:, None, :]
-        g_b = g
-        dh = np.einsum("bhc,bc->bh", w, g)
-    dh = dh * (h > 0.0)
-    g_w1 = features.T @ dh
-    g_b1 = dh.sum(axis=0)
+        np.multiply(h[:, :, None], g[:, None, :], out=g_w)
+        np.copyto(g_b, g)
+        np.einsum("bhc,bc->bh", w, g, out=dh)
+    dh *= np.greater(h, 0.0, out=buf.active[:n])
+    g_w1 = np.matmul(features.T, dh, out=buf.hidden_w)
+    g_b1 = dh.sum(axis=0, out=buf.hidden_b)
     if not model.is_bayesian:
         return Gradients({"hidden_w": g_w1, "hidden_b": g_b1, "out_w": g_w, "out_b": g_b}, nll, 0.0)
 
     params = model.output.params
-    per_example = samples.theta.ndim == 2
-    sig_prime = sigmoid(params.rho)
-    g_theta = np.concatenate([g_w.reshape(g_b.shape[:-1] + (-1,)), g_b], axis=-1)
-    g_rho = g_theta * samples.epsilon * sig_prime
-    g_mu = g_theta  # fresh from the concatenate, so the KL term can go in place once g_rho is formed
+    sig_prime = sigmoid(params.rho, out=buf.sig_prime)
+    g_rho = np.multiply(g_theta, samples.epsilon, out=buf.g_rho[per_row])
+    g_rho *= sig_prime
+    g_mu = g_theta  # g_rho is formed, so the KL term can go into g_theta in place
     kl = 0.0
     if kl_weight != 0.0:
-        kl, score = kl_sample_estimate(params, model.output.prior, samples)
+        work = buf.kl_work[:, per_row]
+        kl, score = kl_sample_estimate(params, model.output.prior, samples, work)
         # pathwise gradients of log q - log p: with theta = mu + sigma*eps, log q is -sum(log sigma)
         # + const, so only the prior's score flows through mu; per example, the KL averages the draws
-        kl_scale = kl_weight / features.shape[0] if per_example else kl_weight
-        g_mu += kl_scale * -score
-        g_rho += kl_scale * (-sig_prime / samples.sigma - score * samples.epsilon * sig_prime)
+        kl_scale = kl_weight / n if per_example else kl_weight
+        g_mu -= np.multiply(score, kl_scale, out=work[0])  # the bits of g_mu += kl_scale * -score: negation is exact
+        ratio = np.divide(np.negative(sig_prime, out=buf.sig_ratio), samples.sigma, out=buf.sig_ratio)
+        score *= samples.epsilon  # kl_scale * (-sig_prime / sigma - score * eps * sig_prime), in score
+        score *= sig_prime
+        g_rho += np.multiply(np.subtract(ratio, score, out=score), kl_scale, out=score)
     if per_example:
-        g_mu, g_rho = g_mu.sum(axis=0), g_rho.sum(axis=0)
+        g_mu, g_rho = g_mu.sum(axis=0, out=buf.mu), g_rho.sum(axis=0, out=buf.rho)
     return Gradients({"hidden_w": g_w1, "hidden_b": g_b1, "mu": g_mu, "rho": g_rho}, nll, kl)

@@ -19,8 +19,12 @@ val_nll.
 The parameter groups live as views in one contiguous buffer, so the update
 is one in-place optimizer call over the gradients concatenated into one
 reused buffer, and the best-epoch checkpoint is one copy; elementwise
-arithmetic gives the same bits as a call per group.  The shared-sample head
-draws an epoch's noise in one ``normal(steps * K)`` call and reads K normals
+arithmetic gives the same bits as a call per group.  Each run also makes
+one ``network.StepBuffers`` from (B, D, H, C, K): every step gathers its
+batch into it and ``backward`` writes its intermediates and gradients
+there, so what a step still allocates is its draw, the optimizer's
+temporaries and a few small arrays.  The shared-sample head draws an
+epoch's noise in one ``normal(steps * K)`` call and reads K normals
 per step: the stream is counter-based, so the bits and the final counter are
 those of a draw per step.  The per-example head draws one (B, K) block per
 step, since a whole epoch of it would be megabytes of transient memory.
@@ -47,6 +51,7 @@ from .errors import NumericError
 from .network import (
     DenseLayer,
     HeadModel,
+    StepBuffers,
     VariationalDenseLayer,
     backward,
     batch_forward,
@@ -299,6 +304,8 @@ def _train(dataset, val, config, bayesian):
     flat, names, ends = _flatten_params(model)
     accum = np.zeros_like(flat)
     grad = np.empty_like(flat)
+    per_example = config.per_example_sample and not config.force_sigma_zero  # as _draw_samples draws
+    buffers = StepBuffers(model, min(config.batch_size, len(dataset)), per_example)
     shuffle_stream = RngStream(config.seed).derive(_SHUFFLE_STREAM)
     eps_stream = RngStream(config.seed).derive(_EPS_STREAM)
 
@@ -318,11 +325,12 @@ def _train(dataset, val, config, bayesian):
         epoch_kl = 0.0
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            feats = dataset.features[idx]
-            labels = dataset.labels[idx]
-            samples = _draw_samples(model, noise, idx.shape[0], config.per_example_sample,
+            bs = idx.shape[0]  # "clip" never fires on a permutation and, unlike "raise", writes out directly
+            feats = np.take(dataset.features, idx, axis=0, out=buffers.features[:bs], mode="clip")
+            labels = np.take(dataset.labels, idx, out=buffers.labels[:bs], mode="clip")
+            samples = _draw_samples(model, noise, bs, config.per_example_sample,
                                     force_zero=config.force_sigma_zero)
-            grads = backward(model, feats, labels, samples, kl_w)
+            grads = backward(model, feats, labels, samples, kl_w, buffers)
             np.concatenate([grads[name].ravel() for name in names], out=grad)
             finite = np.isfinite(grad)
             if not finite.all():

@@ -14,6 +14,7 @@ from bayeshead.core import log_softmax, sigmoid, softmax
 from bayeshead.distributions import mean_sample, sample_weights, spike_slab_score
 from bayeshead.network import (
     DenseLayer,
+    StepBuffers,
     batch_forward,
     batch_nll,
     bayes_forward,
@@ -303,6 +304,39 @@ class TestFusedStep:
         assert list(got) == list(want)
         for name, g in want.items():
             assert got[name].shape == g.shape and got[name].tobytes() == g.tobytes(), name
+
+    @pytest.mark.parametrize("case", _FUSED_CASES)
+    def test_calls_without_buffers_return_gradients_of_their_own(self, case):
+        model, features, labels, samples, kl_weight = _fused_case(case)
+        first = backward(model, features, labels, samples, kl_weight)
+        kept = {name: g.copy() for name, g in first.items()}
+        second = backward(model, features, (labels + 1) % 3, samples, kl_weight)
+        assert not any(np.shares_memory(a, b) for a in first.values() for b in second.values())
+        assert all(first[name].tobytes() == g.tobytes() for name, g in kept.items())
+        assert any(first[name].tobytes() != second[name].tobytes() for name in first)
+
+    @pytest.mark.parametrize("case", _FUSED_CASES)
+    @pytest.mark.parametrize("rows", [9, 5, 1])  # a full batch, a tail and a single row in buffers for 9
+    def test_buffered_calls_have_the_bits_of_unbuffered_ones(self, case, rows):
+        model, features, labels, samples, kl_weight = _fused_case(case)
+        if samples is not None and samples.theta.ndim == 2:
+            samples = sample_from_epsilon(model.output.params, samples.epsilon[:rows])
+        buffers = StepBuffers(model, 9, per_example=case == "per_example")
+        want = backward(model, features[:rows], labels[:rows], samples, kl_weight)
+        got = backward(model, features[:rows], labels[:rows], samples, kl_weight, buffers)
+        assert (got.nll, got.kl) == (want.nll, want.kl)
+        for name, g in want.items():
+            assert got[name].shape == g.shape and got[name].tobytes() == g.tobytes(), name
+
+    def test_buffered_gradients_are_views_that_the_next_call_overwrites(self):
+        model, features, labels, samples, kl_weight = _fused_case("shared")
+        buffers = StepBuffers(model, 9)
+        first = backward(model, features, labels, samples, kl_weight, buffers)
+        want = backward(model, features, (labels + 1) % 3, samples, kl_weight)
+        second = backward(model, features, (labels + 1) % 3, samples, kl_weight, buffers)
+        for name, g in want.items():
+            assert np.shares_memory(first[name], second[name])
+            assert first[name].tobytes() == second[name].tobytes() == g.tobytes(), name
 
     def test_non_finite_loss_names_batch_index(self):
         model, features, labels, samples, _ = _fused_case("shared")

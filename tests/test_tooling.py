@@ -104,9 +104,15 @@ def test_shared_sample_epoch_makes_one_call_of_each_per_step(monkeypatch, tiny_t
     calls = {fn.__name__: _count_calls(monkeypatch, fn) for fn in per_step}
     train, val = tiny_task
     config = TrainConfig(epochs=1, hidden_dim=4, batch_size=16, seed=3, per_example_sample=head == "per_example")
+    # the tracer's core.s sums softplus and sigmoid spans; a step that inlined either would drop out of it
+    scales = {fn.__name__: _count_calls(monkeypatch, fn) for fn in (core.softplus, core.sigmoid)}
     (train_baseline if head == "baseline" else train_bayes)(train, val, config)
     steps = math.ceil(len(train) / config.batch_size)
     assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(calls, steps)
+    # softplus: the step's draw, plus validation's mean_sample once per epoch; sigmoid: backward's sigma'
+    expected = {"softplus": 0, "sigmoid": 0} if head == "baseline" else {
+        "softplus": steps + config.epochs, "sigmoid": steps}
+    assert {name: len(c) for name, c in scales.items()} == expected
 
 
 def test_single_row_prediction_makes_one_summary_and_one_softmax_call(monkeypatch, tiny_bayes):

@@ -305,6 +305,40 @@ def test_shared_sample_and_baseline_parameters_are_pinned(tiny_task, train, expe
     assert _param_digest(model) == expected, build_note()
 
 
+def test_per_example_parameters_are_pinned(tiny_task):
+    # digest taken with numpy 2.4.6 and OpenBLAS on x86-64
+    config = TrainConfig(epochs=5, hidden_dim=4, batch_size=16, seed=3, per_example_sample=True)
+    model, _ = train_bayes(*tiny_task, config)
+    assert _param_digest(model) == "4bacf624256876e35f23f42ace790e9fe39222641f2dd799fd49e931731edd13", build_note()
+
+
+def _wide_task(n, n_val=12, dim=64, n_classes=4):
+    """n training rows of ``dim``-wide features around one-hot class means, labels cycling over the classes."""
+    def rows(count, seed):
+        labels = np.arange(count) % n_classes
+        features = RngStream(seed).normal(count * dim).reshape(count, dim)
+        features[np.arange(count), labels] += 3.0
+        return FeatureDataset(features, labels, [str(i) for i in range(count)])
+    return rows(n, 50 + n), rows(n_val, 90)
+
+
+@pytest.mark.parametrize("n, head, expected", [
+    (33, "shared_sample", "d283a456e0edd93e1e669f2faa2346e02a11dbf79dd5a444962ef6d42c8146bd"),  # 33 rows: a one-row tail batch
+    (33, "per_example", "2baccc47c986e35a79f7aa4f95af8419ae8ff05b6d9094266ae11cbd63946899"),
+    (33, "baseline", "8bc95817fd370a7355d124e22e06531962c274069a0e356cc3396d004c324e33"),
+    (10, "shared_sample", "f63b255924414c929f8dd3188ddf3750044b131ada20295f641ccf784f061685"),  # 10 rows: batch_size > n
+    (10, "per_example", "c824884907d7e21b0fa69b51cfe2a3299d553bc0b67845e3c4886060d4d374a6"),
+    (10, "baseline", "63fae928a049f58f3dc655c2d05dcda3761459d37355b83cb3c86fcc22cbde7a"),
+])
+def test_tail_and_oversized_batch_runs_are_pinned(n, head, expected):
+    # parameters and history of every head where a step sees fewer rows than batch_size;
+    # digests taken with numpy 2.4.6 and OpenBLAS on x86-64
+    config = TrainConfig(epochs=3, hidden_dim=8, batch_size=32, seed=5, per_example_sample=head == "per_example")
+    model, history = (train_baseline if head == "baseline" else train_bayes)(*_wide_task(n), config)
+    digest = hashlib.sha256(_param_digest(model).encode() + repr(history).encode()).hexdigest()
+    assert digest == expected, build_note()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_gradient_in_training_names_its_group():
     # a spike of 1e-160 squares to a subnormal: the prior's score is 0 * inf = NaN while the loss stays finite
