@@ -69,12 +69,13 @@ class VariationalParams:
 
 @dataclass
 class WeightSample:
-    """A posterior draw (K,), or a stack of draws (B, K), with the noise that produced it
-    and the posterior scale softplus(rho) (K,) it was drawn at."""
+    """A posterior draw (K,), or a stack of draws (n, K), with the noise that produced it and the
+    posterior scale softplus(rho) (K,) it was drawn at; ``logit_noise`` (B, C) makes it per-example."""
 
     theta: np.ndarray
     epsilon: np.ndarray
     sigma: np.ndarray
+    logit_noise: np.ndarray | None = None
 
 
 def gaussian_log_pdf(x, mean: float, sigma: float):

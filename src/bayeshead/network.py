@@ -4,9 +4,10 @@ variational (bayesian variant) or with point weights (baseline).
 ``_forward`` the one place that forms logits from them; the ``*_forward``
 entry points and ``backward``, a training step's one pass (the summed
 cross-entropy, the KL estimate and the hand-derived gradients of their
-weighted sum), all go through the pair.  ``backward`` takes the prior's
-score from the KL estimate's own pass over the mixture prior, so a step
-evaluates the prior once.  A training run hands ``backward`` one
+weighted sum), all go through the pair.  A per-example draw is taken in
+logit space (Kingma, Salimans & Welling 2015), with 2-D products only.
+``backward`` takes the prior's score from the KL estimate's own pass over
+the mixture prior, so a step evaluates the prior once.  A run hands it one
 ``StepBuffers``, sized once, and each step writes its intermediates and
 gradients there with ``out=`` (a tail batch in the leading rows), so the
 gradients of a buffered call are views that the next call overwrites; a
@@ -155,34 +156,38 @@ def mean_forward(model: HeadModel, x) -> np.ndarray:
 def batch_forward(model: HeadModel, features: np.ndarray, sample=None) -> np.ndarray:
     """Batch logits under a given weight sample (or point weights).
 
-    ``sample`` is a shared WeightSample, a per-example stack (B, K), or
-    None for the baseline variant.
+    ``sample`` is a WeightSample, shared by the batch or per-example (with
+    ``logit_noise``), or None for the baseline variant.
     """
-    return _forward(model, features, *_output_weights(model, sample))[1]
+    return _forward(model, features, *_output_weights(model, sample), sample)[1]
 
 
 def _output_weights(model: HeadModel, sample) -> tuple[np.ndarray, np.ndarray]:
-    """The output layer's (w, b): the baseline's point weights, or the bayesian draw ``sample``
-    unflattened, (H, C) and (C,) for a shared draw or (B, H, C) and (B, C) for a per-row stack."""
+    """The output layer's (w, b), (H, C) and (C,): the baseline's point weights, the bayesian draw
+    ``sample`` unflattened, or, for a per-example draw, the posterior mean its logits are drawn around."""
     if not model.is_bayesian:
         return model.output.weights, model.output.bias
     if sample is None:
-        raise VariantError("bayesian variant needs one shared weight sample or one per batch row")
-    return model.output.unflatten(sample.theta)
+        raise VariantError("bayesian variant needs a weight sample")
+    return model.output.unflatten(sample.theta if sample.logit_noise is None else model.output.params.mu)
 
 
-def _forward(model: HeadModel, x, w, b, out=(None, None)) -> tuple[np.ndarray, np.ndarray]:
-    """(h, logits), written to ``out`` if given: h @ w + b for shared weights (H, C); for a stack
-    (B, H, C), row i against its own w[i], b[i]."""
+def _forward(model: HeadModel, x, w, b, sample=None, out=(None, None)):
+    """(h, logits, spread), h and the logits written to ``out`` if given: logits = h @ w + b, plus
+    s * e for a per-example ``sample``, whose rows then have the law of a weight draw per row (the
+    output layer is linear and its posterior factorized): e is its ``logit_noise`` and
+    s = sqrt((h*h) @ sigma_w² + sigma_b²), and ``spread`` is (h*h, sigma_w², s), else None."""
     h = dense_forward(model.hidden, x, out=out[0])
-    if w.ndim == 2:
-        logits = np.matmul(h, w, out=out[1])
-    elif w.shape[0] != h.shape[0]:
-        raise ValueError("per-example samples must match the batch size")
-    else:
-        logits = np.einsum("bh,bhc->bc", h, w, out=out[1])
+    logits = np.matmul(h, w, out=out[1])
     logits += b
-    return h, logits
+    if sample is None or sample.logit_noise is None:
+        return h, logits, None
+    if sample.logit_noise.shape != logits.shape:
+        raise ValueError("logit noise must be (batch rows, classes)")
+    var_w, var_b = model.output.unflatten(sample.sigma * sample.sigma)
+    s = np.sqrt((h2 := h * h) @ var_w + var_b)
+    logits += s * sample.logit_noise
+    return h, logits, (h2, var_w, s)
 
 
 def batch_nll(logits: np.ndarray, labels: np.ndarray) -> float:
@@ -221,20 +226,18 @@ class Gradients(dict):
 class StepBuffers:
     """One training run's step arrays, sized once for batches of up to ``rows`` rows: the gathered
     batch, every intermediate of ``backward`` and the gradients it returns.  A smaller batch uses
-    the leading rows of each.  ``per_example`` sizes the output layer's terms for one draw per row."""
+    the leading rows of each."""
 
-    def __init__(self, model: HeadModel, rows: int, per_example: bool = False):
+    def __init__(self, model: HeadModel, rows: int):
         d, hid, c = model.feature_dim, model.hidden_dim, model.n_classes
         self.features, self.labels, self.rows = np.empty((rows, d)), np.empty(rows, np.int64), np.arange(rows)
         self.h, self.dh = np.empty((2, rows, hid))
         self.active = np.empty((rows, hid), dtype=bool)
         self.logits, self.logp, self.g = np.empty((3, rows, c))
         self.hidden_w, self.hidden_b = np.empty((d, hid)), np.empty(hid)
-        if model.is_bayesian:  # g_theta, g_rho and kl_work hold one row per example for the per-example head
+        if model.is_bayesian:  # kl_work: kl_sample_estimate's four arrays
             k = len(model.output.params)
-            self.sig_prime, self.sig_ratio, self.mu, self.rho = np.empty((4, k))
-            self.g_theta, self.g_rho = np.empty((2, rows, k) if per_example else (2, k))
-            self.kl_work = np.empty((4, rows, k) if per_example else (4, k))
+            self.sig_prime, self.sig_ratio, self.g_theta, self.g_rho, *self.kl_work = np.empty((8, k))
         else:
             self.out_w, self.out_b = np.empty((hid, c)), np.empty(c)
 
@@ -245,40 +248,39 @@ def backward(model: HeadModel, features, labels, samples: WeightSample | None, k
 
     Keyed by parameter group: hidden_w / hidden_b plus mu / rho (bayesian) or out_w / out_b
     (baseline); ``.nll`` and ``.kl`` are the loss parts, with the bits of ``training._elbo_parts``.
-    ``samples`` is one shared draw per batch, or a (B, K) stack of one draw per row, whose
-    gradients are summed; a bayesian head without one raises VariantError.  A non-finite NLL
-    raises NumericError naming the batch index; ``training._train`` checks the gradients'
-    finiteness once per step, before the update.  Every intermediate goes to ``buffers``, sized
-    for at least this batch, so the gradients of a buffered call are views of it, overwritten by
-    the next call; without ``buffers`` the call makes its own, and its gradients share no memory.
+    ``samples`` is one draw, shared or per-example (its theta then enters only the KL); a bayesian
+    head without one raises VariantError.  A non-finite NLL raises NumericError naming the batch
+    index; ``training._train`` checks finiteness once per step, after the update.  Every
+    intermediate but a per-example draw's few (B, C) and (B, H) terms goes to ``buffers``, sized for
+    at least this batch, so the gradients of a buffered call are views of it, overwritten by the
+    next call; without ``buffers`` the call makes its own, and its gradients share no memory.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
     if features.ndim != 2 or features.shape[0] != labels.shape[0]:
         raise ValueError("features must be (batch, dim) matching labels")
     w, b = _output_weights(model, samples)
-    n, per_example = features.shape[0], w.ndim == 3
-    buf = StepBuffers(model, n, per_example) if buffers is None else buffers
-    rows, per_row = buf.rows[:n], np.s_[:n] if per_example else ...
-    h, logits = _forward(model, features, w, b, (buf.h[:n], buf.logits[:n]))
+    n = features.shape[0]
+    buf = StepBuffers(model, n) if buffers is None else buffers
+    rows = buf.rows[:n]
+    h, logits, spread = _forward(model, features, w, b, samples, (buf.h[:n], buf.logits[:n]))
     logp = log_softmax(logits, out=buf.logp[:n])
     nll = _summed_nll(logp[rows, labels])
     g = np.exp(logp, out=buf.g[:n])
     g[rows, labels] -= 1.0
-    if model.is_bayesian:  # the output gradients go straight into g_theta, flattened as theta is
-        g_theta = buf.g_theta[per_row]
-        g_w, g_b = model.output.unflatten(g_theta)
-    else:
-        g_w, g_b = buf.out_w, buf.out_b
-    dh = buf.dh[:n]
-    if w.ndim == 2:
-        np.matmul(h.T, g, out=g_w)
-        g.sum(axis=0, out=g_b)
-        np.matmul(g, w.T, out=dh)
-    else:  # per-example: the output gradients stay per row, (B, H, C) and (B, C)
-        np.multiply(h[:, :, None], g[:, None, :], out=g_w)
-        np.copyto(g_b, g)
-        np.einsum("bhc,bc->bh", w, g, out=dh)
+    # a bayesian head's output gradients go straight into g_theta, flattened as theta is
+    g_w, g_b = model.output.unflatten(buf.g_theta) if model.is_bayesian else (buf.out_w, buf.out_b)
+    np.matmul(h.T, g, out=g_w)
+    g.sum(axis=0, out=g_b)
+    dh = np.matmul(g, w.T, out=buf.dh[:n])
+    if spread is not None:  # s's terms, with u = g * e / s: d/dsigma = sigma * ((h*h)^T u, sum of u)
+        h2, var_w, s = spread
+        u = g * samples.logit_noise / s
+        g_sw, g_sb = model.output.unflatten(buf.g_rho)
+        np.matmul(h2.T, u, out=g_sw)
+        u.sum(axis=0, out=g_sb)
+        buf.g_rho *= samples.sigma
+        dh += h * (u @ var_w.T)
     dh *= np.greater(h, 0.0, out=buf.active[:n])
     g_w1 = np.matmul(features.T, dh, out=buf.hidden_w)
     g_b1 = dh.sum(axis=0, out=buf.hidden_b)
@@ -287,21 +289,19 @@ def backward(model: HeadModel, features, labels, samples: WeightSample | None, k
 
     params = model.output.params
     sig_prime = sigmoid(params.rho, out=buf.sig_prime)
-    g_rho = np.multiply(g_theta, samples.epsilon, out=buf.g_rho[per_row])
+    g_rho = buf.g_rho  # formed above for a per-example draw
+    if spread is None:  # a shared draw's theta = mu + sigma * eps carries the NLL
+        np.multiply(buf.g_theta, samples.epsilon, out=g_rho)
     g_rho *= sig_prime
-    g_mu = g_theta  # g_rho is formed, so the KL term can go into g_theta in place
+    g_mu = buf.g_theta  # g_rho is formed, so the KL term can go into g_theta in place
     kl = 0.0
     if kl_weight != 0.0:
-        work = buf.kl_work[:, per_row]
-        kl, score = kl_sample_estimate(params, model.output.prior, samples, work)
+        kl, score = kl_sample_estimate(params, model.output.prior, samples, buf.kl_work)
         # pathwise gradients of log q - log p: with theta = mu + sigma*eps, log q is -sum(log sigma)
-        # + const, so only the prior's score flows through mu; per example, the KL averages the draws
-        kl_scale = kl_weight / n if per_example else kl_weight
-        g_mu -= np.multiply(score, kl_scale, out=work[0])  # the bits of g_mu += kl_scale * -score: negation is exact
+        # + const, so only the prior's score flows through mu
+        g_mu -= np.multiply(score, kl_weight, out=buf.kl_work[0])  # g_mu += kl_weight * -score: negation is exact
         ratio = np.divide(np.negative(sig_prime, out=buf.sig_ratio), samples.sigma, out=buf.sig_ratio)
-        score *= samples.epsilon  # kl_scale * (-sig_prime / sigma - score * eps * sig_prime), in score
+        score *= samples.epsilon  # kl_weight * (-sig_prime / sigma - score * eps * sig_prime), in score
         score *= sig_prime
-        g_rho += np.multiply(np.subtract(ratio, score, out=score), kl_scale, out=score)
-    if per_example:
-        g_mu, g_rho = g_mu.sum(axis=0, out=buf.mu), g_rho.sum(axis=0, out=buf.rho)
+        g_rho += np.multiply(np.subtract(ratio, score, out=score), kl_weight, out=score)
     return Gradients({"hidden_w": g_w1, "hidden_b": g_b1, "mu": g_mu, "rho": g_rho}, nll, kl)

@@ -7,9 +7,9 @@ kl_weight is 1/num_batches, so a full epoch accumulates one KL term
 (Blundell et al. 2015).  A step is one ``network.backward`` call, which
 gives the loss parts and the gradients from one forward pass and one pass
 over the spike-and-slab prior (``kl_sample_estimate`` returns the KL with
-the prior's score), one finiteness check on the gradients, and one RMSprop
-update.  Both heads use the identical update path, so forcing sigma = 0 and
-dropping the KL reproduces the baseline bit for bit.  Both heads draw their
+the prior's score), one RMSprop update and one finiteness check on the
+parameters.  Both heads use the identical update path, so forcing sigma = 0
+and dropping the KL reproduces the baseline bit for bit.  Both heads draw their
 initial weights through one ``_init_layers``, so the baseline's output
 weights are the bayesian head's initial mu; validation runs
 ``network.mean_forward``, the logits path that training's passes use, 1024
@@ -23,11 +23,10 @@ arithmetic gives the same bits as a call per group.  Each run also makes
 one ``network.StepBuffers`` from (B, D, H, C, K): every step gathers its
 batch into it and ``backward`` writes its intermediates and gradients
 there, so what a step still allocates is its draw, the optimizer's
-temporaries and a few small arrays.  The shared-sample head draws an
-epoch's noise in one ``normal(steps * K)`` call and reads K normals
-per step: the stream is counter-based, so the bits and the final counter are
-those of a draw per step.  The per-example head draws one (B, K) block per
-step, since a whole epoch of it would be megabytes of transient memory.
+temporaries and a few small arrays.  Both bayesian heads draw an epoch's
+noise in one ``normal`` call and read K normals per step, then B * C for the
+per-example head's logit noise: the stream is counter-based, so the bits and
+the final counter are those of draws per step.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ from .distributions import (
     VariationalParams,
     kl_sample_estimate,
     mean_sample,
-    sample_from_epsilon,
     sample_weights,
 )
 from .errors import NumericError
@@ -204,11 +202,10 @@ def _draw_samples(model, stream, batch_size, per_example, force_zero):
     params = model.output.params
     if force_zero:
         return mean_sample(params)
-    if per_example:
-        # one call draws the same bits as batch_size sample_weights calls: each row takes 2K words
-        eps = stream.normal(batch_size * len(params)).reshape(batch_size, len(params))
-        return sample_from_epsilon(params, eps)
-    return sample_weights(params, stream)
+    sample = sample_weights(params, stream)
+    if per_example:  # (B, C) logit noise after the K normals of the KL's draw
+        sample.logit_noise = stream.normal(batch_size * model.n_classes).reshape(batch_size, model.n_classes)
+    return sample
 
 
 def _elbo_parts(model, features, labels, samples, kl_weight):
@@ -256,10 +253,10 @@ def _flatten_params(model: HeadModel):
 
 
 class _NoiseBlock:
-    """One epoch's ``normal(steps * K)`` draw, read K normals per step in place of the stream.
+    """One epoch's normals, drawn in one call and read in place of the stream, as the steps' calls would.
 
-    The stream is counter-based, so the reads have the bits of per-step ``normal(K)`` calls and the
-    stream ends at the same counter.
+    The stream is counter-based, so the reads have the bits of the per-step calls and the stream
+    ends at the same counter.
     """
 
     def __init__(self, normals: np.ndarray):
@@ -304,15 +301,15 @@ def _train(dataset, val, config, bayesian):
     flat, names, ends = _flatten_params(model)
     accum = np.zeros_like(flat)
     grad = np.empty_like(flat)
-    per_example = config.per_example_sample and not config.force_sigma_zero  # as _draw_samples draws
-    buffers = StepBuffers(model, min(config.batch_size, len(dataset)), per_example)
+    buffers = StepBuffers(model, min(config.batch_size, len(dataset)))
     shuffle_stream = RngStream(config.seed).derive(_SHUFFLE_STREAM)
     eps_stream = RngStream(config.seed).derive(_EPS_STREAM)
 
     n = len(dataset)
     steps = math.ceil(n / config.batch_size)
     kl_w = kl_weight_for(config, n) if (bayesian and not config.force_sigma_zero) else 0.0
-    epoch_block = bayesian and not (config.force_sigma_zero or config.per_example_sample)
+    epoch_block = bayesian and not config.force_sigma_zero  # steps * K normals, and n * C per example
+    block = steps * len(model.output.params) + n * n_classes * config.per_example_sample if epoch_block else 0
     records: list[EpochRecord] = []
     best_epoch: int | None = None
     best_nll = math.inf
@@ -320,7 +317,7 @@ def _train(dataset, val, config, bayesian):
 
     for epoch in range(config.epochs):
         order = shuffle_stream.permutation(n)
-        noise = _NoiseBlock(eps_stream.normal(steps * len(model.output.params))) if epoch_block else eps_stream
+        noise = _NoiseBlock(eps_stream.normal(block)) if epoch_block else eps_stream
         epoch_nll = 0.0
         epoch_kl = 0.0
         for start in range(0, n, config.batch_size):
@@ -332,11 +329,12 @@ def _train(dataset, val, config, bayesian):
                                     force_zero=config.force_sigma_zero)
             grads = backward(model, feats, labels, samples, kl_w, buffers)
             np.concatenate([grads[name].ravel() for name in names], out=grad)
-            finite = np.isfinite(grad)
-            if not finite.all():
-                group = names[int(np.searchsorted(ends, np.argmin(finite), side="right"))]
-                raise NumericError(f"non-finite gradient in parameter group '{group}'")
             rmsprop_step(flat, grad, accum, config.learning_rate)  # the model's arrays view flat
+            if not np.isfinite(flat).all():  # a non-finite gradient spoils its update, so one check sees both
+                bad_grad = not np.isfinite(grad).all()
+                first = np.argmin(np.isfinite(grad if bad_grad else flat))
+                group = names[int(np.searchsorted(ends, first, side="right"))]
+                raise NumericError(f"non-finite {'gradient' if bad_grad else 'update'} in parameter group '{group}'")
             epoch_nll += grads.nll
             epoch_kl += kl_w * grads.kl
         val_acc, val_nll = validate_metrics(model, val)

@@ -400,6 +400,17 @@ class TestNumericFailure:
         assert rc == 1
         assert "validation metric" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("head", [[], ["--baseline"]])
+    def test_an_overflowing_update_exits_1_naming_its_group(self, head, cli_data, tmp_path, capsys):
+        # finite gradients, but lr * g / rms overflows the parameters on the first step
+        rc = run(["train", "--data", str(cli_data / "train.csv"), "--epochs", "2", "--hidden-dim", "4",
+                  "--learning-rate", "1e308", *head, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: non-finite update in parameter group '"), err
+        assert not (tmp_path / "out").exists()
+
 
 class TestSynthCommand:
     def test_writes_loadable_csv_and_meta(self, tmp_path):

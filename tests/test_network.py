@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,12 @@ class TestBayesForward:
             assert np.all(p >= 0) and abs(p.sum() - 1.0) < 1e-12
 
 
+def _redraw(model, sample):
+    """``sample``'s draw at the model's current parameters: the same weight and logit noise."""
+    return dataclasses.replace(sample_from_epsilon(model.output.params, sample.epsilon),
+                               logit_noise=sample.logit_noise)
+
+
 def _fd_gradcheck(model, features, labels, samples, kl_weight, h=1e-5):
     """Central finite differences against backward() with common random numbers."""
     grads = backward(model, features, labels, samples, kl_weight)
@@ -105,7 +113,7 @@ def _fd_gradcheck(model, features, labels, samples, kl_weight, h=1e-5):
 
     def loss_at(params):
         _assign_params(model, params)
-        s = sample_from_epsilon(model.output.params, samples.epsilon) if model.is_bayesian else None
+        s = _redraw(model, samples) if model.is_bayesian else None
         return _elbo_parts(model, features, labels, s, kl_weight)[0]
 
     worst = 0.0
@@ -138,8 +146,7 @@ class TestBackward:
         stream = RngStream(7)
         features = stream.normal(9).reshape(3, 3)
         labels = np.array([1, 0, 1])
-        k = len(model.output.params)
-        samples = sample_from_epsilon(model.output.params, stream.normal(3 * k).reshape(3, k))
+        samples = _draw_samples(model, stream, 3, True, False)
         assert _fd_gradcheck(model, features, labels, samples, kl_weight=0.5) < 1e-4
 
     def test_baseline_gradients_match_finite_differences(self):
@@ -178,18 +185,18 @@ class TestBackward:
         assert np.array_equal(gb["rho"], np.zeros_like(gb["rho"]))
 
     def test_per_example_matches_sum_of_single_row_backward(self):
-        # reference loop: each row is a one-row shared-sample batch; the KL weight is split over the rows
+        # reference loop: each row is a one-row batch with its own noise row; the NLL sums over the
+        # rows, and the KL of the batch's one weight draw enters once, with the first row
         model = _toy_bayes(seed=17, hidden=5, features=4, classes=3)
         stream = RngStream(23)
         features = stream.normal(32).reshape(8, 4)
         labels = np.arange(8) % 3
-        k = len(model.output.params)
-        samples = sample_from_epsilon(model.output.params, stream.normal(8 * k).reshape(8, k))
+        samples = _draw_samples(model, stream, 8, True, False)
         got = backward(model, features, labels, samples, kl_weight=0.3)
         want = {name: np.zeros_like(g) for name, g in got.items()}
-        for i, e in enumerate(samples.epsilon):
-            s = sample_from_epsilon(model.output.params, e)
-            row = backward(model, features[i : i + 1], labels[i : i + 1], s, kl_weight=0.3 / 8)
+        for i, e in enumerate(samples.logit_noise):
+            s = dataclasses.replace(samples, logit_noise=e[None, :])
+            row = backward(model, features[i : i + 1], labels[i : i + 1], s, kl_weight=0.3 if i == 0 else 0.0)
             for name in want:
                 want[name] += row[name]
         for name, g in got.items():
@@ -202,8 +209,7 @@ class TestBackward:
         labels = np.arange(8) % 3
         z1 = features @ model.hidden.weights + model.hidden.bias
         assert np.any(z1 > 0.0) and np.any(z1 < 0.0)  # the relu mask has units both on and off
-        k = len(model.output.params)
-        samples = sample_from_epsilon(model.output.params, stream.normal(8 * k).reshape(8, k))
+        samples = _draw_samples(model, stream, 8, True, False)
         assert _fd_gradcheck(model, features, labels, samples, kl_weight=0.4) < 1e-4
 
 
@@ -227,40 +233,45 @@ class TestBatchNll:
 
 def _two_pass_backward(model, features, labels, samples, kl_weight):
     """The training step before it was fused: gradients from their own forward pass, with sigma
-    and sigmoid(rho) recomputed from the parameters."""
+    and sigmoid(rho) recomputed from the parameters.  A per-example draw's logits are
+    h @ mu_w + mu_b + s * e with s = sqrt((h*h) @ sigma_w² + sigma_b²)."""
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
+    noise = None if samples is None else samples.logit_noise
 
-    def nll_grads(w, b):
+    def nll_grads(w, b, sigma=None):
         z1 = features @ model.hidden.weights + model.hidden.bias
         h = np.maximum(z1, 0.0)
-        logits = h @ w + b if w.ndim == 2 else np.einsum("bh,bhc->bc", h, w) + b
+        logits = h @ w + b
+        if noise is not None:
+            var_w, var_b = model.output.unflatten(sigma * sigma)
+            s = np.sqrt((h * h) @ var_w + var_b)
+            logits = logits + s * noise
         g = np.exp(log_softmax(logits)).copy()
         g[np.arange(labels.shape[0]), labels] -= 1.0
-        if w.ndim == 2:
-            g_w, g_b, dh = h.T @ g, g.sum(axis=0), g @ w.T
-        else:
-            g_w, g_b, dh = h[:, :, None] * g[:, None, :], g, np.einsum("bhc,bc->bh", w, g)
+        g_w, g_b, dh = h.T @ g, g.sum(axis=0), g @ w.T
+        g_sigma = None
+        if noise is not None:
+            u = g * noise / s
+            g_sigma = np.concatenate([((h * h).T @ u).ravel(), u.sum(axis=0)]) * sigma
+            dh = dh + h * (u @ var_w.T)
         dh = dh * (z1 > 0.0)
-        return features.T @ dh, dh.sum(axis=0), g_w, g_b
+        return features.T @ dh, dh.sum(axis=0), g_w, g_b, g_sigma
 
     if not model.is_bayesian:
-        g_w1, g_b1, g_w, g_b = nll_grads(model.output.weights, model.output.bias)
+        g_w1, g_b1, g_w, g_b, _ = nll_grads(model.output.weights, model.output.bias)
         return {"hidden_w": g_w1, "hidden_b": g_b1, "out_w": g_w, "out_b": g_b}
-    per_example = samples.theta.ndim == 2
     params = model.output.params
-    g_w1, g_b1, g_w, g_b = nll_grads(*model.output.unflatten(samples.theta))
-    g_theta = np.concatenate([g_w.reshape(g_b.shape[:-1] + (-1,)), g_b], axis=-1)
+    theta = samples.theta if noise is None else params.mu
+    g_w1, g_b1, g_w, g_b, g_sigma = nll_grads(*model.output.unflatten(theta), params.sigma)
+    g_theta = np.concatenate([g_w.ravel(), g_b])
     g_mu = g_theta.copy()
-    g_rho = g_theta * samples.epsilon * sigmoid(params.rho)
+    g_rho = (g_theta * samples.epsilon if noise is None else g_sigma) * sigmoid(params.rho)
     if kl_weight != 0.0:
-        kl_scale = kl_weight / features.shape[0] if per_example else kl_weight
         sigma, sig_prime = params.sigma, sigmoid(params.rho)
         score = spike_slab_score(samples.theta, model.output.prior)
-        g_mu += kl_scale * -score
-        g_rho += kl_scale * (-sig_prime / sigma - score * samples.epsilon * sig_prime)
-    if per_example:
-        g_mu, g_rho = g_mu.sum(axis=0), g_rho.sum(axis=0)
+        g_mu += kl_weight * -score
+        g_rho += kl_weight * (-sig_prime / sigma - score * samples.epsilon * sig_prime)
     return {"hidden_w": g_w1, "hidden_b": g_b1, "mu": g_mu, "rho": g_rho}
 
 
@@ -319,9 +330,9 @@ class TestFusedStep:
     @pytest.mark.parametrize("rows", [9, 5, 1])  # a full batch, a tail and a single row in buffers for 9
     def test_buffered_calls_have_the_bits_of_unbuffered_ones(self, case, rows):
         model, features, labels, samples, kl_weight = _fused_case(case)
-        if samples is not None and samples.theta.ndim == 2:
-            samples = sample_from_epsilon(model.output.params, samples.epsilon[:rows])
-        buffers = StepBuffers(model, 9, per_example=case == "per_example")
+        if samples is not None and samples.logit_noise is not None:
+            samples = dataclasses.replace(samples, logit_noise=samples.logit_noise[:rows])
+        buffers = StepBuffers(model, 9)
         want = backward(model, features[:rows], labels[:rows], samples, kl_weight)
         got = backward(model, features[:rows], labels[:rows], samples, kl_weight, buffers)
         assert (got.nll, got.kl) == (want.nll, want.kl)
@@ -396,3 +407,74 @@ class TestMeanForwardBlocks:
         expected = np.concatenate([batch_forward(model, features[lo:hi], sample)
                                    for lo, hi in zip(bounds, bounds[1:])])
         assert mean_forward(model, features).tobytes() == expected.tobytes()
+
+
+def _spread_model(seed):
+    """A small bayesian head with scattered posterior scales, so a wrong power of sigma shows."""
+    model = _toy_bayes(seed=seed, hidden=4, features=3, classes=3)
+    stream = RngStream(seed, 1)
+    params = model.output.params
+    params.mu = stream.normal(len(params))
+    params.rho = stream.normal(len(params)) * 0.5 - 1.0  # sigma from about 0.1 to 0.7
+    return model
+
+
+class TestLogitSpaceDraw:
+    # fixed seeds, so the bounds hold or fail the same way on every run
+    def test_logits_have_the_closed_form_mean_variance_and_no_cross_class_covariance(self):
+        model = _spread_model(43)
+        params, n = model.output.params, 4000
+        features = RngStream(44).normal(15).reshape(5, 3)
+        stream = RngStream(45)
+        draws = np.stack([batch_forward(model, features, _draw_samples(model, stream, 5, True, False))
+                          for _ in range(n)])  # (n, B, C)
+        h = dense_forward(model.hidden, features)
+        live = h.sum(axis=1) > 0.0
+        assert live.any() and not live.all()  # rows with the weights' variance and a row with the biases' only
+        mu_w, mu_b = model.output.unflatten(params.mu)
+        sig_w, sig_b = model.output.unflatten(params.sigma)
+        mean, var = h @ mu_w + mu_b, (h * h) @ (sig_w * sig_w) + sig_b * sig_b
+        z = (draws.mean(axis=0) - mean) / np.sqrt(var / n)
+        assert np.max(np.abs(z)) < 4.5, z
+        # (n - 1) s² / var is chi-square with n - 1 degrees of freedom, about N(n - 1, 2(n - 1)) at this n
+        chi2 = (n - 1) * draws.var(axis=0, ddof=1) / var
+        assert np.max(np.abs(chi2 - (n - 1)) / np.sqrt(2 * (n - 1))) < 4.5, chi2
+        centred = (draws - draws.mean(axis=0)) / draws.std(axis=0)
+        corr = np.einsum("nbc,nbd->bcd", centred, centred) / n
+        off = corr[:, ~np.eye(3, dtype=bool)]
+        assert np.max(np.abs(off)) * np.sqrt(n) < 4.5, off  # a sample correlation of 0 has sd 1/sqrt(n)
+
+    def test_mean_nll_gradient_matches_per_row_weight_draws(self):
+        # both steps estimate the gradient of the same expected NLL; the reference draws a weight
+        # vector per row and runs the step on the (B, H, C) stack
+        model = _spread_model(47)
+        params = model.output.params
+        features = RngStream(48).normal(18).reshape(6, 3)
+        labels = np.arange(6) % 3
+        n, k, rows = 3000, len(params), np.arange(6)
+        stream = RngStream(49)
+        got = [backward(model, features, labels, _draw_samples(model, stream, 6, True, False), 0.0)
+               for _ in range(n)]
+        got = {name: np.stack([g[name] for g in got]) for name in got[0]}
+
+        eps = RngStream(50).normal(n * 6 * k).reshape(n, 6, k)
+        theta = params.mu + params.sigma * eps
+        w, b = model.output.unflatten(theta)  # (n, B, H, C), (n, B, C)
+        z1 = features @ model.hidden.weights + model.hidden.bias
+        h = np.maximum(z1, 0.0)
+        g = np.exp(log_softmax(np.einsum("bh,nbhc->nbc", h, w) + b))
+        g[:, rows, labels] -= 1.0
+        g_theta = np.concatenate([np.einsum("bh,nbc->nbhc", h, g).reshape(n, 6, -1), g], axis=-1)
+        dh = np.einsum("nbhc,nbc->nbh", w, g) * (z1 > 0.0)
+        want = {
+            "hidden_w": np.einsum("bd,nbh->ndh", features, dh),
+            "hidden_b": dh.sum(axis=1),
+            "mu": g_theta.sum(axis=1),
+            "rho": (g_theta * eps).sum(axis=1) * sigmoid(params.rho),
+        }
+        assert list(got) == list(want)
+        for name, a in got.items():
+            c = want[name]
+            se = np.sqrt(a.var(axis=0, ddof=1) / n + c.var(axis=0, ddof=1) / n)
+            diff = np.abs(a.mean(axis=0) - c.mean(axis=0))
+            assert np.all(diff <= 5.0 * se + 1e-12), (name, np.max(diff / (se + 1e-300)))

@@ -66,13 +66,13 @@ EXPECTED = {
     "figures/test_uncertainty_kde.csv": "c81e67349ea4afd2317516e220a9eff7cfbde20b1f19caa7f707fa3727bf447b",
     "per_example.cfg": "4dd118154ab7826a9d8876f19ce76e80d1bcde6201e90023dde7c4f89ad13a81",
     "preds/predictions.jsonl": "1b8b004ab9348e530925306d4f2ffa0f6a03c0e4801171a5d9cfb5aaade828ea",
-    "preds_pe/predictions.jsonl": "3959310618862d9732456d6b291a8f554f5eed5d0d2ad44b33997b75f07d23a8",
+    "preds_pe/predictions.jsonl": "9fb688ee049e8f944e614f73eae063ea18d092acd7f901f83511dfba1acdcaa1",
     "run_base/history.csv": "cac7035393e2aa2cd0aa19698a3d5fb431dbca032333b27bcdd4dc44fb1576cc",
     "run_base/model.json": "dafa0f1af1e560a69f5b140867f9dccd3eb3106525c9500b24faaf63fd177944",
     "run_bayes/history.csv": "5964de4919554feabd7b67910124917f0fc49a26a424a9ba75084e031a7f4757",
     "run_bayes/model.json": "3296c7f551833399b859db361592ec6571d83608cd719e82e5e6f7c6dd18f3df",
-    "run_pe/history.csv": "40570fe1be62fac50f1a109ec1274b3f35ddab823e4bdcd5f047ee7b47037cfa",
-    "run_pe/model.json": "52151af4356e99a4605d71ca57fea30ac6d050a43b993012333c68436168fbdd",
+    "run_pe/history.csv": "a4194059c3cb7e6eb95db04a2bea20efcb65e1453cfd76184267986c4cd2cd6e",
+    "run_pe/model.json": "3eefcef5b53ed007193e00d48472c94823b6cdf250ad3d801ec11cc672e795c2",
     "study/comparison.csv": "7675f3271769e94a94f291c675fdbf579a5a339345656e76ebb395c69ac7289a",
     "study/comparison.json": "78cdccfb2f4e08616c5f5c9ce9d686a5755bb3839cea353fbd790512a588781d",
     "study/in-dist_entropy_hist.csv": "ae9d4d8e74a74aabae70bb836e2559b846e0f0f259139ea16a0101d25df8dbaf",

@@ -278,13 +278,17 @@ def test_non_finite_validation_metric_raises_without_runtime_warnings(train):
 
 
 def test_per_example_draw_matches_sequential_sample_weights():
+    # the KL's one weight draw, then the (B, C) logit noise, from the same stream
     model = init_bayes_model(3, 3, TrainConfig(hidden_dim=5, seed=2))
     batched, sequential = RngStream(8, 4, counter=5), RngStream(8, 4, counter=5)
-    stacked = _draw_samples(model, batched, 7, per_example=True, force_zero=False)
-    rows = [sample_weights(model.output.params, sequential) for _ in range(7)]
-    assert stacked.epsilon.tobytes() == np.stack([r.epsilon for r in rows]).tobytes()
-    assert stacked.theta.tobytes() == np.stack([r.theta for r in rows]).tobytes()
+    drawn = _draw_samples(model, batched, 7, per_example=True, force_zero=False)
+    weights = sample_weights(model.output.params, sequential)
+    noise = np.stack([sequential.normal(3) for _ in range(7)])
+    assert drawn.epsilon.tobytes() == weights.epsilon.tobytes()
+    assert drawn.theta.tobytes() == weights.theta.tobytes()
+    assert drawn.logit_noise.shape == (7, 3) and drawn.logit_noise.tobytes() == noise.tobytes()
     assert batched.counter == sequential.counter
+    assert _draw_samples(model, RngStream(8), 7, per_example=False, force_zero=False).logit_noise is None
 
 
 def _param_digest(model) -> str:
@@ -309,7 +313,7 @@ def test_per_example_parameters_are_pinned(tiny_task):
     # digest taken with numpy 2.4.6 and OpenBLAS on x86-64
     config = TrainConfig(epochs=5, hidden_dim=4, batch_size=16, seed=3, per_example_sample=True)
     model, _ = train_bayes(*tiny_task, config)
-    assert _param_digest(model) == "4bacf624256876e35f23f42ace790e9fe39222641f2dd799fd49e931731edd13", build_note()
+    assert _param_digest(model) == "d4d7f958e384fdf27892c3d9543bdb0c6501b6e3ad054f69b973477ea0332157", build_note()
 
 
 def _wide_task(n, n_val=12, dim=64, n_classes=4):
@@ -324,10 +328,10 @@ def _wide_task(n, n_val=12, dim=64, n_classes=4):
 
 @pytest.mark.parametrize("n, head, expected", [
     (33, "shared_sample", "d283a456e0edd93e1e669f2faa2346e02a11dbf79dd5a444962ef6d42c8146bd"),  # 33 rows: a one-row tail batch
-    (33, "per_example", "2baccc47c986e35a79f7aa4f95af8419ae8ff05b6d9094266ae11cbd63946899"),
+    (33, "per_example", "61bf80ed089f28aed9530d54f3ffafffdf9bac03f6ac0202c3e70dd54333f61e"),
     (33, "baseline", "8bc95817fd370a7355d124e22e06531962c274069a0e356cc3396d004c324e33"),
     (10, "shared_sample", "f63b255924414c929f8dd3188ddf3750044b131ada20295f641ccf784f061685"),  # 10 rows: batch_size > n
-    (10, "per_example", "c824884907d7e21b0fa69b51cfe2a3299d553bc0b67845e3c4886060d4d374a6"),
+    (10, "per_example", "461ce37eabce9ad79791b5cdb06a39dc16d4f353bdb4fc0c78f1858955b56934"),
     (10, "baseline", "63fae928a049f58f3dc655c2d05dcda3761459d37355b83cb3c86fcc22cbde7a"),
 ])
 def test_tail_and_oversized_batch_runs_are_pinned(n, head, expected):
@@ -455,13 +459,28 @@ def test_shared_sample_epoch_draws_its_noise_in_one_block(monkeypatch):
 
 def test_force_sigma_zero_and_per_example_training_draw_as_before(monkeypatch):
     train_set, val = _task(3, n_train=30)
-    k = (4 + 1) * 2
+    k, c = (4 + 1) * 2, 2
     calls = _record_normal_calls(monkeypatch)
     train_bayes(train_set, val, TrainConfig(epochs=2, hidden_dim=4, batch_size=8, seed=1, force_sigma_zero=True))
     assert _eps_calls(calls, 1) == []
     calls.clear()
+    drawn = []
+
+    def recorded_backward(model, features, labels, samples, kl_weight, buffers):
+        drawn.append((samples.epsilon.copy(), samples.logit_noise.copy()))
+        return backward(model, features, labels, samples, kl_weight, buffers)
+
+    monkeypatch.setattr(training, "backward", recorded_backward)
     train_bayes(train_set, val, TrainConfig(epochs=2, hidden_dim=4, batch_size=8, seed=2, per_example_sample=True))
     eps = _eps_calls(calls, 2)
     n = len(train_set)
-    assert [n_drawn for _, n_drawn in eps] == [min(8, n - s) * k for s in range(0, n, 8)] * 2  # one (B, K) block per step
-    assert eps[-1][0].counter == 2 * k * n * 2
+    steps = math.ceil(n / 8)
+    assert [n_drawn for _, n_drawn in eps] == [steps * k + n * c] * 2  # one block per epoch
+    assert eps[-1][0].counter == 2 * (steps * k + n * c) * 2
+    # the block's reads are per-step draws: K normals, then B * C, from the same stream
+    reference = RngStream(2).derive(_EPS_STREAM)
+    expected = [(reference.normal(k), reference.normal(min(8, n - s) * c).reshape(-1, c))
+                for _ in range(2) for s in range(0, n, 8)]
+    assert len(drawn) == len(expected)
+    for (e, noise), (want_e, want_noise) in zip(drawn, expected):
+        assert e.tobytes() == want_e.tobytes() and noise.tobytes() == want_noise.tobytes()
