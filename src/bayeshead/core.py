@@ -1,12 +1,32 @@
 """Numerically stable scalar/vector primitives shared across the package.
 
 Weight matrices and feature batches are plain float64 numpy arrays in
-row-major layout; nothing in this module owns state.
+row-major layout; nothing in this module owns state.  ``reduce_classes``
+is the one max or sum over a class axis.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+_COLUMN_CLASSES = range(2, 8)  # below 8 terms numpy's pairwise sum adds in order, as the columns do
+_COLUMN_ROWS = 64  # below this the ufunc calls per column cost more than numpy's row loop
+
+
+def reduce_classes(ufunc, x: np.ndarray, out=None) -> np.ndarray:
+    """``ufunc.reduce(x, axis=-1, keepdims=True, out=out)`` for ``np.maximum`` or ``np.add``.
+
+    numpy reduces a 2-7 wide last axis one row at a time, so from 64 rows on it is one ufunc call
+    per class column, in class order, which gives numpy's bits up to the sign of a zero sum.
+    Smaller arrays, such as a single row's draws or a training batch, go straight to numpy.
+    """
+    c = x.shape[-1] if x.ndim else 0
+    if x.size >= _COLUMN_ROWS * c and c in _COLUMN_CLASSES:
+        acc = ufunc(x[..., 0], x[..., 1], out=None if out is None else out[..., 0])
+        for k in range(2, c):
+            ufunc(acc, x[..., k], out=acc)
+        return acc[..., None]
+    return ufunc.reduce(x, axis=-1, keepdims=True, out=out)
 
 
 def softmax(logits) -> np.ndarray:
@@ -16,16 +36,16 @@ def softmax(logits) -> np.ndarray:
         raise ValueError("softmax of empty input")
     if not np.isfinite(x).all():
         raise ValueError("softmax input must be finite")
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(x - reduce_classes(np.maximum, x))
+    return e / reduce_classes(np.add, e)
 
 
 def log_softmax(logits, out=None) -> np.ndarray:
     """Log of ``softmax`` along the last axis, written to ``out`` if given (numpy's convention)."""
     x = np.asarray(logits, dtype=np.float64)
-    m = np.maximum.reduce(x, axis=-1, keepdims=True)  # x.max's reduction without its wrapper
+    m = reduce_classes(np.maximum, x)
     s = np.subtract(x, m, out=out)
-    s -= np.log(np.add.reduce(np.exp(s), axis=-1, keepdims=True, out=m), out=m)
+    s -= np.log(reduce_classes(np.add, np.exp(s), out=m), out=m)
     return s
 
 

@@ -5,7 +5,9 @@ weight draws; its per-class spread (population variance, 1/n) is the
 uncertainty signal.  Draw i uses the weights of the child stream keyed by
 i, so all rows share one stack of n weight sets, and ``stacked_probs``
 forms each row's products on their own: a row gets the same bits alone
-or in a block of any size.  ``block_summary`` turns a block's draws into
+or in a block of any size.  It lays a block out draw-major and hands back
+an (N, n, C) view of it, so the reductions over the draw axis run along
+N * C contiguous values.  ``block_summary`` turns a block's draws into
 stacked per-row statistics with one reduction per statistic and one sort
 for both interval bounds, read off with numpy's linear percentile rule; a
 single row is its one-row case, so a summary also has the same bits alone
@@ -20,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import softmax
+from .core import reduce_classes, softmax
 from .errors import NumericError, VariantError
 from .network import HeadModel, dense_forward
 from .rng import RngStream
@@ -56,7 +58,7 @@ class ReferralThresholds:
 
 def _require_simplex(p: np.ndarray, message: str) -> None:
     """Every vector along the last axis is a probability vector, to tolerance; NaN fails the checks."""
-    if not ((p >= -1e-12).all() and (np.abs(p.sum(axis=-1) - 1.0) <= 1e-6).all()):
+    if not ((p >= -1e-12).all() and (np.abs(reduce_classes(np.add, p) - 1.0) <= 1e-6).all()):
         raise ValueError(message)
 
 
@@ -190,19 +192,23 @@ def point_weights(model: HeadModel) -> tuple[np.ndarray, np.ndarray]:
 
 
 def stacked_probs(model: HeadModel, x, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Softmax outputs (N, n, C) of rows x (N, D) under the weight stack w, b; the output layer is linear."""
+    """Softmax outputs (N, n, C) of rows x (N, D) under the weight stack w, b; the output layer is linear.
+
+    The result is a view of a draw-major (n, N, C) array.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"rows must have shape (N, {model.feature_dim}), got {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError("input rows must be finite")
-    # Row-stacked products: x @ w or einsum could give a row other bits in other block sizes.
+    # One (1, H) @ (H, C) product per draw and row: x @ w or einsum could give a row other bits in
+    # other block sizes.
     h = dense_forward(model.hidden, x[:, None, :])[:, 0]
     with np.errstate(over="ignore", invalid="ignore"):  # checked below, raised as NumericError
-        logits = (h[:, None, None, :] @ w)[:, :, 0] + b
+        logits = (h[None, :, None, :] @ w[:, None])[:, :, 0] + b[:, None]
     if not np.isfinite(logits).all():
         raise NumericError("prediction logits are not finite: the model weights overflow on these rows")
-    return softmax(logits)
+    return softmax(logits).transpose(1, 0, 2)
 
 
 def predict_mc(

@@ -315,37 +315,40 @@ def _train(dataset, val, config, bayesian):
     best_nll = math.inf
     best_flat: np.ndarray | None = None
 
-    for epoch in range(config.epochs):
-        order = shuffle_stream.permutation(n)
-        noise = _NoiseBlock(eps_stream.normal(block)) if epoch_block else eps_stream
-        epoch_nll = 0.0
-        epoch_kl = 0.0
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            bs = idx.shape[0]  # "clip" never fires on a permutation and, unlike "raise", writes out directly
-            feats = np.take(dataset.features, idx, axis=0, out=buffers.features[:bs], mode="clip")
-            labels = np.take(dataset.labels, idx, out=buffers.labels[:bs], mode="clip")
-            samples = _draw_samples(model, noise, bs, config.per_example_sample,
-                                    force_zero=config.force_sigma_zero)
-            grads = backward(model, feats, labels, samples, kl_w, buffers)
-            np.concatenate([grads[name].ravel() for name in names], out=grad)
-            rmsprop_step(flat, grad, accum, config.learning_rate)  # the model's arrays view flat
-            if not np.isfinite(flat).all():  # a non-finite gradient spoils its update, so one check sees both
-                bad_grad = not np.isfinite(grad).all()
-                first = np.argmin(np.isfinite(grad if bad_grad else flat))
-                group = names[int(np.searchsorted(ends, first, side="right"))]
-                raise NumericError(f"non-finite {'gradient' if bad_grad else 'update'} in parameter group '{group}'")
-            epoch_nll += grads.nll
-            epoch_kl += kl_w * grads.kl
-        val_acc, val_nll = validate_metrics(model, val)
-        if not (math.isfinite(val_acc) and math.isfinite(val_nll)):
-            # a NaN would never win the checkpoint comparison and freeze the best epoch silently
-            raise NumericError(f"non-finite validation metric at epoch {epoch}: nll {val_nll}, accuracy {val_acc}")
-        records.append(EpochRecord(epoch_nll + epoch_kl, epoch_nll, epoch_kl, val_acc, val_nll))
-        if val_nll < best_nll:
-            best_nll = val_nll
-            best_epoch = epoch
-            best_flat = flat.copy()
+    # a non-finite gradient or update raises NumericError below, so numpy need not warn of it first;
+    # entered once per run, since an errstate entry and exit costs 1-2% of a step
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for epoch in range(config.epochs):
+            order = shuffle_stream.permutation(n)
+            noise = _NoiseBlock(eps_stream.normal(block)) if epoch_block else eps_stream
+            epoch_nll = 0.0
+            epoch_kl = 0.0
+            for start in range(0, n, config.batch_size):
+                idx = order[start : start + config.batch_size]
+                bs = idx.shape[0]  # "clip" never fires on a permutation and, unlike "raise", writes out directly
+                feats = np.take(dataset.features, idx, axis=0, out=buffers.features[:bs], mode="clip")
+                labels = np.take(dataset.labels, idx, out=buffers.labels[:bs], mode="clip")
+                samples = _draw_samples(model, noise, bs, config.per_example_sample,
+                                        force_zero=config.force_sigma_zero)
+                grads = backward(model, feats, labels, samples, kl_w, buffers)
+                np.concatenate([grads[name].ravel() for name in names], out=grad)
+                rmsprop_step(flat, grad, accum, config.learning_rate)  # the model's arrays view flat
+                if not np.isfinite(flat).all():  # a non-finite gradient spoils its update, so one check sees both
+                    bad_grad = not np.isfinite(grad).all()
+                    first = np.argmin(np.isfinite(grad if bad_grad else flat))
+                    group = names[int(np.searchsorted(ends, first, side="right"))]
+                    raise NumericError(f"non-finite {'gradient' if bad_grad else 'update'} in parameter group '{group}'")
+                epoch_nll += grads.nll
+                epoch_kl += kl_w * grads.kl
+            val_acc, val_nll = validate_metrics(model, val)
+            if not (math.isfinite(val_acc) and math.isfinite(val_nll)):
+                # a NaN would never win the checkpoint comparison and freeze the best epoch silently
+                raise NumericError(f"non-finite validation metric at epoch {epoch}: nll {val_nll}, accuracy {val_acc}")
+            records.append(EpochRecord(epoch_nll + epoch_kl, epoch_nll, epoch_kl, val_acc, val_nll))
+            if val_nll < best_nll:
+                best_nll = val_nll
+                best_epoch = epoch
+                best_flat = flat.copy()
 
     if best_flat is not None:
         flat[:] = best_flat

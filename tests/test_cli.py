@@ -1,7 +1,11 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -379,7 +383,6 @@ class TestNumericFailure:
         assert load_model(path).model.is_bayesian
         return path
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("command", ["eval", "predict"])
     def test_overflowed_logits_exit_1(self, command, overflowing_model, cli_data, tmp_path, capsys):
         rc = run([
@@ -389,7 +392,6 @@ class TestNumericFailure:
         assert rc == 1
         assert "not finite" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_validation_metric_exits_1(self, cli_data, tmp_path, capsys):
         val = FeatureDataset(np.array([[1.7e308, 1.7e308], [-1.7e308, -1.7e308]]), np.array([0, 1]), ["a", "b"])
         save_csv(val, tmp_path / "val.csv")
@@ -400,7 +402,6 @@ class TestNumericFailure:
         assert rc == 1
         assert "validation metric" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("head", [[], ["--baseline"]])
     def test_an_overflowing_update_exits_1_naming_its_group(self, head, cli_data, tmp_path, capsys):
         # finite gradients, but lr * g / rms overflows the parameters on the first step
@@ -410,6 +411,18 @@ class TestNumericFailure:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: non-finite update in parameter group '"), err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("head", [[], ["--baseline"]])
+    def test_an_overflowing_update_prints_only_its_error_line(self, head, cli_data, tmp_path):
+        # a fresh interpreter, so numpy's floating-point warnings reach stderr as a user sees them
+        argv = ["train", "--data", str(cli_data / "train.csv"), "--epochs", "2", "--hidden-dim", "4",
+                "--learning-rate", "1e308", *head, "--out", str(tmp_path / "out")]
+        done = subprocess.run([sys.executable, "-c", "from bayeshead.cli import main; main()", *argv],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parent.parent)})
+        assert done.returncode == 1
+        err = done.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: non-finite update in parameter group '"), err
 
 
 class TestSynthCommand:

@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from bayeshead import RngStream, inv_softplus
-from bayeshead.core import log_softmax, sigmoid, softmax, softplus
+from bayeshead.core import log_softmax, reduce_classes, sigmoid, softmax, softplus
 
 finite_floats = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
@@ -46,6 +46,85 @@ class TestSoftmax:
     def test_log_softmax_consistent(self):
         logits = RngStream(4).normal(6)
         assert np.allclose(np.exp(log_softmax(logits)), softmax(logits), atol=1e-14)
+
+
+def _softmax_before(x):
+    """softmax by numpy's reductions over the last axis: the expression ``reduce_classes`` replaced."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _log_softmax_before(x):
+    m = np.maximum.reduce(x, axis=-1, keepdims=True)
+    s = x - m
+    s -= np.log(np.add.reduce(np.exp(s), axis=-1, keepdims=True))
+    return s
+
+
+@st.composite
+def class_arrays(draw):
+    """(array, special): float64 arrays of 1-12 classes over 1-4000 rows in 1-, 2- and 3-D shapes, on both
+    sides of the column switch (64 rows); 3-D ones may be the row/draw-transposed view the inference kernel
+    hands out.  ``special`` arrays hold signed zeros, including all-zero rows, and may hold +-inf and NaN."""
+    c = draw(st.one_of(st.integers(2, 7), st.integers(1, 12)))
+    rows = draw(st.integers(64, 4000) if draw(st.booleans()) else st.integers(1, 63))
+    ndim = draw(st.sampled_from([1, 2, 2, 3, 3]))
+    if ndim == 1:
+        shape = (c,)
+    elif ndim == 2:
+        shape = (rows, c)
+    else:
+        lead = draw(st.sampled_from([d for d in (1, 2, 3, 5, 8) if d <= rows]))
+        shape = (lead, rows // lead, c)
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = gen.normal(size=shape) * draw(st.sampled_from([1.0, 30.0, 1e-3]))
+    if draw(st.booleans()):
+        x = np.round(x) + 0.0  # ties for the max; + 0.0 turns the -0.0 that rounding leaves into 0.0
+    special = draw(st.booleans())
+    if special:
+        flat = x.reshape(-1, c)
+        flat[gen.random(flat.shape) < 0.2] = 0.0
+        flat[gen.random(flat.shape) < 0.2] = -0.0
+        flat[gen.random(flat.shape[0]) < 0.2] = -0.0  # rows whose sum is a signed zero
+        for value in draw(st.lists(st.sampled_from([np.inf, -np.inf, np.nan]), max_size=3)):
+            flat[gen.random(flat.shape) < 0.05] = value
+    if ndim == 3 and draw(st.booleans()):
+        x = np.ascontiguousarray(x.transpose(1, 0, 2)).transpose(1, 0, 2)  # a non-contiguous view
+    return x, special
+
+
+class TestReduceClasses:
+    """The class-column reductions against numpy's reductions over the last axis."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(class_arrays())
+    @example((np.random.default_rng(1).normal(size=(63, 4)), False))
+    @example((np.random.default_rng(1).normal(size=(64, 4)), False))
+    @example((np.random.default_rng(1).normal(size=(64, 7)), False))
+    @example((np.full((64, 3), -0.0), True))
+    def test_equals_numpy(self, case):
+        x, special = case
+        c = x.shape[-1]
+        event("columns" if 2 <= c <= 7 and x.size >= 64 * c else "numpy")
+        with np.errstate(invalid="ignore", over="ignore"):
+            for ufunc in (np.maximum, np.add):
+                got, want = reduce_classes(ufunc, x), ufunc.reduce(x, axis=-1, keepdims=True)
+                assert got.shape == want.shape
+                if special:  # the sign of a zero sum may differ
+                    assert np.array_equal(got, want, equal_nan=True), ufunc
+                else:
+                    assert got.tobytes() == want.tobytes(), ufunc
+                out = np.empty_like(want)
+                assert np.array_equal(reduce_classes(ufunc, x, out=out), want, equal_nan=True)
+                assert np.array_equal(out, want, equal_nan=True)
+            want = _log_softmax_before(x)
+            assert log_softmax(x).tobytes() == want.tobytes()
+            assert log_softmax(x, out=np.empty_like(want)).tobytes() == want.tobytes()
+        if np.isfinite(x).all():
+            assert softmax(x).tobytes() == _softmax_before(x).tobytes()
+        else:
+            with pytest.raises(ValueError, match="finite"):
+                softmax(x)
 
 
 class TestSoftplus:

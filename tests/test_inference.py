@@ -20,8 +20,9 @@ from bayeshead import (
     referral_decision,
     rng,
 )
-from bayeshead.core import softmax
+from bayeshead.core import inv_softplus, softmax
 from bayeshead.inference import (
+    block_summary,
     credible_interval,
     entropy_bits,
     point_weights,
@@ -30,7 +31,7 @@ from bayeshead.inference import (
     stacked_probs,
     summarize_block,
 )
-from bayeshead.network import bayes_forward, mean_forward
+from bayeshead.network import bayes_forward, dense_forward, mean_forward
 from bayeshead.training import init_baseline_model
 
 prob_rows = st.lists(
@@ -272,6 +273,46 @@ class TestPerDrawReference:
             assert result.sample_probs[0].tobytes() == softmax(mean_forward(model, x)).tobytes()
 
 
+def _chi2_quantile(df: int, z: float) -> float:
+    """Wilson-Hilferty: the chi-square(df) quantile at the standard normal quantile z."""
+    a = 2.0 / (9.0 * df)
+    return df * (1.0 - a + z * math.sqrt(a)) ** 3
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_log_ratios_have_each_rows_gaussian_moments(seed):
+    # a statistical oracle through the kernel: under a Gaussian posterior the logits are linear in the
+    # weights, so each row's log p_c - log p_0 over the draws is Gaussian with moments set by that row alone
+    gen = np.random.default_rng(seed)
+    h_dim, n = int(gen.integers(4, 9)), 4000
+    model = init_bayes_model(3, 3, TrainConfig(hidden_dim=h_dim, seed=seed))
+    params = model.output.params
+    params.mu = gen.normal(size=len(params)) * 0.5
+    params.rho = inv_softplus(gen.uniform(0.05, 0.6, size=len(params)))
+    x = gen.normal(size=(5, 3)) * 2.0
+    probs = stacked_probs(model, x, *posterior_draws(model, n, RngStream(seed).derive(9)))
+    assert probs.shape == (5, n, 3)
+    h = dense_forward(model.hidden, x)
+    (mu_w,), (mu_b,) = model.output.unflatten(params.mu[None])
+    (var_w,), (var_b,) = model.output.unflatten(params.sigma[None] ** 2)
+    low, high = _chi2_quantile(n - 1, -4.5), _chi2_quantile(n - 1, 4.5)
+    ratios, variances = {}, {}
+    for c in (1, 2):
+        ratios[c] = np.log(probs[:, :, c]) - np.log(probs[:, :, 0])  # (rows, draws)
+        mean = h @ (mu_w[:, c] - mu_w[:, 0]) + (mu_b[c] - mu_b[0])
+        variances[c] = var = h**2 @ (var_w[:, c] + var_w[:, 0]) + var_b[c] + var_b[0]
+        z = (ratios[c].mean(axis=1) - mean) / np.sqrt(var / n)
+        assert np.all(np.abs(z) < 4.5), (c, z)
+        scaled = (n - 1) * ratios[c].var(axis=1, ddof=1) / var
+        assert np.all((low < scaled) & (scaled < high)), (c, scaled / (n - 1))
+    # the two ratios share class 0's weights, so they covary by its part of the variance
+    cov = h**2 @ var_w[:, 0] + var_b[0]
+    centered = {c: r - r.mean(axis=1, keepdims=True) for c, r in ratios.items()}
+    sample_cov = (centered[1] * centered[2]).sum(axis=1) / (n - 1)
+    z = (sample_cov - cov) / np.sqrt((variances[1] * variances[2] + cov**2) / n)
+    assert np.all(np.abs(z) < 4.5), z
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_rows_are_input_errors(tiny_bayes, bad):
     x = np.array([0.5, bad])
@@ -281,7 +322,6 @@ def test_non_finite_rows_are_input_errors(tiny_bayes, bad):
         predict_deterministic(tiny_bayes, x)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_weights_are_numeric_errors():
     model = init_bayes_model(2, 2, TrainConfig(hidden_dim=8, seed=3))
     model.output.params.rho = np.full(len(model.output.params), 1e308)
@@ -348,6 +388,20 @@ class TestSummarizeBlock:
         for i, result in enumerate(results):
             assert result.sample_probs.tobytes() == probs[i].tobytes()
             _assert_same_bits(result, _reference_summary(probs[i], 0.9))
+
+    @pytest.mark.parametrize("rows", [1, 63, 64, 65])
+    def test_kernel_view_and_contiguous_copy_give_the_same_summary(self, rows):
+        model = init_bayes_model(5, 4, TrainConfig(hidden_dim=8, seed=2))
+        x = RngStream(13).normal(rows * 5).reshape(rows, 5) * 2.0
+        view = stacked_probs(model, x, *posterior_draws(model, 50, RngStream(4)))
+        copy = np.ascontiguousarray(view)
+        assert view.shape == copy.shape == (rows, 50, 4)
+        assert rows == 1 or not view.flags.c_contiguous  # draw-major underneath
+        a, b = block_summary(view), block_summary(copy)
+        for key in ("mean_probs", "var_probs", "ci_low", "ci_high", "uncertainty"):
+            assert getattr(a, key).tobytes() == getattr(b, key).tobytes(), key
+        assert np.array(a.entropy_bits).tobytes() == np.array(b.entropy_bits).tobytes()
+        assert a.predicted_class == b.predicted_class
 
     def test_single_row_call_is_the_block_case(self):
         probs = _draw_block(4, 50, 9, seed=3)

@@ -258,7 +258,6 @@ def test_flat_dict_key_order_is_pinned():
     assert TrainConfig.from_flat_dict(text) == config
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("train", [train_bayes, train_baseline])
 def test_non_finite_validation_metric_raises(train):
     train_set, _ = _task(3)
@@ -343,7 +342,6 @@ def test_tail_and_oversized_batch_runs_are_pinned(n, head, expected):
     assert digest == expected, build_note()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_gradient_in_training_names_its_group():
     # a spike of 1e-160 squares to a subnormal: the prior's score is 0 * inf = NaN while the loss stays finite
     train_set, val = _task(3)
