@@ -12,20 +12,18 @@ their dataclass fields; reading one back raises ValueError naming the
 field for a document that is not an object, lacks a field, holds one of
 the wrong type, shape or range, holds a record that contradicts itself or
 no record, or holds totals other than ``evaluate`` makes of its records,
-so a malformed report is an input error.  The records' values are checked
-over their stacked columns; the first record in document order that fails
-is named with the message its own check gives.
+so a malformed report is an input error.  Each record is read through
+``PredictionRecord.from_dict`` in document order, so the first record that
+fails is named with the message its own check gives.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import math
 import sys
 from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
-from itertools import chain
 from operator import attrgetter
 
 import numpy as np
@@ -35,7 +33,6 @@ from .inference import (
     CI_LEVEL,
     BlockSummary,
     ReferralThresholds,
-    _require_simplex,
     block_summary,
     check_thresholds,
     point_weights,
@@ -130,7 +127,7 @@ class PredictionRecord:
         a ``correct`` that is not ``label == predicted_class``, an action other than accept or refer, a
         ``mean_probs`` that is not a probability vector or whose first argmax is not
         ``predicted_class``, a negative variance, or a ``ci_low`` above ``ci_high`` by more than 1e-12;
-        each is checked in that order, and ``_screen`` flags every record that fails one."""
+        each is checked in that order."""
         name = type(self).__name__
         for field in ("label", "predicted_class"):
             if not 0 <= (v := getattr(self, field)) < n_classes:
@@ -147,9 +144,10 @@ class PredictionRecord:
             raise ValueError(f"{name} field 'correct' must equal label == predicted_class")
         if self.action not in _ACTIONS:
             raise ValueError(f"{name} field 'action' must be accept or refer, got {self.action!r}")
-        probs = np.array(self.mean_probs, dtype=np.float64)
-        _require_simplex(probs, f"{name} field 'mean_probs' must be a probability vector, got {self.mean_probs}")
-        if self.predicted_class != int(np.argmax(probs)):
+        p = [float(x) for x in self.mean_probs]
+        if not (min(p) >= -1e-12 and abs(sum(p) - 1.0) <= 1e-6):  # inference's simplex tolerances
+            raise ValueError(f"{name} field 'mean_probs' must be a probability vector, got {self.mean_probs}")
+        if self.predicted_class != p.index(max(p)):  # the first maximum, as np.argmax
             raise ValueError(f"{name} field 'predicted_class' must be the first argmax of mean_probs")
         if min(self.var_probs) < 0.0:
             raise ValueError(f"{name} field 'var_probs' must be nonnegative, got {self.var_probs}")
@@ -207,62 +205,12 @@ class EvalReport:
         if (confusion < 0).any():
             raise ValueError("EvalReport field 'confusion' holds a negative count")
         values["confusion"] = confusion.astype(np.int64)
-        values["records"] = _read_records(values["records"], c)
+        values["records"] = [PredictionRecord.from_dict(r, c) for r in values["records"]]
         for name, expected in _totals(values["records"], c).items():
             if not np.array_equal(values[name], expected):  # None equals only None
                 raise ValueError(f"EvalReport field {name!r} is {np.asarray(values[name]).tolist()}, "
                                  f"but its records give {np.asarray(expected).tolist()}")
         return cls(**values)
-
-
-def _read_records(docs: list, n_classes: int) -> list[PredictionRecord]:
-    """The records of ``docs``; ValueError with ``PredictionRecord.from_dict``'s message for the
-    first record in document order that it rejects.  Each document is type-checked on its own; the
-    value checks run over the stacked columns of all records, and only a record they flag is
-    checked on its own, for its message."""
-    records, error = [], None
-    for d in docs:
-        try:
-            records.append(PredictionRecord(**_field_values(PredictionRecord, d)))
-        except ValueError as e:
-            error = e  # raised below, unless a value check rejects an earlier record
-            break
-    for j in np.flatnonzero(_screen(records, n_classes)):
-        records[j].check(n_classes)
-    if error is not None:
-        raise error
-    return records
-
-
-_SCREEN_FIELDS = attrgetter("label", "predicted_class", "entropy_bits", "uncertainty", "correct", "action",
-                            *_CLASS_LISTS)
-
-
-def _screen(records: list[PredictionRecord], n_classes: int) -> np.ndarray:
-    """A mask over ``records`` that holds each one ``PredictionRecord.check`` rejects, from one
-    vectorized pass over their stacked fields; where the fields do not stack as finite numbers
-    in ``(N, n_classes)`` arrays, every record is flagged."""
-    if not records:
-        return np.zeros(0, dtype=bool)
-    label, predicted, entropy, uncertainty, correct, action, *lists = zip(*map(_SCREEN_FIELDS, records))
-    if not set(map(type, chain.from_iterable(chain.from_iterable(lists)))) <= {int, float}:
-        return np.ones(len(records), dtype=bool)
-    try:
-        label, predicted = np.array([label, predicted], dtype=np.int64)
-        scalars = np.array([entropy, uncertainty], dtype=np.float64)
-        mean, var, low, high = (np.array(v, dtype=np.float64).reshape(len(records), n_classes) for v in lists)
-    except (ValueError, OverflowError):  # ragged or other-length lists, numbers beyond int64 or float64
-        return np.ones(len(records), dtype=bool)
-    with np.errstate(all="ignore"):
-        bad = (label < 0) | (label >= n_classes) | (predicted < 0) | (predicted >= n_classes)
-        bad |= ~np.isfinite(np.stack([mean, var, low, high], axis=1)).all(axis=(1, 2))
-        bad |= ~((scalars >= 0.0) & (scalars < math.inf)).all(axis=0)
-        bad |= np.array(correct) != (label == predicted)
-        bad |= ~np.isin(np.array(action), _ACTIONS)
-        bad |= ~((mean >= -1e-12).all(axis=1) & (np.abs(mean.sum(axis=1) - 1.0) <= 1e-6))
-        bad |= np.argmax(mean, axis=1) != predicted
-        bad |= (var < 0.0).any(axis=1) | (low - high > 1e-12).any(axis=1)
-    return bad
 
 
 _TOTALS_FIELDS = attrgetter("label", "predicted_class", "entropy_bits", "correct", "action")

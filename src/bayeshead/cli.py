@@ -46,7 +46,7 @@ def parse_config_file(path) -> dict:
     """Flat ``key = value`` file; '#' comments and blank lines ignored, and no key may repeat."""
     out: dict[str, str] = {}
     first_line: dict[str, int] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

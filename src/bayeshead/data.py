@@ -94,7 +94,7 @@ def load_csv(path, name: str | None = None) -> FeatureDataset:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"dataset file not found: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = [
             (lineno, row)
             for lineno, row in enumerate(csv.reader(fh), start=1)

@@ -153,24 +153,15 @@ def block_summary(sample_probs, level: float = CI_LEVEL) -> BlockSummary:
     return BlockSummary(probs, mean, var, lows, highs, entropy, np.argmax(mean, axis=1).tolist(), var.max(axis=1))
 
 
-def summarize_block(sample_probs, level: float = CI_LEVEL) -> list[PredictiveResult]:
-    """``block_summary`` as one ``PredictiveResult`` per row."""
-    s = block_summary(sample_probs, level)
-    uncertainty = s.uncertainty.tolist()
-    return [
-        PredictiveResult(s.sample_probs[i], s.mean_probs[i], s.var_probs[i], s.entropy_bits[i], s.ci_low[i],
-                         s.ci_high[i], s.predicted_class[i], uncertainty[i])
-        for i in range(len(uncertainty))
-    ]
-
-
 def predictive_from_samples(sample_probs, level: float = CI_LEVEL) -> PredictiveResult:
     """Assemble the predictive summary from an (n, n_classes) draw matrix:
-    the one-row case of ``summarize_block``."""
+    the one-row case of ``block_summary``."""
     probs = np.asarray(sample_probs, dtype=np.float64)
     if probs.ndim != 2 or probs.shape[0] < 1 or probs.shape[1] < 2:
         raise ValueError("sample_probs must be (n_draws, n_classes >= 2)")
-    return summarize_block(probs[None], level)[0]
+    s = block_summary(probs[None], level)
+    return PredictiveResult(s.sample_probs[0], s.mean_probs[0], s.var_probs[0], s.entropy_bits[0], s.ci_low[0],
+                            s.ci_high[0], s.predicted_class[0], float(s.uncertainty[0]))
 
 
 def posterior_draws(model: HeadModel, n: int, stream: RngStream) -> tuple[np.ndarray, np.ndarray]:

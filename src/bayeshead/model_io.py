@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, fields
+from functools import partial
 from pathlib import Path
 
 from .data import write_json
@@ -16,6 +17,9 @@ from .errors import ArchiveError
 from .network import DenseLayer, HeadModel, VariationalDenseLayer
 
 FORMAT_VERSION = 1
+# the JSON types load_model takes by type(), as isinstance would take a bool for an int
+_INTEGER, _NUMBER, _ARRAY = (int,), (int, float), (int, float, list)
+_MUST = {_INTEGER: "be an integer", _NUMBER: "be a number", _ARRAY: "hold only numbers"}
 
 
 @dataclass
@@ -55,6 +59,21 @@ def save_model(archive: ModelArchive, path) -> None:
     write_json(path, doc)
 
 
+def _field(path, doc: dict, name: str, kinds: tuple):
+    """The value at the dotted ``name`` in ``doc`` when it, and every entry of its nested lists,
+    has a type in ``kinds``; ArchiveError naming the field and the first entry of another type otherwise."""
+    value = doc
+    for key in name.split("."):
+        value = value[key]
+    level = [value]
+    while level:
+        for v in level:
+            if type(v) not in kinds:
+                raise ArchiveError(f"model archive {path} field {name!r} must {_MUST[kinds]}, got {v!r}")
+        level = [x for v in level if type(v) is list for x in v]
+    return value
+
+
 def load_model(path) -> ModelArchive:
     path = Path(path)
     if not path.exists():
@@ -71,18 +90,21 @@ def load_model(path) -> ModelArchive:
             f"model archive {path} has format_version {version}; this build reads {FORMAT_VERSION}"
         )
     try:
-        # the layers and VariationalParams convert the JSON lists to float64 arrays themselves
+        # the layers and VariationalParams convert the JSON lists to float64 arrays themselves; as
+        # numpy would take bools and numeric strings for numbers, _field checks the JSON types first
+        field = partial(_field, path, doc)
         layer = doc["hidden"]
         if layer["activation"] != "relu":
             raise ArchiveError(f"model archive {path} has hidden activation {layer['activation']!r}, not 'relu'")
-        hidden = DenseLayer(layer["weights"], layer["bias"])
-        declared = (int(doc["feature_dim"]), int(doc["hidden_dim"]), int(doc["n_classes"]))
-        out = doc["output"]
+        hidden = DenseLayer(field("hidden.weights", _ARRAY), field("hidden.bias", _ARRAY))
+        declared = tuple(field(name, _INTEGER) for name in ("feature_dim", "hidden_dim", "n_classes"))
         if doc["variant"] == "bayesian":
-            prior = SpikeSlabPrior(**{f.name: float(out["prior"][f.name]) for f in fields(SpikeSlabPrior)})
-            output = VariationalDenseLayer(VariationalParams(out["mu"], out["rho"]), prior, *declared[1:])
+            prior = SpikeSlabPrior(**{f.name: float(field(f"output.prior.{f.name}", _NUMBER))
+                                      for f in fields(SpikeSlabPrior)})
+            params = VariationalParams(field("output.mu", _ARRAY), field("output.rho", _ARRAY))
+            output = VariationalDenseLayer(params, prior, *declared[1:])
         elif doc["variant"] == "baseline":
-            output = DenseLayer(out["weights"], out["bias"])
+            output = DenseLayer(field("output.weights", _ARRAY), field("output.bias", _ARRAY))
         else:
             raise ArchiveError(f"model archive {path} has unknown variant {doc['variant']!r}")
         model = HeadModel(hidden, output)

@@ -1,10 +1,13 @@
+import dataclasses
+import functools
 import json
 import math
+import operator
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bayeshead import (
@@ -20,7 +23,7 @@ from bayeshead import (
     predict_mc,
     referral_decision,
 )
-from bayeshead import analytics
+from bayeshead import TrainConfig, analytics, init_bayes_model
 from bayeshead.analytics import (
     _BLOCK_ROWS,
     KDE_GRID_POINTS,
@@ -367,6 +370,49 @@ class TestBlockReferral:
                 fn(model, self._rows(), 4, ReferralThresholds(uncertainty, confidence), RngStream(0))
 
 
+def _swap_extremes(values: list) -> None:
+    """Swap the first largest and the first smallest entry: with two entries, reverse them."""
+    i, j = values.index(max(values)), values.index(min(values))
+    values[i], values[j] = values[j], values[i]
+
+
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 10), st.floats(), st.floats(0.0, 1.0),
+    st.sampled_from(["accept", "refer", "defer", "0", ""]),
+)
+_STEPS = (-1.0, -1e-6, -1e-9, -2e-12, 2e-12, 1e-9, 1e-6, 1.0)  # about the record checks' tolerances
+_RECORD_FIELDS = [f.name for f in dataclasses.fields(PredictionRecord)]
+
+
+@st.composite
+def _record_edits(draw):
+    """(record, field, how, entry, value) of one edit: a new JSON value for the field ("set") or for
+    one entry of a list field ("entry"), a step added to it or to one entry ("step"), or no field."""
+    how = draw(st.sampled_from(["set", "entry", "step", "step", "delete"]))
+    value = draw(st.sampled_from(_STEPS) if how == "step" else
+                 st.one_of(_JSON_VALUES, st.lists(_JSON_VALUES, max_size=10)))
+    return (draw(st.integers(0, _BLOCK_ROWS + 5)), draw(st.sampled_from(_RECORD_FIELDS)), how,
+            draw(st.integers(0, 8)), value)
+
+
+def _stepped(v, step: float):
+    """A float moved by ``step``, an int by one in its direction; any other value as it is."""
+    if type(v) is float:
+        return v + step
+    if type(v) is int:
+        return v + (1 if step > 0 else -1)
+    return v
+
+
+@functools.cache
+def _report_text(n_classes: int) -> str:
+    """A well-formed report of an untrained ``n_classes`` head over more than one block of rows."""
+    model = init_bayes_model(2, n_classes, TrainConfig(hidden_dim=8, seed=5))
+    rows = RngStream(9).normal(2 * (_BLOCK_ROWS + 6)).reshape(-1, 2) * 2.0
+    dataset = _dataset(rows, [j % n_classes for j in range(len(rows))])
+    return json.dumps(evaluate(model, dataset, 8, ReferralThresholds(), RngStream(2)).to_dict())
+
+
 class TestReportFromDict:
     def _doc(self, tiny_bayes):
         dataset = _dataset([[1.0, 0.2], [-0.4, 1.0]], [0, 1])
@@ -409,7 +455,7 @@ class TestReportFromDict:
 
     # one defect of each kind that the record checks name
     DEFECTS = {
-        "label": lambda r: r.update(label=7),
+        "label": lambda r: r.update(label=len(r["mean_probs"]) + 5),  # past the last class
         "predicted_class": lambda r: r.update(predicted_class=-1),
         "mean_probs_length": lambda r: r["mean_probs"].append(0.0),
         "var_probs_text": lambda r: r["var_probs"].__setitem__(0, "0"),
@@ -419,10 +465,10 @@ class TestReportFromDict:
         "uncertainty_inf": lambda r: r.update(uncertainty=math.inf),
         "correct": lambda r: r.update(correct=not r["correct"]),
         "action": lambda r: r.update(action="defer"),
-        "not_a_simplex": lambda r: r.update(mean_probs=[0.7, 0.7]),
-        "argmax": lambda r: r["mean_probs"].reverse(),
+        "not_a_simplex": lambda r: r.update(mean_probs=[0.7] * len(r["mean_probs"])),
+        "argmax": lambda r: _swap_extremes(r["mean_probs"]),
         "variance": lambda r: r["var_probs"].__setitem__(0, -1e-9),
-        "interval": lambda r: r.update(ci_low=[1.0, 1.0]),
+        "interval": lambda r: r.update(ci_low=[1.0] * len(r["ci_low"])),
         "label_type": lambda r: r.update(label=1.0),
         "missing": lambda r: r.pop("ci_low"),
         "not_an_object": lambda r: r.clear(),
@@ -458,3 +504,52 @@ class TestReportFromDict:
         doc = self._big_doc(tiny_bayes)
         back = EvalReport.from_dict(json.loads(json.dumps(doc)))
         assert back.to_dict() == doc
+
+    @pytest.mark.parametrize("defect", sorted(DEFECTS))
+    @pytest.mark.parametrize("at", [0, _BLOCK_ROWS + 2])
+    def test_one_defect_in_a_nine_class_report_gives_the_record_check_s_message(self, defect, at):
+        doc = json.loads(_report_text(9))
+        assert doc["n_classes"] == 9
+        self.DEFECTS[defect](doc["records"][at])
+        if defect == "not_an_object":
+            doc["records"][at] = []
+        with pytest.raises(ValueError) as expected:
+            PredictionRecord.from_dict(doc["records"][at], doc["n_classes"])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+            EvalReport.from_dict(doc)
+
+    def test_a_well_formed_nine_class_report_reads_back_to_its_records(self):
+        # numpy's pairwise sum adds 8 or more terms by halves, a record's check from left to right
+        doc = json.loads(_report_text(9))
+        sums = np.array([r["mean_probs"] for r in doc["records"]]).sum(axis=1).tolist()
+        assert any(s != functools.reduce(operator.add, r["mean_probs"]) for s, r in zip(sums, doc["records"]))
+        back = EvalReport.from_dict(json.loads(json.dumps(doc)))
+        assert back.to_dict() == doc
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([2, 9]), st.lists(_record_edits(), min_size=1, max_size=3))
+    def test_a_report_reads_back_exactly_when_each_of_its_records_does(self, n_classes, edits):
+        doc = json.loads(_report_text(n_classes))
+        for at, field, how, k, value in edits:
+            record = doc["records"][at]
+            old = record.pop(field, None)
+            if how == "delete":
+                continue
+            if isinstance(old, list) and old and how != "set":
+                k %= len(old)
+                old[k] = value if how == "entry" else _stepped(old[k], value)
+                record[field] = old
+            else:
+                record[field] = _stepped(old, value) if how == "step" else value
+        records = []
+        try:
+            for r in doc["records"]:
+                records.append(PredictionRecord.from_dict(r, n_classes))
+        except ValueError as e:
+            with pytest.raises(ValueError) as raised:
+                EvalReport.from_dict(doc)
+            assert str(raised.value) == str(e)
+            return
+        totals = analytics._totals(records, n_classes)  # edits may move them; the report follows its records
+        doc.update(totals, confusion=totals["confusion"].tolist())
+        assert EvalReport.from_dict(doc).to_dict() == doc

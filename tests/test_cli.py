@@ -888,3 +888,62 @@ class TestNumbersBeyondRange:
         path.write_text(json.dumps(doc))
         argv = ["eval", "--model", str(path), "--data", str(cli_data / "test.csv")]
         self._exits_2(argv, f"corrupt model archive {path}", tmp_path, capsys)
+
+
+class TestMistypedArchive:
+    """An archive value of another JSON type than the one save_model writes is an input error,
+    never coerced: numpy would read a bool or a numeric string as a number, int() would truncate."""
+
+    @pytest.mark.parametrize("variant, field, edit", [
+        ("bayes", "n_classes", lambda doc: doc.update(n_classes=2.9)),
+        ("bayes", "feature_dim", lambda doc: doc.update(feature_dim=True)),
+        ("base", "hidden_dim", lambda doc: doc.update(hidden_dim="8")),
+        ("bayes", "output.prior.mix_weight", lambda doc: doc["output"]["prior"].update(mix_weight=True)),
+        ("bayes", "output.prior.mix_weight", lambda doc: doc["output"]["prior"].update(mix_weight="0.5")),
+        ("bayes", "hidden.bias", lambda doc: doc["hidden"].update(bias=[str(v) for v in doc["hidden"]["bias"]])),
+        ("bayes", "hidden.weights", lambda doc: doc["hidden"]["weights"][1].__setitem__(0, False)),
+        ("bayes", "output.rho", lambda doc: doc["output"]["rho"].__setitem__(3, "-3.0")),
+        ("base", "output.weights", lambda doc: doc["output"]["weights"][0].__setitem__(1, None)),
+    ], ids=["n_classes_float", "feature_dim_bool", "hidden_dim_text", "mix_weight_bool", "mix_weight_text",
+            "hidden_bias_text", "hidden_weight_bool", "rho_text", "output_weight_null"])
+    def test_eval_exits_2_and_writes_nothing(self, variant, field, edit, cli_data, trained, tmp_path, capsys):
+        doc = json.loads((trained / variant / "model.json").read_text())
+        edit(doc)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc))
+        rc = run(["eval", "--model", str(path), "--data", str(cli_data / "test.csv"),
+                  "--n", "4", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: model archive {path} field {field!r} must ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+
+class TestByteOrderMark:
+    """Spreadsheet programs save UTF-8 text with a leading U+FEFF; it is no part of the first name."""
+
+    def test_train_reads_a_marked_csv_and_config_as_the_plain_ones(self, cli_data, tmp_path):
+        text = (cli_data / "train.csv").read_text(encoding="utf-8")
+        outputs = []
+        for prefix, where in (("", "plain"), ("\ufeff", "marked")):
+            (tmp_path / where).mkdir()
+            data, cfg = tmp_path / where / "train.csv", tmp_path / where / "run.cfg"
+            data.write_text(prefix + text, encoding="utf-8")
+            cfg.write_text(prefix + "epochs = 2\nhidden_dim = 4\n", encoding="utf-8")
+            assert parse_config_file(cfg) == {"epochs": "2", "hidden_dim": "4"}
+            out = tmp_path / where / "out"
+            assert run(["train", "--data", str(data), "--config", str(cfg), "--out", str(out)]) == 0
+            outputs.append([(out / name).read_bytes() for name in ("model.json", "history.csv")])
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[1][0])["train_config"]["epochs"] == 2
+
+    @pytest.mark.parametrize("bad", ["data", "config"])
+    def test_bytes_that_are_not_utf8_exit_2(self, bad, cli_data, tmp_path, capsys):
+        data, cfg = tmp_path / "train.csv", tmp_path / "run.cfg"
+        data.write_bytes((cli_data / "train.csv").read_bytes() + (b"\xff\xfe\n" if bad == "data" else b""))
+        cfg.write_bytes(b"epochs = 2\n" + (b"# \xe9t\xe9\n" if bad == "config" else b""))
+        rc = run(["train", "--data", str(data), "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "utf-8" in err and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()

@@ -127,6 +127,26 @@ class TestLoadCsv:
         assert np.array_equal(back.labels, ds.labels)
         assert back.ids == ds.ids
 
+    @pytest.mark.parametrize("text", ["id,label,f0\na,0,1.5\nb,1,-2.0\n", "label,id,f0\n0,a,1.5\n1,b,-2.0\n"],
+                             ids=["id_first", "label_first"])
+    def test_a_byte_order_mark_loads_as_the_plain_file(self, tmp_path, text):
+        # spreadsheet programs save "CSV UTF-8" with a leading U+FEFF
+        plain, marked = tmp_path / "plain" / "d.csv", tmp_path / "marked" / "d.csv"
+        for path, prefix in ((plain, ""), (marked, "\ufeff")):
+            path.parent.mkdir()
+            path.write_text(prefix + text, encoding="utf-8")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        a, b = load_csv(plain), load_csv(marked)
+        assert a.features.tobytes() == b.features.tobytes()
+        assert a.labels.tolist() == b.labels.tolist() == [0, 1]
+        assert a.ids == b.ids == ["a", "b"]
+
+    def test_bytes_that_are_not_utf8_are_a_value_error(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"id,label,f0\na,0,1.0\nb\xff,1,2.0\n")
+        with pytest.raises(ValueError, match="utf-8"):
+            load_csv(path)
+
 
 class TestBalanceDownsample:
     def test_unbalanced_counts(self):

@@ -29,7 +29,6 @@ from bayeshead.inference import (
     posterior_draws,
     predict_deterministic,
     stacked_probs,
-    summarize_block,
 )
 from bayeshead.network import bayes_forward, dense_forward, mean_forward
 from bayeshead.training import init_baseline_model
@@ -367,6 +366,12 @@ def _assert_same_bits(result, ref: dict) -> None:
     assert result.predicted_class == ref["predicted_class"]
 
 
+def _block_row(s, i: int) -> PredictiveResult:
+    """Row i of a ``block_summary``, laid out as ``predictive_from_samples`` returns one row."""
+    return PredictiveResult(s.sample_probs[i], s.mean_probs[i], s.var_probs[i], s.entropy_bits[i], s.ci_low[i],
+                            s.ci_high[i], s.predicted_class[i], s.uncertainty[i])
+
+
 def _draw_block(rows: int, n: int, c: int, seed: int) -> np.ndarray:
     """Softmax draws (rows, n, c); every third row has a class that is exactly 0 in every draw."""
     logits = RngStream(seed).normal(rows * n * c).reshape(rows, n, c) * 3.0
@@ -374,7 +379,7 @@ def _draw_block(rows: int, n: int, c: int, seed: int) -> np.ndarray:
     return softmax(logits)
 
 
-class TestSummarizeBlock:
+class TestBlockSummary:
     """The block summary against the per-row reference, bit for bit."""
 
     @pytest.mark.parametrize("rows", [1, 63, 64, 65])
@@ -383,9 +388,10 @@ class TestSummarizeBlock:
     def test_rows_equal_per_row_reference(self, rows, c, n):
         probs = _draw_block(rows, n, c, seed=100 * c + n)
         assert np.any(probs.sum(axis=1) == 0.0)  # the zero-mean rows are there
-        results = summarize_block(probs, 0.9)
-        assert len(results) == rows
-        for i, result in enumerate(results):
+        s = block_summary(probs, 0.9)
+        assert len(s.predicted_class) == rows
+        for i in range(rows):
+            result = _block_row(s, i)
             assert result.sample_probs.tobytes() == probs[i].tobytes()
             _assert_same_bits(result, _reference_summary(probs[i], 0.9))
 
@@ -405,7 +411,9 @@ class TestSummarizeBlock:
 
     def test_single_row_call_is_the_block_case(self):
         probs = _draw_block(4, 50, 9, seed=3)
-        for i, result in enumerate(summarize_block(probs)):
+        s = block_summary(probs)
+        for i in range(len(probs)):
+            result = _block_row(s, i)
             single = predictive_from_samples(probs[i])
             _assert_same_bits(single, _reference_summary(probs[i], 0.95))
             _assert_same_bits(result, _reference_summary(probs[i], 0.95))
@@ -416,22 +424,22 @@ class TestSummarizeBlock:
         bad = probs.copy()
         bad[row, 3] = [0.7, 0.7, 0.0, 0.0]
         with pytest.raises(ValueError, match="^each draw must be a probability vector$"):
-            summarize_block(bad)
+            block_summary(bad)
         with pytest.raises(ValueError, match="^each draw must be a probability vector$"):
             predictive_from_samples(bad[row])
         negative = probs.copy()
         negative[row, 5] = [1.1, -0.1, 0.0, 0.0]
         with pytest.raises(ValueError, match="^each draw must be a probability vector$"):
-            summarize_block(negative)
+            block_summary(negative)
 
     def test_bad_shape_and_level(self):
         with pytest.raises(ValueError, match="n_rows, n_draws"):
-            summarize_block(np.full((2, 3), 0.5))
+            block_summary(np.full((2, 3), 0.5))
         with pytest.raises(ValueError, match="n_rows, n_draws"):
-            summarize_block(np.ones((2, 3, 1)))
+            block_summary(np.ones((2, 3, 1)))
         for level in (0.0, 1.5):
             with pytest.raises(ValueError, match=r"level must lie in \(0, 1\]"):
-                summarize_block(_draw_block(3, 4, 2, seed=1), level)
+                block_summary(_draw_block(3, 4, 2, seed=1), level)
 
     @pytest.mark.parametrize("variant", ["bayesian", "baseline"])
     def test_evaluate_records_equal_per_row_reference(self, variant):
@@ -477,9 +485,9 @@ class TestIntervalRule:
     def test_bounds_equal_percentile(self, probs, level):
         tail = 100.0 * (1.0 - level) / 2.0
         low, high = np.percentile(probs, [tail, 100.0 - tail], axis=1)
-        results = summarize_block(probs, level)
-        assert np.array([r.ci_low for r in results]).tobytes() == low.tobytes()
-        assert np.array([r.ci_high for r in results]).tobytes() == high.tobytes()
+        s = block_summary(probs, level)
+        assert s.ci_low.tobytes() == low.tobytes()
+        assert s.ci_high.tobytes() == high.tobytes()
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -0.5, 0.7])
     def test_bad_draw_raises_before_the_sort(self, monkeypatch, value):
@@ -491,7 +499,7 @@ class TestIntervalRule:
 
         monkeypatch.setattr(np, "sort", no_sort)
         with pytest.raises(ValueError, match="^each draw must be a probability vector$"):
-            summarize_block(probs)
+            block_summary(probs)
         with pytest.raises(ValueError, match="^each draw must be a probability vector$"):
             predictive_from_samples(probs[2])
 
@@ -518,8 +526,8 @@ class TestNanRejected:
             predictive_from_samples(probs)
 
     @pytest.mark.parametrize("row", [0, 64])
-    def test_summarize_block(self, row):
+    def test_block_summary(self, row):
         probs = np.full((65, 4, 3), 1.0 / 3)
         probs[row, 2, 0] = np.nan
         with pytest.raises(ValueError, match="each draw must be a probability vector"):
-            summarize_block(probs)
+            block_summary(probs)

@@ -138,3 +138,15 @@ def test_memoized_prediction_still_draws_through_normal(monkeypatch, tiny_bayes)
         predict_mc(tiny_bayes, np.array([0.1, -0.4]), n, RngStream(6).derive(4))
     assert rng._child_block.cache_info().hits == 2
     assert draws == [n * k] * 3
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in (ROOT / "src" / "bayeshead").glob("*.py")
+                                          if p.name != "__init__.py"))  # the root re-exports what it imports
+def test_every_imported_name_is_used(module):
+    # a deletion leaves behind the imports only the deleted code used
+    tree = ast.parse((ROOT / "src" / "bayeshead" / module).read_text(encoding="utf-8"))
+    imported = {(alias.asname or alias.name).split(".")[0]
+                for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__" for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used) == []
