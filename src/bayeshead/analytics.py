@@ -19,16 +19,15 @@ fails is named with the message its own check gives.
 
 from __future__ import annotations
 
-import csv
 import io
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from functools import lru_cache
 from operator import attrgetter
 
 import numpy as np
 
-from .data import FeatureDataset, echo_header
+from .data import FeatureDataset, write_csv
 from .inference import (
     CI_LEVEL,
     BlockSummary,
@@ -387,30 +386,21 @@ def compare_report(
 
 def comparison_csv(rows: list[ComparisonRow], config: dict | None = None) -> str:
     """The echo block, then one row per dataset; a cell that holds a comma or a quote is quoted."""
-    text = io.StringIO()
-    text.writelines(line + "\n" for line in echo_header(config))
-    writer = csv.writer(text, lineterminator="\n")
-    writer.writerow(f.name for f in fields(ComparisonRow))
-    for r in rows:
-        writer.writerow("" if v is None else v if isinstance(v, str) else repr(v) for v in asdict(r).values())
+    write_csv(text := io.StringIO(), [f.name for f in fields(ComparisonRow)], map(astuple, rows), config)
     return text.getvalue()
 
 
 def kde_csv(curve: KdeCurve, config: dict | None = None) -> str:
-    lines = echo_header(config, bandwidth=repr(curve.bandwidth))
-    lines.append("grid,density")
-    for g, d in zip(curve.grid.tolist(), curve.density.tolist()):  # Python floats: numpy 2 reprs its scalars
-        lines.append(f"{g!r},{d!r}")
-    return "\n".join(lines) + "\n"
+    rows = zip(curve.grid.tolist(), curve.density.tolist())
+    write_csv(text := io.StringIO(), ["grid", "density"], rows, config, bandwidth=curve.bandwidth)
+    return text.getvalue()
 
 
 def entropy_histogram_csv(hist: EntropyHistogram, config: dict | None = None) -> str:
     groups = {"correct": hist.correct_fraction, "incorrect": hist.incorrect_fraction}
-    lines = echo_header(config, **{f"{g}_group": "absent" for g, f in groups.items() if f is None})
-    lines.append("bin_low,bin_high,correct_fraction,incorrect_fraction")
     edges = hist.bin_edges.tolist()
-    for i in range(len(edges) - 1):
-        correct = "" if hist.correct_fraction is None else repr(float(hist.correct_fraction[i]))
-        wrong = "" if hist.incorrect_fraction is None else repr(float(hist.incorrect_fraction[i]))
-        lines.append(f"{edges[i]!r},{edges[i + 1]!r},{correct},{wrong}")
-    return "\n".join(lines) + "\n"
+    columns = [[None] * (len(edges) - 1) if f is None else f.tolist() for f in groups.values()]
+    absent = {f"{g}_group": "absent" for g, f in groups.items() if f is None}
+    write_csv(text := io.StringIO(), ["bin_low", "bin_high", "correct_fraction", "incorrect_fraction"],
+              zip(edges[:-1], edges[1:], *columns), config, **absent)
+    return text.getvalue()

@@ -264,6 +264,7 @@ def _parse_means(text: str) -> list[tuple[float, ...]]:
 
 
 def cmd_synth(args) -> int:
+    _plain_name(args.name)  # the file stem of both outputs
     seed = _settings(args, {"seed": TrainConfig.seed})["seed"]
     means = _parse_means(args.means)
     dataset = data.synth_blobs(args.n_per_class, means, args.sigma, seed, name=args.name)

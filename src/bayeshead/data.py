@@ -1,4 +1,4 @@
-"""Dataset ingestion, balancing, splitting, and synthetic task generation.
+"""Dataset ingestion, balancing, splitting, synthetic task generation, and the one CSV encoder.
 
 The interchange format is a CSV with header ``id,label,f0,f1,...``:
 a ``label`` column of nonnegative class ids is required, an ``id`` column
@@ -16,6 +16,7 @@ import os
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -95,11 +96,15 @@ def load_csv(path, name: str | None = None) -> FeatureDataset:
     if not path.exists():
         raise FileNotFoundError(f"dataset file not found: {path}")
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        rows = [
-            (lineno, row)
-            for lineno, row in enumerate(csv.reader(fh), start=1)
-            if row and not row[0].lstrip().startswith("#")
-        ]
+        # a record whose raw first line (of index start) begins with '#' is a comment and parses as a
+        # blank one, so a quoted "#b" cell is data and a comment's quotes open no field
+        start, rows = 0, []
+        reader = csv.reader("\n" if i == start and line.lstrip().startswith("#") else line
+                            for i, line in enumerate(fh))
+        for lineno, row in enumerate(reader, start=1):
+            start = reader.line_num
+            if row:
+                rows.append((lineno, row))
     if not rows:
         raise DataFormatError(f"{path}: no header row")
     header = [c.strip() for c in rows[0][1]]
@@ -169,14 +174,26 @@ def _is_float(s: str) -> bool:
         return False
 
 
-def echo_header(config: dict | None, **extra) -> list[str]:
-    """'# key = value' comment lines echoing ``config`` and then ``extra``, in order; a value with a
-    line break would end its comment line early, so it is a ValueError."""
-    lines = [f"# {k} = {v}" for k, v in [*(config or {}).items(), *extra.items()]]
-    for line in lines:
+def write_csv(fh, header, rows, config: dict | None = None, **extra) -> None:
+    """The one CSV encoder: a '# key = value' line per setting of ``config`` and then ``extra``,
+    then the header and ``rows``, each cell written as ``_CELL`` says for its type.  A row whose
+    first cell begins with '#' after spaces is quoted whole, so ``load_csv`` reads it as data."""
+    echo = [f"# {k} = {v}" for k, v in [*(config or {}).items(), *extra.items()]]
+    for line in echo:
         if "\n" in line or "\r" in line:
             raise ValueError(f"an echoed setting holds a line break: {line!r}")
-    return lines
+    fh.writelines(line + "\n" for line in echo)
+    plain = csv.writer(fh, lineterminator="\n")
+    quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    for row in chain([header], rows):
+        try:
+            cells = [_CELL[type(v)](v) for v in row]
+        except KeyError as e:  # a bool, or a numpy scalar, whose repr numpy 2 wraps
+            raise TypeError(f"a CSV cell must be None, str, int or float, not {e.args[0].__name__}") from None
+        (quoted if cells and cells[0].lstrip().startswith("#") else plain).writerow(cells)
+
+
+_CELL = {type(None): lambda v: "", str: str, int: repr, float: repr}  # a str is quoted by csv.writer if need be
 
 
 @contextmanager
@@ -202,14 +219,10 @@ def write_json(path, doc) -> None:
 
 def save_csv(dataset: FeatureDataset, path) -> None:
     """Write the interchange CSV; float repr guarantees load/save roundtrips."""
+    labels, features = dataset.labels.tolist(), dataset.features.tolist()
     with atomic_write(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id", "label"] + [f"f{i}" for i in range(dataset.feature_dim)])
-        for i in range(len(dataset)):
-            writer.writerow(
-                [dataset.ids[i], int(dataset.labels[i])]
-                + [repr(float(v)) for v in dataset.features[i]]
-            )
+        write_csv(fh, ["id", "label", *(f"f{i}" for i in range(dataset.feature_dim))],
+                  ([dataset.ids[i], labels[i], *features[i]] for i in range(len(dataset))))
 
 
 def balance_downsample(dataset: FeatureDataset, seed: int) -> FeatureDataset:

@@ -32,12 +32,12 @@ the final counter are those of draws per step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
 from .core import inv_softplus, log_softmax
-from .data import FeatureDataset, atomic_write, echo_header
+from .data import FeatureDataset, atomic_write, write_csv
 from .distributions import (
     SpikeSlabPrior,
     VariationalParams,
@@ -358,11 +358,6 @@ def _train(dataset, val, config, bayesian):
 def write_history_csv(history: TrainHistory, path, config: TrainConfig) -> None:
     """Emit the per-epoch metrics as CSV, config echoed in '#' comment lines."""
     best = {} if history.best_epoch is None else {"best_epoch": history.best_epoch}
-    lines = echo_header(config.to_flat_dict(), **best)
-    lines.append("epoch,train_loss,train_nll,train_kl,val_accuracy,val_nll")
-    for i, r in enumerate(history.epochs):
-        lines.append(
-            f"{i},{r.train_loss!r},{r.train_nll!r},{r.train_kl!r},{r.val_accuracy!r},{r.val_nll!r}"
-        )
     with atomic_write(path) as fh:
-        fh.write("\n".join(lines) + "\n")
+        write_csv(fh, ["epoch", *(f.name for f in fields(EpochRecord))],
+                  ((i, *astuple(r)) for i, r in enumerate(history.epochs)), config.to_flat_dict(), **best)

@@ -458,6 +458,23 @@ class TestSynthCommand:
         assert rc == 2
         assert "vector" in capsys.readouterr().err
 
+    def test_a_name_led_by_a_hash_trains(self, tmp_path):
+        # every id of the set begins with '#h'; such rows were once read back as comments, leaving none
+        assert run(["synth", "--n-per-class", "6", "--means=-2,0;2,0", "--name", "#h", "--out", str(tmp_path)]) == 0
+        assert run(["train", "--data", str(tmp_path / "#h.csv"), "--epochs", "1", "--hidden-dim", "4",
+                    "--out", str(tmp_path / "run")]) == 0
+
+    @pytest.mark.parametrize("name", ["../escaped", "a/b", "..", ""])
+    def test_a_name_that_is_not_a_file_name_exits_2_and_writes_nothing(self, name, tmp_path, capsys):
+        # the name stems both output files, so a path in it would write outside --out
+        rc = run(["synth", "--n-per-class", "6", "--means=-2,0;2,0", "--name", name,
+                  "--out", str(tmp_path / "o" / "sub")])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "not a plain file name" in err[0], err
+        assert repr(name) in err[0]
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("sigma", ["nan", "inf", "0", "-1"])
     def test_sigma_not_positive_and_finite_exits_2_naming_it(self, sigma, tmp_path, capsys):
         rc = run(["synth", "--n-per-class", "6", "--means=-2,0;2,0", "--sigma", sigma, "--out", str(tmp_path / "out")])

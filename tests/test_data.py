@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from bayeshead.data import (
     save_csv,
     split,
     split_counts,
+    write_csv,
 )
 
 
@@ -126,6 +129,29 @@ class TestLoadCsv:
         assert np.array_equal(back.features, ds.features)
         assert np.array_equal(back.labels, ds.labels)
         assert back.ids == ds.ids
+
+    def test_ids_that_hold_csv_syntax_roundtrip(self, tmp_path):
+        # a '#'-led id was once read back as a comment line and its row silently dropped
+        ids = ["#a", "  #b", "c,d", 'e"f', '"#g"', "h\n#i", "# j = 1", "plain"]
+        ds = FeatureDataset(np.arange(16.0).reshape(8, 2) / 3.0, [0, 1] * 4, ids, "odd")
+        path = tmp_path / "odd.csv"
+        save_csv(ds, path)
+        back = load_csv(path)
+        assert back.ids == ids
+        assert back.labels.tolist() == ds.labels.tolist()
+        assert back.features.tobytes() == ds.features.tobytes()
+
+    def test_a_comment_is_judged_on_its_raw_line(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text('# a = x,"y\nid,label,f0\n"#b",0,1.5\n  # c\nd,1,2.5\n')
+        ds = load_csv(path)
+        assert ds.ids == ["#b", "d"] and ds.features[:, 0].tolist() == [1.5, 2.5]
+
+    def test_error_rows_count_comment_lines(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text('# a = "x\nid,label,f0\n# b\n"#c",0,1.5\nd,y,2.5\n')
+        with pytest.raises(DataFormatError, match="row 5: unknown label value 'y'"):
+            load_csv(path)
 
     @pytest.mark.parametrize("text", ["id,label,f0\na,0,1.5\nb,1,-2.0\n", "label,id,f0\n0,a,1.5\n1,b,-2.0\n"],
                              ids=["id_first", "label_first"])
@@ -279,6 +305,28 @@ def test_dataset_validation():
         FeatureDataset(np.ones((1, 2)), np.array([-1]), ["a"])
     with pytest.raises(ValueError):
         FeatureDataset(np.array([[np.inf, 0.0]]), np.array([0]), ["a"])
+
+
+class TestWriteCsv:
+    def test_echo_header_and_cell_rule(self):
+        text = io.StringIO()
+        write_csv(text, ["a", "b", "c"], [("x,y", 1, 0.1), (None, -2, 1e-300)], {"seed": 3}, bins=4)
+        assert text.getvalue() == '# seed = 3\n# bins = 4\na,b,c\n"x,y",1,0.1\n,-2,1e-300\n'
+
+    def test_a_first_cell_led_by_a_hash_is_quoted(self):
+        text = io.StringIO()
+        write_csv(text, ["id", "f0"], [(" #a", 1.5), ("b#", 2.5)])
+        assert text.getvalue() == 'id,f0\n" #a","1.5"\nb#,2.5\n'
+
+    @pytest.mark.parametrize("cell", [np.float64(0.5), np.int64(1), True], ids=["float64", "int64", "bool"])
+    def test_a_cell_of_another_type_is_a_type_error(self, cell):
+        # numpy 2 reprs its scalars as np.float64(...), which no CSV reader parses
+        with pytest.raises(TypeError, match=f"not {type(cell).__name__}"):
+            write_csv(io.StringIO(), ["a", "b"], [(0.25, cell)])
+
+    def test_an_echoed_line_break_is_a_value_error(self):
+        with pytest.raises(ValueError, match="line break"):
+            write_csv(io.StringIO(), ["a"], [], {"name": "x\ny"})
 
 
 class TestAtomicWrite:

@@ -150,3 +150,13 @@ def test_every_imported_name_is_used(module):
                 and getattr(node, "module", None) != "__future__" for alias in node.names}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def test_only_the_data_module_imports_csv():
+    # one module holds the CSV dialect: write_csv writes every CSV artifact and load_csv reads datasets
+    def imports_csv(path):
+        return any(isinstance(node, ast.ImportFrom) and node.module == "csv"
+                   or isinstance(node, ast.Import) and any(alias.name == "csv" for alias in node.names)
+                   for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+
+    assert sorted(p.name for p in (ROOT / "src" / "bayeshead").glob("*.py") if imports_csv(p)) == ["data.py"]
