@@ -14,7 +14,6 @@ configuration is echoed into every artifact.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from dataclasses import asdict
@@ -136,9 +135,7 @@ def cmd_predict(args) -> int:
     records = analytics.predict_records(archive.model, dataset, n, thresholds, stream, ci_level)
 
     path = _out_dir(args.out) / "predictions.jsonl"
-    lines = [json.dumps({"record_type": "header", "schema_version": 1, **echo})]
-    lines.extend(json.dumps(r.to_dict()) for r in records)
-    _write_text(path, "\n".join(lines) + "\n")
+    data.write_json(path, {"record_type": "header", "schema_version": 1, **echo}, *(r.to_dict() for r in records))
     print(f"predict: n={n} rows={len(dataset)} out={path}")
     return 0
 
@@ -160,7 +157,7 @@ def cmd_eval(args) -> int:
 
 
 def _read_report(path) -> analytics.EvalReport:
-    return analytics.EvalReport.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    return analytics.EvalReport.from_dict(data.read_json(path))
 
 
 def _plain_name(name: str) -> str:
@@ -375,7 +372,7 @@ def run(argv=None) -> int:
     except NumericError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (ValueError, OSError, json.JSONDecodeError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

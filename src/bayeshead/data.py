@@ -1,4 +1,4 @@
-"""Dataset ingestion, balancing, splitting, synthetic task generation, and the one CSV encoder.
+"""Dataset ingestion, balancing, splitting, synthetic task generation, and the one CSV encoder and JSON codec.
 
 The interchange format is a CSV with header ``id,label,f0,f1,...``:
 a ``label`` column of nonnegative class ids is required, an ``id`` column
@@ -211,10 +211,22 @@ def atomic_write(path):
         raise
 
 
-def write_json(path, doc) -> None:
-    """``json.dumps(doc)`` with json's defaults and a newline, through ``atomic_write``."""
+def write_json(path, *docs) -> None:
+    """``json.dumps`` of each of ``docs``, with json's defaults, one per line, through ``atomic_write``."""
     with atomic_write(path) as fh:
-        fh.write(json.dumps(doc) + "\n")
+        fh.writelines(json.dumps(doc) + "\n" for doc in docs)
+
+
+def read_json(path) -> dict:
+    """The JSON object in ``path``, read as UTF-8 less a leading BOM; a ValueError naming the file
+    for text that is not JSON, nesting too deep for the parser, or a top level that is not an object."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8-sig"))
+    except (ValueError, RecursionError) as e:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+        raise ValueError(f"{path}: {e}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: not a JSON object")
+    return doc
 
 
 def save_csv(dataset: FeatureDataset, path) -> None:

@@ -6,12 +6,11 @@ reproduces every parameter bit for bit.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, fields
 from functools import partial
 from pathlib import Path
 
-from .data import write_json
+from .data import read_json, write_json
 from .distributions import SpikeSlabPrior, VariationalParams
 from .errors import ArchiveError
 from .network import DenseLayer, HeadModel, VariationalDenseLayer
@@ -20,6 +19,7 @@ FORMAT_VERSION = 1
 # the JSON types load_model takes by type(), as isinstance would take a bool for an int
 _INTEGER, _NUMBER, _ARRAY = (int,), (int, float), (int, float, list)
 _MUST = {_INTEGER: "be an integer", _NUMBER: "be a number", _ARRAY: "hold only numbers"}
+_DIMS = ("feature_dim", "hidden_dim", "n_classes")  # HeadModel's sizes, which the archive declares
 
 
 @dataclass
@@ -30,33 +30,26 @@ class ModelArchive:
 
 
 def save_model(archive: ModelArchive, path) -> None:
-    model = archive.model
-    doc: dict = {
+    model, output = archive.model, archive.model.output
+    write_json(path, {
         "format_version": FORMAT_VERSION,
         "variant": model.variant,
-        "feature_dim": model.feature_dim,
-        "hidden_dim": model.hidden_dim,
-        "n_classes": model.n_classes,
-        "hidden": {
-            "activation": "relu",  # the head's one hidden activation; load_model rejects any other
-            "weights": model.hidden.weights.tolist(),
-            "bias": model.hidden.bias.tolist(),
-        },
-    }
-    if model.is_bayesian:
-        doc["output"] = {
-            "mu": model.output.params.mu.tolist(),
-            "rho": model.output.params.rho.tolist(),
-            "prior": asdict(model.output.prior),
-        }
-    else:
-        doc["output"] = {
-            "weights": model.output.weights.tolist(),
-            "bias": model.output.bias.tolist(),
-        }
-    doc["train_config"] = archive.train_config
-    doc["seed_provenance"] = archive.seed_provenance
-    write_json(path, doc)
+        **{name: getattr(model, name) for name in _DIMS},
+        "hidden": {"activation": "relu", **_arrays(model.hidden)},  # load_model takes no other activation
+        "output": {**_arrays(output.params), "prior": asdict(output.prior)} if model.is_bayesian else _arrays(output),
+        "train_config": archive.train_config,
+        "seed_provenance": archive.seed_provenance,
+    })
+
+
+def _arrays(obj) -> dict:
+    """The array fields of the dataclass ``obj`` (a ``DenseLayer`` or ``VariationalParams``) as lists."""
+    return {f.name: getattr(obj, f.name).tolist() for f in fields(obj)}
+
+
+def _from_arrays(field, cls, at: str):
+    """A ``cls`` built from the arrays ``_arrays`` wrote at the dotted ``at``, each checked by ``field``."""
+    return cls(*(field(f"{at}.{f.name}", _ARRAY) for f in fields(cls)))
 
 
 def _field(path, doc: dict, name: str, kinds: tuple):
@@ -79,11 +72,9 @@ def load_model(path) -> ModelArchive:
     if not path.exists():
         raise FileNotFoundError(f"model archive not found: {path}")
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise ArchiveError(f"corrupt model archive {path}: {e}") from None
-    if not isinstance(doc, dict):
-        raise ArchiveError(f"corrupt model archive {path}: not a JSON object")
+        doc = read_json(path)
+    except ValueError as e:  # its message begins with the path
+        raise ArchiveError(f"corrupt model archive {e}") from None
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise ArchiveError(
@@ -96,23 +87,21 @@ def load_model(path) -> ModelArchive:
         layer = doc["hidden"]
         if layer["activation"] != "relu":
             raise ArchiveError(f"model archive {path} has hidden activation {layer['activation']!r}, not 'relu'")
-        hidden = DenseLayer(field("hidden.weights", _ARRAY), field("hidden.bias", _ARRAY))
-        declared = tuple(field(name, _INTEGER) for name in ("feature_dim", "hidden_dim", "n_classes"))
+        hidden = _from_arrays(field, DenseLayer, "hidden")
+        declared = tuple(field(name, _INTEGER) for name in _DIMS)
         if doc["variant"] == "bayesian":
             prior = SpikeSlabPrior(**{f.name: float(field(f"output.prior.{f.name}", _NUMBER))
                                       for f in fields(SpikeSlabPrior)})
-            params = VariationalParams(field("output.mu", _ARRAY), field("output.rho", _ARRAY))
+            params = _from_arrays(field, VariationalParams, "output")
             output = VariationalDenseLayer(params, prior, *declared[1:])
         elif doc["variant"] == "baseline":
-            output = DenseLayer(field("output.weights", _ARRAY), field("output.bias", _ARRAY))
+            output = _from_arrays(field, DenseLayer, "output")
         else:
             raise ArchiveError(f"model archive {path} has unknown variant {doc['variant']!r}")
         model = HeadModel(hidden, output)
-        if declared != (model.feature_dim, model.hidden_dim, model.n_classes):
-            raise ArchiveError(
-                f"model archive {path} declares feature_dim, hidden_dim and n_classes {declared}, "
-                f"but its arrays give {(model.feature_dim, model.hidden_dim, model.n_classes)}"
-            )
+        if declared != (given := tuple(getattr(model, name) for name in _DIMS)):
+            raise ArchiveError(f"model archive {path} declares feature_dim, hidden_dim and n_classes {declared}, "
+                               f"but its arrays give {given}")
     except ArchiveError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as e:  # OverflowError: a number beyond float64

@@ -964,3 +964,37 @@ class TestByteOrderMark:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "utf-8" in err and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    def test_a_marked_model_and_report_read_as_the_plain_ones(self, cli_data, trained, tmp_path):
+        outputs = []
+        for prefix, where in (("", "plain"), ("\ufeff", "marked")):
+            model, report = tmp_path / where / "model.json", tmp_path / where / "report.json"
+            model.parent.mkdir()
+            model.write_text(prefix + (trained / "bayes" / "model.json").read_text(encoding="utf-8"), encoding="utf-8")
+            assert run(["eval", "--model", str(model), "--data", str(cli_data / "test.csv"), "--n", "4",
+                        "--out", str(tmp_path / where / "eval")]) == 0
+            report.write_text(prefix + (tmp_path / where / "eval" / "report.json").read_text(encoding="utf-8"),
+                              encoding="utf-8")
+            assert run(["analyze", "--report", str(report), "--out", str(tmp_path / where / "figures")]) == 0
+            written = [tmp_path / where / "eval" / "report.json", *sorted((tmp_path / where / "figures").iterdir())]
+            outputs.append([(path.name, path.read_bytes()) for path in written])
+        assert len(outputs[0]) == 3 and outputs[0] == outputs[1]
+
+
+class TestDeeplyNestedJson:
+    """A JSON input nested deeper than the parser recurses is that file's input error, not a traceback."""
+
+    @pytest.mark.parametrize("command", ["analyze", "compare", "eval", "predict"])
+    def test_exits_2_naming_the_file(self, command, cli_data, tmp_path, capsys):
+        path = tmp_path / ("model.json" if command in ("eval", "predict") else "report.json")
+        path.write_text('{"schema_version": 1, "records": ' + "[" * 100000 + "]" * 100000 + "}", encoding="utf-8")
+        argv = {
+            "analyze": ["--report", str(path)],
+            "compare": ["--bayes", str(path), "--baseline", str(path)],
+            "eval": ["--model", str(path), "--data", str(cli_data / "test.csv")],
+            "predict": ["--model", str(path), "--data", str(cli_data / "test.csv")],
+        }[command]
+        assert run([command, *argv, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and str(path) in err
+        assert not (tmp_path / "out").exists()

@@ -220,3 +220,20 @@ class TestKlSampleEstimate:
         log_q = np.sum(-np.log(sample.sigma) - 0.5 * np.log(2.0 * np.pi) - 0.5 * z * z, axis=-1)
         expected = float(np.mean(log_q - np.sum(spike_slab_log_pdf(sample.theta, prior), axis=-1)))
         assert np.float64(kl).tobytes() == np.float64(expected).tobytes()
+
+    def test_mean_over_draws_matches_the_closed_form_gaussian_kl(self):
+        # equal components make the prior the one Gaussian N(0, s^2), so KL(q || p) has a closed form
+        s, k, draws = 0.8, 4, 500
+        prior = SpikeSlabPrior(0.3, s, s)
+        params = VariationalParams(np.array([-0.7, 0.0, 0.4, 1.5]), inv_softplus(np.array([0.2, 0.5, 1.0, 1.3])))
+        sigma = params.sigma
+        exact = float(np.sum(np.log(s / sigma) + (sigma**2 + params.mu**2) / (2 * s**2) - 0.5))
+        # the standard error comes from the spread of independent batch means
+        batches = np.array([
+            kl_sample_estimate(params, prior, sample_from_epsilon(
+                params, RngStream(13).derive(b).normal(draws * k).reshape(draws, k)))[0]
+            for b in range(40)
+        ])
+        stderr = float(np.std(batches, ddof=1)) / math.sqrt(len(batches))
+        assert abs(float(np.mean(batches)) - exact) < 4.5 * stderr
+        assert stderr < 0.01 * exact  # so the check resolves any bias above 4.5% of the KL

@@ -152,11 +152,20 @@ def test_every_imported_name_is_used(module):
     assert sorted(imported - used) == []
 
 
-def test_only_the_data_module_imports_csv():
-    # one module holds the CSV dialect: write_csv writes every CSV artifact and load_csv reads datasets
-    def imports_csv(path):
-        return any(isinstance(node, ast.ImportFrom) and node.module == "csv"
-                   or isinstance(node, ast.Import) and any(alias.name == "csv" for alias in node.names)
+def _modules_importing(name: str) -> list[str]:
+    def imports(path):
+        return any(isinstance(node, ast.ImportFrom) and node.module == name
+                   or isinstance(node, ast.Import) and any(alias.name == name for alias in node.names)
                    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
 
-    assert sorted(p.name for p in (ROOT / "src" / "bayeshead").glob("*.py") if imports_csv(p)) == ["data.py"]
+    return sorted(p.name for p in (ROOT / "src" / "bayeshead").glob("*.py") if imports(p))
+
+
+def test_only_the_data_module_imports_csv():
+    # one module holds the CSV dialect: write_csv writes every CSV artifact and load_csv reads datasets
+    assert _modules_importing("csv") == ["data.py"]
+
+
+def test_only_the_data_module_imports_json():
+    # one module holds the JSON dialect: write_json writes every JSON artifact and read_json reads them
+    assert _modules_importing("json") == ["data.py"]

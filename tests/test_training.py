@@ -159,6 +159,21 @@ class TestTrainLoop:
         assert (acc, nll) == (best.val_accuracy, best.val_nll)
         assert best.val_nll == min(r.val_nll for r in history.epochs)
 
+    @pytest.mark.parametrize("train_head", [train_bayes, train_baseline], ids=["bayes", "baseline"])
+    def test_a_tied_val_nll_keeps_the_first_epoch_with_it(self, monkeypatch, train_head):
+        # epochs 1 and 2 tie on val_nll; the checkpoint is epoch 1's parameters, as a 2-epoch run leaves them
+        train, val = _task(5)
+
+        def scripted_run(epochs):
+            script = iter([0.9, 0.5, 0.5, 0.7])
+            monkeypatch.setattr(training, "validate_metrics", lambda model, dataset: (0.5, next(script)))
+            model, history = train_head(train, val, TrainConfig(epochs=epochs, hidden_dim=4, batch_size=8, seed=6))
+            return history.best_epoch, {name: v.tobytes() for name, v in _param_dict(model).items()}
+
+        best_epoch, params = scripted_run(4)
+        assert best_epoch == 1
+        assert params == scripted_run(2)[1]
+
     def test_baseline_history_has_zero_kl(self):
         train, val = _task(6)
         _, history = train_baseline(train, val, TrainConfig(epochs=5, hidden_dim=4, seed=2))
