@@ -157,7 +157,11 @@ def cmd_eval(args) -> int:
 
 
 def _read_report(path) -> analytics.EvalReport:
-    return analytics.EvalReport.from_dict(data.read_json(path))
+    doc = data.read_json(path)  # its errors name the file
+    try:
+        return analytics.EvalReport.from_dict(doc)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 def _plain_name(name: str) -> str:

@@ -10,18 +10,19 @@ from __future__ import annotations
 import numpy as np
 
 _COLUMN_CLASSES = range(2, 8)  # below 8 terms numpy's pairwise sum adds in order, as the columns do
-_COLUMN_ROWS = 64  # below this the ufunc calls per column cost more than numpy's row loop
+_ROWS_PER_EXTRA_CLASS = 32  # measured: below 32 * (classes - 2) rows numpy's row loop is faster
 
 
 def reduce_classes(ufunc, x: np.ndarray, out=None) -> np.ndarray:
     """``ufunc.reduce(x, axis=-1, keepdims=True, out=out)`` for ``np.maximum`` or ``np.add``.
 
-    numpy reduces a 2-7 wide last axis one row at a time, so from 64 rows on it is one ufunc call
-    per class column, in class order, which gives numpy's bits up to the sign of a zero sum.
-    Smaller arrays, such as a single row's draws or a training batch, go straight to numpy.
+    numpy reduces a 2-7 wide last axis one row at a time, so from 32 * (classes - 2) rows on it is
+    one ufunc call per class column, in class order, which gives numpy's bits up to the sign of a
+    zero sum.  Two classes always go by column; fewer rows of more classes, such as a single 4-class
+    row's draws or a 4-class training batch, go straight to numpy.
     """
     c = x.shape[-1] if x.ndim else 0
-    if x.size >= _COLUMN_ROWS * c and c in _COLUMN_CLASSES:
+    if c in _COLUMN_CLASSES and x.size >= _ROWS_PER_EXTRA_CLASS * (c - 2) * c:
         acc = ufunc(x[..., 0], x[..., 1], out=None if out is None else out[..., 0])
         for k in range(2, c):
             ufunc(acc, x[..., k], out=acc)

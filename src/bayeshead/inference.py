@@ -13,6 +13,13 @@ for both interval bounds, read off with numpy's linear percentile rule; a
 single row is its one-row case, so a summary also has the same bits alone
 or in a block.  ``referral_rule`` is the accept/refer rule, on one row's
 values or elementwise on a block's.
+
+Two memos sit one above the other.  ``posterior_draws`` keeps the last 8
+read-only weight stacks mu + softplus(rho) * eps (8 * n * K * 8 bytes),
+keyed by the stream, n, the output shape and the bytes of mu and rho, so an
+update in place misses.  Each call still reads eps through
+``stream.child_normals``, whose memo of noise blocks sits beneath
+``RngStream.normal`` in ``rng``.
 """
 
 from __future__ import annotations
@@ -164,15 +171,27 @@ def predictive_from_samples(sample_probs, level: float = CI_LEVEL) -> Predictive
                             s.ci_high[0], s.predicted_class[0], float(s.uncertainty[0]))
 
 
+_STACKS: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}  # posterior_draws' memo, least recently used first
+
+
 def posterior_draws(model: HeadModel, n: int, stream: RngStream) -> tuple[np.ndarray, np.ndarray]:
     """Output weights (n, H, C) and biases (n, C); draw i is the sample of
-    ``stream.derive(i)`` and ``stream`` is not advanced."""
+    ``stream.derive(i)`` and ``stream`` is not advanced.  The stack is read-only and memoized."""
     if not model.is_bayesian:
         raise VariantError("posterior draws require the bayesian variant")
-    params = model.output.params
-    with np.errstate(over="ignore", invalid="ignore"):  # overflowed weights raise at stacked_probs
-        theta = params.mu + params.sigma * stream.child_normals(n, len(params))
-    return model.output.unflatten(theta)
+    out, params = model.output, model.output.params
+    eps = stream.child_normals(n, len(params))  # on a hit too, so RngStream.normal sees every draw
+    key = (stream.seed, stream.stream_id, n, out.in_dim, out.out_dim, params.mu.tobytes(), params.rho.tobytes())
+    stack = _STACKS.pop(key, None)
+    if stack is None:
+        with np.errstate(over="ignore", invalid="ignore"):  # overflowed weights raise at stacked_probs
+            theta = params.mu + params.sigma * eps
+        theta.setflags(write=False)
+        stack = out.unflatten(theta)
+    _STACKS[key] = stack
+    if len(_STACKS) > 8:
+        del _STACKS[next(iter(_STACKS))]
+    return stack
 
 
 def point_weights(model: HeadModel) -> tuple[np.ndarray, np.ndarray]:
@@ -213,7 +232,7 @@ def predict_mc(
 
     Does not advance ``stream``: draw i derives the child stream keyed by i.
     """
-    probs = stacked_probs(model, [x], *posterior_draws(model, n, stream))
+    probs = stacked_probs(model, np.asarray(x, dtype=np.float64)[None], *posterior_draws(model, n, stream))
     return predictive_from_samples(probs[0], level)
 
 

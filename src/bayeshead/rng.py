@@ -15,7 +15,9 @@ advances its stream.  The memo sits beneath ``RngStream.normal``, so
 every variate still goes through that one entry point and a hit still
 consumes (advances the counter by) the words it stands for.  It keeps at
 most 8 read-only blocks, 8 * n * k * 8 bytes: about 53 KB a block at
-n=50, k=132.
+n=50, k=132.  One level up, ``inference.posterior_draws`` memoizes the
+weight stack it builds from a block, and still reads the block through
+``child_normals`` on every call.
 
 Conventions: a stream object is either *drawn from* (advancing its
 counter) or *derived from* (pure, counter untouched) -- never both for

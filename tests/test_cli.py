@@ -531,6 +531,23 @@ class TestMalformedReport:
         assert err.startswith("error:") and expect in err
         assert not (tmp_path / "out" / "comparison.csv").exists()
 
+    @pytest.mark.parametrize("command", ["analyze", "compare"])
+    def test_a_bad_record_names_its_file(self, command, report_doc, tmp_path, capsys):
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        good.write_text(json.dumps(report_doc))
+        doc = json.loads(json.dumps(report_doc))
+        doc["records"][1] = ["x"]
+        bad.write_text(json.dumps(doc))
+        argv = {
+            "analyze": ["--report", str(bad)],
+            "compare": ["--bayes", str(good), str(bad), "--baseline", str(good), str(good)],
+        }[command]
+        assert run([command, *argv, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"{bad}: PredictionRecord document is not a JSON object" in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestArchivePrior:
     def _edited(self, trained, tmp_path, edit):

@@ -64,10 +64,11 @@ def _log_softmax_before(x):
 @st.composite
 def class_arrays(draw):
     """(array, special): float64 arrays of 1-12 classes over 1-4000 rows in 1-, 2- and 3-D shapes, on both
-    sides of the column switch (64 rows); 3-D ones may be the row/draw-transposed view the inference kernel
-    hands out.  ``special`` arrays hold signed zeros, including all-zero rows, and may hold +-inf and NaN."""
+    sides of the column switch (32 * (classes - 2) rows, at most 160); 3-D ones may be the row/draw-transposed
+    view the inference kernel hands out.  ``special`` arrays hold signed zeros, including all-zero rows, and may
+    hold +-inf and NaN."""
     c = draw(st.one_of(st.integers(2, 7), st.integers(1, 12)))
-    rows = draw(st.integers(64, 4000) if draw(st.booleans()) else st.integers(1, 63))
+    rows = draw(st.integers(160, 4000) if draw(st.booleans()) else st.integers(1, 159))
     ndim = draw(st.sampled_from([1, 2, 2, 3, 3]))
     if ndim == 1:
         shape = (c,)
@@ -101,11 +102,14 @@ class TestReduceClasses:
     @example((np.random.default_rng(1).normal(size=(63, 4)), False))
     @example((np.random.default_rng(1).normal(size=(64, 4)), False))
     @example((np.random.default_rng(1).normal(size=(64, 7)), False))
+    @example((np.random.default_rng(1).normal(size=(160, 7)), False))
+    @example((np.random.default_rng(1).normal(size=(50, 1, 2)), False))
     @example((np.full((64, 3), -0.0), True))
+    @example((np.full((3, 2), -0.0), True))
     def test_equals_numpy(self, case):
         x, special = case
         c = x.shape[-1]
-        event("columns" if 2 <= c <= 7 and x.size >= 64 * c else "numpy")
+        event("columns" if 2 <= c <= 7 and x.size >= 32 * (c - 2) * c else "numpy")
         with np.errstate(invalid="ignore", over="ignore"):
             for ufunc in (np.maximum, np.add):
                 got, want = reduce_classes(ufunc, x), ufunc.reduce(x, axis=-1, keepdims=True)
@@ -125,6 +129,30 @@ class TestReduceClasses:
         else:
             with pytest.raises(ValueError, match="finite"):
                 softmax(x)
+
+    @pytest.mark.parametrize("shape, path", [
+        ((1, 2), "columns"), ((32, 2), "columns"), ((50, 1, 2), "columns"),  # 2 classes: row, batch, row's draws
+        ((31, 3), "numpy"), ((32, 3), "columns"),
+        ((50, 1, 4), "numpy"), ((32, 4), "numpy"), ((64, 4), "columns"),  # a 4-class row's draws stays on numpy
+        ((95, 5), "numpy"), ((96, 5), "columns"), ((159, 7), "numpy"), ((160, 7), "columns"),
+        ((4000, 8), "numpy"), ((4000, 1), "numpy"),
+    ])
+    def test_switches_to_columns_at_the_measured_break_even(self, shape, path):
+        # columns from 32 * (classes - 2) rows on, for 2-7 classes
+        calls = []
+
+        class Recorded:
+            def __call__(self, *args, **kwargs):
+                calls.append("columns")
+                return np.add(*args, **kwargs)
+
+            def reduce(self, *args, **kwargs):
+                calls.append("numpy")
+                return np.add.reduce(*args, **kwargs)
+
+        x = np.random.default_rng(2).normal(size=shape)
+        assert reduce_classes(Recorded(), x).tobytes() == np.add.reduce(x, axis=-1, keepdims=True).tobytes()
+        assert set(calls) == {path}
 
 
 class TestSoftplus:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -14,13 +15,16 @@ from bayeshead import (
     TrainConfig,
     VariantError,
     evaluate,
+    inference,
     init_bayes_model,
     predict_mc,
     predictive_from_samples,
     referral_decision,
     rng,
 )
+from bayeshead.cli import run
 from bayeshead.core import inv_softplus, softmax
+from bayeshead.data import save_csv
 from bayeshead.inference import (
     block_summary,
     credible_interval,
@@ -30,6 +34,7 @@ from bayeshead.inference import (
     predict_deterministic,
     stacked_probs,
 )
+from bayeshead.model_io import ModelArchive, load_model, save_model
 from bayeshead.network import bayes_forward, dense_forward, mean_forward
 from bayeshead.training import init_baseline_model
 
@@ -244,6 +249,81 @@ class TestPredictMc:
         assert result.sample_probs.shape == (1, 2)
         assert np.array_equal(result.var_probs, [0.0, 0.0])
         assert result.uncertainty_scalar == 0.0
+
+
+class TestWeightStackMemo:
+    """posterior_draws keeps its read-only stacks keyed by stream, n, output shape and the bytes of mu and rho."""
+
+    def test_a_miss_and_a_hit_give_the_same_bits(self, tiny_bayes):
+        x, stream = np.array([0.7, -0.2]), RngStream(13).derive(4)
+        inference._STACKS.clear()
+        miss = predict_mc(tiny_bayes, x, 20, stream)
+        stack = posterior_draws(tiny_bayes, 20, stream)
+        hit = predict_mc(tiny_bayes, x, 20, stream)
+        assert len(inference._STACKS) == 1 and posterior_draws(tiny_bayes, 20, stream)[0] is stack[0]
+        for field in fields(PredictiveResult):
+            assert np.asarray(getattr(miss, field.name)).tobytes() == np.asarray(getattr(hit, field.name)).tobytes()
+
+    def test_two_loads_of_one_archive_share_an_entry(self, tiny_bayes, tmp_path):
+        save_model(ModelArchive(tiny_bayes), tmp_path / "model.json")
+        first, second = (load_model(tmp_path / "model.json").model for _ in range(2))
+        inference._STACKS.clear()
+        stream = RngStream(13).derive(4)
+        assert posterior_draws(first, 20, stream)[0] is posterior_draws(second, 20, stream)[0]
+        assert len(inference._STACKS) == 1
+
+    @pytest.mark.parametrize("name", ["mu", "rho"])
+    def test_an_in_place_update_misses(self, name):
+        model = init_bayes_model(2, 3, TrainConfig(hidden_dim=4, seed=1))
+        params, stream = model.output.params, RngStream(13).derive(4)
+        inference._STACKS.clear()
+        before = posterior_draws(model, 20, stream)
+        getattr(params, name)[0] += 0.25
+        w, b = posterior_draws(model, 20, stream)
+        assert len(inference._STACKS) == 2 and w is not before[0]
+        theta = params.mu + params.sigma * stream.child_normals(20, len(params))
+        assert (w.tobytes(), b.tobytes()) == tuple(a.tobytes() for a in model.output.unflatten(theta))
+
+    def test_equal_sizes_of_other_shapes_get_their_own_stacks(self):
+        # K = H * C + C is 12 for H=5, C=2 and for H=3, C=3; mu and rho are made equal too
+        wide = init_bayes_model(2, 2, TrainConfig(hidden_dim=5, seed=1))
+        square = init_bayes_model(2, 3, TrainConfig(hidden_dim=3, seed=1))
+        square.output.params.mu, square.output.params.rho = wide.output.params.mu, wide.output.params.rho
+        stream = RngStream(13).derive(4)
+        inference._STACKS.clear()
+        shapes = [tuple(a.shape for a in posterior_draws(m, 20, stream)) for m in (wide, square)]
+        assert shapes == [((20, 5, 2), (20, 2)), ((20, 3, 3), (20, 3))]
+        assert len(inference._STACKS) == 2
+
+    def test_the_stack_is_read_only(self, tiny_bayes):
+        w, b = posterior_draws(tiny_bayes, 20, RngStream(13).derive(4))
+        assert not (w.flags.writeable or b.flags.writeable)
+        with pytest.raises(ValueError):
+            w[0, 0, 0] = 0.0
+
+    def test_twenty_models_leave_at_most_eight_entries(self):
+        models = [init_bayes_model(2, 2, TrainConfig(hidden_dim=4, seed=s)) for s in range(20)]
+        stream = RngStream(13).derive(4)
+        inference._STACKS.clear()
+        stacks = [posterior_draws(m, 20, stream) for m in models]
+        assert len(inference._STACKS) == 8
+        assert posterior_draws(models[12], 20, stream)[0] is stacks[12][0]  # a hit makes 12 the newest
+        assert posterior_draws(models[0], 20, stream)[0] is not stacks[0][0]  # a miss evicts 13, not 12
+        assert len(inference._STACKS) == 8
+        assert posterior_draws(models[12], 20, stream)[0] is stacks[12][0]
+        assert posterior_draws(models[13], 20, stream)[0] is not stacks[13][0]
+
+    def test_an_overflowing_archive_exits_1_on_every_eval(self, tiny_task, tmp_path, capsys):
+        # the second eval hits the memo and must still raise at the kernel
+        model = init_bayes_model(2, 2, TrainConfig(hidden_dim=8, seed=3))
+        model.output.params.rho = np.full(len(model.output.params), 1e308)
+        save_model(ModelArchive(model), tmp_path / "model.json")
+        save_csv(tiny_task[1], tmp_path / "val.csv")
+        for out in ("a", "b"):
+            assert run(["eval", "--model", str(tmp_path / "model.json"), "--data", str(tmp_path / "val.csv"),
+                        "--n", "4", "--out", str(tmp_path / out)]) == 1
+            assert "not finite" in capsys.readouterr().err
+            assert not (tmp_path / out / "report.json").exists()
 
 
 class TestPerDrawReference:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,26 @@ def test_standard_normal_moments():
     assert abs(draws.mean()) < 0.02
     assert abs(draws.var() - 1.0) < 0.03
     assert np.all(np.isfinite(draws))
+
+
+@pytest.mark.parametrize("source", ["normal", "child_normals"])
+def test_a_million_normals_follow_the_standard_normal(source):
+    # the first four raw moments within 5 standard errors of N(0, 1)'s (0, 1, 0, 3; the variances of
+    # x, x^2, x^3, x^4 are 1, 2, 15, 96), and the Kolmogorov-Smirnov distance to N(0, 1) below its
+    # asymptotic critical value at level 1e-6; at a fixed seed, so the test cannot flake
+    n = 1000 * 1000
+    if source == "normal":
+        x = RngStream(2027, 3).normal(n)
+    else:  # all rows of one block: each row is its own child stream
+        x = RngStream(2027, 3).child_normals(1000, 1000).ravel()
+        rng._child_block.cache_clear()  # let go of the 8 MB block
+    for k, (moment, var) in enumerate([(0.0, 1.0), (1.0, 2.0), (0.0, 15.0), (3.0, 96.0)], start=1):
+        z = ((x**k).mean() - moment) / math.sqrt(var / n)
+        assert abs(z) < 5.0, (k, z)
+    cdf = 0.5 + 0.5 * np.frompyfunc(math.erf, 1, 1)(np.sort(x) / math.sqrt(2.0)).astype(np.float64)
+    ranks = np.arange(n + 1) / n
+    ks = max((ranks[1:] - cdf).max(), (cdf - ranks[:-1]).max())
+    assert ks < math.sqrt(math.log(2.0 / 1e-6) / (2.0 * n)), ks
 
 
 def test_serialize_restore_resumes_sequence():
