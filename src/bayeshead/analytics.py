@@ -33,7 +33,6 @@ from .inference import (
     BlockSummary,
     ReferralThresholds,
     block_summary,
-    check_thresholds,
     point_weights,
     posterior_draws,
     referral_rule,
@@ -125,8 +124,8 @@ class PredictionRecord:
         or with an entry that is not a finite number, a negative or non-finite entropy or uncertainty,
         a ``correct`` that is not ``label == predicted_class``, an action other than accept or refer, a
         ``mean_probs`` that is not a probability vector or whose first argmax is not
-        ``predicted_class``, a negative variance, or a ``ci_low`` above ``ci_high`` by more than 1e-12;
-        each is checked in that order."""
+        ``predicted_class``, a negative variance, a ``ci_low`` above ``ci_high`` by more than 1e-12, or an
+        ``uncertainty`` other than the largest variance; each is checked in that order."""
         name = type(self).__name__
         for field in ("label", "predicted_class"):
             if not 0 <= (v := getattr(self, field)) < n_classes:
@@ -152,6 +151,8 @@ class PredictionRecord:
             raise ValueError(f"{name} field 'var_probs' must be nonnegative, got {self.var_probs}")
         if any(lo - hi > 1e-12 for lo, hi in zip(self.ci_low, self.ci_high)):
             raise ValueError(f"{name} field 'ci_low' must not exceed 'ci_high', got {self.ci_low}")
+        if self.uncertainty != max(self.var_probs):  # evaluate writes both from one var.max(axis=1)
+            raise ValueError(f"{name} field 'uncertainty' must be the largest of var_probs, got {self.uncertainty}")
 
 
 _CLASS_LISTS = ("mean_probs", "var_probs", "ci_low", "ci_high")
@@ -188,6 +189,8 @@ class EvalReport:
     def from_dict(cls, d: dict) -> "EvalReport":
         if isinstance(d, dict) and (version := d.get("schema_version")) != REPORT_SCHEMA_VERSION:
             raise ValueError(f"unsupported report schema_version {version}; expected {REPORT_SCHEMA_VERSION}")
+        if isinstance(d, dict) and type(version) is not int:  # true and 1.0 equal 1 too
+            raise ValueError(f"EvalReport field 'schema_version' must be int, got {type(version).__name__}")
         values = _field_values(cls, d)
         for name in ("accuracy", "referral_rate"):
             if not 0.0 <= values[name] <= 1.0:
@@ -257,12 +260,11 @@ def predict_records(
     """One record per row, in dataset order, through the batched kernel and
     the block summary in fixed blocks; each equals the record of ``predict_mc`` (n draws shared
     by every row) or ``predict_deterministic`` on its row alone, with the action of
-    ``referral_decision``.  The thresholds are checked before any draw."""
+    ``referral_decision``."""
     if len(dataset) == 0:
         raise ValueError("cannot predict an empty dataset")
     if dataset.n_classes > model.n_classes:
         raise ValueError(f"dataset label {dataset.n_classes - 1} is outside the model's {model.n_classes} classes")
-    check_thresholds(thresholds.uncertainty, thresholds.confidence)
     w, b = posterior_draws(model, n, stream) if model.is_bayesian else point_weights(model)
     records = []
     for start in range(0, len(dataset), _BLOCK_ROWS):
@@ -362,25 +364,20 @@ class ComparisonRow:
 def compare_report(
     bayes: list[EvalReport], baseline: list[EvalReport], dataset_names: list[str]
 ) -> list[ComparisonRow]:
-    """Tabulate both heads per dataset, Table-style, one row per dataset."""
+    """Tabulate both heads per dataset, Table-style, one row per dataset; ValueError when a
+    bayesian report and its baseline do not hold the same record ids in the same order."""
     if not len(bayes) == len(baseline) == len(dataset_names):
         raise ValueError(
             f"mismatched lists: {len(bayes)} bayes, {len(baseline)} baseline, "
             f"{len(dataset_names)} names"
         )
     rows = []
-    for name, b, c in zip(dataset_names, bayes, baseline):
-        rows.append(
-            ComparisonRow(
-                dataset=name,
-                bayes_accuracy=b.accuracy,
-                baseline_accuracy=c.accuracy,
-                accuracy_delta=b.accuracy - c.accuracy,
-                bayes_referral_rate=b.referral_rate,
-                bayes_mean_entropy_correct=b.mean_entropy_correct,
-                bayes_mean_entropy_incorrect=b.mean_entropy_incorrect,
-            )
-        )
+    for i, (name, b, c) in enumerate(zip(dataset_names, bayes, baseline), start=1):
+        if [r.id for r in b.records] != [r.id for r in c.records]:
+            raise ValueError(f"bayes report {i} ({b.dataset_name!r}) and baseline report {i} "
+                             f"({c.dataset_name!r}) hold different rows")
+        rows.append(ComparisonRow(name, b.accuracy, c.accuracy, b.accuracy - c.accuracy, b.referral_rate,
+                                  b.mean_entropy_correct, b.mean_entropy_incorrect))
     return rows
 
 

@@ -59,8 +59,16 @@ class ReferralDecision:
 
 @dataclass(frozen=True)
 class ReferralThresholds:
+    """The triage rule's bounds, checked on construction: uncertainty >= 0, confidence in (0, 1]."""
+
     uncertainty: float = 0.01
     confidence: float = 0.99
+
+    def __post_init__(self):
+        if not self.uncertainty >= 0.0:  # NaN fails it too
+            raise ValueError(f"uncertainty threshold must be >= 0, got {self.uncertainty}")
+        if not 0.0 < self.confidence <= 1.0:
+            raise ValueError("confidence threshold must lie in (0, 1]")
 
 
 def _require_simplex(p: np.ndarray, message: str) -> None:
@@ -76,15 +84,20 @@ def _tail(level: float) -> float:
     return 100.0 * (1.0 - level) / 2.0
 
 
+def _entropy(mean: np.ndarray) -> np.ndarray:
+    """Shannon entropy in bits of each row of an (N, C) stack of probability vectors:
+    -sum p * log2 p over every entry, where a zero entry adds a zero term."""
+    _require_simplex(mean, "input is not a probability vector")
+    p = np.clip(mean, 0.0, 1.0)
+    return -(p * np.log2(np.where(p > 0.0, p, 1.0))).sum(axis=1)
+
+
 def entropy_bits(probs) -> float:
-    """Shannon entropy in bits with 0*log0 = 0."""
+    """Shannon entropy in bits with 0*log0 = 0: the one-row case of ``block_summary``'s rule."""
     p = np.asarray(probs, dtype=np.float64)
     if p.ndim != 1 or p.size == 0:
         raise ValueError("entropy needs a nonempty probability vector")
-    _require_simplex(p, "input is not a probability vector")
-    p = np.clip(p, 0.0, 1.0)
-    nz = p > 0.0
-    return float(-np.sum(p[nz] * np.log2(p[nz])))
+    return float(_entropy(p[None])[0])
 
 
 def credible_interval(samples, level: float) -> tuple[float, float]:
@@ -148,15 +161,7 @@ def block_summary(sample_probs, level: float = CI_LEVEL) -> BlockSummary:
     var = ((probs - mean[:, None]) ** 2).sum(axis=1) / n  # population variance, 1/n
     ordered = np.sort(probs, axis=1)
     lows, highs = (_lerp(ordered[:, lo], ordered[:, hi], t) for lo, hi, t in _interval_ranks(n, tail))
-    _require_simplex(mean, "input is not a probability vector")
-    p = np.clip(mean, 0.0, 1.0)
-    positive = p > 0.0
-    entropy = (-(p * np.log2(np.where(positive, p, 1.0))).sum(axis=1)).tolist()
-    # entropy_bits sums only the nonzero terms; a zero term would change numpy's
-    # pairwise summation order once there are 8 or more, so those rows go through it
-    if not positive.all():
-        for i in np.flatnonzero(~positive.all(axis=1)):
-            entropy[i] = entropy_bits(mean[i])
+    entropy = _entropy(mean).tolist()
     return BlockSummary(probs, mean, var, lows, highs, entropy, np.argmax(mean, axis=1).tolist(), var.max(axis=1))
 
 
@@ -242,14 +247,6 @@ def predict_deterministic(model: HeadModel, x, level: float = CI_LEVEL) -> Predi
     return predictive_from_samples(probs[0], level)
 
 
-def check_thresholds(uncertainty_threshold: float, confidence_threshold: float) -> None:
-    """ValueError unless the uncertainty threshold is >= 0 and the confidence threshold lies in (0, 1]."""
-    if not uncertainty_threshold >= 0.0:  # NaN fails it too
-        raise ValueError(f"uncertainty threshold must be >= 0, got {uncertainty_threshold}")
-    if not 0.0 < confidence_threshold <= 1.0:
-        raise ValueError("confidence threshold must lie in (0, 1]")
-
-
 def referral_rule(uncertainty, top_prob, uncertainty_threshold: float, confidence_threshold: float):
     """The triage rule on a row's uncertainty and top mean probability, or elementwise on arrays of
     them: (refer for uncertainty, refer for low confidence).  A row is referred if either holds."""
@@ -261,13 +258,14 @@ def referral_decision(
     uncertainty_threshold: float,
     confidence_threshold: float,
 ) -> ReferralDecision:
-    """Refer when predictive variance is too high or confidence too low."""
-    check_thresholds(uncertainty_threshold, confidence_threshold)
+    """Refer when predictive variance is too high or confidence too low; the thresholds are
+    checked as ``ReferralThresholds`` checks them."""
+    t = ReferralThresholds(uncertainty_threshold, confidence_threshold)
     uncertain, unconfident = referral_rule(
-        result.uncertainty_scalar, float(result.mean_probs.max()), uncertainty_threshold, confidence_threshold
+        result.uncertainty_scalar, float(result.mean_probs.max()), t.uncertainty, t.confidence
     )
     if uncertain:
-        return ReferralDecision("refer", uncertainty_threshold, "uncertainty_scalar")
+        return ReferralDecision("refer", t.uncertainty, "uncertainty_scalar")
     if unconfident:
-        return ReferralDecision("refer", confidence_threshold, "confidence")
-    return ReferralDecision("accept", uncertainty_threshold, "uncertainty_scalar")
+        return ReferralDecision("refer", t.confidence, "confidence")
+    return ReferralDecision("accept", t.uncertainty, "uncertainty_scalar")

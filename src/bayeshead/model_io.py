@@ -80,6 +80,7 @@ def load_model(path) -> ModelArchive:
         raise ArchiveError(
             f"model archive {path} has format_version {version}; this build reads {FORMAT_VERSION}"
         )
+    _field(path, doc, "format_version", _INTEGER)  # true and 1.0 equal 1 too
     try:
         # the layers and VariationalParams convert the JSON lists to float64 arrays themselves; as
         # numpy would take bools and numeric strings for numbers, _field checks the JSON types first

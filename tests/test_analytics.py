@@ -279,6 +279,20 @@ class TestCompareReport:
         with pytest.raises(ValueError):
             compare_report([_report("a", 0.5)], [], ["a"])
 
+    @pytest.mark.parametrize("baseline_ids", [["t1", "t0"], ["t0"], ["t0", "t1", "t2"], ["s0", "s1"]])
+    def test_a_pair_over_other_rows_is_rejected(self, baseline_ids):
+        def over(name, ids):
+            record = PredictionRecord("", 0, 0, True, [1.0, 0.0], [0.0, 0.0], 0.0, [1.0, 0.0], [1.0, 0.0], 0.0,
+                                      "accept")
+            return dataclasses.replace(_report(name, 0.5), records=[dataclasses.replace(record, id=i) for i in ids])
+
+        good = over("a", ["a0"])
+        assert len(compare_report([good, over("test", ["t0", "t1"])], [good, over("test", ["t0", "t1"])],
+                                  ["a", "test"])) == 2
+        with pytest.raises(ValueError, match="^bayes report 2 \\('test'\\) and baseline report 2 "
+                                             "\\('other'\\) hold different rows$"):
+            compare_report([good, over("test", ["t0", "t1"])], [good, over("other", baseline_ids)], ["a", "b"])
+
 
 class TestCsvEmitters:
     def test_kde_csv_shape(self):
@@ -469,6 +483,7 @@ class TestReportFromDict:
         "argmax": lambda r: _swap_extremes(r["mean_probs"]),
         "variance": lambda r: r["var_probs"].__setitem__(0, -1e-9),
         "interval": lambda r: r.update(ci_low=[1.0] * len(r["ci_low"])),
+        "uncertainty_not_the_largest_variance": lambda r: r.update(uncertainty=max(r["var_probs"]) + 0.75),
         "label_type": lambda r: r.update(label=1.0),
         "missing": lambda r: r.pop("ci_low"),
         "not_an_object": lambda r: r.clear(),

@@ -361,6 +361,29 @@ class TestEvalAnalyzeCompare:
         assert "not a plain file name" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_compare_of_reports_over_other_rows_exits_2_and_writes_nothing(self, cli_data, trained, tmp_path,
+                                                                          capsys):
+        shifted = tmp_path / "data" / "shifted.csv"
+        assert run(["synth", "--n-per-class", "10", "--means=-2,0;2,0", "--name", "shifted", "--shift-noise", "1.5",
+                    "--seed", "52", "--out", str(shifted.parent)]) == 0
+        reports = {}
+        for head in ("bayes", "base"):
+            for name, data in (("test", cli_data / "test.csv"), ("shifted", shifted)):
+                out = tmp_path / head / name
+                assert run(["eval", "--model", str(trained / head / "model.json"), "--data", str(data),
+                            "--seed", "7", "--n", "16", "--out", str(out)]) == 0
+                reports[head, name] = str(out / "report.json")
+        in_order = ["--bayes", reports["bayes", "test"], reports["bayes", "shifted"],
+                    "--baseline", reports["base", "test"], reports["base", "shifted"]]
+        assert run(["compare", *in_order, "--out", str(tmp_path / "ok")]) == 0
+        capsys.readouterr()
+        swapped = ["--bayes", reports["bayes", "test"], reports["bayes", "shifted"],
+                   "--baseline", reports["base", "shifted"], reports["base", "test"]]
+        assert run(["compare", *swapped, "--out", str(tmp_path / "t")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: bayes report 1 ('test') and baseline report 1 ('shifted') hold different rows"]
+        assert not (tmp_path / "t").exists()
+
     def test_compare_mismatch_exits_2(self, cli_data, trained, tmp_path, capsys):
         assert self._eval(trained / "bayes", cli_data, tmp_path / "b") == 0
         rc = run([
@@ -835,6 +858,10 @@ class TestMistypedReport:
         "record_var_probs_negative": ("var_probs", lambda doc: doc["records"][0]["var_probs"].__setitem__(1, -1e-3)),
         "record_ci_low_above_ci_high": ("ci_low", lambda doc: doc["records"][0].update(
             ci_low=[0.9, 0.9], ci_high=[0.1, 0.1])),
+        "record_uncertainty_not_the_largest_variance": ("uncertainty",
+                                                        lambda doc: doc["records"][0].update(uncertainty=0.75)),
+        "schema_version_bool": ("schema_version", lambda doc: doc.update(schema_version=True)),
+        "schema_version_float": ("schema_version", lambda doc: doc.update(schema_version=1.0)),
         "records_empty": ("records", lambda doc: doc.update(records=[])),
         "accuracy_disagrees": ("accuracy", lambda doc: doc.update(accuracy=0.1)),
         "referral_rate_disagrees": ("referral_rate", lambda doc: doc.update(referral_rate=0.0)),
@@ -938,8 +965,11 @@ class TestMistypedArchive:
         ("bayes", "hidden.weights", lambda doc: doc["hidden"]["weights"][1].__setitem__(0, False)),
         ("bayes", "output.rho", lambda doc: doc["output"]["rho"].__setitem__(3, "-3.0")),
         ("base", "output.weights", lambda doc: doc["output"]["weights"][0].__setitem__(1, None)),
+        ("bayes", "format_version", lambda doc: doc.update(format_version=True)),
+        ("base", "format_version", lambda doc: doc.update(format_version=1.0)),
     ], ids=["n_classes_float", "feature_dim_bool", "hidden_dim_text", "mix_weight_bool", "mix_weight_text",
-            "hidden_bias_text", "hidden_weight_bool", "rho_text", "output_weight_null"])
+            "hidden_bias_text", "hidden_weight_bool", "rho_text", "output_weight_null", "format_version_bool",
+            "format_version_float"])
     def test_eval_exits_2_and_writes_nothing(self, variant, field, edit, cli_data, trained, tmp_path, capsys):
         doc = json.loads((trained / variant / "model.json").read_text())
         edit(doc)

@@ -196,6 +196,18 @@ class TestReferralDecision:
             referral_decision(_result_with(0.0, 1.0), 0.1, 0.0)
 
 
+class TestReferralThresholds:
+    @pytest.mark.parametrize("uncertainty", [-0.1, -1e-300, math.nan])
+    def test_a_bad_uncertainty_threshold_raises_on_construction(self, uncertainty):
+        with pytest.raises(ValueError, match=f"^uncertainty threshold must be >= 0, got {uncertainty}$"):
+            ReferralThresholds(uncertainty, 0.99)
+
+    @pytest.mark.parametrize("confidence", [0.0, -0.2, 1.0 + 1e-12, 1.5, math.nan])
+    def test_a_bad_confidence_threshold_raises_on_construction(self, confidence):
+        with pytest.raises(ValueError, match=r"^confidence threshold must lie in \(0, 1\]$"):
+            ReferralThresholds(0.01, confidence)
+
+
 class TestPredictMc:
     def test_single_draw(self, tiny_bayes):
         x = np.array([1.0, 0.5])
@@ -432,7 +444,7 @@ def _reference_summary(probs: np.ndarray, level: float) -> dict:
         "var_probs": var,
         "ci_low": np.array([float(lo) for lo, _ in bounds]),
         "ci_high": np.array([float(hi) for _, hi in bounds]),
-        "entropy_bits": np.float64(-np.sum(p[nz] * np.log2(p[nz]))),
+        "entropy_bits": np.float64(-np.sum(p * np.log2(np.where(nz, p, 1.0)))),
         "predicted_class": int(np.argmax(mean)),
         "uncertainty_scalar": np.float64(var.max()),
     }
@@ -540,6 +552,34 @@ class TestBlockSummary:
             assert np.float64(record.entropy_bits).tobytes() == ref["entropy_bits"].tobytes()
             assert np.float64(record.uncertainty).tobytes() == ref["uncertainty_scalar"].tobytes()
             assert record.predicted_class == ref["predicted_class"]
+
+
+class TestEntropyRule:
+    """One entropy rule: -sum p * log2 p over every class of the mean, a zero entry adding a zero term."""
+
+    @pytest.mark.parametrize("c", [2, 4, 9])
+    def test_block_summary_calls_no_per_row_function(self, c, monkeypatch):
+        probs = _draw_block(65, 50, c, seed=30 + c)
+        assert np.any(probs.sum(axis=1) == 0.0)  # rows whose mean holds an exact 0
+
+        def per_row(*args, **kwargs):
+            raise AssertionError("block_summary summarized a row on its own")
+
+        for name in ("entropy_bits", "credible_interval", "predictive_from_samples"):
+            monkeypatch.setattr(inference, name, per_row)
+        assert len(block_summary(probs).entropy_bits) == 65
+
+    def test_entropy_bits_has_the_bits_of_the_block_rule_s_row(self):
+        # numpy sums 8 or more terms pairwise, so dropping the zero terms would move a last bit
+        for c in range(2, 13):
+            logits = RngStream(70 + c).normal(400 * c).reshape(400, c) * 3.0
+            logits[RngStream(90 + c).normal(400 * c).reshape(400, c) > 0.3] = -1000.0  # exact zeros
+            logits[:, 0], logits[:, c - 1] = 0.0, -1000.0  # a class that never underflows, one that always does
+            mean = softmax(logits)
+            assert (mean == 0.0).any(axis=1).all()
+            rule = -(mean * np.log2(np.where(mean > 0.0, mean, 1.0))).sum(axis=1)
+            assert np.array(block_summary(mean[:, None]).entropy_bits).tobytes() == rule.tobytes(), c
+            assert np.array([entropy_bits(p) for p in mean]).tobytes() == rule.tobytes(), c
 
 
 @st.composite

@@ -20,7 +20,7 @@ from bayeshead import (
     training,
     validate_metrics,
 )
-from bayeshead.distributions import sample_weights
+from bayeshead.distributions import VariationalParams, sample_weights
 from bayeshead.network import backward
 from bayeshead.training import (
     _EPS_STREAM,
@@ -468,6 +468,30 @@ def test_shared_sample_epoch_draws_its_noise_in_one_block(monkeypatch):
     assert len(drawn) == len(expected)
     assert all(a.tobytes() == b.tobytes() for a, b in zip(drawn, expected))
     assert eps[-1][0].counter == reference.counter == 2 * k * steps * config.epochs
+
+
+def test_shared_training_draw_has_each_coordinate_s_posterior_moments():
+    # 400 epochs of 25 steps, each epoch's K-normal reads from one _NoiseBlock as _train makes them: each
+    # coordinate of theta has mean mu (z bound) and variance softplus(rho)^2 (chi-square bound through the
+    # Wilson-Hilferty normal approximation), both at 5 standard errors and a fixed seed, so it cannot flake
+    mu = np.array([-3.0, -0.5, 0.0, 0.25, 1.0, 6.0])
+    params = VariationalParams(mu, inv_softplus(np.array([1e-3, 0.05, 0.3, 1.0, 2.5, 8.0])))
+    sigma = params.sigma
+    epochs, steps, k = 400, 25, len(params)
+    eps_stream = RngStream(2029).derive(_EPS_STREAM)
+    theta = []
+    for _ in range(epochs):
+        noise = training._NoiseBlock(eps_stream.normal(steps * k))
+        theta += [sample_weights(params, noise).theta for _ in range(steps)]
+    theta = np.array(theta)
+    m = epochs * steps
+    assert theta.shape == (m, k) and eps_stream.counter == 2 * m * k
+    z_mean = (theta.mean(axis=0) - mu) / (sigma / math.sqrt(m))
+    assert np.all(np.abs(z_mean) < 5.0), z_mean
+    dof = m - 1
+    chi2 = dof * theta.var(axis=0, ddof=1) / sigma**2
+    z_var = (np.cbrt(chi2 / dof) - (1.0 - 2.0 / (9.0 * dof))) / math.sqrt(2.0 / (9.0 * dof))
+    assert np.all(np.abs(z_var) < 5.0), z_var
 
 
 def test_force_sigma_zero_and_per_example_training_draw_as_before(monkeypatch):
