@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import warnings
 from contextlib import contextmanager
@@ -101,10 +102,10 @@ def load_csv(path, name: str | None = None) -> FeatureDataset:
         start, rows = 0, []
         reader = csv.reader("\n" if i == start and line.lstrip().startswith("#") else line
                             for i, line in enumerate(fh))
-        for lineno, row in enumerate(reader, start=1):
-            start = reader.line_num
+        for row in reader:
             if row:
-                rows.append((lineno, row))
+                rows.append((start + 1, row))  # named by the line it starts on
+            start = reader.line_num
     if not rows:
         raise DataFormatError(f"{path}: no header row")
     header = [c.strip() for c in rows[0][1]]
@@ -124,46 +125,32 @@ def load_csv(path, name: str | None = None) -> FeatureDataset:
         raise DataFormatError(f"{path}: no feature columns")
 
     features, labels, ids = [], [], []
-    try:
-        for rownum, (lineno, row) in enumerate(body):
-            if len(row) != len(header):
-                raise DataFormatError(
-                    f"{path}: row {lineno}: expected {len(header)} fields, got {len(row)}"
-                )
-            try:
-                feats = [float(row[i]) for i in feat_idx]
-            except ValueError:
-                bad = next(i for i in feat_idx if not _is_float(row[i]))
-                raise DataFormatError(
-                    f"{path}: row {lineno}: non-numeric feature value {row[bad]!r} in column {header[bad]!r}"
-                ) from None
-            try:
-                label = int(row[label_idx])
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}: row {lineno}: unknown label value {row[label_idx]!r}"
-                ) from None
-            if not 0 <= label < 2**63:  # a class id FeatureDataset can hold as int64
-                raise DataFormatError(f"{path}: row {lineno}: unknown label value {label}")
-            features.append(feats)
-            labels.append(label)
-            ids.append(row[id_idx] if id_idx is not None else str(rownum))
-    except DataFormatError:
-        _require_finite(features, body, path)  # a non-finite value on an earlier row is the first defect
-        raise
-    return FeatureDataset(
-        _require_finite(features, body, path), np.array(labels), ids, name if name is not None else path.stem
-    )
-
-
-def _require_finite(features: list[list[float]], body: list, path: Path) -> np.ndarray:
-    """The parsed feature rows as one array; DataFormatError naming the line of the first row
-    that holds a non-finite value."""
-    array = np.array(features, dtype=np.float64).reshape(len(features), -1 if features else 0)
-    finite = np.isfinite(array).all(axis=1)
-    if not finite.all():
-        raise DataFormatError(f"{path}: row {body[int(np.argmin(finite))][0]}: non-finite feature value")
-    return array
+    for rownum, (lineno, row) in enumerate(body):  # a row's checks in order; the first defect raises
+        if len(row) != len(header):
+            raise DataFormatError(
+                f"{path}: row {lineno}: expected {len(header)} fields, got {len(row)}"
+            )
+        try:
+            feats = [float(row[i]) for i in feat_idx]
+        except ValueError:
+            bad = next(i for i in feat_idx if not _is_float(row[i]))
+            raise DataFormatError(
+                f"{path}: row {lineno}: non-numeric feature value {row[bad]!r} in column {header[bad]!r}"
+            ) from None
+        try:
+            label = int(row[label_idx])
+        except ValueError:
+            raise DataFormatError(
+                f"{path}: row {lineno}: unknown label value {row[label_idx]!r}"
+            ) from None
+        if not 0 <= label < 2**63:  # a class id FeatureDataset can hold as int64
+            raise DataFormatError(f"{path}: row {lineno}: unknown label value {label}")
+        if not all(map(math.isfinite, feats)):
+            raise DataFormatError(f"{path}: row {lineno}: non-finite feature value")
+        features.append(feats)
+        labels.append(label)
+        ids.append(row[id_idx] if id_idx is not None else str(rownum))
+    return FeatureDataset(features, labels, ids, name if name is not None else path.stem)
 
 
 def _is_float(s: str) -> bool:

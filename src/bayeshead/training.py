@@ -109,9 +109,7 @@ def parse_like(default, raw):
     """``raw`` (a value or its text) parsed to the type of ``default``."""
     if isinstance(default, bool):
         return _parse_bool(raw)
-    if isinstance(default, (int, float)):
-        return type(default)(raw)
-    return str(raw)
+    return type(default)(raw)
 
 
 def _parse_bool(raw) -> bool:

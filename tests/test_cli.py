@@ -983,6 +983,48 @@ class TestMistypedArchive:
         assert not (tmp_path / "out").exists()
 
 
+def _written(path: Path, text: str) -> str:
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def _mystery_archive(trained: Path, tmp_path: Path) -> str:
+    doc = json.loads((trained / "bayes" / "model.json").read_text())
+    doc["variant"] = "mystery"
+    return _written(tmp_path / "mystery.json", json.dumps(doc))
+
+
+class TestRejectedInput:
+    """Each input fails one check of its command before anything is written."""
+
+    @pytest.mark.parametrize("argv, cause", [
+        (lambda data, trained, tmp: ["train", "--data", str(data / "train.csv"),
+                                     "--config", _written(tmp / "run.cfg", "per_example_sample = maybe\n")],
+         "cannot parse boolean value 'maybe'"),
+        (lambda data, trained, tmp: ["eval", "--model", _mystery_archive(trained, tmp),
+                                     "--data", str(data / "test.csv")],
+         "unknown variant 'mystery'"),
+        (lambda data, trained, tmp: ["train", "--data", _written(tmp / "notes.csv", "# a\n\n  # b\n\n")],
+         "notes.csv: no header row"),
+        (lambda data, trained, tmp: ["synth", "--n-per-class", "0", "--means=-2,0;2,0"],
+         "n_per_class must be >= 1"),
+        (lambda data, trained, tmp: ["synth", "--n-per-class", "6", "--means", "1,2;3"],
+         "class means must share a common dimension"),
+        (lambda data, trained, tmp: ["synth", "--n-per-class", "6", "--means=-2,0;2,0", "--shift-angle", "nan"],
+         "rotation_angle must be finite"),
+        (lambda data, trained, tmp: ["synth", "--n-per-class", "6", "--means=-2,0;2,0", "--shift-offset", "0,nan"],
+         "ood_offset must be finite"),
+        (lambda data, trained, tmp: ["train", "--data", str(data / "train.csv"), "--batch-size", "0"],
+         "batch_size >= 1"),
+    ], ids=["config_bool_text", "archive_variant", "csv_only_comments", "synth_zero_per_class",
+            "synth_ragged_means", "synth_nan_angle", "synth_nan_offset", "train_zero_batch"])
+    def test_exits_2_and_writes_nothing(self, argv, cause, cli_data, trained, tmp_path, capsys):
+        assert run([*argv(cli_data, trained, tmp_path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and cause in err[0], err
+        assert not (tmp_path / "out").exists()
+
+
 class TestByteOrderMark:
     """Spreadsheet programs save UTF-8 text with a leading U+FEFF; it is no part of the first name."""
 

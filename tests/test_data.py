@@ -153,6 +153,29 @@ class TestLoadCsv:
         with pytest.raises(DataFormatError, match="row 5: unknown label value 'y'"):
             load_csv(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ('id,label,f0\n"a\nb",0,1.0\nc,x,2.0\n', "row 4: unknown label value 'x'"),
+        ('# n\nid,label,f0\n"a\n\nb",0,1.0\nc,1,inf\n', "row 6: non-finite feature value"),
+    ], ids=["label", "non_finite"])
+    def test_a_row_after_a_multi_line_cell_is_named_by_its_line(self, tmp_path, text, message):
+        # save_csv writes an id that holds a line break as one quoted cell over several lines
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        with pytest.raises(DataFormatError, match=message):
+            load_csv(path)
+
+    @pytest.mark.parametrize("row, message", [
+        ("b,1,inf", "expected 4 fields, got 3"),
+        ("b,1,inf,x", "non-numeric feature value 'x' in column 'f1'"),
+        ("b,y,inf,2.0", "unknown label value 'y'"),
+        ("b,-1,inf,2.0", "unknown label value -1"),
+    ], ids=["field_count", "feature", "label", "label_range"])
+    def test_a_rows_format_error_comes_before_its_non_finite_value(self, tmp_path, row, message):
+        path = tmp_path / "d.csv"
+        path.write_text(f"id,label,f0,f1\na,0,1.0,2.0\n{row}\n")
+        with pytest.raises(DataFormatError, match=f"row 3: {message}$"):
+            load_csv(path)
+
     @pytest.mark.parametrize("text", ["id,label,f0\na,0,1.5\nb,1,-2.0\n", "label,id,f0\n0,a,1.5\n1,b,-2.0\n"],
                              ids=["id_first", "label_first"])
     def test_a_byte_order_mark_loads_as_the_plain_file(self, tmp_path, text):

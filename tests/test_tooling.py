@@ -1,6 +1,6 @@
 """Guards for the benchmark's tracer, which wraps library functions by name, for the
-package names that the benchmark's workloads use, and against training settings that
-no code reads."""
+package names that the benchmark's workloads use, and against training settings, imports
+and private names that no code uses."""
 
 import ast
 import importlib.util
@@ -150,6 +150,26 @@ def test_every_imported_name_is_used(module):
                 and getattr(node, "module", None) != "__future__" for alias in node.names}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def test_every_private_name_is_used():
+    # a deletion leaves behind the module-level helpers only the deleted code called
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in (ROOT / "src" / "bayeshead").glob("*.py")]
+    defined = []  # (name, the ids of the nodes of its definition)
+    for node in (node for tree in trees for node in tree.body):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.append((node.name, {id(inner) for inner in ast.walk(node)}))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):  # a constant, or several unpacked from one tuple
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined += [(name.id, {id(name)}) for target in targets for name in ast.walk(target)
+                        if isinstance(name, ast.Name)]
+    defined = [(name, own) for name, own in defined if name.startswith("_") and not name.startswith("__")]
+    references = {}  # name -> the ids of the nodes that name it, as a bare name or an attribute
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if isinstance(node, (ast.Name, ast.Attribute)):
+            references.setdefault(node.id if isinstance(node, ast.Name) else node.attr, set()).add(id(node))
+    assert len(defined) > 50
+    assert sorted(name for name, own in defined if not references.get(name, set()) - own) == []
 
 
 def _modules_importing(name: str) -> list[str]:
