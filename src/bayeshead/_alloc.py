@@ -11,7 +11,9 @@ Setting the thresholds explicitly turns that adjustment off.
 bayeshead's transient arrays (hidden-layer outputs of a validation or
 prediction block, a training epoch's noise words, Monte Carlo draw
 stacks) stay under ``MMAP_THRESHOLD``, so they reuse heap memory without
-new page faults, and the heap keeps up to ``TRIM_THRESHOLD`` of free
+new page faults.  For the draws of an evaluate block, 256 rows of n draws
+of C classes in float64, that holds while n * C < 512: 50 draws of up to
+10 classes.  The heap keeps up to ``TRIM_THRESHOLD`` of free
 memory at its top before returning it.  Arrays of ``MMAP_THRESHOLD`` or
 more, such as a caller's feature sets, are each their own mapping and go
 back to the system when freed, so they cannot pin the heap.  A 128 KiB

@@ -1,20 +1,21 @@
 """Dataset-level evaluation and uncertainty analytics.
 
-``predict_records`` is the one prediction loop: per fixed block of rows,
-one kernel call (``inference.stacked_probs``, softmax of the linear output
-layer's logits) and one block summary (``inference.block_summary``), from
-whose stacked arrays the block's records are built with one ``tolist`` per
-statistic and the referral rule applied to the whole block.  On top of it
-sit accuracy/confusion reports, Gaussian-kernel KDE curves of uncertainty
-values, entropy-bin histograms split by correctness, and the
-bayesian-vs-baseline comparison table.  Reports and records serialize from
-their dataclass fields; reading one back raises ValueError naming the
-field for a document that is not an object, lacks a field, holds one of
-the wrong type, shape or range, holds a record that contradicts itself or
-no record, or holds totals other than ``evaluate`` makes of its records,
-so a malformed report is an input error.  Each record is read through
-``PredictionRecord.from_dict`` in document order, so the first record that
-fails is named with the message its own check gives.
+``predict_records`` is the one prediction loop: per block of 256 rows
+(``_BLOCK_ROWS``), one kernel call (``inference.stacked_probs``, softmax
+of the linear output layer's logits) and one block summary
+(``inference.block_summary``), from whose stacked arrays the block's
+records are built with one ``tolist`` per statistic and the referral rule
+applied to the whole block.  On top of it sit accuracy/confusion reports,
+Gaussian-kernel KDE curves of uncertainty values, entropy-bin histograms
+split by correctness, and the bayesian-vs-baseline comparison table.
+Reports and records serialize from their dataclass fields; reading one
+back raises ValueError naming the field for a document that is not an
+object, lacks a field, holds one of the wrong type, shape or range, holds
+a record that contradicts itself or no record, or holds totals other than
+``evaluate`` makes of its records, so a malformed report is an input
+error.  Each record is read through ``PredictionRecord.from_dict`` in
+document order, so the first record that fails is named with the message
+its own check gives.
 """
 
 from __future__ import annotations
@@ -44,7 +45,8 @@ from .rng import RngStream
 REPORT_SCHEMA_VERSION = 1
 KDE_GRID_POINTS = 401  # points of the uniform grid a density is evaluated on
 
-_BLOCK_ROWS = 64  # rows per kernel call; bounds memory and leaves every bit as it is
+_BLOCK_ROWS = 256  # rows per kernel call; its (256, n, C) float64 draws stay under _alloc.MMAP_THRESHOLD
+# while n * C < 512, and every bit is the same at any block size
 
 _SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 

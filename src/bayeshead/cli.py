@@ -6,7 +6,8 @@ produce byte-identical artifacts.  Exit codes: 0 success, 1 numeric or
 training failure, 2 usage or input error.  synth, train, predict and eval
 take --seed and --config; ``_settings`` resolves each of their settings as
 flag > config file > the default its owner declares (``TrainConfig``,
-``ReferralThresholds``, ``inference.MC_SAMPLES`` and ``CI_LEVEL``).  All of
+``ReferralThresholds``, ``inference.MC_SAMPLES`` and ``CI_LEVEL``); a file value that does not
+parse is named with its file and key, and a seed must lie in [0, 2**64).  All of
 them read one flat file, so a key that no command reads is an input error.  The effective
 configuration is echoed into every artifact.
 """
@@ -23,7 +24,7 @@ from pathlib import Path
 from . import analytics, data, model_io, training
 from .errors import NumericError
 from .inference import CI_LEVEL, MC_SAMPLES, ReferralThresholds
-from .rng import RngStream
+from .rng import RngStream, check_seed
 from .training import TrainConfig
 
 _PREDICT_STREAM_KEY = 4
@@ -69,7 +70,12 @@ def _settings(args, defaults: dict) -> dict:
     for key, default in defaults.items():
         flag = getattr(args, key, None)
         raw = file_config.get(key, default)
-        settings[key] = flag if flag is not None else training.parse_like(default, raw)
+        try:  # a default always parses, so a failure is the file's value
+            settings[key] = flag if flag is not None else training.parse_like(default, raw)
+        except ValueError as e:
+            raise ValueError(f"{args.config}: key {key!r}: {e}") from None
+    if "seed" in settings:
+        check_seed(settings["seed"])
     return settings
 
 

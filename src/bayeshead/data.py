@@ -102,10 +102,13 @@ def load_csv(path, name: str | None = None) -> FeatureDataset:
         start, rows = 0, []
         reader = csv.reader("\n" if i == start and line.lstrip().startswith("#") else line
                             for i, line in enumerate(fh))
-        for row in reader:
-            if row:
-                rows.append((start + 1, row))  # named by the line it starts on
-            start = reader.line_num
+        try:
+            for row in reader:
+                if row:
+                    rows.append((start + 1, row))  # named by the line it starts on
+                start = reader.line_num
+        except csv.Error as e:  # a cell over csv.field_size_limit(), say
+            raise DataFormatError(f"{path}: row {start + 1}: {e}") from None
     if not rows:
         raise DataFormatError(f"{path}: no header row")
     header = [c.strip() for c in rows[0][1]]

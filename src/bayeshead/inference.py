@@ -11,8 +11,19 @@ N * C contiguous values.  ``block_summary`` turns a block's draws into
 stacked per-row statistics with one reduction per statistic and one sort
 for both interval bounds, read off with numpy's linear percentile rule; a
 single row is its one-row case, so a summary also has the same bits alone
-or in a block.  ``referral_rule`` is the accept/refer rule, on one row's
-values or elementwise on a block's.
+or in a block.  The sort runs on a contiguous (N, C, n) copy of the
+draws: along the draw axis of the draw-major (N, n, C) view consecutive
+draws lie N * C values apart, so sorting the view in place of the copy
+grows several times slower per row as blocks grow, while sorting is exact
+and the bounds keep their bits either way.  ``referral_rule`` is the
+accept/refer rule, on one row's values or elementwise on a block's.
+
+Each input is checked once.  ``stacked_probs`` checks the rows for
+finiteness and leaves the logits to ``core.softmax``'s finiteness check,
+raising its failure as ``NumericError`` (an empty block keeps softmax's
+ValueError).  ``block_summary`` checks that every draw is a probability
+vector; ``_entropy`` takes the mean of checked draws without a second
+check, while ``entropy_bits`` checks its own argument.
 
 Two memos sit one above the other.  ``posterior_draws`` keeps the last 8
 read-only weight stacks mu + softplus(rho) * eps (8 * n * K * 8 bytes),
@@ -72,8 +83,10 @@ class ReferralThresholds:
 
 
 def _require_simplex(p: np.ndarray, message: str) -> None:
-    """Every vector along the last axis is a probability vector, to tolerance; NaN fails the checks."""
-    if not ((p >= -1e-12).all() and (np.abs(reduce_classes(np.add, p) - 1.0) <= 1e-6).all()):
+    """Every vector along the last axis is a probability vector, to tolerance.  Both reductions
+    carry a NaN through and pass an empty stack, so NaN and inf fail and an empty block passes."""
+    deviation = np.abs(reduce_classes(np.add, p) - 1.0)
+    if not (p.min(initial=np.inf) >= -1e-12 and deviation.max(initial=0.0) <= 1e-6):
         raise ValueError(message)
 
 
@@ -85,9 +98,8 @@ def _tail(level: float) -> float:
 
 
 def _entropy(mean: np.ndarray) -> np.ndarray:
-    """Shannon entropy in bits of each row of an (N, C) stack of probability vectors:
+    """Shannon entropy in bits of each row of an (N, C) stack of checked probability vectors:
     -sum p * log2 p over every entry, where a zero entry adds a zero term."""
-    _require_simplex(mean, "input is not a probability vector")
     p = np.clip(mean, 0.0, 1.0)
     return -(p * np.log2(np.where(p > 0.0, p, 1.0))).sum(axis=1)
 
@@ -97,6 +109,7 @@ def entropy_bits(probs) -> float:
     p = np.asarray(probs, dtype=np.float64)
     if p.ndim != 1 or p.size == 0:
         raise ValueError("entropy needs a nonempty probability vector")
+    _require_simplex(p, "input is not a probability vector")
     return float(_entropy(p[None])[0])
 
 
@@ -159,8 +172,9 @@ def block_summary(sample_probs, level: float = CI_LEVEL) -> BlockSummary:
     n = probs.shape[1]
     mean = probs.sum(axis=1) / n  # fixed-order reduction
     var = ((probs - mean[:, None]) ** 2).sum(axis=1) / n  # population variance, 1/n
-    ordered = np.sort(probs, axis=1)
-    lows, highs = (_lerp(ordered[:, lo], ordered[:, hi], t) for lo, hi, t in _interval_ranks(n, tail))
+    ordered = np.ascontiguousarray(probs.transpose(0, 2, 1))  # (N, C, n): each row's draws of a class in a run
+    ordered.sort(axis=2)
+    lows, highs = (_lerp(ordered[..., lo], ordered[..., hi], t) for lo, hi, t in _interval_ranks(n, tail))
     entropy = _entropy(mean).tolist()
     return BlockSummary(probs, mean, var, lows, highs, entropy, np.argmax(mean, axis=1).tolist(), var.max(axis=1))
 
@@ -219,11 +233,15 @@ def stacked_probs(model: HeadModel, x, w: np.ndarray, b: np.ndarray) -> np.ndarr
     # One (1, H) @ (H, C) product per draw and row: x @ w or einsum could give a row other bits in
     # other block sizes.
     h = dense_forward(model.hidden, x[:, None, :])[:, 0]
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below, raised as NumericError
+    with np.errstate(over="ignore", invalid="ignore"):  # softmax checks them, raised as NumericError
         logits = (h[None, :, None, :] @ w[:, None])[:, :, 0] + b[:, None]
-    if not np.isfinite(logits).all():
-        raise NumericError("prediction logits are not finite: the model weights overflow on these rows")
-    return softmax(logits).transpose(1, 0, 2)
+    try:
+        probs = softmax(logits)
+    except ValueError:
+        if not logits.size:  # an empty row block: softmax's own input error
+            raise
+        raise NumericError("prediction logits are not finite: the model weights overflow on these rows") from None
+    return probs.transpose(1, 0, 2)
 
 
 def predict_mc(

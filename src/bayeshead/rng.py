@@ -41,6 +41,13 @@ _TO_UNIT = 2.0**-53
 _TWO_PI = 2.0 * np.pi
 
 
+def check_seed(seed: int) -> None:
+    """ValueError unless ``seed`` lies in [0, 2**64): a stream keeps only a seed's low 64 bits, so two
+    seeds outside it could give the same draws.  Checked where a seed enters, not per stream."""
+    if not 0 <= seed <= _MASK:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+
+
 def _mix(words: np.ndarray) -> np.ndarray:
     """SplitMix64 finalizer; bijective avalanche on uint64 words."""
     words = (words ^ (words >> _SHIFT_30)) * _MIX_MUL1

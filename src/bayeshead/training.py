@@ -56,7 +56,7 @@ from .network import (
     batch_nll,
     mean_forward,
 )
-from .rng import RngStream
+from .rng import RngStream, check_seed
 
 # derive keys off the run's root stream; fixed so reruns are bit-identical
 _INIT_STREAM = 0
@@ -86,6 +86,7 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.batch_size < 1 or self.epochs < 0 or self.hidden_dim < 1:
             raise ValueError("batch_size >= 1, epochs >= 0, hidden_dim >= 1 required")
+        check_seed(self.seed)
 
     def to_flat_dict(self) -> dict:
         """Config fields in declaration order, the prior's last as ``prior_<field>``."""

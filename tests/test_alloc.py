@@ -11,6 +11,8 @@ import pytest
 
 import bayeshead  # the import pins the thresholds
 from bayeshead import _alloc
+from bayeshead.analytics import _BLOCK_ROWS
+from bayeshead.inference import MC_SAMPLES
 
 
 class _MallInfo2(ctypes.Structure):
@@ -83,3 +85,9 @@ def test_pin_leaves_user_thresholds_alone(monkeypatch, name, value):
     monkeypatch.setattr(os, "confstr", lambda _: "glibc 2.36")
     monkeypatch.setenv(name, value)
     assert _alloc.pin_malloc_thresholds() is False
+
+
+def test_a_prediction_block_stays_under_the_mmap_threshold():
+    # the (rows, draws, classes) draws of one evaluate block at the default draw count and 8 classes
+    # come from the heap, so a larger _BLOCK_ROWS must not carry them into a mapping of their own
+    assert _BLOCK_ROWS * MC_SAMPLES * 8 * np.dtype(np.float64).itemsize < _alloc.MMAP_THRESHOLD  # 819,200 B

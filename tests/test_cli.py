@@ -1016,8 +1016,29 @@ class TestRejectedInput:
          "ood_offset must be finite"),
         (lambda data, trained, tmp: ["train", "--data", str(data / "train.csv"), "--batch-size", "0"],
          "batch_size >= 1"),
+        (lambda data, trained, tmp: ["train", "--data",  # an id past csv.field_size_limit()
+                                     _written(tmp / "big.csv", f"id,label,f0\na,0,1\n{'x' * 200_000},1,2\n")],
+         "big.csv: row 3: field larger than field limit (131072)"),
+        (lambda data, trained, tmp: ["train", "--data", str(data / "train.csv"),
+                                     "--config", _written(tmp / "c.cfg", "epochs = 1e3\n")],
+         "c.cfg: key 'epochs': invalid literal for int() with base 10: '1e3'"),
+        (lambda data, trained, tmp: ["synth", "--n-per-class", "6", "--means=-2,0;2,0", "--seed", "-1"],
+         "seed must lie in [0, 2**64), got -1"),
+        (lambda data, trained, tmp: ["synth", "--n-per-class", "6", "--means=-2,0;2,0",
+                                     "--config", _written(tmp / "s.cfg", f"seed = {2**64}\n")],
+         f"seed must lie in [0, 2**64), got {2**64}"),
+        (lambda data, trained, tmp: ["predict", "--model", str(trained / "bayes" / "model.json"),
+                                     "--data", str(data / "test.csv"), "--seed", str(2**64)],
+         f"seed must lie in [0, 2**64), got {2**64}"),
+        (lambda data, trained, tmp: ["eval", "--model", str(trained / "base" / "model.json"), "--data",
+                                     str(data / "test.csv"), "--config", _written(tmp / "s.cfg", "seed = -1\n")],
+         "seed must lie in [0, 2**64), got -1"),
+        (lambda data, trained, tmp: ["train", "--data", str(data / "train.csv"), "--seed", "-1"],
+         "seed must lie in [0, 2**64), got -1"),
     ], ids=["config_bool_text", "archive_variant", "csv_only_comments", "synth_zero_per_class",
-            "synth_ragged_means", "synth_nan_angle", "synth_nan_offset", "train_zero_batch"])
+            "synth_ragged_means", "synth_nan_angle", "synth_nan_offset", "train_zero_batch",
+            "csv_cell_over_field_limit", "config_value_not_an_int", "synth_negative_seed", "synth_config_seed_2_64",
+            "predict_seed_2_64", "eval_config_negative_seed", "train_negative_seed"])
     def test_exits_2_and_writes_nothing(self, argv, cause, cli_data, trained, tmp_path, capsys):
         assert run([*argv(cli_data, trained, tmp_path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err.splitlines()

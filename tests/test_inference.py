@@ -22,6 +22,7 @@ from bayeshead import (
     referral_decision,
     rng,
 )
+from bayeshead.analytics import _BLOCK_ROWS
 from bayeshead.cli import run
 from bayeshead.core import inv_softplus, softmax
 from bayeshead.data import save_csv
@@ -474,7 +475,7 @@ def _draw_block(rows: int, n: int, c: int, seed: int) -> np.ndarray:
 class TestBlockSummary:
     """The block summary against the per-row reference, bit for bit."""
 
-    @pytest.mark.parametrize("rows", [1, 63, 64, 65])
+    @pytest.mark.parametrize("rows", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
     @pytest.mark.parametrize("c", [2, 4, 9])
     @pytest.mark.parametrize("n", [1, 50])
     def test_rows_equal_per_row_reference(self, rows, c, n):
@@ -487,7 +488,7 @@ class TestBlockSummary:
             assert result.sample_probs.tobytes() == probs[i].tobytes()
             _assert_same_bits(result, _reference_summary(probs[i], 0.9))
 
-    @pytest.mark.parametrize("rows", [1, 63, 64, 65])
+    @pytest.mark.parametrize("rows", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
     def test_kernel_view_and_contiguous_copy_give_the_same_summary(self, rows):
         model = init_bayes_model(5, 4, TrainConfig(hidden_dim=8, seed=2))
         x = RngStream(13).normal(rows * 5).reshape(rows, 5) * 2.0
@@ -538,8 +539,9 @@ class TestBlockSummary:
         cfg = TrainConfig(hidden_dim=8, seed=4)
         init = init_bayes_model if variant == "bayesian" else init_baseline_model
         model = init(5, 9, cfg)
-        rows = RngStream(21).normal(65 * 5).reshape(65, 5) * 2.0
-        dataset = FeatureDataset(rows, np.arange(65) % 9, [f"r{j}" for j in range(65)], "block")
+        size = _BLOCK_ROWS + 1  # two kernel calls
+        rows = RngStream(21).normal(size * 5).reshape(size, 5) * 2.0
+        dataset = FeatureDataset(rows, np.arange(size) % 9, [f"r{j}" for j in range(size)], "block")
         stream = RngStream(6).derive(2)
         report = evaluate(model, dataset, 20, ReferralThresholds(), stream, ci_level=0.8)
         w, b = posterior_draws(model, 20, stream) if model.is_bayesian else point_weights(model)
@@ -609,7 +611,7 @@ class TestIntervalRule:
         assert s.ci_low.tobytes() == low.tobytes()
         assert s.ci_high.tobytes() == high.tobytes()
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -0.5, 0.7])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -0.5, 0.7])
     def test_bad_draw_raises_before_the_sort(self, monkeypatch, value):
         probs = _draw_block(3, 20, 4, seed=8)
         probs[2, 7, 1] = value
@@ -617,7 +619,7 @@ class TestIntervalRule:
         def no_sort(*args, **kwargs):
             raise AssertionError("sorted draws that are not probability vectors")
 
-        monkeypatch.setattr(np, "sort", no_sort)
+        monkeypatch.setattr(np, "ascontiguousarray", no_sort)  # the copy that block_summary sorts in place
         with pytest.raises(ValueError, match="^each draw must be a probability vector$"):
             block_summary(probs)
         with pytest.raises(ValueError, match="^each draw must be a probability vector$"):
@@ -651,3 +653,46 @@ class TestNanRejected:
         probs[row, 2, 0] = np.nan
         with pytest.raises(ValueError, match="each draw must be a probability vector"):
             block_summary(probs)
+
+
+def _overflowing_model():
+    model = init_bayes_model(2, 2, TrainConfig(hidden_dim=8, seed=3))
+    model.output.params.rho = np.full(len(model.output.params), 1e308)  # softplus scales the draws to inf
+    return model
+
+
+class TestOneCheckPerInput:
+    """Each input of the prediction path is checked once, with the errors it always had."""
+
+    @pytest.mark.parametrize("rows", [1, _BLOCK_ROWS + 1])
+    def test_overflowing_weights_raise_numeric_error_on_any_block(self, rows):
+        model = _overflowing_model()
+        x = np.tile([0.5, -0.5], (rows, 1))
+        with pytest.raises(NumericError, match="^prediction logits are not finite: the model weights overflow"):
+            stacked_probs(model, x, *posterior_draws(model, 4, RngStream(1)))
+
+    @pytest.mark.parametrize("overflowing", [False, True])
+    def test_a_zero_row_block_is_an_input_error(self, tiny_bayes, overflowing):
+        model = _overflowing_model() if overflowing else tiny_bayes
+        with pytest.raises(ValueError, match="^softmax of empty input$"):  # not a NumericError
+            stacked_probs(model, np.empty((0, 2)), *posterior_draws(model, 4, RngStream(1)))
+
+    @pytest.mark.parametrize("n", [2, 50, 64])
+    def test_draws_at_the_check_s_tolerances_get_entropies(self, n):
+        # an entry at -1e-12 and the largest sum the draw check passes: averaging n such draws can
+        # carry the mean just past the tolerances, and the mean is not checked again
+        draw = np.array([-1e-12, 0.5, 0.5 + 1e-6])
+        while abs(draw.sum() - 1.0) <= 1e-6:
+            draw[2] = np.nextafter(draw[2], 1.0)
+        draw[2] = np.nextafter(draw[2], 0.0)
+        s = block_summary(np.tile(draw, (3, n, 1)))
+        assert np.all(np.isfinite(s.entropy_bits)) and min(s.entropy_bits) >= 0.0
+
+    @pytest.mark.parametrize("p", [[0.7, 0.7], [1.1, -0.1], [0.5, 0.4], [np.inf, 0.0], [-np.inf, 1.0]])
+    def test_entropy_bits_checks_its_own_input(self, p):
+        with pytest.raises(ValueError, match="^input is not a probability vector$"):
+            entropy_bits(p)
+
+    def test_an_empty_block_passes_the_draw_check(self):
+        s = block_summary(np.empty((0, 5, 3)))
+        assert s.mean_probs.shape == s.ci_low.shape == (0, 3) and s.entropy_bits == []

@@ -261,6 +261,14 @@ def test_train_config_validation():
         TrainConfig.from_flat_dict({"not_a_key": 1})
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+def test_a_seed_outside_64_bits_is_rejected(seed):
+    # a stream keeps a seed's low 64 bits, so these would repeat the draws of seed mod 2**64
+    with pytest.raises(ValueError, match=rf"^seed must lie in \[0, 2\*\*64\), got {seed}$"):
+        TrainConfig(seed=seed)
+    assert TrainConfig(seed=2**64 - 1).seed == 2**64 - 1
+
+
 def test_flat_dict_key_order_is_pinned():
     # the echo headers of history.csv and model.json list the keys in this order
     assert list(TrainConfig().to_flat_dict()) == [
