@@ -34,12 +34,11 @@ from .inference import (
     BlockSummary,
     ReferralThresholds,
     block_summary,
-    point_weights,
     posterior_draws,
     referral_rule,
     stacked_probs,
 )
-from .network import HeadModel
+from .network import HeadModel, point_weights
 from .rng import RngStream
 
 REPORT_SCHEMA_VERSION = 1

@@ -46,7 +46,11 @@ def parse_config_file(path) -> dict:
     """Flat ``key = value`` file; '#' comments and blank lines ignored, and no key may repeat."""
     out: dict[str, str] = {}
     first_line: dict[str, int] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1):
+    try:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: {e}") from None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -253,6 +257,7 @@ def cmd_study(args) -> int:
               + "  (bayes/baseline)")
     rows = analytics.compare_report(bayes_all, base_all, names)
     echo = {"seeds": args.seeds, "noise": args.noise, "epochs": args.epochs, "mc_samples": args.n}
+    print(f"figures: the bayesian head of seed 0 (of {args.seeds} seeds)")
     for report in runs[0][0].values():
         _write_figures(report, args.out, echo, _HIST_BINS)
     _write_comparison(rows, args.out, echo)
@@ -389,3 +394,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

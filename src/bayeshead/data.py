@@ -109,6 +109,8 @@ def load_csv(path, name: str | None = None) -> FeatureDataset:
                 start = reader.line_num
         except csv.Error as e:  # a cell over csv.field_size_limit(), say
             raise DataFormatError(f"{path}: row {start + 1}: {e}") from None
+        except UnicodeDecodeError as e:  # the text layer decodes ahead of the reader, so no row is named
+            raise DataFormatError(f"{path}: {e}") from None
     if not rows:
         raise DataFormatError(f"{path}: no header row")
     header = [c.strip() for c in rows[0][1]]

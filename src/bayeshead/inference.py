@@ -26,11 +26,12 @@ vector; ``_entropy`` takes the mean of checked draws without a second
 check, while ``entropy_bits`` checks its own argument.
 
 Two memos sit one above the other.  ``posterior_draws`` keeps the last 8
-read-only weight stacks mu + softplus(rho) * eps (8 * n * K * 8 bytes),
-keyed by the stream, n, the output shape and the bytes of mu and rho, so an
-update in place misses.  Each call still reads eps through
-``stream.child_normals``, whose memo of noise blocks sits beneath
-``RngStream.normal`` in ``rng``.
+read-only weight stacks that ``distributions.sample_from_epsilon`` forms
+(8 * n * K * 8 bytes), keyed by the stream, n, the output shape and the
+bytes of mu and rho, so an update in place misses.  Each call still reads
+eps through ``stream.child_normals``, whose memo of noise blocks sits
+beneath ``RngStream.normal`` in ``rng``.  Deterministic prediction reads
+``network.point_weights``, the posterior mean that validation reads.
 """
 
 from __future__ import annotations
@@ -42,7 +43,8 @@ import numpy as np
 
 from .core import reduce_classes, softmax
 from .errors import NumericError, VariantError
-from .network import HeadModel, dense_forward
+from .distributions import sample_from_epsilon
+from .network import HeadModel, dense_forward, point_weights
 from .rng import RngStream
 
 CI_LEVEL = 0.95  # default credible-interval level of every prediction path and the CLI
@@ -204,20 +206,13 @@ def posterior_draws(model: HeadModel, n: int, stream: RngStream) -> tuple[np.nda
     stack = _STACKS.pop(key, None)
     if stack is None:
         with np.errstate(over="ignore", invalid="ignore"):  # overflowed weights raise at stacked_probs
-            theta = params.mu + params.sigma * eps
+            theta = sample_from_epsilon(params, eps).theta
         theta.setflags(write=False)
         stack = out.unflatten(theta)
     _STACKS[key] = stack
     if len(_STACKS) > 8:
         del _STACKS[next(iter(_STACKS))]
     return stack
-
-
-def point_weights(model: HeadModel) -> tuple[np.ndarray, np.ndarray]:
-    """The posterior mean or point weights as a one-set stack (1, H, C), (1, C)."""
-    if model.is_bayesian:
-        return model.output.unflatten(model.output.params.mu[None])
-    return model.output.weights[None], model.output.bias[None]
 
 
 def stacked_probs(model: HeadModel, x, w: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -1,7 +1,9 @@
 """Classification head: a relu hidden layer feeding a linear output layer,
 variational (bayesian variant) or with point weights (baseline).
 ``_output_weights`` is the one rule for the output weights a pass uses and
-``_forward`` the one place that forms logits from them; the ``*_forward``
+``_forward`` the one place that forms logits from them; ``point_weights``
+takes the rule at the posterior mean (``mean_sample``), so validation's
+``mean_forward`` and deterministic prediction read one set.  The ``*_forward``
 entry points and ``backward``, a training step's one pass (the summed
 cross-entropy, the KL estimate and the hand-derived gradients of their
 weighted sum), all go through the pair.  A per-example draw is taken in
@@ -134,6 +136,12 @@ def bayes_forward(model: HeadModel, x, stream: RngStream) -> tuple[np.ndarray, W
     return batch_forward(model, x, sample), sample
 
 
+def point_weights(model: HeadModel) -> tuple[np.ndarray, np.ndarray]:
+    """A deterministic pass's output weights, the posterior mean's or the point weights, as stacks (1, H, C), (1, C)."""
+    w, b = _output_weights(model, mean_sample(model.output.params) if model.is_bayesian else None)
+    return w[None], b[None]
+
+
 def mean_forward(model: HeadModel, x) -> np.ndarray:
     """Deterministic logits: posterior-mean weights for the bayesian variant.
 
@@ -142,7 +150,7 @@ def mean_forward(model: HeadModel, x) -> np.ndarray:
     one-row tail joins the block before it: numpy multiplies a single row by
     another BLAS routine (gemv), which can give other bits.
     """
-    w, b = _output_weights(model, mean_sample(model.output.params) if model.is_bayesian else None)
+    (w,), (b,) = point_weights(model)
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or len(x) <= _ROW_BLOCK:
         return _forward(model, x, w, b)[1]

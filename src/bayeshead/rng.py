@@ -5,11 +5,9 @@ stream can be serialized mid-sequence, restored, and split into
 independent child streams for parallel work without cross-talk.  Two
 rounds of the SplitMix64 finalizer with key material injected between
 rounds give the avalanche quality needed for Monte Carlo use; draws are
-turned into normals by Box-Muller.  A stream's seed and stream keys are
-computed once per (seed, stream_id) and kept in a small cache, so a
-draw of a few hundred words pays for little besides the words.
+turned into normals by Box-Muller.
 
-``child_normals`` blocks are memoized too: prediction reads the same
+``child_normals`` blocks are memoized: prediction reads the same
 (n, k) block of child-stream normals on every call, since it never
 advances its stream.  The memo sits beneath ``RngStream.normal``, so
 every variate still goes through that one entry point and a hit still
@@ -62,14 +60,6 @@ def _u64(value: int) -> np.ndarray:
 def _keys(seed: int, stream_ids: np.ndarray) -> np.ndarray:
     """The seed key, then one key per stream id."""
     return _mix(np.concatenate([_u64(seed), stream_ids ^ _GOLDEN]))
-
-
-@lru_cache(maxsize=64)
-def _stream_keys(seed: int, stream_id: int) -> np.ndarray:
-    """``_keys`` of one stream, kept read-only: a training run draws from a few streams many times."""
-    keys = _keys(seed, _u64(stream_id))
-    keys.setflags(write=False)
-    return keys
 
 
 def _words(keys: np.ndarray, start: int, count: int) -> np.ndarray:
@@ -148,7 +138,7 @@ class RngStream:
 
     def _take(self, count: int) -> np.ndarray:
         """The next ``count`` words of this stream."""
-        w = _words(_stream_keys(self.seed, self.stream_id), self.counter, count)[0]
+        w = _words(_keys(self.seed, _u64(self.stream_id)), self.counter, count)[0]
         self.counter += count
         return w
 

@@ -9,9 +9,9 @@ gives the loss parts and the gradients from one forward pass and one pass
 over the spike-and-slab prior (``kl_sample_estimate`` returns the KL with
 the prior's score), one RMSprop update and one finiteness check on the
 parameters.  Both heads use the identical update path, so forcing sigma = 0
-and dropping the KL reproduces the baseline bit for bit.  Both heads draw their
-initial weights through one ``_init_layers``, so the baseline's output
-weights are the bayesian head's initial mu; validation runs
+and dropping the KL reproduces the baseline bit for bit.  The baseline starts
+from ``init_bayes_model``'s draws, its output weights the bayesian head's
+initial mu unflattened by the output layer; validation runs
 ``network.mean_forward``, the logits path that training's passes use, 1024
 rows at a time; and the checkpoint keeps the first epoch with the lowest
 val_nll.
@@ -158,30 +158,21 @@ def kl_weight_for(config: TrainConfig, n_examples: int) -> float:
 
 
 def init_bayes_model(feature_dim: int, n_classes: int, config: TrainConfig) -> HeadModel:
-    hidden, mu = _init_layers(feature_dim, n_classes, config)
+    """The He-initialized relu hidden layer and the output mu (H * C weights, then C biases), from
+    substreams 0 and 1 of the run's init stream; the posterior scale starts at ``_INIT_SIGMA``."""
+    root = RngStream(config.seed).derive(_INIT_STREAM)
+    w = root.derive(0).normal(feature_dim * config.hidden_dim).reshape(feature_dim, config.hidden_dim)
+    hidden = DenseLayer(w * math.sqrt(2.0 / feature_dim), np.zeros(config.hidden_dim))
+    mu = root.derive(1).normal(config.hidden_dim * n_classes + n_classes) * _INIT_MU_SIGMA
     rho = np.full(len(mu), float(inv_softplus(_INIT_SIGMA)))
-    output = VariationalDenseLayer(
-        VariationalParams(mu, rho), config.prior, config.hidden_dim, n_classes
-    )
+    output = VariationalDenseLayer(VariationalParams(mu, rho), config.prior, config.hidden_dim, n_classes)
     return HeadModel(hidden, output)
 
 
 def init_baseline_model(feature_dim: int, n_classes: int, config: TrainConfig) -> HeadModel:
-    hidden, vec = _init_layers(feature_dim, n_classes, config)  # vec: the bayesian head's mu draws
-    split = config.hidden_dim * n_classes
-    output = DenseLayer(vec[:split].reshape(config.hidden_dim, n_classes), vec[split:])
-    return HeadModel(hidden, output)
-
-
-def _init_layers(feature_dim: int, n_classes: int, config: TrainConfig) -> tuple[DenseLayer, np.ndarray]:
-    """Both heads' initial draws: the He-initialized relu hidden layer and the flat output vector
-    (H * C weights, then C biases), from substreams 0 and 1 of the run's init stream."""
-    root = RngStream(config.seed).derive(_INIT_STREAM)
-    scale = math.sqrt(2.0 / feature_dim)
-    w = root.derive(0).normal(feature_dim * config.hidden_dim).reshape(feature_dim, config.hidden_dim)
-    hidden = DenseLayer(w * scale, np.zeros(config.hidden_dim))
-    k = config.hidden_dim * n_classes + n_classes
-    return hidden, root.derive(1).normal(k) * _INIT_MU_SIGMA
+    """The bayesian head's initial draws, its output mu as the point output weights."""
+    bayes = init_bayes_model(feature_dim, n_classes, config)
+    return HeadModel(bayes.hidden, DenseLayer(*bayes.output.unflatten(bayes.output.params.mu)))
 
 
 def elbo_loss(model: HeadModel, features, labels, stream: RngStream, kl_weight: float,

@@ -19,6 +19,7 @@ from bayeshead import (
     TrainConfig,
     cli,
     init_bayes_model,
+    load_csv,
     load_model,
     save_model,
     synth_blobs,
@@ -448,6 +449,24 @@ class TestNumericFailure:
         assert len(err) == 1 and err[0].startswith("error: non-finite update in parameter group '"), err
 
 
+class TestModuleEntryPoint:
+    def test_python_m_bayeshead_cli_runs_the_command(self, tmp_path):
+        # `python -m bayeshead.cli` reaches cli.main, as the installed `bayeshead` script does
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parent.parent)}
+
+        def module_run(*argv):
+            return subprocess.run([sys.executable, "-m", "bayeshead.cli", *argv], capture_output=True, text=True,
+                                  cwd=tmp_path, env=env)
+
+        done = module_run("synth", "--n-per-class", "3", "--means=0,0;1,1", "--out", "o3")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == f"synth: wrote 6 rows to {Path('o3') / 'blobs.csv'}\n"
+        assert load_csv(tmp_path / "o3" / "blobs.csv").class_counts() == {0: 3, 1: 3}
+        bad = module_run("synth", "--n-per-class", "3", "--means=0,0;1,1", "--no-such-flag", "--out", "o4")
+        assert bad.returncode == 2 and "unrecognized arguments: --no-such-flag" in bad.stderr
+        assert not (tmp_path / "o4").exists()
+
+
 class TestSynthCommand:
     def test_writes_loadable_csv_and_meta(self, tmp_path):
         rc = run([
@@ -801,6 +820,12 @@ class TestStudyCommand:
         assert [r["dataset"] for r in doc["rows"]] == [
             f"seed{s}/{regime}" for s in range(2) for regime in ("in-dist", "shifted", "ood")]
 
+    def test_says_the_figures_are_seed_0s(self, tmp_path, capsys):
+        # the figures cover seed 0 only, so stdout says so; no artifact's echo does, as their digests are pinned
+        assert run([*STUDY, "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out.count("figures: the bayesian head of seed 0 (of 2 seeds)") == 1
+
     @pytest.mark.parametrize("flag, value, expect", [
         ("--seeds", "0", "--seeds"), ("--n", "0", "--n"),
         ("--noise", "-1", "noise_sigma"), ("--noise", "nan", "noise_sigma"),
@@ -988,6 +1013,11 @@ def _written(path: Path, text: str) -> str:
     return str(path)
 
 
+def _bytes_written(path: Path, blob: bytes) -> str:
+    path.write_bytes(blob)
+    return str(path)
+
+
 def _mystery_archive(trained: Path, tmp_path: Path) -> str:
     doc = json.loads((trained / "bayes" / "model.json").read_text())
     doc["variant"] = "mystery"
@@ -1035,10 +1065,17 @@ class TestRejectedInput:
          "seed must lie in [0, 2**64), got -1"),
         (lambda data, trained, tmp: ["train", "--data", str(data / "train.csv"), "--seed", "-1"],
          "seed must lie in [0, 2**64), got -1"),
+        (lambda data, trained, tmp: ["train", "--data",
+                                     _bytes_written(tmp / "bad.csv", b"id,label,f0\na,0,1\nb,1,\xff\n")],
+         "bad.csv: 'utf-8' codec can't decode byte 0xff in position 22: invalid start byte"),
+        (lambda data, trained, tmp: ["train", "--data", str(data / "train.csv"),
+                                     "--config", _bytes_written(tmp / "bad.cfg", b"epochs = 2\n# \xff\n")],
+         "bad.cfg: 'utf-8' codec can't decode byte 0xff in position 13: invalid start byte"),
     ], ids=["config_bool_text", "archive_variant", "csv_only_comments", "synth_zero_per_class",
             "synth_ragged_means", "synth_nan_angle", "synth_nan_offset", "train_zero_batch",
             "csv_cell_over_field_limit", "config_value_not_an_int", "synth_negative_seed", "synth_config_seed_2_64",
-            "predict_seed_2_64", "eval_config_negative_seed", "train_negative_seed"])
+            "predict_seed_2_64", "eval_config_negative_seed", "train_negative_seed", "csv_not_utf8",
+            "config_not_utf8"])
     def test_exits_2_and_writes_nothing(self, argv, cause, cli_data, trained, tmp_path, capsys):
         assert run([*argv(cli_data, trained, tmp_path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err.splitlines()
