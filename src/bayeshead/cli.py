@@ -387,7 +387,7 @@ def run(argv=None) -> int:
     except NumericError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as e:
+    except (ValueError, OSError, MemoryError) as e:  # sizes no machine can hold are an input error too
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -8,7 +8,12 @@ KL from posterior to a mixture prior has no closed form, so it is
 estimated by Monte Carlo over reparameterized draws
 theta = mu + sigma * eps, eps ~ N(0, I).  ``kl_sample_estimate`` returns
 the estimate with the prior's score at the draws, both from one pass over
-the mixture terms, so a training step evaluates the prior once.
+the mixture terms, so a training step evaluates the prior once.  That pass
+forms the slab and spike terms as one (2, K) stack, against the prior's
+constants kept as whole (2, K) rows per prior and width, so each ufunc call
+covers both components.  ``kl_sample_estimate``, ``_log_pdf_and_score`` and
+``_mixture_log_terms`` take ``out=`` arrays for every intermediate, so a
+training run's calls allocate nothing; each docstring gives the shapes.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from .core import softplus
 from .rng import RngStream
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
+_NEG_HALF_LOG_2PI = -0.5 * _LOG_2PI
 
 
 @dataclass(frozen=True)
@@ -87,32 +93,41 @@ def gaussian_log_pdf(x, mean: float, sigma: float):
 
 
 @lru_cache(maxsize=16)
-def _mixture_log_constants(prior: SpikeSlabPrior) -> tuple:
-    """log(pi), log(1 - pi) and each component's -log(sigma) - log(2 pi) / 2, as ``gaussian_log_pdf`` forms it."""
+def _mixture_constants(prior: SpikeSlabPrior, width: tuple, ndim: int) -> tuple:
+    """The slab's and the spike's constants stacked to broadcast over (2, *x.shape), for an x with
+    ``ndim`` axes whose last is ``width`` (() for a scalar): sigma, log(pi) and log(1 - pi),
+    -log(sigma) - log(2 pi) / 2 as ``gaussian_log_pdf`` forms it, and -sigma**2, which divides x in
+    the score.  Each row is whole along x's last axis, not a (2, 1) column: a ufunc over operands
+    of one shape skips numpy's broadcasting set-up, about half of a call at a training step's width."""
     with np.errstate(divide="ignore"):  # log(0) at the pi endpoints is fine
-        log_pi, log_1m_pi = np.log(prior.mix_weight), np.log1p(-prior.mix_weight)
-    return (log_pi, -np.log(prior.slab_sigma) - 0.5 * _LOG_2PI,
-            log_1m_pi, -np.log(prior.spike_sigma) - 0.5 * _LOG_2PI)
+        log_w = (np.log(prior.mix_weight), np.log1p(-prior.mix_weight))
+    sigma = (prior.slab_sigma, prior.spike_sigma)
+    norm = tuple(-np.log(s) - 0.5 * _LOG_2PI for s in sigma)
+    neg_var = tuple(-(s**2) for s in sigma)
+    column, shape = (2, *(1,) * ndim), (2, *(1,) * (ndim - len(width)), *width)
+    rows = tuple(np.broadcast_to(np.reshape(c, column), shape).astype(np.float64)
+                 for c in (sigma, log_w, norm, neg_var))
+    for r in rows:
+        r.setflags(write=False)  # every call shares them
+    return rows
 
 
-def _mixture_log_terms(x, prior: SpikeSlabPrior, out=None):
-    """(slab, spike): log(pi) + log N(x; 0, slab^2) and log(1 - pi) + log N(x; 0, spike^2).
+def _mixture_log_terms(x, prior: SpikeSlabPrior, out=None) -> np.ndarray:
+    """The stack (2, *x.shape) of log(pi) + log N(x; 0, slab^2), then log(1 - pi) + log N(x; 0, spike^2).
 
-    Each term keeps ``gaussian_log_pdf``'s operation order, with z = x / sigma; the prior's
-    sigmas were checked positive when it was made.  ``out``, three arrays shaped like x,
-    receives the terms in the first two and z in the third.
+    One set of ufunc calls forms both rows, each element with ``gaussian_log_pdf``'s operation order
+    and z = x / sigma; the prior's sigmas were checked positive when it was made.  ``out``, two
+    arrays shaped like the stack, receives the terms in the first and z in the second.
     """
     x = np.asarray(x, dtype=np.float64)
-    slab, spike, z = [np.empty_like(x) for _ in range(3)] if out is None else out
-    log_pi, slab_norm, log_1m_pi, spike_norm = _mixture_log_constants(prior)
-    for term, sigma, log_w, norm in ((slab, prior.slab_sigma, log_pi, slab_norm),
-                                     (spike, prior.spike_sigma, log_1m_pi, spike_norm)):
-        np.divide(x, sigma, out=z)
-        np.multiply(z, 0.5, out=term)
-        term *= z
-        np.subtract(norm, term, out=term)
-        term += log_w
-    return slab, spike
+    sigma, log_w, norm, _ = _mixture_constants(prior, x.shape[-1:], x.ndim)
+    terms, z = np.empty((2, 2, *x.shape)) if out is None else out
+    np.divide(x, sigma, out=z)
+    np.multiply(z, 0.5, out=terms)
+    terms *= z
+    np.subtract(norm, terms, out=terms)
+    terms += log_w
+    return terms
 
 
 def spike_slab_log_pdf(x, prior: SpikeSlabPrior):
@@ -125,21 +140,26 @@ def spike_slab_score(x, prior: SpikeSlabPrior):
     return _log_pdf_and_score(x, prior)[1]
 
 
+def _work(shape) -> tuple:
+    """Fresh ``out`` arrays for ``_log_pdf_and_score``: two shaped ``shape``, then two stacks (2, *shape)."""
+    work = np.empty((6, *shape))
+    return work[0, ...], work[1, ...], work[2:4], work[4:]
+
+
 def _log_pdf_and_score(x, prior: SpikeSlabPrior, out=None):
-    """(log p(x), d/dx log p(x)) from one ``_mixture_log_terms`` and one log-sum-exp; ``out``,
-    four arrays shaped like x, receives them in the first two and is scratch in the rest."""
+    """(log p(x), d/dx log p(x)) from one ``_mixture_log_terms`` and one log-sum-exp.  ``out`` is
+    two arrays shaped like x, which receive them, and two shaped like the stack (2, *x.shape), scratch."""
     x = np.asarray(x, dtype=np.float64)
-    log_p, score, slab, spike = [np.empty_like(x) for _ in range(4)] if out is None else out
-    _mixture_log_terms(x, prior, (slab, spike, log_p))
+    log_p, score, terms, z = _work(x.shape) if out is None else out
+    _mixture_log_terms(x, prior, (terms, z))
+    slab, spike = terms[0, ...], terms[1, ...]  # views, for a scalar x too
     np.logaddexp(slab, spike, out=log_p)
-    r = np.exp(np.subtract(slab, log_p, out=slab), out=slab)
-    neg_x = np.negative(x, out=spike)
-    np.divide(neg_x, prior.slab_sigma**2, out=score)
-    score *= r  # r * (-x / slab^2) + (1 - r) * (-x / spike^2)
-    neg_x /= prior.spike_sigma**2
-    neg_x *= np.subtract(1.0, r, out=r)
-    score += neg_x
-    return log_p, score
+    np.exp(np.subtract(slab, log_p, out=slab), out=slab)  # the slab's responsibility r
+    np.subtract(1.0, slab, out=spike)
+    neg_var = _mixture_constants(prior, x.shape[-1:], x.ndim)[3]
+    np.divide(x, neg_var, out=z)  # -x / sigma^2: x / (-sigma^2) rounds as (-x) / sigma^2 does
+    z *= terms
+    return log_p, np.add(z[0, ...], z[1, ...], out=score)  # r * (-x / slab^2) + (1 - r) * (-x / spike^2)
 
 
 def sample_from_epsilon(params: VariationalParams, epsilon) -> WeightSample:
@@ -166,20 +186,21 @@ def kl_sample_estimate(params: VariationalParams, prior: SpikeSlabPrior,
     """(kl, score): the unbiased KL(q || p) estimate from one draw, or the mean over a stack of
     draws, which may be negative, and ``spike_slab_score(sample.theta, prior)``, the prior's
     score at the draws, shaped like ``sample.theta``; both from one pass over the mixture terms.
-    log q(theta) is taken at the scale the draws were made with, ``sample.sigma``.  ``out``, four
-    arrays shaped like ``sample.theta``, holds every intermediate; the score is the fourth."""
+    log q(theta) is taken at the scale the draws were made with, ``sample.sigma``.  ``out`` holds
+    every intermediate: two arrays shaped like ``sample.theta``, the second of which receives the
+    score, then two shaped like the stack (2, *sample.theta.shape), as ``_log_pdf_and_score`` takes."""
     theta, sigma = sample.theta, sample.sigma
-    z, t, log_p, score = np.empty((4, *theta.shape)) if out is None else out
+    log_p, score, terms, z = _work(theta.shape) if out is None else out
     log_w = log_p.reshape(-1, len(params))[0]  # -log(sigma) - log(2 pi) / 2, until log p is formed
-    np.negative(np.log(sigma, out=log_w), out=log_w)
-    log_w -= 0.5 * _LOG_2PI
-    np.divide(np.subtract(theta, params.mu, out=z), sigma, out=z)
-    np.multiply(z, 0.5, out=t)
-    t *= z
-    log_q = np.subtract(log_w, t, out=t).sum(axis=-1)
-    _log_pdf_and_score(theta, prior, (log_p, score, z, t))
-    kl = log_q - log_p.sum(axis=-1)
-    return float(kl.sum() / kl.size), score  # np.mean's sum / count, without its wrapper
+    np.subtract(_NEG_HALF_LOG_2PI, np.log(sigma, out=log_w), out=log_w)  # (-b) - a rounds as (-a) - b
+    zq, t = z
+    np.divide(np.subtract(theta, params.mu, out=zq), sigma, out=zq)
+    np.multiply(zq, 0.5, out=t)
+    t *= zq
+    log_q = np.add.reduce(np.subtract(log_w, t, out=t), axis=-1)
+    _log_pdf_and_score(theta, prior, (log_p, score, terms, z))
+    kl = log_q - np.add.reduce(log_p, axis=-1)
+    return float(np.add.reduce(kl, axis=None) / kl.size), score  # np.mean's sum / count, without its wrapper
 
 
 def mc_kl(params: VariationalParams, prior: SpikeSlabPrior, n_samples: int, stream: RngStream) -> float:

@@ -10,8 +10,10 @@ weighted sum), all go through the pair.  A per-example draw is taken in
 logit space (Kingma, Salimans & Welling 2015), with 2-D products only.
 ``backward`` takes the prior's score from the KL estimate's own pass over
 the mixture prior, so a step evaluates the prior once.  A run hands it one
-``StepBuffers``, sized once, and each step writes its intermediates and
-gradients there with ``out=`` (a tail batch in the leading rows), so the
+``StepBuffers``, its step plan, made once: a step writes its intermediates
+there with ``out=``, through leading-row views made once per batch size (a
+run has the full batch and one tail), and its gradients into the slots of
+one flat gradient laid out as the optimizer's parameters are.  So the
 gradients of a buffered call are views that the next call overwrites; a
 call without buffers makes its own, and what it returns shares no memory."""
 
@@ -20,7 +22,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -212,12 +214,12 @@ def batch_nll(logits: np.ndarray, labels: np.ndarray) -> float:
 def _summed_nll(picked: np.ndarray) -> float:
     """-sum of the true classes' log-probabilities, with ``batch_nll``'s checks; a finite sum
     has finite terms, so only a non-finite one looks for the bad row."""
-    total = picked.sum()
+    total = np.add.reduce(picked, axis=None)  # ndarray.sum's and min's reductions, without their wrappers
     if not math.isfinite(total) and not (finite := np.isfinite(picked)).all():
         raise NumericError(f"non-finite log-likelihood at batch index {int(np.argmin(finite))}")
-    if picked.min(initial=0.0) < _LOG_CLAMP:
+    if np.minimum.reduce(picked, axis=None, initial=0.0) < _LOG_CLAMP:
         warnings.warn("class probability below 1e-300 clamped", RuntimeWarning)
-        total = np.maximum(picked, _LOG_CLAMP).sum()
+        total = np.add.reduce(np.maximum(picked, _LOG_CLAMP), axis=None)
     return float(-total)
 
 
@@ -232,9 +234,12 @@ class Gradients(dict):
 
 
 class StepBuffers:
-    """One training run's step arrays, sized once for batches of up to ``rows`` rows: the gathered
-    batch, every intermediate of ``backward`` and the gradients it returns.  A smaller batch uses
-    the leading rows of each."""
+    """One training run's step plan, sized once for batches of up to ``rows`` rows: the gathered
+    batch, every intermediate of ``backward`` and one flat gradient ``grad``, laid out as
+    ``training._param_dict`` orders the groups (hidden_w, hidden_b, then mu, rho or out_w, out_b).
+    Every group ``backward`` returns is a view of its slot, as are the (W, b) views that the output
+    layer's gradients are written through.  ``batch(n)`` is the leading-n-row views of the per-row
+    arrays, made once per batch size: a run has the full batch and at most one tail."""
 
     def __init__(self, model: HeadModel, rows: int):
         d, hid, c = model.feature_dim, model.hidden_dim, model.n_classes
@@ -242,12 +247,40 @@ class StepBuffers:
         self.h, self.dh = np.empty((2, rows, hid))
         self.active = np.empty((rows, hid), dtype=bool)
         self.logits, self.logp, self.g = np.empty((3, rows, c))
-        self.hidden_w, self.hidden_b = np.empty((d, hid)), np.empty(hid)
-        if model.is_bayesian:  # kl_work: kl_sample_estimate's four arrays
-            k = len(model.output.params)
-            self.sig_prime, self.sig_ratio, self.g_theta, self.g_rho, *self.kl_work = np.empty((8, k))
+        out_size = len(model.output.params) if model.is_bayesian else hid * c + c
+        self.grad = np.empty(d * hid + hid + (2 * out_size if model.is_bayesian else out_size))
+        hidden_w, self.hidden_b, out = np.split(self.grad, [d * hid, d * hid + hid])
+        self.hidden_w = hidden_w.reshape(d, hid)
+        if model.is_bayesian:  # the mu slot takes the output gradients, flattened as theta is, then g_mu
+            self.g_theta, self.g_rho = out.reshape(2, out_size)
+            self.theta_wb, self.rho_wb = model.output.unflatten(self.g_theta), model.output.unflatten(self.g_rho)
+            self.sig_prime, self.sig_ratio = np.empty((2, out_size))
+            self.kl_work = (*np.empty((2, out_size)), *np.empty((2, 2, out_size)))  # as kl_sample_estimate takes
         else:
-            self.out_w, self.out_b = np.empty((hid, c)), np.empty(c)
+            self.out_w, self.out_b = out[: hid * c].reshape(hid, c), out[hid * c :]
+        self._batches = {}
+
+    def batch(self, n: int) -> "BatchViews":
+        views = self._batches.get(n)
+        if views is None:
+            views = self._batches[n] = BatchViews(self.features[:n], self.labels[:n], self.rows[:n], self.h[:n],
+                                                  self.logits[:n], self.logp[:n], self.g[:n], self.dh[:n],
+                                                  self.active[:n])
+        return views
+
+
+class BatchViews(NamedTuple):
+    """The leading rows of ``StepBuffers``' per-row arrays for one batch size."""
+
+    features: np.ndarray
+    labels: np.ndarray
+    rows: np.ndarray
+    h: np.ndarray
+    logits: np.ndarray
+    logp: np.ndarray
+    g: np.ndarray
+    dh: np.ndarray
+    active: np.ndarray
 
 
 def backward(model: HeadModel, features, labels, samples: WeightSample | None, kl_weight: float,
@@ -260,40 +293,38 @@ def backward(model: HeadModel, features, labels, samples: WeightSample | None, k
     head without one raises VariantError.  A non-finite NLL raises NumericError naming the batch
     index; ``training._train`` checks finiteness once per step, after the update.  Every
     intermediate but a per-example draw's few (B, C) and (B, H) terms goes to ``buffers``, sized for
-    at least this batch, so the gradients of a buffered call are views of it, overwritten by the
-    next call; without ``buffers`` the call makes its own, and its gradients share no memory.
+    at least this batch, so the gradients of a buffered call are views of its ``grad``, overwritten
+    by the next call; without ``buffers`` the call makes its own, and its gradients share no memory
+    with any other call's.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
     if features.ndim != 2 or features.shape[0] != labels.shape[0]:
         raise ValueError("features must be (batch, dim) matching labels")
     w, b = _output_weights(model, samples)
-    n = features.shape[0]
-    buf = StepBuffers(model, n) if buffers is None else buffers
-    rows = buf.rows[:n]
-    h, logits, spread = _forward(model, features, w, b, samples, (buf.h[:n], buf.logits[:n]))
-    logp = log_softmax(logits, out=buf.logp[:n])
-    nll = _summed_nll(logp[rows, labels])
-    g = np.exp(logp, out=buf.g[:n])
-    g[rows, labels] -= 1.0
-    # a bayesian head's output gradients go straight into g_theta, flattened as theta is
-    g_w, g_b = model.output.unflatten(buf.g_theta) if model.is_bayesian else (buf.out_w, buf.out_b)
+    buf = StepBuffers(model, features.shape[0]) if buffers is None else buffers
+    v = buf.batch(features.shape[0])
+    h, logits, spread = _forward(model, features, w, b, samples, (v.h, v.logits))
+    logp = log_softmax(logits, out=v.logp)
+    nll = _summed_nll(logp[v.rows, labels])
+    g = np.exp(logp, out=v.g)
+    np.subtract.at(g, (v.rows, labels), 1.0)  # g[rows, labels] -= 1, without the fancy read and write
+    g_w, g_b = buf.theta_wb if model.is_bayesian else (buf.out_w, buf.out_b)
     np.matmul(h.T, g, out=g_w)
-    g.sum(axis=0, out=g_b)
-    dh = np.matmul(g, w.T, out=buf.dh[:n])
+    np.add.reduce(g, axis=0, out=g_b)
+    dh = np.matmul(g, w.T, out=v.dh)
     if spread is not None:  # s's terms, with u = g * e / s: d/dsigma = sigma * ((h*h)^T u, sum of u)
         h2, var_w, s = spread
         u = g * samples.logit_noise / s
-        g_sw, g_sb = model.output.unflatten(buf.g_rho)
-        np.matmul(h2.T, u, out=g_sw)
-        u.sum(axis=0, out=g_sb)
+        np.matmul(h2.T, u, out=buf.rho_wb[0])
+        np.add.reduce(u, axis=0, out=buf.rho_wb[1])
         buf.g_rho *= samples.sigma
         dh += h * (u @ var_w.T)
-    dh *= np.greater(h, 0.0, out=buf.active[:n])
-    g_w1 = np.matmul(features.T, dh, out=buf.hidden_w)
-    g_b1 = dh.sum(axis=0, out=buf.hidden_b)
+    dh *= np.greater(h, 0.0, out=v.active)
+    np.matmul(features.T, dh, out=buf.hidden_w)
+    np.add.reduce(dh, axis=0, out=buf.hidden_b)
     if not model.is_bayesian:
-        return Gradients({"hidden_w": g_w1, "hidden_b": g_b1, "out_w": g_w, "out_b": g_b}, nll, 0.0)
+        return Gradients({"hidden_w": buf.hidden_w, "hidden_b": buf.hidden_b, "out_w": g_w, "out_b": g_b}, nll, 0.0)
 
     params = model.output.params
     sig_prime = sigmoid(params.rho, out=buf.sig_prime)
@@ -312,4 +343,4 @@ def backward(model: HeadModel, features, labels, samples: WeightSample | None, k
         score *= samples.epsilon  # kl_weight * (-sig_prime / sigma - score * eps * sig_prime), in score
         score *= sig_prime
         g_rho += np.multiply(np.subtract(ratio, score, out=score), kl_weight, out=score)
-    return Gradients({"hidden_w": g_w1, "hidden_b": g_b1, "mu": g_mu, "rho": g_rho}, nll, kl)
+    return Gradients({"hidden_w": buf.hidden_w, "hidden_b": buf.hidden_b, "mu": g_mu, "rho": g_rho}, nll, kl)

@@ -16,17 +16,19 @@ initial mu unflattened by the output layer; validation runs
 rows at a time; and the checkpoint keeps the first epoch with the lowest
 val_nll.
 
-The parameter groups live as views in one contiguous buffer, so the update
-is one in-place optimizer call over the gradients concatenated into one
-reused buffer, and the best-epoch checkpoint is one copy; elementwise
-arithmetic gives the same bits as a call per group.  Each run also makes
-one ``network.StepBuffers`` from (B, D, H, C, K): every step gathers its
-batch into it and ``backward`` writes its intermediates and gradients
-there, so what a step still allocates is its draw, the optimizer's
-temporaries and a few small arrays.  Both bayesian heads draw an epoch's
-noise in one ``normal`` call and read K normals per step, then B * C for the
-per-example head's logit noise: the stream is counter-based, so the bits and
-the final counter are those of draws per step.
+The parameter groups live as views in one contiguous buffer, and each run
+makes one ``network.StepBuffers`` from (B, D, H, C, K), whose flat gradient
+``grad`` has its groups in the same order.  ``backward`` writes each group
+into its slot, so the update is one in-place optimizer call over ``grad``
+with no concatenation, and the best-epoch checkpoint is one copy;
+elementwise arithmetic gives the same bits as a call per group.  Every step
+gathers its batch into the buffers' row views for its batch size and
+``backward`` writes its intermediates there, so what a step still allocates
+is its draw, the optimizer's temporaries and a few small arrays.  Both
+bayesian heads draw an epoch's noise in one ``normal`` call and read K
+normals per step, then B * C for the per-example head's logit noise: the
+stream is counter-based, so the bits and the final counter are those of
+draws per step.
 """
 
 from __future__ import annotations
@@ -263,9 +265,9 @@ def validate_metrics(model: HeadModel, dataset: FeatureDataset) -> tuple[float, 
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite metric raises NumericError in _train
         logits = mean_forward(model, dataset.features)
         logp = log_softmax(logits)
-    preds = np.argmax(logits, axis=1)
-    acc = float(np.mean(preds == dataset.labels))
-    nll = float(-np.mean(logp[np.arange(len(dataset)), dataset.labels]))
+    n = len(dataset)  # np.mean's sum / count, without its wrapper
+    acc = float(np.add.reduce(logits.argmax(axis=1) == dataset.labels, axis=None, dtype=np.float64) / n)
+    nll = float(-(np.add.reduce(logp[np.arange(n), dataset.labels], axis=None) / n))
     return acc, nll
 
 
@@ -290,8 +292,8 @@ def _train(dataset, val, config, bayesian):
         model = init_baseline_model(dataset.feature_dim, n_classes, config)
     flat, names, ends = _flatten_params(model)
     accum = np.zeros_like(flat)
-    grad = np.empty_like(flat)
     buffers = StepBuffers(model, min(config.batch_size, len(dataset)))
+    grad = buffers.grad  # backward's gradient groups are views of it, in the order of flat's groups
     shuffle_stream = RngStream(config.seed).derive(_SHUFFLE_STREAM)
     eps_stream = RngStream(config.seed).derive(_EPS_STREAM)
 
@@ -315,15 +317,17 @@ def _train(dataset, val, config, bayesian):
             epoch_kl = 0.0
             for start in range(0, n, config.batch_size):
                 idx = order[start : start + config.batch_size]
-                bs = idx.shape[0]  # "clip" never fires on a permutation and, unlike "raise", writes out directly
-                feats = np.take(dataset.features, idx, axis=0, out=buffers.features[:bs], mode="clip")
-                labels = np.take(dataset.labels, idx, out=buffers.labels[:bs], mode="clip")
-                samples = _draw_samples(model, noise, bs, config.per_example_sample,
+                rows = buffers.batch(idx.shape[0])
+                # "clip" never fires on a permutation and, unlike "raise", writes out directly
+                feats = np.take(dataset.features, idx, axis=0, out=rows.features, mode="clip")
+                labels = np.take(dataset.labels, idx, out=rows.labels, mode="clip")
+                samples = _draw_samples(model, noise, idx.shape[0], config.per_example_sample,
                                         force_zero=config.force_sigma_zero)
-                grads = backward(model, feats, labels, samples, kl_w, buffers)
-                np.concatenate([grads[name].ravel() for name in names], out=grad)
+                grads = backward(model, feats, labels, samples, kl_w, buffers)  # written into grad
                 rmsprop_step(flat, grad, accum, config.learning_rate)  # the model's arrays view flat
-                if not np.isfinite(flat).all():  # a non-finite gradient spoils its update, so one check sees both
+                # a non-finite gradient spoils its update, so one check sees both; a finite sum has finite
+                # terms, so only a sum that is not looks at each one
+                if not math.isfinite(np.add.reduce(flat)) and not np.isfinite(flat).all():
                     bad_grad = not np.isfinite(grad).all()
                     first = np.argmin(np.isfinite(grad if bad_grad else flat))
                     group = names[int(np.searchsorted(ends, first, side="right"))]

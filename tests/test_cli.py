@@ -1145,3 +1145,19 @@ class TestDeeplyNestedJson:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1 and str(path) in err
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "synth", "eval"])
+def test_a_size_no_machine_can_hold_exits_2_with_numpys_message(command, cli_data, trained, tmp_path, capsys):
+    # each command's first allocation is 2**58 bytes or more, beyond any x86-64 address space, so it
+    # fails at once and touches no memory
+    huge = str(2**55)
+    argv = {
+        "train": ["--data", str(cli_data / "train.csv"), "--hidden-dim", huge],
+        "synth": ["--n-per-class", huge, "--means=-2,0;2,0"],
+        "eval": ["--model", str(trained / "bayes" / "model.json"), "--data", str(cli_data / "test.csv"), "--n", huge],
+    }[command]
+    assert run([command, *argv, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: Unable to allocate"), err
+    assert not (tmp_path / "out").exists()

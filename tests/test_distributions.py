@@ -15,6 +15,8 @@ from bayeshead import (
 )
 from bayeshead.core import sigmoid
 from bayeshead.distributions import (
+    _log_pdf_and_score,
+    _mixture_log_terms,
     gaussian_log_pdf,
     kl_sample_estimate,
     mean_sample,
@@ -94,6 +96,48 @@ class TestSpikeSlabPrior:
         grid = np.linspace(-50.0 * prior.slab_sigma, 50.0 * prior.slab_sigma, 100_001)
         density = np.exp(spike_slab_log_pdf(grid, prior))
         assert float(np.trapezoid(density, grid)) == pytest.approx(1.0, abs=1e-3)
+
+
+_EDGE_X = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-160, -1e-160, 0.3, -0.3, 1e3, -1e3, 1e200, -1e200])
+
+
+def _per_component_terms(x, prior):
+    """The slab and spike terms one component at a time, each in ``gaussian_log_pdf``'s order."""
+    with np.errstate(divide="ignore"):
+        log_ws = (np.log(prior.mix_weight), np.log1p(-prior.mix_weight))
+    terms = []
+    for sigma, log_w in zip((prior.slab_sigma, prior.spike_sigma), log_ws):
+        z = x / sigma
+        terms.append(((-np.log(sigma) - 0.5 * float(np.log(2.0 * np.pi))) - z * 0.5 * z) + log_w)
+    return terms
+
+
+class TestStackedMixture:
+    @pytest.mark.parametrize("mix_weight", [0.0, 0.5, 1.0])  # at 0 and 1 one log weight is -inf
+    def test_the_stack_has_the_bits_of_one_component_at_a_time(self, mix_weight):
+        prior = SpikeSlabPrior(mix_weight, 1.0, 0.1)
+        with np.errstate(over="ignore"):  # z * z overflows at 1e200
+            got = _mixture_log_terms(_EDGE_X, prior)
+            want = _per_component_terms(_EDGE_X, prior)
+        assert got.shape == (2, len(_EDGE_X))
+        assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize("mix_weight", [0.0, 0.5, 1.0])
+    def test_the_score_has_the_bits_of_one_component_at_a_time(self, mix_weight):
+        # r * (-x / slab^2) + (1 - r) * (-x / spike^2), r the slab's responsibility
+        prior = SpikeSlabPrior(mix_weight, 1.0, 0.1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            log_p, score = _log_pdf_and_score(_EDGE_X, prior)
+            slab, spike = _per_component_terms(_EDGE_X, prior)
+            want_log_p = np.logaddexp(slab, spike)
+            r = np.exp(slab - want_log_p)
+            want = (-_EDGE_X / prior.slab_sigma**2) * r + (-_EDGE_X / prior.spike_sigma**2) * (1.0 - r)
+        assert log_p.tobytes() == want_log_p.tobytes() and score.tobytes() == want.tobytes()
+
+    def test_a_scalar_gives_scalars(self):
+        prior = SpikeSlabPrior()
+        assert _mixture_log_terms(0.3, prior).shape == (2,)
+        assert np.ndim(spike_slab_log_pdf(0.3, prior)) == np.ndim(spike_slab_score(0.3, prior)) == 0
 
 
 class TestSampling:

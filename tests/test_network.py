@@ -349,6 +349,26 @@ class TestFusedStep:
             assert np.shares_memory(first[name], second[name])
             assert first[name].tobytes() == second[name].tobytes() == g.tobytes(), name
 
+    @pytest.mark.parametrize("case", ["shared", "per_example", "baseline"])
+    @pytest.mark.parametrize("rows", [9, 5])  # the full batch and a tail
+    def test_buffered_groups_are_views_of_the_flat_gradient_at_their_offsets(self, case, rows):
+        # the optimizer reads the flat gradient, so each group must be its slot, in _param_dict order
+        model, features, labels, samples, kl_weight = _fused_case(case)
+        if case == "per_example":
+            samples = dataclasses.replace(samples, logit_noise=samples.logit_noise[:rows])
+        buffers = StepBuffers(model, 9)
+        grads = backward(model, features[:rows], labels[:rows], samples, kl_weight, buffers)
+        params = _param_dict(model)
+        assert list(grads) == list(params)
+        start = buffers.grad.__array_interface__["data"][0]
+        offset = 0
+        for name, p in params.items():
+            g = grads[name]
+            assert g.shape == p.shape and g.flags.c_contiguous and np.shares_memory(g, buffers.grad), name
+            assert g.__array_interface__["data"][0] == start + 8 * offset, name
+            offset += p.size
+        assert offset == buffers.grad.size
+
     def test_non_finite_loss_names_batch_index(self):
         model, features, labels, samples, _ = _fused_case("shared")
         features[4] = [1.7e308, -1.7e308, 1.7e308, -1.7e308, 1.7e308, -1.7e308]

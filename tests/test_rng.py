@@ -196,7 +196,7 @@ def test_permutation_matches_per_element_fisher_yates(n):
 
 
 def _reference_words(seed, stream_id, start, count):
-    """One stream's words as computed before the stream keys were cached: keys rebuilt on every call."""
+    """One stream's words, its keys built afresh on every call."""
 
     def mix(w):
         w = (w ^ (w >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
@@ -230,9 +230,9 @@ def _reference_permutation(seed, stream_id, start, n):
 @pytest.mark.parametrize("seed", [0, 2**63 + 1])
 @pytest.mark.parametrize("stream_id", [0, 2**64 - 1])
 @pytest.mark.parametrize("counter", [0, 11, 2**40])
-def test_cached_stream_keys_give_the_uncached_words(seed, stream_id, counter):
+def test_a_streams_words_equal_the_per_call_reference(seed, stream_id, counter):
     stream = RngStream(seed, stream_id, counter)
-    for _ in range(2):  # the second round reads the cached keys
+    for _ in range(2):
         start = stream.counter
         assert stream.normal(9).tobytes() == _reference_normal(seed, stream_id, start, 9).tobytes()
         start = stream.counter
@@ -240,7 +240,7 @@ def test_cached_stream_keys_give_the_uncached_words(seed, stream_id, counter):
     assert stream.counter == counter + 2 * (18 + 39)
 
 
-def test_stream_key_cache_is_keyed_on_the_seed_too():
+def test_the_seed_is_part_of_a_streams_words():
     a, b = RngStream(0, 5), RngStream(1, 5)
     for _ in range(3):
         for seed, stream in ((0, a), (1, b)):

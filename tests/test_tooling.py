@@ -1,10 +1,11 @@
 """Guards for the benchmark's tracer, which wraps library functions by name, for the
 package names that the benchmark's workloads use, and against training settings, imports
-and private names that no code uses."""
+and private names that no code uses, and a smoke run of the step-cost tool."""
 
 import ast
 import importlib.util
 import math
+import subprocess
 import sys
 from pathlib import Path
 
@@ -30,6 +31,7 @@ import bayeshead
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
 WORKLOADS = ROOT / "perfbench" / "workloads.py"
+STEPCOST = ROOT / "tools" / "stepcost.py"
 
 
 def _load(name, path):
@@ -189,3 +191,12 @@ def test_only_the_data_module_imports_csv():
 def test_only_the_data_module_imports_json():
     # one module holds the JSON dialect: write_json writes every JSON artifact and read_json reads them
     assert _modules_importing("json") == ["data.py"]
+
+
+def test_stepcost_runs_every_head_at_both_shapes():
+    done = subprocess.run([sys.executable, str(STEPCOST), "--reps", "1"], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    rows = [line.split() for line in done.stdout.splitlines()[2:]]
+    assert [row[:2] for row in rows] == [[shape, head] for shape in ("paper_pipeline", "wide_train")
+                                         for head in ("shared_sample", "per_example", "baseline")]
+    assert all(len(row) == 11 for row in rows)

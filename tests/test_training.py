@@ -395,16 +395,15 @@ _BASELINE_GROUPS = ("hidden_w", "hidden_b", "out_w", "out_b")
 
 
 def _poison_gradients(monkeypatch, at_step, bad: dict):
-    """Make ``backward``'s gradients at call ``at_step`` hold ``bad[group] = (flat index, value)``."""
+    """Make ``backward``'s gradients at call ``at_step`` hold ``bad[group] = (flat index, value)``,
+    written into the returned views, which the optimizer reads through the run's flat gradient."""
     calls = []
 
     def poisoned(*args, **kwargs):
         grads = backward(*args, **kwargs)
         if len(calls) == at_step:
             for group, (index, value) in bad.items():
-                g = np.array(grads[group], dtype=np.float64)
-                g.reshape(-1)[index] = value
-                grads[group] = g
+                grads[group].reshape(-1)[index] = value
         calls.append(None)
         return grads
 
@@ -432,6 +431,28 @@ def test_non_finite_gradient_names_the_first_bad_group_in_order(monkeypatch, tra
     _poison_gradients(monkeypatch, 0, {groups[3]: (0, np.nan), groups[1]: (-1, np.inf)})
     with pytest.raises(NumericError, match=f"parameter group '{groups[1]}'$"):
         train(train_set, val, config)
+
+
+@pytest.mark.parametrize("train, per_example", [(train_bayes, False), (train_bayes, True), (train_baseline, False)])
+def test_each_update_reads_the_concatenated_groups_of_its_step(monkeypatch, train, per_example):
+    # the run's flat gradient stands in for concatenating backward's groups, full batches and tails alike
+    train_set, val = _task(4)
+    config = TrainConfig(epochs=2, hidden_dim=4, batch_size=8, seed=2, per_example_sample=per_example)
+    returned, same = [], []
+
+    def traced_backward(*args, **kwargs):
+        returned.append(backward(*args, **kwargs))
+        return returned[-1]
+
+    def traced_step(params, grad, accum, lr):
+        same.append(grad.tobytes() == np.concatenate([g.ravel() for g in returned[-1].values()]).tobytes())
+        rmsprop_step(params, grad, accum, lr)
+
+    monkeypatch.setattr(training, "backward", traced_backward)
+    monkeypatch.setattr(training, "rmsprop_step", traced_step)
+    train(train_set, val, config)
+    assert same == [True] * (config.epochs * math.ceil(len(train_set) / config.batch_size))
+    assert len(train_set) % config.batch_size  # so the run has a tail batch
 
 
 def _record_normal_calls(monkeypatch):
