@@ -20,6 +20,7 @@ FORMAT_VERSION = 1
 _INTEGER, _NUMBER, _ARRAY = (int,), (int, float), (int, float, list)
 _MUST = {_INTEGER: "be an integer", _NUMBER: "be a number", _ARRAY: "hold only numbers"}
 _DIMS = ("feature_dim", "hidden_dim", "n_classes")  # HeadModel's sizes, which the archive declares
+_LEAST = (1, 1, 2)  # the smallest of each that a trained head has, as TrainConfig and training._train keep them
 
 
 @dataclass
@@ -88,8 +89,11 @@ def load_model(path) -> ModelArchive:
         layer = doc["hidden"]
         if layer["activation"] != "relu":
             raise ArchiveError(f"model archive {path} has hidden activation {layer['activation']!r}, not 'relu'")
-        hidden = _from_arrays(field, DenseLayer, "hidden")
         declared = tuple(field(name, _INTEGER) for name in _DIMS)
+        for name, size, least in zip(_DIMS, declared, _LEAST):
+            if size < least:
+                raise ArchiveError(f"model archive {path} field {name!r} must be at least {least}, got {size}")
+        hidden = _from_arrays(field, DenseLayer, "hidden")
         if doc["variant"] == "bayesian":
             prior = SpikeSlabPrior(**{f.name: float(field(f"output.prior.{f.name}", _NUMBER))
                                       for f in fields(SpikeSlabPrior)})

@@ -10,19 +10,19 @@ weighted sum), all go through the pair.  A per-example draw is taken in
 logit space (Kingma, Salimans & Welling 2015), with 2-D products only.
 ``backward`` takes the prior's score from the KL estimate's own pass over
 the mixture prior, so a step evaluates the prior once.  A run hands it one
-``StepBuffers``, its step plan, made once: a step writes its intermediates
-there with ``out=``, through leading-row views made once per batch size (a
-run has the full batch and one tail), and its gradients into the slots of
-one flat gradient laid out as the optimizer's parameters are.  So the
-gradients of a buffered call are views that the next call overwrites; a
-call without buffers makes its own, and what it returns shares no memory."""
+``StepBuffers``, its step plan for one batch size, made once (a run has one
+for the full batch and one for a tail): a step writes its intermediates
+there with ``out=``, and its gradients into the slots of one flat gradient
+laid out as the optimizer's parameters are.  So the gradients of a buffered
+call are views that the next call on that plan overwrites; a call without
+buffers makes its own, and what it returns shares no memory."""
 
 from __future__ import annotations
 
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import Union
 
 import numpy as np
 
@@ -234,12 +234,11 @@ class Gradients(dict):
 
 
 class StepBuffers:
-    """One training run's step plan, sized once for batches of up to ``rows`` rows: the gathered
-    batch, every intermediate of ``backward`` and one flat gradient ``grad``, laid out as
-    ``training._param_dict`` orders the groups (hidden_w, hidden_b, then mu, rho or out_w, out_b).
-    Every group ``backward`` returns is a view of its slot, as are the (W, b) views that the output
-    layer's gradients are written through.  ``batch(n)`` is the leading-n-row views of the per-row
-    arrays, made once per batch size: a run has the full batch and at most one tail."""
+    """One training run's step plan for batches of exactly ``rows`` rows: the gathered batch, every
+    intermediate of ``backward`` and one flat gradient ``grad``, laid out as ``training._param_dict``
+    orders the groups (hidden_w, hidden_b, then mu, rho or out_w, out_b).  Every group ``backward``
+    returns is a view of its slot, as are the (W, b) views that the output layer's gradients are
+    written through.  A run makes one per batch size: the full batch and at most one tail."""
 
     def __init__(self, model: HeadModel, rows: int):
         d, hid, c = model.feature_dim, model.hidden_dim, model.n_classes
@@ -258,29 +257,6 @@ class StepBuffers:
             self.kl_work = (*np.empty((2, out_size)), *np.empty((2, 2, out_size)))  # as kl_sample_estimate takes
         else:
             self.out_w, self.out_b = out[: hid * c].reshape(hid, c), out[hid * c :]
-        self._batches = {}
-
-    def batch(self, n: int) -> "BatchViews":
-        views = self._batches.get(n)
-        if views is None:
-            views = self._batches[n] = BatchViews(self.features[:n], self.labels[:n], self.rows[:n], self.h[:n],
-                                                  self.logits[:n], self.logp[:n], self.g[:n], self.dh[:n],
-                                                  self.active[:n])
-        return views
-
-
-class BatchViews(NamedTuple):
-    """The leading rows of ``StepBuffers``' per-row arrays for one batch size."""
-
-    features: np.ndarray
-    labels: np.ndarray
-    rows: np.ndarray
-    h: np.ndarray
-    logits: np.ndarray
-    logp: np.ndarray
-    g: np.ndarray
-    dh: np.ndarray
-    active: np.ndarray
 
 
 def backward(model: HeadModel, features, labels, samples: WeightSample | None, kl_weight: float,
@@ -292,10 +268,10 @@ def backward(model: HeadModel, features, labels, samples: WeightSample | None, k
     ``samples`` is one draw, shared or per-example (its theta then enters only the KL); a bayesian
     head without one raises VariantError.  A non-finite NLL raises NumericError naming the batch
     index; ``training._train`` checks finiteness once per step, after the update.  Every
-    intermediate but a per-example draw's few (B, C) and (B, H) terms goes to ``buffers``, sized for
-    at least this batch, so the gradients of a buffered call are views of its ``grad``, overwritten
-    by the next call; without ``buffers`` the call makes its own, and its gradients share no memory
-    with any other call's.
+    intermediate but a per-example draw's few (B, C) and (B, H) terms goes to ``buffers``, a plan for
+    exactly this batch's rows (another row count is numpy's ValueError at the first ``out=``), so the
+    gradients of a buffered call are views of its ``grad``, overwritten by the next call on it;
+    without ``buffers`` the call makes its own, and its gradients share no memory with any other call's.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
@@ -303,16 +279,15 @@ def backward(model: HeadModel, features, labels, samples: WeightSample | None, k
         raise ValueError("features must be (batch, dim) matching labels")
     w, b = _output_weights(model, samples)
     buf = StepBuffers(model, features.shape[0]) if buffers is None else buffers
-    v = buf.batch(features.shape[0])
-    h, logits, spread = _forward(model, features, w, b, samples, (v.h, v.logits))
-    logp = log_softmax(logits, out=v.logp)
-    nll = _summed_nll(logp[v.rows, labels])
-    g = np.exp(logp, out=v.g)
-    np.subtract.at(g, (v.rows, labels), 1.0)  # g[rows, labels] -= 1, without the fancy read and write
+    h, logits, spread = _forward(model, features, w, b, samples, (buf.h, buf.logits))
+    logp = log_softmax(logits, out=buf.logp)
+    nll = _summed_nll(logp[buf.rows, labels])
+    g = np.exp(logp, out=buf.g)
+    np.subtract.at(g, (buf.rows, labels), 1.0)  # g[rows, labels] -= 1, without the fancy read and write
     g_w, g_b = buf.theta_wb if model.is_bayesian else (buf.out_w, buf.out_b)
     np.matmul(h.T, g, out=g_w)
     np.add.reduce(g, axis=0, out=g_b)
-    dh = np.matmul(g, w.T, out=v.dh)
+    dh = np.matmul(g, w.T, out=buf.dh)
     if spread is not None:  # s's terms, with u = g * e / s: d/dsigma = sigma * ((h*h)^T u, sum of u)
         h2, var_w, s = spread
         u = g * samples.logit_noise / s
@@ -320,7 +295,7 @@ def backward(model: HeadModel, features, labels, samples: WeightSample | None, k
         np.add.reduce(u, axis=0, out=buf.rho_wb[1])
         buf.g_rho *= samples.sigma
         dh += h * (u @ var_w.T)
-    dh *= np.greater(h, 0.0, out=v.active)
+    dh *= np.greater(h, 0.0, out=buf.active)
     np.matmul(features.T, dh, out=buf.hidden_w)
     np.add.reduce(dh, axis=0, out=buf.hidden_b)
     if not model.is_bayesian:

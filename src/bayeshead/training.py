@@ -17,18 +17,18 @@ rows at a time; and the checkpoint keeps the first epoch with the lowest
 val_nll.
 
 The parameter groups live as views in one contiguous buffer, and each run
-makes one ``network.StepBuffers`` from (B, D, H, C, K), whose flat gradient
-``grad`` has its groups in the same order.  ``backward`` writes each group
-into its slot, so the update is one in-place optimizer call over ``grad``
-with no concatenation, and the best-epoch checkpoint is one copy;
-elementwise arithmetic gives the same bits as a call per group.  Every step
-gathers its batch into the buffers' row views for its batch size and
-``backward`` writes its intermediates there, so what a step still allocates
-is its draw, the optimizer's temporaries and a few small arrays.  Both
-bayesian heads draw an epoch's noise in one ``normal`` call and read K
-normals per step, then B * C for the per-example head's logit noise: the
-stream is counter-based, so the bits and the final counter are those of
-draws per step.
+makes one ``network.StepBuffers`` per batch size (the full batch and at most
+one tail) from (rows, D, H, C, K), whose flat gradient ``grad`` has its
+groups in the same order.  ``backward`` writes each group into its slot, so
+the update is one in-place optimizer call over ``grad`` with no
+concatenation, and the best-epoch checkpoint is one copy; elementwise
+arithmetic gives the same bits as a call per group.  Every step gathers its
+batch into the plan for its size and ``backward`` writes its intermediates
+there, so what a step still allocates is its draw, the optimizer's
+temporaries and a few small arrays.  Both bayesian heads draw an epoch's
+noise in one ``normal`` call and read K normals per step, then B * C for the
+per-example head's logit noise: the stream is counter-based, so the bits and
+the final counter are those of draws per step.
 """
 
 from __future__ import annotations
@@ -292,13 +292,15 @@ def _train(dataset, val, config, bayesian):
         model = init_baseline_model(dataset.feature_dim, n_classes, config)
     flat, names, ends = _flatten_params(model)
     accum = np.zeros_like(flat)
-    buffers = StepBuffers(model, min(config.batch_size, len(dataset)))
-    grad = buffers.grad  # backward's gradient groups are views of it, in the order of flat's groups
     shuffle_stream = RngStream(config.seed).derive(_SHUFFLE_STREAM)
     eps_stream = RngStream(config.seed).derive(_EPS_STREAM)
 
     n = len(dataset)
     steps = math.ceil(n / config.batch_size)
+    # one plan per batch size, the full batch and the last; backward's gradient groups are views of
+    # a plan's grad, in the order of flat's groups
+    plans = {rows: StepBuffers(model, rows)
+             for rows in (min(config.batch_size, n), n - (steps - 1) * config.batch_size)}
     kl_w = kl_weight_for(config, n) if (bayesian and not config.force_sigma_zero) else 0.0
     epoch_block = bayesian and not config.force_sigma_zero  # steps * K normals, and n * C per example
     block = steps * len(model.output.params) + n * n_classes * config.per_example_sample if epoch_block else 0
@@ -317,19 +319,19 @@ def _train(dataset, val, config, bayesian):
             epoch_kl = 0.0
             for start in range(0, n, config.batch_size):
                 idx = order[start : start + config.batch_size]
-                rows = buffers.batch(idx.shape[0])
+                plan = plans[idx.shape[0]]
                 # "clip" never fires on a permutation and, unlike "raise", writes out directly
-                feats = np.take(dataset.features, idx, axis=0, out=rows.features, mode="clip")
-                labels = np.take(dataset.labels, idx, out=rows.labels, mode="clip")
+                feats = np.take(dataset.features, idx, axis=0, out=plan.features, mode="clip")
+                labels = np.take(dataset.labels, idx, out=plan.labels, mode="clip")
                 samples = _draw_samples(model, noise, idx.shape[0], config.per_example_sample,
                                         force_zero=config.force_sigma_zero)
-                grads = backward(model, feats, labels, samples, kl_w, buffers)  # written into grad
-                rmsprop_step(flat, grad, accum, config.learning_rate)  # the model's arrays view flat
+                grads = backward(model, feats, labels, samples, kl_w, plan)  # written into plan.grad
+                rmsprop_step(flat, plan.grad, accum, config.learning_rate)  # the model's arrays view flat
                 # a non-finite gradient spoils its update, so one check sees both; a finite sum has finite
                 # terms, so only a sum that is not looks at each one
                 if not math.isfinite(np.add.reduce(flat)) and not np.isfinite(flat).all():
-                    bad_grad = not np.isfinite(grad).all()
-                    first = np.argmin(np.isfinite(grad if bad_grad else flat))
+                    bad_grad = not np.isfinite(plan.grad).all()
+                    first = np.argmin(np.isfinite(plan.grad if bad_grad else flat))
                     group = names[int(np.searchsorted(ends, first, side="right"))]
                     raise NumericError(f"non-finite {'gradient' if bad_grad else 'update'} in parameter group '{group}'")
                 epoch_nll += grads.nll

@@ -86,6 +86,44 @@ class TestModelArchive:
         with pytest.raises(FileNotFoundError):
             load_model(tmp_path / "absent.json")
 
+    @staticmethod
+    def _one_class(doc):
+        k, c = doc["hidden_dim"] * doc["n_classes"], doc["n_classes"]
+        doc["n_classes"] = 1  # mu and rho keep the H weights of class 0, then its bias
+        for key in ("mu", "rho"):
+            doc["output"][key] = doc["output"][key][:k:c] + doc["output"][key][k : k + 1]
+
+    @staticmethod
+    def _no_hidden_units(doc):
+        doc["hidden_dim"] = 0  # the hidden layer goes, and the output keeps only its biases
+        doc["hidden"] = {"activation": "relu", "weights": [[] for _ in doc["hidden"]["weights"]], "bias": []}
+        for key in ("mu", "rho"):
+            doc["output"][key] = doc["output"][key][-doc["n_classes"]:]
+
+    @staticmethod
+    def _no_features(doc):
+        doc["feature_dim"] = 0
+        doc["hidden"]["weights"] = []
+
+    @pytest.mark.parametrize("field, edit, least", [
+        ("n_classes", _one_class, 2), ("hidden_dim", _no_hidden_units, 1), ("feature_dim", _no_features, 1),
+    ], ids=["one_class", "no_hidden_units", "no_features"])
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_a_size_no_trained_head_has_exits_2_naming_the_field(self, command, field, edit, least, cli_data,
+                                                                 trained, tmp_path, capsys):
+        doc = json.loads((trained / "bayes" / "model.json").read_text())
+        edit(doc)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ArchiveError, match=f"field '{field}' must be at least {least}, got {doc[field]}"):
+            load_model(path)
+        rc = run([command, "--model", str(path), "--data", str(cli_data / "test.csv"),
+                  "--n", "4", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: model archive {path} field {field!r} must be at least {least}, got {doc[field]}"]
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("activation", ["identity", "tanh"])
     @pytest.mark.parametrize("command", ["eval", "predict"])
     @pytest.mark.parametrize("variant", ["bayes", "base"])

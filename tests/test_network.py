@@ -327,12 +327,12 @@ class TestFusedStep:
         assert any(first[name].tobytes() != second[name].tobytes() for name in first)
 
     @pytest.mark.parametrize("case", _FUSED_CASES)
-    @pytest.mark.parametrize("rows", [9, 5, 1])  # a full batch, a tail and a single row in buffers for 9
+    @pytest.mark.parametrize("rows", [9, 5, 1])  # a full batch, a tail and a single row, each in a plan of its size
     def test_buffered_calls_have_the_bits_of_unbuffered_ones(self, case, rows):
         model, features, labels, samples, kl_weight = _fused_case(case)
         if samples is not None and samples.logit_noise is not None:
             samples = dataclasses.replace(samples, logit_noise=samples.logit_noise[:rows])
-        buffers = StepBuffers(model, 9)
+        buffers = StepBuffers(model, rows)
         want = backward(model, features[:rows], labels[:rows], samples, kl_weight)
         got = backward(model, features[:rows], labels[:rows], samples, kl_weight, buffers)
         assert (got.nll, got.kl) == (want.nll, want.kl)
@@ -356,7 +356,7 @@ class TestFusedStep:
         model, features, labels, samples, kl_weight = _fused_case(case)
         if case == "per_example":
             samples = dataclasses.replace(samples, logit_noise=samples.logit_noise[:rows])
-        buffers = StepBuffers(model, 9)
+        buffers = StepBuffers(model, rows)
         grads = backward(model, features[:rows], labels[:rows], samples, kl_weight, buffers)
         params = _param_dict(model)
         assert list(grads) == list(params)
@@ -368,6 +368,15 @@ class TestFusedStep:
             assert g.__array_interface__["data"][0] == start + 8 * offset, name
             offset += p.size
         assert offset == buffers.grad.size
+
+    @pytest.mark.parametrize("case", ["shared", "per_example", "baseline"])
+    @pytest.mark.parametrize("plan_rows", [9, 4])  # larger and smaller than the 5-row batch
+    def test_a_plan_for_another_row_count_is_a_value_error(self, case, plan_rows):
+        model, features, labels, samples, kl_weight = _fused_case(case)
+        if case == "per_example":
+            samples = dataclasses.replace(samples, logit_noise=samples.logit_noise[:5])
+        with pytest.raises(ValueError):
+            backward(model, features[:5], labels[:5], samples, kl_weight, StepBuffers(model, plan_rows))
 
     def test_non_finite_loss_names_batch_index(self):
         model, features, labels, samples, _ = _fused_case("shared")

@@ -74,10 +74,10 @@ def measure(shape: str, head: str, reps: int) -> dict:
     init = training.init_bayes_model if bayesian else training.init_baseline_model
     model = init(spec["dim"], spec["classes"], config)
     flat, _, _ = training._flatten_params(model)
-    buffers = StepBuffers(model, config.batch_size)
     n, bs = len(train), config.batch_size
     order = RngStream(0).permutation(n)
     batches = [order[start : start + bs] for start in range(0, n, bs)]
+    plans = {rows: StepBuffers(model, rows) for rows in {len(idx) for idx in batches}}  # one per batch size
     steps = len(batches)
     kl_w = training.kl_weight_for(config, n) if bayesian else 0.0
     block = steps * len(model.output.params) + n * spec["classes"] * per_example if bayesian else 0
@@ -91,19 +91,19 @@ def measure(shape: str, head: str, reps: int) -> dict:
 
     def gather():
         for idx in batches:
-            rows = buffers.batch(idx.shape[0])
-            np.take(train.features, idx, axis=0, out=rows.features, mode="clip")
-            np.take(train.labels, idx, out=rows.labels, mode="clip")
+            plan = plans[idx.shape[0]]
+            np.take(train.features, idx, axis=0, out=plan.features, mode="clip")
+            np.take(train.labels, idx, out=plan.labels, mode="clip")
 
     def step_backward():
         for features, labels, sample in inputs:
-            backward(model, features, labels, sample, kl_w, buffers)
+            backward(model, features, labels, sample, kl_w, plans[len(labels)])
 
     params, accum = flat.copy(), np.zeros_like(flat)  # the update runs on a copy, so the model stays put
 
     def update():
-        for _ in batches:
-            training.rmsprop_step(params, buffers.grad, accum, config.learning_rate)
+        for idx in batches:
+            training.rmsprop_step(params, plans[len(idx)].grad, accum, config.learning_rate)
 
     def check():
         for _ in batches:
