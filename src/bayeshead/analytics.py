@@ -366,7 +366,8 @@ def compare_report(
     bayes: list[EvalReport], baseline: list[EvalReport], dataset_names: list[str]
 ) -> list[ComparisonRow]:
     """Tabulate both heads per dataset, Table-style, one row per dataset; ValueError when a
-    bayesian report and its baseline do not hold the same record ids in the same order."""
+    bayesian report and its baseline do not hold the same record ids in the same order, or do
+    but name different datasets (a shifted copy keeps its source's ids)."""
     if not len(bayes) == len(baseline) == len(dataset_names):
         raise ValueError(
             f"mismatched lists: {len(bayes)} bayes, {len(baseline)} baseline, "
@@ -377,6 +378,9 @@ def compare_report(
         if [r.id for r in b.records] != [r.id for r in c.records]:
             raise ValueError(f"bayes report {i} ({b.dataset_name!r}) and baseline report {i} "
                              f"({c.dataset_name!r}) hold different rows")
+        if b.dataset_name != c.dataset_name:
+            raise ValueError(f"bayes report {i} ({b.dataset_name!r}) and baseline report {i} "
+                             f"({c.dataset_name!r}) name different datasets")
         rows.append(ComparisonRow(name, b.accuracy, c.accuracy, b.accuracy - c.accuracy, b.referral_rate,
                                   b.mean_entropy_correct, b.mean_entropy_incorrect))
     return rows

@@ -6,14 +6,18 @@ concentrating mass near zero.  The posterior is a fully factorized
 Gaussian with per-weight mean mu and scale sigma = softplus(rho).  The
 KL from posterior to a mixture prior has no closed form, so it is
 estimated by Monte Carlo over reparameterized draws
-theta = mu + sigma * eps, eps ~ N(0, I).  ``kl_sample_estimate`` returns
-the estimate with the prior's score at the draws, both from one pass over
-the mixture terms, so a training step evaluates the prior once.  That pass
-forms the slab and spike terms as one (2, K) stack, against the prior's
-constants kept as whole (2, K) rows per prior and width, so each ufunc call
-covers both components.  ``kl_sample_estimate``, ``_log_pdf_and_score`` and
-``_mixture_log_terms`` take ``out=`` arrays for every intermediate, so a
-training run's calls allocate nothing; each docstring gives the shapes.
+theta = mu + sigma * eps, eps ~ N(0, I).  ``kl_sample_estimate`` is the one
+KL formula: one estimate per draw, for a stack of draws that may each carry
+their own mu and sigma, from log p(theta) that a caller's pass over the prior
+already formed or that it forms itself.  A training step runs only
+``_log_pdf_and_score``, the prior's log-pdf and score from one pass over the
+mixture terms, since its gradient needs the score; the run forms the steps'
+KL values later, a block of steps per call.  That pass forms the slab and
+spike terms as one (2, K) stack, against the prior's constants kept as whole
+(2, K) rows per prior and width, so each ufunc call covers both components.
+``_log_pdf_and_score`` and ``_mixture_log_terms`` take ``out=`` arrays for
+every intermediate, so a training step's calls allocate nothing; each
+docstring gives the shapes.
 """
 
 from __future__ import annotations
@@ -181,26 +185,23 @@ def mean_sample(params: VariationalParams) -> WeightSample:
     return sample_from_epsilon(params, np.zeros(len(params)))
 
 
-def kl_sample_estimate(params: VariationalParams, prior: SpikeSlabPrior,
-                       sample: WeightSample, out=None) -> tuple[float, np.ndarray]:
-    """(kl, score): the unbiased KL(q || p) estimate from one draw, or the mean over a stack of
-    draws, which may be negative, and ``spike_slab_score(sample.theta, prior)``, the prior's
-    score at the draws, shaped like ``sample.theta``; both from one pass over the mixture terms.
-    log q(theta) is taken at the scale the draws were made with, ``sample.sigma``.  ``out`` holds
-    every intermediate: two arrays shaped like ``sample.theta``, the second of which receives the
-    score, then two shaped like the stack (2, *sample.theta.shape), as ``_log_pdf_and_score`` takes."""
-    theta, sigma = sample.theta, sample.sigma
-    log_p, score, terms, z = _work(theta.shape) if out is None else out
-    log_w = log_p.reshape(-1, len(params))[0]  # -log(sigma) - log(2 pi) / 2, until log p is formed
-    np.subtract(_NEG_HALF_LOG_2PI, np.log(sigma, out=log_w), out=log_w)  # (-b) - a rounds as (-a) - b
-    zq, t = z
-    np.divide(np.subtract(theta, params.mu, out=zq), sigma, out=zq)
-    np.multiply(zq, 0.5, out=t)
+def kl_sample_estimate(theta, mu, sigma, prior: SpikeSlabPrior, log_p=None) -> np.ndarray:
+    """One unbiased KL(q || p) estimate per draw, each of which may be negative: log q(theta) -
+    log p(theta), summed over the last axis of ``theta``, a draw (K,) or a stack of draws (..., K).
+    ``mu`` and ``sigma`` are the posterior mean and scale each draw was made at, one (K,) shared by
+    every draw or a row per draw; log q is taken there.  ``log_p``, shaped like ``theta``, is
+    log p(theta) if a pass over the prior formed it already, as a training step's does; else this
+    call forms it.  The estimates are shaped ``theta.shape[:-1]``: a single draw's is a scalar."""
+    if log_p is None:
+        log_p = _log_pdf_and_score(theta, prior)[0]
+    log_w = np.log(sigma)
+    np.subtract(_NEG_HALF_LOG_2PI, log_w, out=log_w)  # -log(sigma) - log(2 pi) / 2: (-b) - a rounds as (-a) - b
+    zq = np.subtract(theta, mu)
+    zq /= sigma
+    t = np.multiply(zq, 0.5)
     t *= zq
     log_q = np.add.reduce(np.subtract(log_w, t, out=t), axis=-1)
-    _log_pdf_and_score(theta, prior, (log_p, score, terms, z))
-    kl = log_q - np.add.reduce(log_p, axis=-1)
-    return float(np.add.reduce(kl, axis=None) / kl.size), score  # np.mean's sum / count, without its wrapper
+    return log_q - np.add.reduce(log_p, axis=-1)
 
 
 def mc_kl(params: VariationalParams, prior: SpikeSlabPrior, n_samples: int, stream: RngStream) -> float:
@@ -208,4 +209,6 @@ def mc_kl(params: VariationalParams, prior: SpikeSlabPrior, n_samples: int, stre
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     eps = stream.normal(n_samples * len(params)).reshape(n_samples, len(params))
-    return kl_sample_estimate(params, prior, sample_from_epsilon(params, eps))[0]
+    sample = sample_from_epsilon(params, eps)
+    kl = kl_sample_estimate(sample.theta, params.mu, sample.sigma, prior)
+    return float(np.add.reduce(kl) / kl.size)  # np.mean's sum / count, without its wrapper

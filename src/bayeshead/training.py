@@ -5,10 +5,15 @@ checkpointing on a validation metric.
 Objective per step: summed batch NLL + kl_weight * KL_estimate, where
 kl_weight is 1/num_batches, so a full epoch accumulates one KL term
 (Blundell et al. 2015).  A step is one ``network.backward`` call, which
-gives the loss parts and the gradients from one forward pass and one pass
-over the spike-and-slab prior (``kl_sample_estimate`` returns the KL with
-the prior's score), one RMSprop update and one finiteness check on the
-parameters.  Both heads use the identical update path, so forcing sigma = 0
+gives the summed NLL and the gradients from one forward pass and one pass
+over the spike-and-slab prior (its log-pdf and score at the draw), one
+RMSprop update and one finiteness check on the parameters.  The step's KL
+value is not formed in the step: ``backward`` stores the draw, its scale, a
+copy of mu and log p in a row of the run's ``network.KLRows``, and every
+``network.KL_BLOCK`` steps, and at each epoch's end, one
+``kl_sample_estimate`` call forms every stored row's estimate, which the
+epoch's ``train_kl`` adds, weighted, in step order, so the totals have the
+bits of a KL per step.  Both heads use the identical update path, so forcing sigma = 0
 and dropping the KL reproduces the baseline bit for bit.  The baseline starts
 from ``init_bayes_model``'s draws, its output weights the bayesian head's
 initial mu unflattened by the output layer; validation runs
@@ -51,6 +56,7 @@ from .errors import NumericError
 from .network import (
     DenseLayer,
     HeadModel,
+    KLRows,
     StepBuffers,
     VariationalDenseLayer,
     backward,
@@ -204,7 +210,7 @@ def _elbo_parts(model, features, labels, samples, kl_weight):
     """(loss, nll, kl) of one batch; the reference loss that ``backward``'s loss parts equal."""
     nll = batch_nll(batch_forward(model, features, samples), labels)
     if model.is_bayesian and samples is not None and kl_weight != 0.0:
-        kl = kl_sample_estimate(model.output.params, model.output.prior, samples)[0]
+        kl = float(kl_sample_estimate(samples.theta, model.output.params.mu, samples.sigma, model.output.prior))
     else:
         kl = 0.0
     return nll + kl_weight * kl, nll, kl
@@ -297,11 +303,18 @@ def _train(dataset, val, config, bayesian):
 
     n = len(dataset)
     steps = math.ceil(n / config.batch_size)
-    # one plan per batch size, the full batch and the last; backward's gradient groups are views of
-    # a plan's grad, in the order of flat's groups
-    plans = {rows: StepBuffers(model, rows)
+    # one plan per batch size, the full batch and the last, and one KL store for both; backward's
+    # gradient groups are views of a plan's grad, in the order of flat's groups
+    kl_rows = KLRows(len(model.output.params)) if bayesian else None
+    plans = {rows: StepBuffers(model, rows, kl_rows)
              for rows in (min(config.batch_size, n), n - (steps - 1) * config.batch_size)}
     kl_w = kl_weight_for(config, n) if (bayesian and not config.force_sigma_zero) else 0.0
+
+    def add_kl(total: float) -> float:
+        """``total`` plus kl_w times each stored step's KL estimate, added in step order."""
+        for kl in kl_rows.estimates(model.output.prior):
+            total += kl_w * kl
+        return total
     epoch_block = bayesian and not config.force_sigma_zero  # steps * K normals, and n * C per example
     block = steps * len(model.output.params) + n * n_classes * config.per_example_sample if epoch_block else 0
     records: list[EpochRecord] = []
@@ -335,7 +348,10 @@ def _train(dataset, val, config, bayesian):
                     group = names[int(np.searchsorted(ends, first, side="right"))]
                     raise NumericError(f"non-finite {'gradient' if bad_grad else 'update'} in parameter group '{group}'")
                 epoch_nll += grads.nll
-                epoch_kl += kl_w * grads.kl
+                if kl_w and kl_rows.full:
+                    epoch_kl = add_kl(epoch_kl)
+            if kl_w and kl_rows.count:
+                epoch_kl = add_kl(epoch_kl)
             val_acc, val_nll = validate_metrics(model, val)
             if not (math.isfinite(val_acc) and math.isfinite(val_nll)):
                 # a NaN would never win the checkpoint comparison and freeze the best epoch silently

@@ -293,6 +293,16 @@ class TestCompareReport:
                                              "\\('other'\\) hold different rows$"):
             compare_report([good, over("test", ["t0", "t1"])], [good, over("other", baseline_ids)], ["a", "b"])
 
+    def test_a_pair_over_the_same_ids_of_other_datasets_is_rejected(self):
+        # a shifted copy keeps its source's ids, so only the names tell a swapped pair
+        record = PredictionRecord("t0", 0, 0, True, [1.0, 0.0], [0.0, 0.0], 0.0, [1.0, 0.0], [1.0, 0.0], 0.0,
+                                  "accept")
+        test, shifted = (dataclasses.replace(_report(name, 0.5), records=[record]) for name in ("test", "shifted"))
+        assert len(compare_report([test, shifted], [test, shifted], ["test", "shifted"])) == 2
+        with pytest.raises(ValueError, match="^bayes report 1 \\('test'\\) and baseline report 1 "
+                                             "\\('shifted'\\) name different datasets$"):
+            compare_report([test, shifted], [shifted, test], ["test", "shifted"])
+
 
 class TestCsvEmitters:
     def test_kde_csv_shape(self):

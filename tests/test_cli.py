@@ -15,6 +15,7 @@ from bayeshead import (
     FeatureDataset,
     ModelArchive,
     ReferralThresholds,
+    ShiftConfig,
     SpikeSlabPrior,
     TrainConfig,
     cli,
@@ -23,6 +24,7 @@ from bayeshead import (
     load_model,
     save_model,
     synth_blobs,
+    synth_shift,
     training,
 )
 from bayeshead.cli import parse_config_file, run
@@ -421,6 +423,32 @@ class TestEvalAnalyzeCompare:
         assert run(["compare", *swapped, "--out", str(tmp_path / "t")]) == 2
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: bayes report 1 ('test') and baseline report 1 ('shifted') hold different rows"]
+        assert not (tmp_path / "t").exists()
+
+    def test_compare_of_a_swapped_shifted_copy_with_its_sources_ids_exits_2_and_writes_nothing(
+            self, cli_data, trained, tmp_path, capsys):
+        # synth_shift keeps its input's ids, so the pair's rows agree and only the dataset names differ
+        test = load_csv(cli_data / "test.csv")
+        shifted = tmp_path / "data" / "shifted.csv"
+        shifted.parent.mkdir()
+        save_csv(synth_shift(test, ShiftConfig(noise_sigma=1.5), seed=53), shifted)
+        assert load_csv(shifted).ids == test.ids
+        reports = {}
+        for head in ("bayes", "base"):
+            for name, data in (("test", cli_data / "test.csv"), ("shifted", shifted)):
+                out = tmp_path / head / name
+                assert run(["eval", "--model", str(trained / head / "model.json"), "--data", str(data),
+                            "--seed", "7", "--n", "16", "--out", str(out)]) == 0
+                reports[head, name] = str(out / "report.json")
+        in_order = ["--bayes", reports["bayes", "test"], reports["bayes", "shifted"],
+                    "--baseline", reports["base", "test"], reports["base", "shifted"]]
+        assert run(["compare", *in_order, "--out", str(tmp_path / "ok")]) == 0
+        capsys.readouterr()
+        swapped = ["--bayes", reports["bayes", "test"], reports["bayes", "shifted"],
+                   "--baseline", reports["base", "shifted"], reports["base", "test"]]
+        assert run(["compare", *swapped, "--out", str(tmp_path / "t")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: bayes report 1 ('test') and baseline report 1 ('shifted') name different datasets"]
         assert not (tmp_path / "t").exists()
 
     def test_compare_mismatch_exits_2(self, cli_data, trained, tmp_path, capsys):

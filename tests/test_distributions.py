@@ -255,15 +255,32 @@ class TestKlSampleEstimate:
     @settings(deadline=None)
     @given(priors(), posterior_draws())
     def test_one_pass_equals_the_separate_calls(self, prior, case):
-        # the fused pass that training takes against the two calls it replaces, bit for bit
+        # a training step's one prior pass, and the KL formed later from its log p, against the
+        # separate calls, bit for bit: one estimate per draw
         params, sample = case
-        kl, score = kl_sample_estimate(params, prior, sample)
-        assert score.shape == sample.theta.shape
+        log_p, score = _log_pdf_and_score(sample.theta, prior)
+        assert score.shape == log_p.shape == sample.theta.shape
         assert score.tobytes() == spike_slab_score(sample.theta, prior).tobytes()
+        assert log_p.tobytes() == spike_slab_log_pdf(sample.theta, prior).tobytes()
         z = (sample.theta - params.mu) / sample.sigma
         log_q = np.sum(-np.log(sample.sigma) - 0.5 * np.log(2.0 * np.pi) - 0.5 * z * z, axis=-1)
-        expected = float(np.mean(log_q - np.sum(spike_slab_log_pdf(sample.theta, prior), axis=-1)))
-        assert np.float64(kl).tobytes() == np.float64(expected).tobytes()
+        expected = np.asarray(log_q - np.sum(spike_slab_log_pdf(sample.theta, prior), axis=-1))
+        for kl in (kl_sample_estimate(sample.theta, params.mu, sample.sigma, prior, log_p),
+                   kl_sample_estimate(sample.theta, params.mu, sample.sigma, prior)):
+            assert np.shape(kl) == sample.theta.shape[:-1]
+            assert np.asarray(kl).tobytes() == expected.tobytes()
+
+    @settings(deadline=None)
+    @given(priors(), st.lists(posterior_draws(), min_size=1, max_size=4))
+    def test_draws_that_carry_their_own_mean_and_scale_equal_a_call_per_draw(self, prior, cases):
+        # the training run's block pass: each row has its own mu and sigma, as each step has
+        k = len(cases[0][0])
+        rows = [(s.theta.reshape(-1, len(p))[0], p.mu, s.sigma) for p, s in cases if len(p) == k]
+        theta, mu, sigma = (np.stack(column) for column in zip(*rows))
+        got = kl_sample_estimate(theta, mu, sigma, prior, _log_pdf_and_score(theta, prior)[0])
+        want = [kl_sample_estimate(*row, prior) for row in rows]
+        assert got.shape == (len(rows),)
+        assert got.tobytes() == np.array(want).tobytes()
 
     def test_mean_over_draws_matches_the_closed_form_gaussian_kl(self):
         # equal components make the prior the one Gaussian N(0, s^2), so KL(q || p) has a closed form
@@ -273,11 +290,9 @@ class TestKlSampleEstimate:
         sigma = params.sigma
         exact = float(np.sum(np.log(s / sigma) + (sigma**2 + params.mu**2) / (2 * s**2) - 0.5))
         # the standard error comes from the spread of independent batch means
-        batches = np.array([
-            kl_sample_estimate(params, prior, sample_from_epsilon(
-                params, RngStream(13).derive(b).normal(draws * k).reshape(draws, k)))[0]
-            for b in range(40)
-        ])
+        samples = [sample_from_epsilon(params, RngStream(13).derive(b).normal(draws * k).reshape(draws, k))
+                   for b in range(40)]
+        batches = np.array([np.mean(kl_sample_estimate(s.theta, params.mu, s.sigma, prior)) for s in samples])
         stderr = float(np.std(batches, ddof=1)) / math.sqrt(len(batches))
         assert abs(float(np.mean(batches)) - exact) < 4.5 * stderr
         assert stderr < 0.01 * exact  # so the check resolves any bias above 4.5% of the KL

@@ -13,7 +13,7 @@ from bayeshead import (
     sample_from_epsilon,
 )
 from bayeshead.core import log_softmax, sigmoid, softmax
-from bayeshead.distributions import mean_sample, sample_weights, spike_slab_score
+from bayeshead.distributions import kl_sample_estimate, mean_sample, sample_weights, spike_slab_score
 from bayeshead.network import (
     DenseLayer,
     StepBuffers,
@@ -295,17 +295,33 @@ def _fused_case(case):
 _FUSED_CASES = ["shared", "per_example", "baseline", "force_sigma_zero", "kl_weight_zero"]
 
 
+def _stored_kl(model, buffers) -> float:
+    """The KL of the one row a step stored, through ``kl_sample_estimate`` as the run forms it; 0.0
+    for a step that stored none."""
+    if not model.is_bayesian or buffers.kl_rows.count == 0:
+        return 0.0
+    rows = buffers.kl_rows
+    assert rows.count == 1
+    (kl,) = rows.estimates(model.output.prior)
+    assert kl == float(kl_sample_estimate(rows.theta[0], rows.mu[0], rows.sigma[0], model.output.prior,
+                                          rows.log_p[0]))
+    return kl
+
+
 class TestFusedStep:
     @pytest.mark.parametrize("case", _FUSED_CASES)
     def test_loss_parts_equal_the_reference_loss(self, case):
+        # the NLL comes back with the gradients; the KL is formed from the row the step stored
         model, features, labels, samples, kl_weight = _fused_case(case)
-        got = backward(model, features, labels, samples, kl_weight)
+        buffers = StepBuffers(model, 9)
+        got = backward(model, features, labels, samples, kl_weight, buffers)
         _, nll, kl = _elbo_parts(model, features, labels, samples, kl_weight)
-        assert (got.nll, got.kl) == (nll, kl)
+        got_kl = _stored_kl(model, buffers)
+        assert (got.nll, got_kl) == (nll, kl)
         assert np.float64(got.nll).tobytes() == np.float64(nll).tobytes()
-        assert np.float64(got.kl).tobytes() == np.float64(kl).tobytes()
+        assert np.float64(got_kl).tobytes() == np.float64(kl).tobytes()
         if case in ("baseline", "force_sigma_zero", "kl_weight_zero"):
-            assert got.kl == 0.0
+            assert got_kl == 0.0
 
     @pytest.mark.parametrize("case", _FUSED_CASES)
     def test_gradients_equal_the_two_pass_step(self, case):
@@ -335,7 +351,8 @@ class TestFusedStep:
         buffers = StepBuffers(model, rows)
         want = backward(model, features[:rows], labels[:rows], samples, kl_weight)
         got = backward(model, features[:rows], labels[:rows], samples, kl_weight, buffers)
-        assert (got.nll, got.kl) == (want.nll, want.kl)
+        want_kl = _elbo_parts(model, features[:rows], labels[:rows], samples, kl_weight)[2]
+        assert (got.nll, _stored_kl(model, buffers)) == (want.nll, want_kl)
         for name, g in want.items():
             assert got[name].shape == g.shape and got[name].tobytes() == g.tobytes(), name
 

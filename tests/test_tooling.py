@@ -94,7 +94,7 @@ def _count_calls(monkeypatch, fn) -> list:
 _PER_STEP = (network.backward, training.rmsprop_step)  # the calls every head makes once per step
 
 
-_KL_STEP = (distributions.kl_sample_estimate, distributions._mixture_log_terms)  # one pass over the prior
+_KL_STEP = (distributions._mixture_log_terms,)  # one pass over the prior
 
 
 @pytest.mark.parametrize("head, per_step", [
@@ -103,14 +103,17 @@ _KL_STEP = (distributions.kl_sample_estimate, distributions._mixture_log_terms) 
     ("baseline", _PER_STEP),
 ])
 def test_shared_sample_epoch_makes_one_call_of_each_per_step(monkeypatch, tiny_task, head, per_step):
-    calls = {fn.__name__: _count_calls(monkeypatch, fn) for fn in per_step}
+    calls = {fn.__name__: _count_calls(monkeypatch, fn) for fn in (*per_step, distributions.kl_sample_estimate)}
     train, val = tiny_task
     config = TrainConfig(epochs=1, hidden_dim=4, batch_size=16, seed=3, per_example_sample=head == "per_example")
     # the tracer's core.s sums softplus and sigmoid spans; a step that inlined either would drop out of it
     scales = {fn.__name__: _count_calls(monkeypatch, fn) for fn in (core.softplus, core.sigmoid)}
     (train_baseline if head == "baseline" else train_bayes)(train, val, config)
     steps = math.ceil(len(train) / config.batch_size)
-    assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(calls, steps)
+    # the steps' KL values are formed once per block of at most KL_BLOCK steps
+    blocks = 0 if head == "baseline" else math.ceil(steps / network.KL_BLOCK) * config.epochs
+    assert {name: len(c) for name, c in calls.items()} == {**dict.fromkeys(calls, steps),
+                                                           "kl_sample_estimate": blocks}
     # softplus: the step's draw, plus validation's mean_sample once per epoch; sigmoid: backward's sigma'
     expected = {"softplus": 0, "sigmoid": 0} if head == "baseline" else {
         "softplus": steps + config.epochs, "sigmoid": steps}

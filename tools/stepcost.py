@@ -9,13 +9,18 @@ of ``paper_pipeline`` (400 training rows of 2 features, 2 classes, 200
 validation rows) and that of ``wide_train`` (8000 rows of 64 features, 4
 classes, 2000 validation rows), with hidden width 32 and batch 32, it sets
 up a run as ``training._train`` does and times each piece of the loop on its
-own. Per step: the batch gather, the posterior draw, ``backward``,
-``rmsprop_step`` and the finiteness check on the parameters. Per epoch: the
-shuffle's permutation, the epoch's noise block and ``validate_metrics``. A
-per-step piece is timed over one epoch of calls, a per-epoch piece over
-three calls; the table gives the best of ``--reps`` timings in microseconds
-per call, and ``step`` sums the per-step pieces. It uses numpy and the
-standard library only and stays out of the test suite.
+own. Per step: the batch gather, the posterior draw, ``backward`` (with
+the prior pass and the copy of the draw into the run's ``KLRows``), ``kl``
+(the block pass that forms the stored rows' KL values, a call per block of
+``KL_BLOCK`` steps, given per step), ``rmsprop_step`` and the finiteness
+check on the parameters. Per epoch: the shuffle's permutation, the epoch's
+noise block and ``validate_metrics``. A per-step piece is timed over one
+epoch of calls, the permutation and the noise block over three calls, and
+validation as ``_train`` calls it: once, after an epoch of the per-step
+pieces. Back-to-back validations of a wide set can each wait on OpenBLAS's
+threads and read many times slower. The table gives the best of ``--reps``
+timings in microseconds per call. It uses numpy and the standard library
+only and stays out of the test suite.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from bayeshead import training  # noqa: E402
 from bayeshead.data import FeatureDataset  # noqa: E402
-from bayeshead.network import StepBuffers, backward  # noqa: E402
+from bayeshead.network import KL_BLOCK, KLRows, StepBuffers, backward  # noqa: E402
 from bayeshead.rng import RngStream  # noqa: E402
 
 SHAPES = {
@@ -40,7 +45,7 @@ SHAPES = {
     "wide_train": dict(train=8000, val=2000, dim=64, classes=4),
 }
 HEADS = ("shared_sample", "per_example", "baseline")
-STEP = ("gather", "draw", "backward", "rmsprop", "check")
+STEP = ("gather", "draw", "backward", "kl", "rmsprop", "check")
 EPOCH = ("permute", "noise", "validate")
 EPOCH_CALLS = 3
 
@@ -53,10 +58,13 @@ def _dataset(rng, n, dim, classes) -> FeatureDataset:
     return FeatureDataset(means[labels] + rng.standard_normal((n, dim)), labels, [str(i) for i in range(n)])
 
 
-def _best(fn, reps: int, calls: int) -> float:
-    """Best of ``reps`` timings of ``fn``, in microseconds per one of its ``calls`` calls."""
+def _best(fn, reps: int, calls: int, before=None) -> float:
+    """Best of ``reps`` timings of ``fn``, in microseconds per one of its ``calls`` calls; ``before``,
+    if given, runs untimed ahead of each timing."""
     best = math.inf
     for _ in range(reps):
+        if before is not None:
+            before()
         start = perf_counter()
         fn()
         best = min(best, perf_counter() - start)
@@ -64,7 +72,8 @@ def _best(fn, reps: int, calls: int) -> float:
 
 
 def measure(shape: str, head: str, reps: int) -> dict:
-    """µs per call of each piece of ``head``'s training loop at ``shape``; ``noise`` is None for the baseline."""
+    """µs per call of each piece of ``head``'s training loop at ``shape``; ``kl`` and ``noise`` are None
+    for the baseline."""
     spec = SHAPES[shape]
     rng = np.random.default_rng(0)
     train = _dataset(rng, spec["train"], spec["dim"], spec["classes"])
@@ -77,8 +86,10 @@ def measure(shape: str, head: str, reps: int) -> dict:
     n, bs = len(train), config.batch_size
     order = RngStream(0).permutation(n)
     batches = [order[start : start + bs] for start in range(0, n, bs)]
-    plans = {rows: StepBuffers(model, rows) for rows in {len(idx) for idx in batches}}  # one per batch size
+    kl_rows = KLRows(len(model.output.params)) if bayesian else None
+    plans = {rows: StepBuffers(model, rows, kl_rows) for rows in {len(idx) for idx in batches}}  # one per batch size
     steps = len(batches)
+    blocks = [min(KL_BLOCK, steps - start) for start in range(0, steps, KL_BLOCK)]
     kl_w = training.kl_weight_for(config, n) if bayesian else 0.0
     block = steps * len(model.output.params) + n * spec["classes"] * per_example if bayesian else 0
     normals = RngStream(1).normal(block) if bayesian else None
@@ -97,7 +108,14 @@ def measure(shape: str, head: str, reps: int) -> dict:
 
     def step_backward():
         for features, labels, sample in inputs:
+            if bayesian and kl_rows.full:
+                kl_rows.count = 0  # the kl column times the block pass over these rows
             backward(model, features, labels, sample, kl_w, plans[len(labels)])
+
+    def kl():  # over the rows the backward column's calls stored: blocks never exceed min(steps, KL_BLOCK)
+        for rows in blocks:
+            kl_rows.count = rows
+            kl_rows.estimates(model.output.prior)
 
     params, accum = flat.copy(), np.zeros_like(flat)  # the update runs on a copy, so the model stays put
 
@@ -115,13 +133,19 @@ def measure(shape: str, head: str, reps: int) -> dict:
                 fn()
         return calls
 
-    step = {"gather": gather, "draw": draws, "backward": step_backward, "rmsprop": update, "check": check}
+    step = {"gather": gather, "draw": draws, "backward": step_backward, "kl": kl if bayesian else None,
+            "rmsprop": update, "check": check}
+
+    def epoch_steps():
+        for fn in step.values():
+            fn and fn()
+
     epoch = {"permute": repeat(lambda: RngStream(2).permutation(n)),
-             "noise": repeat(lambda: RngStream(3).normal(block)) if bayesian else None,
-             "validate": repeat(lambda: training.validate_metrics(model, val))}
+             "noise": repeat(lambda: RngStream(3).normal(block)) if bayesian else None}
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as _train runs its loop
-        out = {name: _best(fn, reps, steps) for name, fn in step.items()}
+        out = {name: fn and _best(fn, reps, steps) for name, fn in step.items()}
         out |= {name: fn and _best(fn, reps, EPOCH_CALLS) for name, fn in epoch.items()}
+        out["validate"] = _best(lambda: training.validate_metrics(model, val), reps, 1, before=epoch_steps)
     return out
 
 
@@ -131,13 +155,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.reps < 1:
         parser.error("--reps must be >= 1")
-    columns = (*STEP, "step", *EPOCH)
+    columns = (*STEP, *EPOCH)
     print(f"µs per call, best of {args.reps}; numpy {np.__version__}")
     print(f"{'shape':<15}{'head':<14}" + "".join(f"{c:>10}" for c in columns))
     for shape in SHAPES:
         for head in HEADS:
             cost = measure(shape, head, args.reps)
-            cost["step"] = sum(cost[name] for name in STEP)
             cells = ("-" if cost[c] is None else f"{cost[c]:.1f}" for c in columns)
             print(f"{shape:<15}{head:<14}" + "".join(f"{c:>10}" for c in cells))
     return 0
