@@ -380,7 +380,8 @@ def compare_report(
                              f"({c.dataset_name!r}) hold different rows")
         if b.dataset_name != c.dataset_name:
             raise ValueError(f"bayes report {i} ({b.dataset_name!r}) and baseline report {i} "
-                             f"({c.dataset_name!r}) name different datasets")
+                             f"({c.dataset_name!r}) name different datasets; a report is named by eval's "
+                             "--dataset-name or its CSV's stem, so evaluate both heads under one name")
         rows.append(ComparisonRow(name, b.accuracy, c.accuracy, b.accuracy - c.accuracy, b.referral_rate,
                                   b.mean_entropy_correct, b.mean_entropy_incorrect))
     return rows

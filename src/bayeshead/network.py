@@ -9,16 +9,15 @@ cross-entropy and the hand-derived gradients of it plus the weighted KL
 estimate), all go through the pair.  A per-example draw is taken in
 logit space (Kingma, Salimans & Welling 2015), with 2-D products only.
 ``backward`` runs only the prior pass its gradient needs, the prior's
-log-pdf and score at the draw, and leaves the KL value to ``KLRows``: it
-writes the draw, its scale, a copy of mu and log p into the run's next row
-there, and the run forms a block of rows' estimates in one call.  A run hands
-``backward`` one ``StepBuffers``, its step plan for one batch size, made once
-(a run has one for the full batch and one for a tail, sharing one
-``KLRows``): a step writes its intermediates there with ``out=``, and its
-gradients into the slots of one flat gradient laid out as the optimizer's
-parameters are.  So the gradients of a buffered call are views that the next
-call on that plan overwrites; a call without buffers makes its own, and what
-it returns shares no memory."""
+log-pdf and score at the draw, and forms no KL value: it writes log p into
+the array its caller hands it, and ``training._train`` forms a block of
+steps' estimates in one call.  A run hands ``backward`` one ``StepBuffers``,
+its step plan for one batch size, made once (a run has one for the full
+batch and one for a tail): a step writes its intermediates there with
+``out=``, and its gradients into the slots of one flat gradient laid out as
+the optimizer's parameters are.  So the gradients of a buffered call are
+views that the next call on that plan overwrites; a call without buffers
+makes its own, and what it returns shares no memory."""
 
 from __future__ import annotations
 
@@ -35,7 +34,6 @@ from .distributions import (
     VariationalParams,
     WeightSample,
     _log_pdf_and_score,
-    kl_sample_estimate,
     mean_sample,
     sample_weights,
 )
@@ -44,7 +42,6 @@ from .rng import RngStream
 
 _LOG_CLAMP = float(np.log(1e-300))
 _ROW_BLOCK = 1024  # rows per block of a large mean_forward
-KL_BLOCK = 64  # steps per KLRows block
 
 
 @dataclass
@@ -236,44 +233,14 @@ class Gradients(dict):
         self.nll = nll
 
 
-class KLRows:
-    """A run's KL store: for each bayesian step with a KL term, one row of its draw theta, the
-    scale sigma it was drawn at, a copy of mu (the update overwrites mu in place) and log p(theta)
-    from the step's prior pass, each (``capacity``, K).  ``estimates`` forms every stored row's KL
-    in one ``kl_sample_estimate`` call, with the bits of a call per row, and empties the store; a
-    step into a full store is an IndexError."""
-
-    def __init__(self, k: int, capacity: int = KL_BLOCK):
-        self.theta, self.sigma, self.mu, self.log_p = np.empty((4, capacity, k))
-        self._rows = list(zip(self.theta, self.sigma, self.mu, self.log_p))  # a row's views, made once
-        self.count = 0
-
-    @property
-    def full(self) -> bool:
-        return self.count == len(self.theta)
-
-    def add(self, sample: WeightSample, mu: np.ndarray) -> np.ndarray:
-        """Store a step's draw in the next row; returns that row's log p, for the step's prior pass to fill."""
-        theta, sigma, mu_row, log_p = self._rows[self.count]
-        theta[...], sigma[...], mu_row[...] = sample.theta, sample.sigma, mu
-        self.count += 1
-        return log_p
-
-    def estimates(self, prior: SpikeSlabPrior) -> list[float]:
-        """The stored rows' KL estimates, in the order the steps stored them; the store is then empty."""
-        m, self.count = self.count, 0
-        return kl_sample_estimate(self.theta[:m], self.mu[:m], self.sigma[:m], prior, self.log_p[:m]).tolist()
-
-
 class StepBuffers:
     """One training run's step plan for batches of exactly ``rows`` rows: the gathered batch, every
     intermediate of ``backward`` and one flat gradient ``grad``, laid out as ``training._param_dict``
     orders the groups (hidden_w, hidden_b, then mu, rho or out_w, out_b).  Every group ``backward``
     returns is a view of its slot, as are the (W, b) views that the output layer's gradients are
-    written through.  A run makes one per batch size, the full batch and at most one tail, and hands
-    each its one ``KLRows`` (a bayesian plan made without one makes its own)."""
+    written through.  A run makes one per batch size: the full batch and at most one tail."""
 
-    def __init__(self, model: HeadModel, rows: int, kl_rows: KLRows | None = None):
+    def __init__(self, model: HeadModel, rows: int):
         d, hid, c = model.feature_dim, model.hidden_dim, model.n_classes
         self.features, self.labels, self.rows = np.empty((rows, d)), np.empty(rows, np.int64), np.arange(rows)
         self.h, self.dh = np.empty((2, rows, hid))
@@ -286,23 +253,23 @@ class StepBuffers:
         if model.is_bayesian:  # the mu slot takes the output gradients, flattened as theta is, then g_mu
             self.g_theta, self.g_rho = out.reshape(2, out_size)
             self.theta_wb, self.rho_wb = model.output.unflatten(self.g_theta), model.output.unflatten(self.g_rho)
-            self.sig_prime, self.sig_ratio, self.score = np.empty((3, out_size))
+            self.sig_prime, self.sig_ratio, self.score, self.log_p = np.empty((4, out_size))
             self.terms, self.z = np.empty((2, 2, out_size))  # _log_pdf_and_score's scratch stacks
-            self.kl_rows = KLRows(out_size) if kl_rows is None else kl_rows
         else:
             self.out_w, self.out_b = out[: hid * c].reshape(hid, c), out[hid * c :]
 
 
 def backward(model: HeadModel, features, labels, samples: WeightSample | None, kl_weight: float,
-             buffers: StepBuffers | None = None) -> Gradients:
+             buffers: StepBuffers | None = None, log_p: np.ndarray | None = None) -> Gradients:
     """A training step's one pass: gradients of summed NLL + kl_weight * KL_estimate from one forward pass.
 
     Keyed by parameter group: hidden_w / hidden_b plus mu / rho (bayesian) or out_w / out_b
-    (baseline); ``.nll`` is the summed NLL, with the bits of ``training._elbo_parts``.  With a KL
-    term, the call stores the draw in the next row of ``buffers.kl_rows``, whose ``estimates`` then
-    give the KL with ``_elbo_parts``' bits.  ``samples`` is one draw, shared or per-example (its
-    theta then enters only the KL); a bayesian head without one raises VariantError.  A non-finite
-    NLL raises NumericError naming the batch index; ``training._train`` checks finiteness once per step, after the update.  Every
+    (baseline); ``.nll`` is the summed NLL, with the bits of ``training._elbo_parts``.  The call forms
+    no KL value: with a KL term its prior pass writes log p(theta) into ``log_p`` if given, and
+    ``kl_sample_estimate`` of the draw, mu before the update and that log p gives the KL with
+    ``_elbo_parts``' bits.  ``samples`` is one draw, shared or per-example (its theta then enters only
+    the KL); a bayesian head without one raises VariantError.  A non-finite NLL raises NumericError
+    naming the batch index; ``training._train`` checks finiteness once per step, after the update.  Every
     intermediate but a per-example draw's few (B, C) and (B, H) terms goes to ``buffers``, a plan for
     exactly this batch's rows (another row count is numpy's ValueError at the first ``out=``), so the
     gradients of a buffered call are views of its ``grad``, overwritten by the next call on it;
@@ -344,7 +311,7 @@ def backward(model: HeadModel, features, labels, samples: WeightSample | None, k
     g_rho *= sig_prime
     g_mu = buf.g_theta  # g_rho is formed, so the KL term can go into g_theta in place
     if kl_weight != 0.0:
-        log_p = buf.kl_rows.add(samples, params.mu)  # before the update moves mu
+        log_p = buf.log_p if log_p is None else log_p
         score = _log_pdf_and_score(samples.theta, model.output.prior, (log_p, buf.score, buf.terms, buf.z))[1]
         # pathwise gradients of log q - log p: with theta = mu + sigma*eps, log q is -sum(log sigma)
         # + const, so only the prior's score flows through mu

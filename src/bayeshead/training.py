@@ -8,13 +8,13 @@ kl_weight is 1/num_batches, so a full epoch accumulates one KL term
 gives the summed NLL and the gradients from one forward pass and one pass
 over the spike-and-slab prior (its log-pdf and score at the draw), one
 RMSprop update and one finiteness check on the parameters.  The step's KL
-value is not formed in the step: ``backward`` stores the draw, its scale, a
-copy of mu and log p in a row of the run's ``network.KLRows``, and every
-``network.KL_BLOCK`` steps, and at each epoch's end, one
-``kl_sample_estimate`` call forms every stored row's estimate, which the
+value is not formed in the step: the step stores its draw, its scale and mu
+before the update in a row of the run's KL store, and ``backward`` writes
+log p into the same row; every ``KL_BLOCK`` steps, and at each epoch's end,
+one ``kl_sample_estimate`` call forms every stored row's estimate, which the
 epoch's ``train_kl`` adds, weighted, in step order, so the totals have the
-bits of a KL per step.  Both heads use the identical update path, so forcing sigma = 0
-and dropping the KL reproduces the baseline bit for bit.  The baseline starts
+bits of a KL per step.  Both heads use the identical update path, so
+forcing sigma = 0 and dropping the KL reproduces the baseline bit for bit.  The baseline starts
 from ``init_bayes_model``'s draws, its output weights the bayesian head's
 initial mu unflattened by the output layer; validation runs
 ``network.mean_forward``, the logits path that training's passes use, 1024
@@ -56,7 +56,6 @@ from .errors import NumericError
 from .network import (
     DenseLayer,
     HeadModel,
-    KLRows,
     StepBuffers,
     VariationalDenseLayer,
     backward,
@@ -70,6 +69,7 @@ from .rng import RngStream, check_seed
 _INIT_STREAM = 0
 _SHUFFLE_STREAM = 1
 _EPS_STREAM = 2
+KL_BLOCK = 64  # steps whose KL values one kl_sample_estimate call forms
 
 _RMSPROP_DECAY = 0.9  # the running mean's weight on its previous value
 _RMSPROP_EPSILON = 1e-7  # added to the root mean square before it divides the gradient
@@ -206,6 +206,13 @@ def _draw_samples(model, stream, batch_size, per_example, force_zero):
     return sample
 
 
+def block_kl(store: np.ndarray, m: int, prior: SpikeSlabPrior) -> list[float]:
+    """The KL estimates of the first ``m`` rows of a run's (4, KL_BLOCK, K) KL store, in row order,
+    from one ``kl_sample_estimate`` call; each has the bits of the call on its row alone."""
+    theta, mu, sigma, log_p = store[:, :m]
+    return kl_sample_estimate(theta, mu, sigma, prior, log_p).tolist()
+
+
 def _elbo_parts(model, features, labels, samples, kl_weight):
     """(loss, nll, kl) of one batch; the reference loss that ``backward``'s loss parts equal."""
     nll = batch_nll(batch_forward(model, features, samples), labels)
@@ -303,16 +310,19 @@ def _train(dataset, val, config, bayesian):
 
     n = len(dataset)
     steps = math.ceil(n / config.batch_size)
-    # one plan per batch size, the full batch and the last, and one KL store for both; backward's
-    # gradient groups are views of a plan's grad, in the order of flat's groups
-    kl_rows = KLRows(len(model.output.params)) if bayesian else None
-    plans = {rows: StepBuffers(model, rows, kl_rows)
+    # one plan per batch size, the full batch and the last; backward's gradient groups are views of
+    # a plan's grad, in the order of flat's groups
+    plans = {rows: StepBuffers(model, rows)
              for rows in (min(config.batch_size, n), n - (steps - 1) * config.batch_size)}
     kl_w = kl_weight_for(config, n) if (bayesian and not config.force_sigma_zero) else 0.0
+    # the KL store: a step with a KL term stores its draw theta, mu before the update, the sigma it
+    # was drawn at and (through backward) log p(theta) in a row, kl_sample_estimate's argument order
+    store = np.empty((4, KL_BLOCK, len(model.output.params))) if kl_w else None
+    store_rows = list(zip(*store)) if kl_w else []  # a row's four views, made once
 
-    def add_kl(total: float) -> float:
-        """``total`` plus kl_w times each stored step's KL estimate, added in step order."""
-        for kl in kl_rows.estimates(model.output.prior):
+    def add_kl(total: float, m: int) -> float:
+        """``total`` plus kl_w times the KL estimate of each of the store's first m rows, in step order."""
+        for kl in block_kl(store, m, model.output.prior):
             total += kl_w * kl
         return total
     epoch_block = bayesian and not config.force_sigma_zero  # steps * K normals, and n * C per example
@@ -330,6 +340,7 @@ def _train(dataset, val, config, bayesian):
             noise = _NoiseBlock(eps_stream.normal(block)) if epoch_block else eps_stream
             epoch_nll = 0.0
             epoch_kl = 0.0
+            m = 0  # rows in the KL store
             for start in range(0, n, config.batch_size):
                 idx = order[start : start + config.batch_size]
                 plan = plans[idx.shape[0]]
@@ -338,7 +349,12 @@ def _train(dataset, val, config, bayesian):
                 labels = np.take(dataset.labels, idx, out=plan.labels, mode="clip")
                 samples = _draw_samples(model, noise, idx.shape[0], config.per_example_sample,
                                         force_zero=config.force_sigma_zero)
-                grads = backward(model, feats, labels, samples, kl_w, plan)  # written into plan.grad
+                log_p = None
+                if kl_w:
+                    theta, mu, sigma, log_p = store_rows[m]
+                    theta[...], mu[...], sigma[...] = samples.theta, model.output.params.mu, samples.sigma
+                    m += 1
+                grads = backward(model, feats, labels, samples, kl_w, plan, log_p)  # written into plan.grad
                 rmsprop_step(flat, plan.grad, accum, config.learning_rate)  # the model's arrays view flat
                 # a non-finite gradient spoils its update, so one check sees both; a finite sum has finite
                 # terms, so only a sum that is not looks at each one
@@ -348,10 +364,10 @@ def _train(dataset, val, config, bayesian):
                     group = names[int(np.searchsorted(ends, first, side="right"))]
                     raise NumericError(f"non-finite {'gradient' if bad_grad else 'update'} in parameter group '{group}'")
                 epoch_nll += grads.nll
-                if kl_w and kl_rows.full:
-                    epoch_kl = add_kl(epoch_kl)
-            if kl_w and kl_rows.count:
-                epoch_kl = add_kl(epoch_kl)
+                if m == KL_BLOCK:
+                    epoch_kl, m = add_kl(epoch_kl, m), 0
+            if m:
+                epoch_kl = add_kl(epoch_kl, m)
             val_acc, val_nll = validate_metrics(model, val)
             if not (math.isfinite(val_acc) and math.isfinite(val_nll)):
                 # a NaN would never win the checkpoint comparison and freeze the best epoch silently

@@ -300,7 +300,9 @@ class TestCompareReport:
         test, shifted = (dataclasses.replace(_report(name, 0.5), records=[record]) for name in ("test", "shifted"))
         assert len(compare_report([test, shifted], [test, shifted], ["test", "shifted"])) == 2
         with pytest.raises(ValueError, match="^bayes report 1 \\('test'\\) and baseline report 1 "
-                                             "\\('shifted'\\) name different datasets$"):
+                                             "\\('shifted'\\) name different datasets; a report is named by "
+                                             "eval's --dataset-name or its CSV's stem, so evaluate both heads "
+                                             "under one name$"):
             compare_report([test, shifted], [shifted, test], ["test", "shifted"])
 
 

@@ -448,7 +448,9 @@ class TestEvalAnalyzeCompare:
                    "--baseline", reports["base", "shifted"], reports["base", "test"]]
         assert run(["compare", *swapped, "--out", str(tmp_path / "t")]) == 2
         err = capsys.readouterr().err.splitlines()
-        assert err == ["error: bayes report 1 ('test') and baseline report 1 ('shifted') name different datasets"]
+        assert err == ["error: bayes report 1 ('test') and baseline report 1 ('shifted') name different datasets; "
+                       "a report is named by eval's --dataset-name or its CSV's stem, so evaluate both heads "
+                       "under one name"]
         assert not (tmp_path / "t").exists()
 
     def test_compare_mismatch_exits_2(self, cli_data, trained, tmp_path, capsys):

@@ -295,28 +295,26 @@ def _fused_case(case):
 _FUSED_CASES = ["shared", "per_example", "baseline", "force_sigma_zero", "kl_weight_zero"]
 
 
-def _stored_kl(model, buffers) -> float:
-    """The KL of the one row a step stored, through ``kl_sample_estimate`` as the run forms it; 0.0
-    for a step that stored none."""
-    if not model.is_bayesian or buffers.kl_rows.count == 0:
-        return 0.0
-    rows = buffers.kl_rows
-    assert rows.count == 1
-    (kl,) = rows.estimates(model.output.prior)
-    assert kl == float(kl_sample_estimate(rows.theta[0], rows.mu[0], rows.sigma[0], model.output.prior,
-                                          rows.log_p[0]))
-    return kl
+def _step_with_kl(model, features, labels, samples, kl_weight, buffers=None):
+    """(backward's gradients, the step's KL), the KL formed as a run forms it: ``kl_sample_estimate``
+    of the draw, mu before the update and the log p(theta) that backward wrote into the row it was
+    handed; 0.0, with the row untouched, for a step with no KL term."""
+    log_p = None if samples is None else np.full_like(samples.theta, np.nan)
+    mu = model.output.params.mu.copy() if model.is_bayesian else None
+    got = backward(model, features, labels, samples, kl_weight, buffers, log_p)
+    if not (model.is_bayesian and samples is not None and kl_weight != 0.0):
+        assert log_p is None or np.isnan(log_p).all()
+        return got, 0.0
+    return got, float(kl_sample_estimate(samples.theta, mu, samples.sigma, model.output.prior, log_p))
 
 
 class TestFusedStep:
     @pytest.mark.parametrize("case", _FUSED_CASES)
     def test_loss_parts_equal_the_reference_loss(self, case):
-        # the NLL comes back with the gradients; the KL is formed from the row the step stored
+        # the NLL comes back with the gradients; the KL is formed from the log p the step wrote
         model, features, labels, samples, kl_weight = _fused_case(case)
-        buffers = StepBuffers(model, 9)
-        got = backward(model, features, labels, samples, kl_weight, buffers)
+        got, got_kl = _step_with_kl(model, features, labels, samples, kl_weight, StepBuffers(model, 9))
         _, nll, kl = _elbo_parts(model, features, labels, samples, kl_weight)
-        got_kl = _stored_kl(model, buffers)
         assert (got.nll, got_kl) == (nll, kl)
         assert np.float64(got.nll).tobytes() == np.float64(nll).tobytes()
         assert np.float64(got_kl).tobytes() == np.float64(kl).tobytes()
@@ -350,9 +348,9 @@ class TestFusedStep:
             samples = dataclasses.replace(samples, logit_noise=samples.logit_noise[:rows])
         buffers = StepBuffers(model, rows)
         want = backward(model, features[:rows], labels[:rows], samples, kl_weight)
-        got = backward(model, features[:rows], labels[:rows], samples, kl_weight, buffers)
+        got, got_kl = _step_with_kl(model, features[:rows], labels[:rows], samples, kl_weight, buffers)
         want_kl = _elbo_parts(model, features[:rows], labels[:rows], samples, kl_weight)[2]
-        assert (got.nll, _stored_kl(model, buffers)) == (want.nll, want_kl)
+        assert (got.nll, got_kl) == (want.nll, want_kl)
         for name, g in want.items():
             assert got[name].shape == g.shape and got[name].tobytes() == g.tobytes(), name
 

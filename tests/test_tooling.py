@@ -111,7 +111,7 @@ def test_shared_sample_epoch_makes_one_call_of_each_per_step(monkeypatch, tiny_t
     (train_baseline if head == "baseline" else train_bayes)(train, val, config)
     steps = math.ceil(len(train) / config.batch_size)
     # the steps' KL values are formed once per block of at most KL_BLOCK steps
-    blocks = 0 if head == "baseline" else math.ceil(steps / network.KL_BLOCK) * config.epochs
+    blocks = 0 if head == "baseline" else math.ceil(steps / training.KL_BLOCK) * config.epochs
     assert {name: len(c) for name, c in calls.items()} == {**dict.fromkeys(calls, steps),
                                                            "kl_sample_estimate": blocks}
     # softplus: the step's draw, plus validation's mean_sample once per epoch; sigmoid: backward's sigma'
@@ -202,4 +202,4 @@ def test_stepcost_runs_every_head_at_both_shapes():
     rows = [line.split() for line in done.stdout.splitlines()[2:]]
     assert [row[:2] for row in rows] == [[shape, head] for shape in ("paper_pipeline", "wide_train")
                                          for head in ("shared_sample", "per_example", "baseline")]
-    assert all(len(row) == 11 for row in rows)
+    assert all(len(row) == 12 for row in rows)  # shape, head, 6 step pieces, their sum and 3 epoch pieces

@@ -20,7 +20,6 @@ from bayeshead import (
     training,
     validate_metrics,
 )
-from bayeshead import network
 from bayeshead.distributions import VariationalParams, kl_sample_estimate, sample_weights
 from bayeshead.network import backward
 from bayeshead.training import (
@@ -533,9 +532,9 @@ def test_force_sigma_zero_and_per_example_training_draw_as_before(monkeypatch):
     calls.clear()
     drawn = []
 
-    def recorded_backward(model, features, labels, samples, kl_weight, buffers):
+    def recorded_backward(model, features, labels, samples, kl_weight, buffers, log_p):
         drawn.append((samples.epsilon.copy(), samples.logit_noise.copy()))
-        return backward(model, features, labels, samples, kl_weight, buffers)
+        return backward(model, features, labels, samples, kl_weight, buffers, log_p)
 
     monkeypatch.setattr(training, "backward", recorded_backward)
     train_bayes(train_set, val, TrainConfig(epochs=2, hidden_dim=4, batch_size=8, seed=2, per_example_sample=True))
@@ -555,26 +554,26 @@ def test_force_sigma_zero_and_per_example_training_draw_as_before(monkeypatch):
 
 @pytest.mark.parametrize("per_example", [False, True])
 def test_each_steps_kl_from_the_block_pass_equals_its_draw_alone(monkeypatch, per_example):
-    # the run forms its steps' KL values a block of network.KL_BLOCK rows at a time; each must have
+    # the run forms its steps' KL values a block of training.KL_BLOCK rows at a time; each must have
     # the bits of kl_sample_estimate on that step's draw alone, and train_kl their weighted sum in step order
     train_set, val = _task(5, n_train=98)  # 196 rows in batches of 3: 66 steps, the last of one row
     config = TrainConfig(epochs=2, hidden_dim=4, batch_size=3, seed=4, per_example_sample=per_example)
     n, steps = len(train_set), math.ceil(len(train_set) / config.batch_size)
-    assert steps > network.KL_BLOCK and n % config.batch_size == 1
+    assert steps > training.KL_BLOCK and n % config.batch_size == 1
     draws, blocks = [], []
 
-    def recorded_backward(model, features, labels, samples, kl_weight, buffers):
+    def recorded_backward(model, features, labels, samples, kl_weight, buffers, log_p):
         draws.append((samples.theta.copy(), model.output.params.mu.copy(), samples.sigma.copy()))
-        return backward(model, features, labels, samples, kl_weight, buffers)
+        return backward(model, features, labels, samples, kl_weight, buffers, log_p)
 
     def recorded_kl(*args, **kwargs):
         blocks.append(kl_sample_estimate(*args, **kwargs))
         return blocks[-1]
 
     monkeypatch.setattr(training, "backward", recorded_backward)
-    monkeypatch.setattr(network, "kl_sample_estimate", recorded_kl)
+    monkeypatch.setattr(training, "kl_sample_estimate", recorded_kl)
     _, history = train_bayes(train_set, val, config)
-    assert [len(b) for b in blocks] == [network.KL_BLOCK, steps - network.KL_BLOCK] * config.epochs
+    assert [len(b) for b in blocks] == [training.KL_BLOCK, steps - training.KL_BLOCK] * config.epochs
     alone = [float(kl_sample_estimate(theta, mu, sigma, config.prior)) for theta, mu, sigma in draws]
     assert np.concatenate(blocks).tobytes() == np.array(alone).tobytes()
     kl_w = kl_weight_for(config, n)

@@ -10,16 +10,16 @@ validation rows) and that of ``wide_train`` (8000 rows of 64 features, 4
 classes, 2000 validation rows), with hidden width 32 and batch 32, it sets
 up a run as ``training._train`` does and times each piece of the loop on its
 own. Per step: the batch gather, the posterior draw, ``backward`` (with
-the prior pass and the copy of the draw into the run's ``KLRows``), ``kl``
-(the block pass that forms the stored rows' KL values, a call per block of
-``KL_BLOCK`` steps, given per step), ``rmsprop_step`` and the finiteness
-check on the parameters. Per epoch: the shuffle's permutation, the epoch's
+the prior pass and the copy of the draw into a row of the run's KL store),
+``kl`` (the block pass that forms the stored rows' KL values, a call per
+block of ``KL_BLOCK`` steps, given per step), ``rmsprop_step`` and the
+finiteness check on the parameters. Per epoch: the shuffle's permutation, the epoch's
 noise block and ``validate_metrics``. A per-step piece is timed over one
 epoch of calls, the permutation and the noise block over three calls, and
 validation as ``_train`` calls it: once, after an epoch of the per-step
 pieces. Back-to-back validations of a wide set can each wait on OpenBLAS's
 threads and read many times slower. The table gives the best of ``--reps``
-timings in microseconds per call. It uses numpy and the standard library
+timings in microseconds per call, and ``step`` sums the per-step pieces. It uses numpy and the standard library
 only and stays out of the test suite.
 """
 
@@ -37,7 +37,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from bayeshead import training  # noqa: E402
 from bayeshead.data import FeatureDataset  # noqa: E402
-from bayeshead.network import KL_BLOCK, KLRows, StepBuffers, backward  # noqa: E402
+from bayeshead.network import StepBuffers, backward  # noqa: E402
+from bayeshead.training import KL_BLOCK, block_kl  # noqa: E402
 from bayeshead.rng import RngStream  # noqa: E402
 
 SHAPES = {
@@ -86,8 +87,9 @@ def measure(shape: str, head: str, reps: int) -> dict:
     n, bs = len(train), config.batch_size
     order = RngStream(0).permutation(n)
     batches = [order[start : start + bs] for start in range(0, n, bs)]
-    kl_rows = KLRows(len(model.output.params)) if bayesian else None
-    plans = {rows: StepBuffers(model, rows, kl_rows) for rows in {len(idx) for idx in batches}}  # one per batch size
+    plans = {rows: StepBuffers(model, rows) for rows in {len(idx) for idx in batches}}  # one per batch size
+    store = np.empty((4, KL_BLOCK, len(model.output.params))) if bayesian else None  # as _train's KL store
+    store_rows = list(zip(*store)) if bayesian else None
     steps = len(batches)
     blocks = [min(KL_BLOCK, steps - start) for start in range(0, steps, KL_BLOCK)]
     kl_w = training.kl_weight_for(config, n) if bayesian else 0.0
@@ -107,15 +109,16 @@ def measure(shape: str, head: str, reps: int) -> dict:
             np.take(train.labels, idx, out=plan.labels, mode="clip")
 
     def step_backward():
-        for features, labels, sample in inputs:
-            if bayesian and kl_rows.full:
-                kl_rows.count = 0  # the kl column times the block pass over these rows
-            backward(model, features, labels, sample, kl_w, plans[len(labels)])
+        for j, (features, labels, sample) in enumerate(inputs):
+            log_p = None
+            if bayesian:  # the rows wrap round, so the kl column reads the last block the steps stored
+                theta, mu, sigma, log_p = store_rows[j % KL_BLOCK]
+                theta[...], mu[...], sigma[...] = sample.theta, model.output.params.mu, sample.sigma
+            backward(model, features, labels, sample, kl_w, plans[len(labels)], log_p)
 
-    def kl():  # over the rows the backward column's calls stored: blocks never exceed min(steps, KL_BLOCK)
+    def kl():
         for rows in blocks:
-            kl_rows.count = rows
-            kl_rows.estimates(model.output.prior)
+            block_kl(store, rows, model.output.prior)
 
     params, accum = flat.copy(), np.zeros_like(flat)  # the update runs on a copy, so the model stays put
 
@@ -155,12 +158,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.reps < 1:
         parser.error("--reps must be >= 1")
-    columns = (*STEP, *EPOCH)
+    columns = (*STEP, "step", *EPOCH)
     print(f"µs per call, best of {args.reps}; numpy {np.__version__}")
     print(f"{'shape':<15}{'head':<14}" + "".join(f"{c:>10}" for c in columns))
     for shape in SHAPES:
         for head in HEADS:
             cost = measure(shape, head, args.reps)
+            cost["step"] = sum(cost[name] or 0.0 for name in STEP)
             cells = ("-" if cost[c] is None else f"{cost[c]:.1f}" for c in columns)
             print(f"{shape:<15}{head:<14}" + "".join(f"{c:>10}" for c in cells))
     return 0
