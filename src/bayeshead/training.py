@@ -14,12 +14,12 @@ log p into the same row; every ``KL_BLOCK`` steps, and at each epoch's end,
 one ``kl_sample_estimate`` call forms every stored row's estimate, which the
 epoch's ``train_kl`` adds, weighted, in step order, so the totals have the
 bits of a KL per step.  Both heads use the identical update path, so
-forcing sigma = 0 and dropping the KL reproduces the baseline bit for bit.  The baseline starts
-from ``init_bayes_model``'s draws, its output weights the bayesian head's
-initial mu unflattened by the output layer; validation runs
-``network.mean_forward``, the logits path that training's passes use, 1024
-rows at a time; and the checkpoint keeps the first epoch with the lowest
-val_nll.
+forcing sigma = 0 and dropping the KL reproduces the baseline bit for bit.
+The baseline starts from ``init_bayes_model``'s draws, its output weights
+the bayesian head's initial mu unflattened by the output layer; validation
+runs ``network.mean_forward``, the logits path that training's passes use,
+1024 rows at a time; and the checkpoint keeps the first epoch with the
+lowest val_nll.
 
 The parameter groups live as views in one contiguous buffer, and each run
 makes one ``network.StepBuffers`` per batch size (the full batch and at most
