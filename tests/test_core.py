@@ -171,6 +171,14 @@ class TestSoftplus:
         with pytest.raises(ValueError):
             softplus(float("nan"))
 
+    def test_out_receives_the_bits_of_the_call_without_it(self):
+        x = np.random.default_rng(4).normal(scale=30.0, size=257)
+        out = np.empty_like(x)
+        assert softplus(x, out=out) is out
+        assert out.tobytes() == softplus(x).tobytes()
+        with pytest.raises(ValueError):
+            softplus(np.array([0.0, np.inf]), out=out[:2])
+
     @given(finite_floats)
     def test_difference_identity(self, x):
         assert abs(float(softplus(x)) - float(softplus(-x)) - x) < 1e-10

@@ -9,18 +9,20 @@ of ``paper_pipeline`` (400 training rows of 2 features, 2 classes, 200
 validation rows) and that of ``wide_train`` (8000 rows of 64 features, 4
 classes, 2000 validation rows), with hidden width 32 and batch 32, it sets
 up a run as ``training._train`` does and times each piece of the loop on its
-own. Per step: the batch gather, the posterior draw, ``backward`` (with
-the prior pass and the copy of the draw into a row of the run's KL store),
-``kl`` (the block pass that forms the stored rows' KL values, a call per
-block of ``KL_BLOCK`` steps, given per step), ``rmsprop_step`` and the
-finiteness check on the parameters. Per epoch: the shuffle's permutation, the epoch's
-noise block and ``validate_metrics``. A per-step piece is timed over one
-epoch of calls, the permutation and the noise block over three calls, and
-validation as ``_train`` calls it: once, after an epoch of the per-step
-pieces. Back-to-back validations of a wide set can each wait on OpenBLAS's
-threads and read many times slower. The table gives the best of ``--reps``
-timings in microseconds per call, and ``step`` sums the per-step pieces. It uses numpy and the standard library
-only and stays out of the test suite.
+own. Per step: the batch gather, the posterior draw (mu's copy and the draw
+written into a row of the run's KL store), ``backward`` (with the prior
+pass, which writes log p into the row), ``kl`` (the block pass that forms
+the stored rows' KL values, a call per block of ``KL_BLOCK`` steps, given
+per step), ``rmsprop_step`` and the finiteness check on the parameters. Per
+epoch: the shuffle's permutation and the noise, each drawn as ``_train``
+draws it, a block of whole epochs at a time, and ``validate_metrics``. A
+per-step piece is timed over one epoch of calls, the shuffle and the noise
+over three blocks, given per epoch, and validation as ``_train`` calls it:
+once, after an epoch of the per-step pieces. Back-to-back validations of a
+wide set can each wait on OpenBLAS's threads and read many times slower.
+The table gives the best of ``--reps`` timings in microseconds per call,
+and ``step`` sums the per-step pieces. It uses numpy and the standard
+library only and stays out of the test suite.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from bayeshead import training  # noqa: E402
 from bayeshead.data import FeatureDataset  # noqa: E402
 from bayeshead.network import StepBuffers, backward  # noqa: E402
 from bayeshead.training import KL_BLOCK, block_kl  # noqa: E402
-from bayeshead.rng import RngStream  # noqa: E402
+from bayeshead.rng import RngStream, _Drawn  # noqa: E402
 
 SHAPES = {
     "paper_pipeline": dict(train=400, val=200, dim=2, classes=2),
@@ -48,7 +50,7 @@ SHAPES = {
 HEADS = ("shared_sample", "per_example", "baseline")
 STEP = ("gather", "draw", "backward", "kl", "rmsprop", "check")
 EPOCH = ("permute", "noise", "validate")
-EPOCH_CALLS = 3
+BLOCKS = 3  # draws of whole epochs that the shuffle and the noise are timed over
 
 
 def _dataset(rng, n, dim, classes) -> FeatureDataset:
@@ -96,9 +98,17 @@ def measure(shape: str, head: str, reps: int) -> dict:
     block = steps * len(model.output.params) + n * spec["classes"] * per_example if bayesian else 0
     normals = RngStream(1).normal(block) if bayesian else None
 
-    def draws():
+    def draws(into_store=False):
         noise = training._NoiseBlock(normals) if bayesian else None
-        return [training._draw_samples(model, noise, len(idx), per_example, False) for idx in batches]
+        samples = []
+        for j, idx in enumerate(batches):
+            row = None
+            if into_store:  # as _train's step: mu before the update, then the draw, into a row of the store
+                theta, mu, sigma, _ = store_rows[j % KL_BLOCK]
+                mu[...] = model.output.params.mu
+                row = theta, sigma
+            samples.append(training._draw_samples(model, noise, len(idx), per_example, False, row))
+        return samples
 
     inputs = [(train.features[idx], train.labels[idx], sample) for idx, sample in zip(batches, draws())]
 
@@ -110,10 +120,8 @@ def measure(shape: str, head: str, reps: int) -> dict:
 
     def step_backward():
         for j, (features, labels, sample) in enumerate(inputs):
-            log_p = None
-            if bayesian:  # the rows wrap round, so the kl column reads the last block the steps stored
-                theta, mu, sigma, log_p = store_rows[j % KL_BLOCK]
-                theta[...], mu[...], sigma[...] = sample.theta, model.output.params.mu, sample.sigma
+            # the rows wrap round, so the kl column reads the last block the steps stored
+            log_p = store_rows[j % KL_BLOCK][3] if bayesian else None
             backward(model, features, labels, sample, kl_w, plans[len(labels)], log_p)
 
     def kl():
@@ -130,24 +138,32 @@ def measure(shape: str, head: str, reps: int) -> dict:
         for _ in batches:
             math.isfinite(np.add.reduce(flat)) or np.isfinite(flat).all()
 
-    def repeat(fn):
-        def calls():
-            for _ in range(EPOCH_CALLS):
-                fn()
-        return calls
+    shuffle_epochs = training._epochs_per_draw(n - 1)
+    noise_epochs = training._epochs_per_draw(2 * block)
 
-    step = {"gather": gather, "draw": draws, "backward": step_backward, "kl": kl if bayesian else None,
-            "rmsprop": update, "check": check}
+    def permute():
+        shuffle = RngStream(2)
+        for _ in range(BLOCKS):
+            drawn = _Drawn(shuffle, (n - 1) * shuffle_epochs)
+            for _ in range(shuffle_epochs):
+                drawn.permutation(n)
+
+    def noise():
+        stream = RngStream(3)
+        for _ in range(BLOCKS):
+            training._NoiseBlock(stream.normal(block * noise_epochs))
+
+    step = {"gather": gather, "draw": lambda: draws(into_store=bayesian), "backward": step_backward,
+            "kl": kl if bayesian else None, "rmsprop": update, "check": check}
 
     def epoch_steps():
         for fn in step.values():
             fn and fn()
 
-    epoch = {"permute": repeat(lambda: RngStream(2).permutation(n)),
-             "noise": repeat(lambda: RngStream(3).normal(block)) if bayesian else None}
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as _train runs its loop
         out = {name: fn and _best(fn, reps, steps) for name, fn in step.items()}
-        out |= {name: fn and _best(fn, reps, EPOCH_CALLS) for name, fn in epoch.items()}
+        out["permute"] = _best(permute, reps, BLOCKS * shuffle_epochs)
+        out["noise"] = _best(noise, reps, BLOCKS * noise_epochs) if bayesian else None
         out["validate"] = _best(lambda: training.validate_metrics(model, val), reps, 1, before=epoch_steps)
     return out
 
