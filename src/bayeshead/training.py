@@ -13,8 +13,9 @@ row of the run's KL store, its draw writes theta and sigma straight into the
 same row, and ``backward`` writes log p there; every ``KL_BLOCK`` steps, and
 at each epoch's end, one ``kl_sample_estimate`` call forms every stored
 row's estimate, which the epoch's ``train_kl`` adds, weighted, in step
-order, so the totals have the bits of a KL per step.  Both heads use the identical update path, so
-forcing sigma = 0 and dropping the KL reproduces the baseline bit for bit.
+order, so the totals have the bits of a KL per step.  Both heads use the
+identical update path, so forcing sigma = 0 and dropping the KL reproduces
+the baseline bit for bit.
 The baseline starts from ``init_bayes_model``'s draws, its output weights
 the bayesian head's initial mu unflattened by the output layer; validation
 runs ``network.mean_forward``, the logits path that training's passes use,
@@ -30,13 +31,14 @@ concatenation, and the best-epoch checkpoint is one copy; elementwise
 arithmetic gives the same bits as a call per group.  Every step gathers its
 batch into the plan for its size and ``backward`` writes its intermediates
 there, and its draw lands in the KL store, so what a step still allocates
-is the optimizer's temporaries and a few small arrays.  The shuffle's words and both bayesian
-heads' noise are drawn a block of whole epochs at a time, as many as
-``DRAW_WORDS`` words hold and at least one, the last block partial: each
-epoch's ``permutation`` takes its n - 1 words from an ``rng._Drawn`` block,
-and each step reads K normals, then B * C for the per-example head's logit
-noise, from a ``_NoiseBlock``.  The streams are counter-based, so the bits and
-the final counters are those of a permutation per epoch and draws per step.
+is the optimizer's temporaries and a few small arrays.  The shuffle's words
+and both bayesian heads' noise are drawn a block of whole epochs at a time,
+as many as ``DRAW_WORDS`` words hold and at least one, the last block
+partial: each epoch's ``permutation`` takes its n - 1 words from an
+``rng._Drawn`` block, and each step reads K normals, then B * C for the
+per-example head's logit noise, from a ``_NoiseBlock``.  The streams are
+counter-based, so the bits and the final counters are those of a
+permutation per epoch and draws per step.
 """
 
 from __future__ import annotations
