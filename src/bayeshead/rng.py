@@ -17,10 +17,6 @@ n=50, k=132.  One level up, ``inference.posterior_draws`` memoizes the
 weight stack it builds from a block, and still reads the block through
 ``child_normals`` on every call.
 
-``_Drawn`` serves words that one ``_take`` of another stream drew ahead, so
-training draws several epochs' shuffle words at once and still calls
-``permutation`` once an epoch, with the bits of the per-epoch draws.
-
 Conventions: a stream object is either *drawn from* (advancing its
 counter) or *derived from* (pure, counter untouched) -- never both for
 the same purpose.  Parallel tasks must each own a derived child stream.
@@ -50,15 +46,11 @@ def check_seed(seed: int) -> None:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
 
 
-def _mix(words: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
-    """SplitMix64 finalizer, a bijective avalanche on uint64 words, written over ``words``, which
-    every caller owns; ``tmp``, shaped like ``words``, is scratch."""
-    words ^= np.right_shift(words, _SHIFT_30, out=tmp)
-    words *= _MIX_MUL1
-    words ^= np.right_shift(words, _SHIFT_27, out=tmp)
-    words *= _MIX_MUL2
-    words ^= np.right_shift(words, _SHIFT_31, out=tmp)
-    return words
+def _mix(words: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer; bijective avalanche on uint64 words."""
+    words = (words ^ (words >> _SHIFT_30)) * _MIX_MUL1
+    words = (words ^ (words >> _SHIFT_27)) * _MIX_MUL2
+    return words ^ (words >> _SHIFT_31)
 
 
 def _u64(value: int) -> np.ndarray:
@@ -71,15 +63,10 @@ def _keys(seed: int, stream_ids: np.ndarray) -> np.ndarray:
 
 
 def _words(keys: np.ndarray, start: int, count: int) -> np.ndarray:
-    """Words start .. start+count-1 of the streams keyed by ``keys[1:]`` under seed key ``keys[0]``, one row each;
-    built in place, since a large draw's fresh temporaries cost more than its arithmetic."""
-    words = np.empty((len(keys) - 1, count), dtype=np.uint64)
-    tmp = np.empty_like(words)
-    h = np.arange(start, start + count, dtype=np.uint64)
-    h *= _GOLDEN
-    h += keys[:1]
-    np.bitwise_xor(_mix(h, tmp[0]), keys[1:, None], out=words)
-    return _mix(words, tmp)
+    """Words start .. start+count-1 of the streams keyed by ``keys[1:]`` under seed key ``keys[0]``, one row each."""
+    idx = np.arange(start, start + count, dtype=np.uint64)
+    h = _mix(idx * _GOLDEN + keys[:1])
+    return _mix(h ^ keys[1:, None])
 
 
 def _child_ids(stream_ids: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -177,20 +164,3 @@ class _Children(RngStream):
         block = _child_block(self.seed, self.stream_id, self.rows, self.counter, k)
         self.counter += 2 * k
         return block
-
-
-class _Drawn(RngStream):
-    """The next ``count`` words of ``stream``, drawn by one ``_take`` that advances it and served in
-    order by this stream's ``_take``, so draws on it have the bits of the same draws on ``stream``."""
-
-    def __init__(self, stream: RngStream, count: int):
-        super().__init__(stream.seed, stream.stream_id, stream.counter)
-        self._block = stream._take(count)
-        self._next = 0
-
-    def _take(self, count: int) -> np.ndarray:
-        start, self._next = self._next, self._next + count
-        if self._next > self._block.size:
-            raise IndexError(f"{count} words asked of a drawn block with {self._block.size - start} left")
-        self.counter += count
-        return self._block[start : self._next]

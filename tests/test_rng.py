@@ -195,27 +195,20 @@ def test_permutation_matches_per_element_fisher_yates(n):
     assert stream.counter == reference.counter == 11 + max(n - 1, 0)
 
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-
-
-def _mix(w):
-    """The SplitMix64 finalizer, out of place."""
-    w = (w ^ (w >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    w = (w ^ (w >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return w ^ (w >> np.uint64(31))
-
-
-def _reference_rows(seed, ids, start, count):
-    """The words of the streams ``ids`` (uint64), one row each, every array formed afresh."""
-    idx = np.arange(start, start + count, dtype=np.uint64)
-    keys = _mix(np.concatenate([np.array([seed & ((1 << 64) - 1)], dtype=np.uint64), ids ^ _GOLDEN]))
-    h = _mix(idx * _GOLDEN + keys[:1])
-    return _mix(h ^ keys[1:, None])
-
-
 def _reference_words(seed, stream_id, start, count):
     """One stream's words, its keys built afresh on every call."""
-    return _reference_rows(seed, np.array([stream_id & ((1 << 64) - 1)], dtype=np.uint64), start, count)[0]
+
+    def mix(w):
+        w = (w ^ (w >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        w = (w ^ (w >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return w ^ (w >> np.uint64(31))
+
+    mask, golden = (1 << 64) - 1, np.uint64(0x9E3779B97F4A7C15)
+    idx = np.arange(start, start + count, dtype=np.uint64)
+    ids = np.array([stream_id & mask], dtype=np.uint64)
+    keys = mix(np.concatenate([np.array([seed & mask], dtype=np.uint64), ids ^ golden]))
+    h = mix(idx * golden + keys[:1])
+    return mix(h ^ keys[1:, None])[0]
 
 
 def _reference_normal(seed, stream_id, start, n):
@@ -254,28 +247,3 @@ def test_the_seed_is_part_of_a_streams_words():
             start = stream.counter
             assert stream.normal(6).tobytes() == _reference_normal(seed, 5, start, 6).tobytes()
     assert not np.array_equal(RngStream(0, 5).normal(6), RngStream(1, 5).normal(6))
-
-
-def test_words_built_in_place_equal_the_out_of_place_formula():
-    # one stream at a counter near 2**64, and a 50-row child block, whose ids are also formed afresh
-    start = 2**64 - 300
-    stream = RngStream(2**63 + 5, 77, counter=start)
-    assert stream._take(264).tobytes() == _reference_words(2**63 + 5, 77, start, 264).tobytes()
-    salt = np.uint64(0xD1342543DE82EF95)
-    ids = _mix((np.uint64(77) ^ _GOLDEN) + _mix(np.arange(50, dtype=np.uint64) * salt))
-    for counter in (0, start):
-        words = rng._words(rng._keys(9, rng._child_ids(rng._u64(77), np.arange(50, dtype=np.uint64))), counter, 264)
-        assert words.shape == (50, 264)
-        assert words.tobytes() == _reference_rows(9, ids, counter, 264).tobytes()
-
-
-def test_a_drawn_block_serves_the_next_words_of_its_stream():
-    stream, reference = RngStream(41, 8, counter=5), RngStream(41, 8, counter=5)
-    drawn = rng._Drawn(stream, 3 * 39 + 2 * 7)
-    assert stream.counter == 5 + 3 * 39 + 2 * 7
-    for _ in range(3):
-        assert drawn.permutation(40).tobytes() == reference.permutation(40).tobytes()
-    assert drawn.normal(7).tobytes() == reference.normal(7).tobytes()
-    assert drawn.counter == stream.counter == reference.counter
-    with pytest.raises(IndexError):
-        drawn.permutation(2)

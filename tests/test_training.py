@@ -555,52 +555,43 @@ def test_force_sigma_zero_and_per_example_training_draw_as_before(monkeypatch):
 
 
 def _blocks(words_per_epoch, epochs):
-    """Epochs per draw of a stream under the block rule: whole epochs in DRAW_WORDS, at least one."""
+    """Epochs per draw of the noise under the block rule: whole epochs in DRAW_WORDS, at least one."""
     span = max(1, training.DRAW_WORDS // words_per_epoch)
     return [min(span, epochs - e) for e in range(0, epochs, span)]
 
 
 @pytest.mark.parametrize("head", ["shared_sample", "per_example", "baseline"])
 def test_block_draws_equal_the_per_epoch_draws(monkeypatch, head):
-    # with DRAW_WORDS cut to 1000, a 17-epoch run of 60 rows draws its shuffle words (59 an epoch) in
-    # blocks of 16 and 1 epochs, and its noise (160 or 400 words an epoch) in blocks of 6, 6 and 5 or
-    # eight of 2 and one of 1; every read has the bits of the per-epoch and per-step draws
+    # with DRAW_WORDS cut to 1000, a 17-epoch run of 60 rows draws its noise (160 or 400 words an
+    # epoch) in blocks of 6, 6 and 5 epochs or eight of 2 and one of 1; every read has the bits of
+    # the per-step draws, and each epoch's order is the next permutation of the shuffle stream
     monkeypatch.setattr(training, "DRAW_WORDS", 1000)
     train_set, val = _task(3, n_train=30)
     config = TrainConfig(epochs=17, hidden_dim=4, batch_size=8, seed=6, per_example_sample=head == "per_example")
     n, k, c, bs = len(train_set), (4 + 1) * 2, 2, config.batch_size
     steps = math.ceil(n / bs)
-    shuffle_id = RngStream(config.seed).derive(_SHUFFLE_STREAM).stream_id
-    drawn, orders, used = [], [], []
-    drawn_block = training._Drawn
-
-    def recorded_drawn(stream, count):
-        drawn.append((stream, count))
-        return drawn_block(stream, count)
-
+    orders, used = [], []
     permutation = RngStream.permutation
 
     def recorded_permutation(self, m):
-        orders.append(permutation(self, m))
-        return orders[-1] if self.stream_id == shuffle_id else orders.pop()
+        orders.append((self, permutation(self, m)))
+        return orders[-1][1]
 
     def recorded_backward(model, features, labels, samples, kl_weight, buffers, log_p):
         if samples is not None:
             used.append((samples.epsilon.copy(), samples.logit_noise))
         return backward(model, features, labels, samples, kl_weight, buffers, log_p)
 
-    monkeypatch.setattr(training, "_Drawn", recorded_drawn)
     monkeypatch.setattr(RngStream, "permutation", recorded_permutation)
     monkeypatch.setattr(training, "backward", recorded_backward)
     calls = _record_normal_calls(monkeypatch)
     (train_baseline if head == "baseline" else train_bayes)(train_set, val, config)
 
-    shuffle_blocks = _blocks(n - 1, config.epochs)
-    assert len(shuffle_blocks) >= 2 and shuffle_blocks[-1] < shuffle_blocks[0]
-    assert [count for _, count in drawn] == [(n - 1) * e for e in shuffle_blocks]
+    shuffles = orders[:]  # the run's calls; the reference's below are recorded too
     reference = RngStream(config.seed).derive(_SHUFFLE_STREAM)
-    assert [o.tobytes() for o in orders] == [reference.permutation(n).tobytes() for _ in range(config.epochs)]
-    assert drawn[-1][0].counter == reference.counter == (n - 1) * config.epochs
+    assert [o.tobytes() for _, o in shuffles] == [reference.permutation(n).tobytes() for _ in range(config.epochs)]
+    assert {id(stream) for stream, _ in shuffles} == {id(shuffles[0][0])}
+    assert shuffles[0][0].counter == reference.counter == (n - 1) * config.epochs
 
     eps = _eps_calls(calls, config.seed)
     if head == "baseline":

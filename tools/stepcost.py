@@ -14,15 +14,15 @@ written into a row of the run's KL store), ``backward`` (with the prior
 pass, which writes log p into the row), ``kl`` (the block pass that forms
 the stored rows' KL values, a call per block of ``KL_BLOCK`` steps, given
 per step), ``rmsprop_step`` and the finiteness check on the parameters. Per
-epoch: the shuffle's permutation and the noise, each drawn as ``_train``
-draws it, a block of whole epochs at a time, and ``validate_metrics``. A
-per-step piece is timed over one epoch of calls, the shuffle and the noise
-over three blocks, given per epoch, and validation as ``_train`` calls it:
-once, after an epoch of the per-step pieces. Back-to-back validations of a
-wide set can each wait on OpenBLAS's threads and read many times slower.
-The table gives the best of ``--reps`` timings in microseconds per call,
-and ``step`` sums the per-step pieces. It uses numpy and the standard
-library only and stays out of the test suite.
+epoch: the shuffle's permutation, the noise, drawn as ``_train`` draws it,
+a block of whole epochs at a time, and ``validate_metrics``. A per-step
+piece is timed over one epoch of calls, the permutation over three calls,
+the noise over three blocks, given per epoch, and validation as ``_train``
+calls it: once, after an epoch of the per-step pieces. Back-to-back
+validations of a wide set can each wait on OpenBLAS's threads and read many
+times slower. The table gives the best of ``--reps`` timings in
+microseconds per call, and ``step`` sums the per-step pieces. It uses numpy
+and the standard library only and stays out of the test suite.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from bayeshead import training  # noqa: E402
 from bayeshead.data import FeatureDataset  # noqa: E402
 from bayeshead.network import StepBuffers, backward  # noqa: E402
 from bayeshead.training import KL_BLOCK, block_kl  # noqa: E402
-from bayeshead.rng import RngStream, _Drawn  # noqa: E402
+from bayeshead.rng import RngStream  # noqa: E402
 
 SHAPES = {
     "paper_pipeline": dict(train=400, val=200, dim=2, classes=2),
@@ -50,7 +50,7 @@ SHAPES = {
 HEADS = ("shared_sample", "per_example", "baseline")
 STEP = ("gather", "draw", "backward", "kl", "rmsprop", "check")
 EPOCH = ("permute", "noise", "validate")
-BLOCKS = 3  # draws of whole epochs that the shuffle and the noise are timed over
+EPOCH_CALLS = 3  # permutations, and draws of whole epochs' noise, that each timing covers
 
 
 def _dataset(rng, n, dim, classes) -> FeatureDataset:
@@ -115,8 +115,8 @@ def measure(shape: str, head: str, reps: int) -> dict:
     def gather():
         for idx in batches:
             plan = plans[idx.shape[0]]
-            np.take(train.features, idx, axis=0, out=plan.features, mode="clip")
-            np.take(train.labels, idx, out=plan.labels, mode="clip")
+            train.features.take(idx, axis=0, out=plan.features, mode="clip")
+            train.labels.take(idx, out=plan.labels, mode="clip")
 
     def step_backward():
         for j, (features, labels, sample) in enumerate(inputs):
@@ -138,20 +138,16 @@ def measure(shape: str, head: str, reps: int) -> dict:
         for _ in batches:
             math.isfinite(np.add.reduce(flat)) or np.isfinite(flat).all()
 
-    shuffle_epochs = training._epochs_per_draw(n - 1)
-    noise_epochs = training._epochs_per_draw(2 * block)
-
     def permute():
-        shuffle = RngStream(2)
-        for _ in range(BLOCKS):
-            drawn = _Drawn(shuffle, (n - 1) * shuffle_epochs)
-            for _ in range(shuffle_epochs):
-                drawn.permutation(n)
+        for _ in range(EPOCH_CALLS):
+            RngStream(2).permutation(n)
+
+    noise_epochs = max(1, training.DRAW_WORDS // (2 * block)) if bayesian else 1
 
     def noise():
         stream = RngStream(3)
-        for _ in range(BLOCKS):
-            training._NoiseBlock(stream.normal(block * noise_epochs))
+        for _ in range(EPOCH_CALLS):
+            stream.normal(block * noise_epochs)
 
     step = {"gather": gather, "draw": lambda: draws(into_store=bayesian), "backward": step_backward,
             "kl": kl if bayesian else None, "rmsprop": update, "check": check}
@@ -162,8 +158,8 @@ def measure(shape: str, head: str, reps: int) -> dict:
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as _train runs its loop
         out = {name: fn and _best(fn, reps, steps) for name, fn in step.items()}
-        out["permute"] = _best(permute, reps, BLOCKS * shuffle_epochs)
-        out["noise"] = _best(noise, reps, BLOCKS * noise_epochs) if bayesian else None
+        out["permute"] = _best(permute, reps, EPOCH_CALLS)
+        out["noise"] = _best(noise, reps, EPOCH_CALLS * noise_epochs) if bayesian else None
         out["validate"] = _best(lambda: training.validate_metrics(model, val), reps, 1, before=epoch_steps)
     return out
 
