@@ -50,12 +50,12 @@ def log_softmax(logits, out=None) -> np.ndarray:
     return s
 
 
-def softplus(x, out=None) -> np.ndarray:
-    """log(1 + e^x) without overflow; tends to x for large x, 0+ for large -x. ``out`` as in numpy."""
+def softplus(x) -> np.ndarray:
+    """log(1 + e^x) without overflow; tends to x for large x, 0+ for large -x."""
     x = np.asarray(x, dtype=np.float64)
     if not np.isfinite(x).all():
         raise ValueError("softplus input must be finite")
-    return np.logaddexp(0.0, x, out=out)
+    return np.logaddexp(0.0, x)
 
 
 def inv_softplus(y) -> np.ndarray:

@@ -16,9 +16,8 @@ KL values later, a block of steps per call.  That pass forms the slab and
 spike terms as one (2, K) stack, against the prior's constants kept as whole
 (2, K) rows per prior and width, so each ufunc call covers both components.
 ``_log_pdf_and_score`` and ``_mixture_log_terms`` take ``out=`` arrays for
-every intermediate, and ``sample_weights`` for theta and sigma, so a training
-step's draw lands in its row of the run's KL store and its prior pass
-allocates nothing; each docstring gives the shapes.
+every intermediate, so a step's prior pass allocates nothing; training copies
+the step's draw into its KL-store row.  Each docstring gives the shapes.
 """
 
 from __future__ import annotations
@@ -167,22 +166,18 @@ def _log_pdf_and_score(x, prior: SpikeSlabPrior, out=None):
     return log_p, np.add(z[0, ...], z[1, ...], out=score)  # r * (-x / slab^2) + (1 - r) * (-x / spike^2)
 
 
-def sample_from_epsilon(params: VariationalParams, epsilon, out=None) -> WeightSample:
-    """Reparameterized draw theta = mu + softplus(rho) * epsilon; epsilon (K,) or a stack (..., K).
-    ``out``, two arrays shaped like theta and sigma, receives them: a training step's KL-store row."""
+def sample_from_epsilon(params: VariationalParams, epsilon) -> WeightSample:
+    """Reparameterized draw theta = mu + softplus(rho) * epsilon; epsilon (K,) or a stack (..., K)."""
     eps = np.asarray(epsilon, dtype=np.float64)
     if eps.shape[-1:] != params.mu.shape:
         raise ValueError("epsilon must match the parameter vector length")
-    theta, sigma = (None, None) if out is None else out
-    sigma = softplus(params.rho, out=sigma)
-    theta = np.multiply(sigma, eps, out=theta)
-    theta += params.mu  # sigma * eps + mu: addition commutes, so these are the bits of mu + sigma * eps
-    return WeightSample(theta=theta, epsilon=eps, sigma=sigma)
+    sigma = params.sigma
+    return WeightSample(theta=params.mu + sigma * eps, epsilon=eps, sigma=sigma)
 
 
-def sample_weights(params: VariationalParams, stream: RngStream, out=None) -> WeightSample:
-    """Draw one weight sample from the posterior, advancing ``stream``; ``out`` as in ``sample_from_epsilon``."""
-    return sample_from_epsilon(params, stream.normal(len(params)), out)
+def sample_weights(params: VariationalParams, stream: RngStream) -> WeightSample:
+    """Draw one weight sample from the posterior, advancing ``stream``."""
+    return sample_from_epsilon(params, stream.normal(len(params)))
 
 
 def mean_sample(params: VariationalParams) -> WeightSample:

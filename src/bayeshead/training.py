@@ -8,14 +8,13 @@ kl_weight is 1/num_batches, so a full epoch accumulates one KL term
 gives the summed NLL and the gradients from one forward pass and one pass
 over the spike-and-slab prior (its log-pdf and score at the draw), one
 RMSprop update and one finiteness check on the parameters.  The step's KL
-value is not formed in the step: the step copies mu before the update into a
-row of the run's KL store, its draw writes theta and sigma straight into the
-same row, and ``backward`` writes log p there; every ``KL_BLOCK`` steps, and
-at each epoch's end, one ``kl_sample_estimate`` call forms every stored
-row's estimate, which the epoch's ``train_kl`` adds, weighted, in step
-order, so the totals have the bits of a KL per step.  Both heads use the
-identical update path, so forcing sigma = 0 and dropping the KL reproduces
-the baseline bit for bit.
+value is not formed in the step: the step copies its draw, its scale and mu
+before the update into a row of the run's KL store, and ``backward`` writes
+log p into the same row; every ``KL_BLOCK`` steps, and at each epoch's end,
+one ``kl_sample_estimate`` call forms every stored row's estimate, which the
+epoch's ``train_kl`` adds, weighted, in step order, so the totals have the
+bits of a KL per step.  Both heads use the identical update path, so
+forcing sigma = 0 and dropping the KL reproduces the baseline bit for bit.
 The baseline starts from ``init_bayes_model``'s draws, its output weights
 the bayesian head's initial mu unflattened by the output layer; validation
 runs ``network.mean_forward``, the logits path that training's passes use,
@@ -30,12 +29,10 @@ the update is one in-place optimizer call over ``grad`` with no
 concatenation, and the best-epoch checkpoint is one copy; elementwise
 arithmetic gives the same bits as a call per group.  Every step gathers its
 batch into the plan for its size and ``backward`` writes its intermediates
-there, and its draw lands in the KL store, so what a step still allocates
-is the optimizer's temporaries and a few small arrays.  Both bayesian heads
-draw their noise a block of whole epochs at a time, as many as
-``DRAW_WORDS`` words hold and at least one, the last block partial, and
-each step reads K normals, then B * C for the per-example head's logit
-noise, from a ``_NoiseBlock``: the stream is counter-based, so the bits and
+there, so what a step still allocates is its draw, the optimizer's
+temporaries and a few small arrays.  Both bayesian heads draw an epoch's
+noise in one ``normal`` call and read K normals per step, then B * C for the
+per-example head's logit noise: the stream is counter-based, so the bits and
 the final counter are those of draws per step.
 """
 
@@ -73,7 +70,6 @@ _INIT_STREAM = 0
 _SHUFFLE_STREAM = 1
 _EPS_STREAM = 2
 KL_BLOCK = 64  # steps whose KL values one kl_sample_estimate call forms
-DRAW_WORDS = 1 << 14  # words of noise that one draw of whole epochs holds, unless one epoch needs more
 
 _RMSPROP_DECAY = 0.9  # the running mean's weight on its previous value
 _RMSPROP_EPSILON = 1e-7  # added to the root mean square before it divides the gradient
@@ -198,14 +194,13 @@ def elbo_loss(model: HeadModel, features, labels, stream: RngStream, kl_weight: 
     return _elbo_parts(model, features, labels, samples, kl_weight)
 
 
-def _draw_samples(model, stream, batch_size, per_example, force_zero, out=None):
-    """The step's draw, written to ``out`` (theta, sigma) if given; None for the baseline."""
+def _draw_samples(model, stream, batch_size, per_example, force_zero):
     if not model.is_bayesian:
         return None
     params = model.output.params
     if force_zero:
         return mean_sample(params)
-    sample = sample_weights(params, stream, out)
+    sample = sample_weights(params, stream)
     if per_example:  # (B, C) logit noise after the K normals of the KL's draw
         sample.logit_noise = stream.normal(batch_size * model.n_classes).reshape(batch_size, model.n_classes)
     return sample
@@ -263,7 +258,7 @@ def _flatten_params(model: HeadModel):
 
 
 class _NoiseBlock:
-    """Whole epochs' normals, drawn in one call and read in place of the stream, as the steps' calls would.
+    """One epoch's normals, drawn in one call and read in place of the stream, as the steps' calls would.
 
     The stream is counter-based, so the reads have the bits of the per-step calls and the stream
     ends at the same counter.
@@ -330,12 +325,8 @@ def _train(dataset, val, config, bayesian):
         for kl in block_kl(store, m, model.output.prior):
             total += kl_w * kl
         return total
-    # an epoch's steps * K normals, and n * C per example, are drawn a block of whole epochs at a time,
-    # as many as DRAW_WORDS holds; the last block is partial, so a run draws what it uses
-    epoch_block = bayesian and not config.force_sigma_zero
+    epoch_block = bayesian and not config.force_sigma_zero  # steps * K normals, and n * C per example
     block = steps * len(model.output.params) + n * n_classes * config.per_example_sample if epoch_block else 0
-    noise_epochs = max(1, DRAW_WORDS // (2 * block)) if epoch_block else 1
-    noise = eps_stream
     records: list[EpochRecord] = []
     best_epoch: int | None = None
     best_nll = math.inf
@@ -346,8 +337,7 @@ def _train(dataset, val, config, bayesian):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for epoch in range(config.epochs):
             order = shuffle_stream.permutation(n)
-            if epoch_block and epoch % noise_epochs == 0:
-                noise = _NoiseBlock(eps_stream.normal(block * min(noise_epochs, config.epochs - epoch)))
+            noise = _NoiseBlock(eps_stream.normal(block)) if epoch_block else eps_stream
             epoch_nll = 0.0
             epoch_kl = 0.0
             m = 0  # rows in the KL store
@@ -358,13 +348,13 @@ def _train(dataset, val, config, bayesian):
                 # method skips numpy.take's Python wrapper, which costs more than a 32-row gather
                 feats = dataset.features.take(idx, axis=0, out=plan.features, mode="clip")
                 labels = dataset.labels.take(idx, out=plan.labels, mode="clip")
-                log_p = None
-                if kl_w:  # the draw goes straight into its row, with mu before the update
-                    theta, mu, sigma, log_p = store_rows[m]
-                    mu[...] = model.output.params.mu
-                    m += 1
                 samples = _draw_samples(model, noise, idx.shape[0], config.per_example_sample,
-                                        config.force_sigma_zero, (theta, sigma) if kl_w else None)
+                                        force_zero=config.force_sigma_zero)
+                log_p = None
+                if kl_w:
+                    theta, mu, sigma, log_p = store_rows[m]
+                    theta[...], mu[...], sigma[...] = samples.theta, model.output.params.mu, samples.sigma
+                    m += 1
                 grads = backward(model, feats, labels, samples, kl_w, plan, log_p)  # written into plan.grad
                 rmsprop_step(flat, plan.grad, accum, config.learning_rate)  # the model's arrays view flat
                 # a non-finite gradient spoils its update, so one check sees both; a finite sum has finite

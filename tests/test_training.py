@@ -480,8 +480,8 @@ def test_shared_sample_epoch_draws_its_noise_in_one_block(monkeypatch):
     assert len(train_set) % config.batch_size != 0
     drawn = []
 
-    def recorded_sample_weights(params, stream, out=None):
-        sample = sample_weights(params, stream, out)
+    def recorded_sample_weights(params, stream):
+        sample = sample_weights(params, stream)
         drawn.append(sample.epsilon.copy())
         return sample
 
@@ -490,8 +490,7 @@ def test_shared_sample_epoch_draws_its_noise_in_one_block(monkeypatch):
     train_bayes(train_set, val, config)
 
     eps = _eps_calls(calls, config.seed)
-    assert 2 * steps * k * config.epochs <= training.DRAW_WORDS  # so both epochs' noise is one block
-    assert [n for _, n in eps] == [steps * k * config.epochs]
+    assert [n for _, n in eps] == [steps * k] * config.epochs  # 2 * steps * k words per epoch
     reference = RngStream(config.seed).derive(_EPS_STREAM)
     model = init_bayes_model(2, 2, config)
     expected = [sample_weights(model.output.params, reference).epsilon for _ in range(steps * config.epochs)]
@@ -542,8 +541,7 @@ def test_force_sigma_zero_and_per_example_training_draw_as_before(monkeypatch):
     eps = _eps_calls(calls, 2)
     n = len(train_set)
     steps = math.ceil(n / 8)
-    assert 2 * (steps * k + n * c) * 2 <= training.DRAW_WORDS  # so both epochs' noise is one block
-    assert [n_drawn for _, n_drawn in eps] == [(steps * k + n * c) * 2]
+    assert [n_drawn for _, n_drawn in eps] == [steps * k + n * c] * 2  # one block per epoch
     assert eps[-1][0].counter == 2 * (steps * k + n * c) * 2
     # the block's reads are per-step draws: K normals, then B * C, from the same stream
     reference = RngStream(2).derive(_EPS_STREAM)
@@ -554,18 +552,10 @@ def test_force_sigma_zero_and_per_example_training_draw_as_before(monkeypatch):
         assert e.tobytes() == want_e.tobytes() and noise.tobytes() == want_noise.tobytes()
 
 
-def _blocks(words_per_epoch, epochs):
-    """Epochs per draw of the noise under the block rule: whole epochs in DRAW_WORDS, at least one."""
-    span = max(1, training.DRAW_WORDS // words_per_epoch)
-    return [min(span, epochs - e) for e in range(0, epochs, span)]
-
-
 @pytest.mark.parametrize("head", ["shared_sample", "per_example", "baseline"])
-def test_block_draws_equal_the_per_epoch_draws(monkeypatch, head):
-    # with DRAW_WORDS cut to 1000, a 17-epoch run of 60 rows draws its noise (160 or 400 words an
-    # epoch) in blocks of 6, 6 and 5 epochs or eight of 2 and one of 1; every read has the bits of
-    # the per-step draws, and each epoch's order is the next permutation of the shuffle stream
-    monkeypatch.setattr(training, "DRAW_WORDS", 1000)
+def test_each_epochs_noise_block_equals_the_per_step_draws(monkeypatch, head):
+    # a 17-epoch run of 60 rows draws each epoch's noise in one call; every read has the bits of the
+    # per-step draws, and each epoch's order is the next permutation of the shuffle stream
     train_set, val = _task(3, n_train=30)
     config = TrainConfig(epochs=17, hidden_dim=4, batch_size=8, seed=6, per_example_sample=head == "per_example")
     n, k, c, bs = len(train_set), (4 + 1) * 2, 2, config.batch_size
@@ -598,9 +588,7 @@ def test_block_draws_equal_the_per_epoch_draws(monkeypatch, head):
         assert eps == [] and used == []
         return
     per_epoch = steps * k + n * c * config.per_example_sample
-    noise_blocks = _blocks(2 * per_epoch, config.epochs)
-    assert len(noise_blocks) >= 2 and noise_blocks[-1] < noise_blocks[0]
-    assert [m for _, m in eps] == [per_epoch * e for e in noise_blocks]
+    assert [m for _, m in eps] == [per_epoch] * config.epochs
     reference = RngStream(config.seed).derive(_EPS_STREAM)
     for epoch in range(config.epochs):
         for j, start in enumerate(range(0, n, bs)):
@@ -613,15 +601,14 @@ def test_block_draws_equal_the_per_epoch_draws(monkeypatch, head):
 
 
 @pytest.mark.parametrize("per_example", [False, True])
-def test_each_step_draws_straight_into_its_kl_store_row(monkeypatch, per_example):
-    # backward reads the step's theta and sigma from the row of the KL store that the block pass reads
+def test_each_steps_kl_store_row_holds_the_draw_backward_used(monkeypatch, per_example):
+    # the block pass reads the bits of the theta and sigma that backward used from the step's row
     train_set, val = _task(5, n_train=98)  # 66 steps, so the store's rows are written twice an epoch
     config = TrainConfig(epochs=2, hidden_dim=4, batch_size=3, seed=4, per_example_sample=per_example)
     used, stored = [], []
 
     def recorded_backward(model, features, labels, samples, kl_weight, buffers, log_p):
         used.append((samples.theta.tobytes(), samples.sigma.tobytes()))
-        assert samples.theta.base is samples.sigma.base is log_p.base  # rows of one store, not copies
         return backward(model, features, labels, samples, kl_weight, buffers, log_p)
 
     def recorded_kl(theta, mu, sigma, prior, log_p=None):

@@ -9,20 +9,20 @@ of ``paper_pipeline`` (400 training rows of 2 features, 2 classes, 200
 validation rows) and that of ``wide_train`` (8000 rows of 64 features, 4
 classes, 2000 validation rows), with hidden width 32 and batch 32, it sets
 up a run as ``training._train`` does and times each piece of the loop on its
-own. Per step: the batch gather, the posterior draw (mu's copy and the draw
-written into a row of the run's KL store), ``backward`` (with the prior
-pass, which writes log p into the row), ``kl`` (the block pass that forms
-the stored rows' KL values, a call per block of ``KL_BLOCK`` steps, given
-per step), ``rmsprop_step`` and the finiteness check on the parameters. Per
-epoch: the shuffle's permutation, the noise, drawn as ``_train`` draws it,
-a block of whole epochs at a time, and ``validate_metrics``. A per-step
-piece is timed over one epoch of calls, the permutation over three calls,
-the noise over three blocks, given per epoch, and validation as ``_train``
-calls it: once, after an epoch of the per-step pieces. Back-to-back
-validations of a wide set can each wait on OpenBLAS's threads and read many
-times slower. The table gives the best of ``--reps`` timings in
-microseconds per call, and ``step`` sums the per-step pieces. It uses numpy
-and the standard library only and stays out of the test suite.
+own. Per step: the batch gather, the posterior draw (the draw, then the
+copy of it, its scale and mu into a row of the run's KL store),
+``backward`` (with the prior pass, which writes log p into the row), ``kl``
+(the block pass that forms the stored rows' KL values, a call per block of
+``KL_BLOCK`` steps, given per step), ``rmsprop_step`` and the finiteness
+check on the parameters. Per epoch: the shuffle's permutation, the epoch's
+noise block (one ``normal`` call) and ``validate_metrics``. A per-step piece
+is timed over one epoch of calls, the permutation and the noise block over
+three calls, and validation as ``_train`` calls it: once, after an epoch of
+the per-step pieces. Back-to-back validations of a wide set can each wait on
+OpenBLAS's threads and read many times slower. The table gives the best of
+``--reps`` timings in microseconds per call, and ``step`` sums the per-step
+pieces. It uses numpy and the standard library only and stays out of the
+test suite.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ SHAPES = {
 HEADS = ("shared_sample", "per_example", "baseline")
 STEP = ("gather", "draw", "backward", "kl", "rmsprop", "check")
 EPOCH = ("permute", "noise", "validate")
-EPOCH_CALLS = 3  # permutations, and draws of whole epochs' noise, that each timing covers
+EPOCH_CALLS = 3  # permutations, and epochs' noise blocks, that each timing covers
 
 
 def _dataset(rng, n, dim, classes) -> FeatureDataset:
@@ -98,16 +98,15 @@ def measure(shape: str, head: str, reps: int) -> dict:
     block = steps * len(model.output.params) + n * spec["classes"] * per_example if bayesian else 0
     normals = RngStream(1).normal(block) if bayesian else None
 
-    def draws(into_store=False):
+    def draws():
         noise = training._NoiseBlock(normals) if bayesian else None
         samples = []
         for j, idx in enumerate(batches):
-            row = None
-            if into_store:  # as _train's step: mu before the update, then the draw, into a row of the store
+            sample = training._draw_samples(model, noise, len(idx), per_example, False)
+            if bayesian:  # as _train's step: the draw, its scale and mu before the update, into a row
                 theta, mu, sigma, _ = store_rows[j % KL_BLOCK]
-                mu[...] = model.output.params.mu
-                row = theta, sigma
-            samples.append(training._draw_samples(model, noise, len(idx), per_example, False, row))
+                theta[...], mu[...], sigma[...] = sample.theta, model.output.params.mu, sample.sigma
+            samples.append(sample)
         return samples
 
     inputs = [(train.features[idx], train.labels[idx], sample) for idx, sample in zip(batches, draws())]
@@ -138,28 +137,24 @@ def measure(shape: str, head: str, reps: int) -> dict:
         for _ in batches:
             math.isfinite(np.add.reduce(flat)) or np.isfinite(flat).all()
 
-    def permute():
-        for _ in range(EPOCH_CALLS):
-            RngStream(2).permutation(n)
+    def repeat(fn):
+        def calls():
+            for _ in range(EPOCH_CALLS):
+                fn()
+        return calls
 
-    noise_epochs = max(1, training.DRAW_WORDS // (2 * block)) if bayesian else 1
-
-    def noise():
-        stream = RngStream(3)
-        for _ in range(EPOCH_CALLS):
-            stream.normal(block * noise_epochs)
-
-    step = {"gather": gather, "draw": lambda: draws(into_store=bayesian), "backward": step_backward,
-            "kl": kl if bayesian else None, "rmsprop": update, "check": check}
+    step = {"gather": gather, "draw": draws, "backward": step_backward, "kl": kl if bayesian else None,
+            "rmsprop": update, "check": check}
 
     def epoch_steps():
         for fn in step.values():
             fn and fn()
 
+    epoch = {"permute": repeat(lambda: RngStream(2).permutation(n)),
+             "noise": repeat(lambda: RngStream(3).normal(block)) if bayesian else None}
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as _train runs its loop
         out = {name: fn and _best(fn, reps, steps) for name, fn in step.items()}
-        out["permute"] = _best(permute, reps, EPOCH_CALLS)
-        out["noise"] = _best(noise, reps, EPOCH_CALLS * noise_epochs) if bayesian else None
+        out |= {name: fn and _best(fn, reps, EPOCH_CALLS) for name, fn in epoch.items()}
         out["validate"] = _best(lambda: training.validate_metrics(model, val), reps, 1, before=epoch_steps)
     return out
 
