@@ -171,6 +171,15 @@ class TestSoftplus:
         with pytest.raises(ValueError):
             softplus(float("nan"))
 
+    def test_array_has_the_bits_of_each_element_and_rejects_any_infinity(self):
+        x = np.random.default_rng(4).normal(scale=30.0, size=257)
+        got = softplus(x)
+        assert got.shape == x.shape and got.dtype == np.float64
+        assert got.tobytes() == np.logaddexp(0.0, x).tobytes()
+        assert all(float(softplus(v)) == g for v, g in zip(x, got))
+        with pytest.raises(ValueError, match="finite"):
+            softplus(np.array([0.0, np.inf]))
+
     @given(finite_floats)
     def test_difference_identity(self, x):
         assert abs(float(softplus(x)) - float(softplus(-x)) - x) < 1e-10
